@@ -341,7 +341,14 @@ def run(args) -> int:
     if cmd == "predict":
         problem = _load_problem(args.problem, args.data)
         params = ltio._load_json(args.params)
-        z = np.array(params["z"] if isinstance(params, dict) else params, dtype=float)
+        z = params.get("z") if isinstance(params, dict) else params
+        try:
+            z = np.array(z, dtype=float)
+        except (TypeError, ValueError):
+            z = None
+        n = len(problem.param_names())
+        if z is None or z.shape != (n,) or not np.all(np.isfinite(z)):
+            raise ValidationError(f"{args.params}: z must be a list of {n} numbers")
         est = sysid.predict(z, problem)
         payload = {"estimates": {c: v.tolist() for c, v in est.items()}}
         if problem.data is not None:

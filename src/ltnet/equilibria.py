@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +65,7 @@ ZERO, LINEAR, SATURATED = 0, 1, 2
 # pinned tolerances
 _REGION_TOL = 1e-9  # slack when testing membership d in {G d + g >= 0}
 _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
+_QUERY_CHUNK = 64  # points per membership block: memory O(region rows * chunk)
 DEFAULT_ENUMERATION_LIMIT = 12
 
 
@@ -182,40 +184,56 @@ class PiecewiseAffineMap:
     def __len__(self):
         return len(self.pieces)
 
+    @cached_property
+    def _rows(self):
+        """(G_all, g_all, piece starts): all region rows, stacked on first query
+        (not at construction: maps built to certify or compose are never read)."""
+        G_all = np.vstack([p.G for p in self.pieces])
+        g_all = np.concatenate([p.g for p in self.pieces])
+        starts = np.cumsum([0] + [p.G.shape[0] for p in self.pieces])[:-1]
+        return G_all, g_all, starts
+
+    def _member(self, D, tol):
+        """(pieces, points) membership of the rows of D: G d + g >= -tol."""
+        out = np.zeros((len(self.pieces), D.shape[0]), dtype=bool)
+        if not self.pieces:
+            return out
+        G_all, g_all, starts = self._rows
+        for lo in range(0, D.shape[0], _QUERY_CHUNK):
+            ok = G_all @ D[lo : lo + _QUERY_CHUNK].T + g_all[:, None] >= -tol
+            out[:, lo : lo + _QUERY_CHUNK] = np.logical_and.reduceat(ok, starts, axis=0)
+        return out
+
     def pieces_at(self, d, tol=_REGION_TOL):
         """All pieces whose region contains d, in label order."""
         d = np.asarray(d, dtype=float)
-        return [p for p in self.pieces if p.contains(d, tol)]
+        member = self._member(d[None, :], tol)[:, 0]
+        return [self.pieces[i] for i in np.flatnonzero(member)]
 
     def eval(self, d, tol=_REGION_TOL) -> np.ndarray:
         """Value at d, using the first covering piece in label order."""
         d = np.asarray(d, dtype=float)
-        for p in self.pieces:
-            if p.contains(d, tol):
-                return p.F @ d + p.f
-        raise NoCoveringPiece(
-            f"no piece covers d={d!r}; the map may be incomplete or the "
-            "underlying equation non-contractive at this input"
-        )
+        member = self._member(d[None, :], tol)[:, 0]
+        if not member.any():
+            raise NoCoveringPiece(
+                f"no piece covers d={d!r}; the map may be incomplete or the "
+                "underlying equation non-contractive at this input"
+            )
+        p = self.pieces[int(np.argmax(member))]
+        return p.F @ d + p.f
 
     __call__ = eval
 
     def eval_many(self, D, tol=_REGION_TOL) -> np.ndarray:
         """Vectorized evaluation over the rows of D (shape (k, domain_dim))."""
         D = np.atleast_2d(np.asarray(D, dtype=float))
-        k = D.shape[0]
-        # stack all region rows once; reduce violation counts per piece
-        G_all = np.vstack([p.G for p in self.pieces])
-        g_all = np.concatenate([p.g for p in self.pieces])
-        ok = (G_all @ D.T + g_all[:, None]) >= -tol  # (rows, k)
-        starts = np.cumsum([0] + [p.G.shape[0] for p in self.pieces])[:-1]
-        viol = np.add.reduceat(~ok, starts, axis=0)  # (n_pieces, k)
-        feasible = viol == 0
-        if not np.all(feasible.any(axis=0)):
-            bad = int(np.argmin(feasible.any(axis=0)))
+        member = self._member(D, tol)
+        covered = member.any(axis=0)
+        if not np.all(covered):
+            bad = int(np.argmin(covered))
             raise NoCoveringPiece(f"no piece covers row {bad}: d={D[bad]!r}")
-        first = np.argmax(feasible, axis=0)  # label order = piece order
-        out = np.empty((k, self.output_dim))
+        first = np.argmax(member, axis=0)  # label order = piece order
+        out = np.empty((D.shape[0], self.output_dim))
         for idx in np.unique(first):
             sel = first == idx
             p = self.pieces[idx]

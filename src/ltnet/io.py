@@ -239,6 +239,10 @@ def load_controls(path, hierarchy: Optional[Hierarchy] = None):
             mode = entry["mode"]
         except KeyError as e:
             raise ValidationError(f"control entry missing field {e.args[0]!r}")
+        except TypeError as e:
+            raise ValidationError(f"control entry malformed: {e}")
+        if layer < 1 or (hierarchy is not None and layer > hierarchy.N):
+            raise ValidationError(f"control entry names layer {layer}; no such layer")
         K = entry.get("K")
         if K is not None:
             K = np.array(K, dtype=float)
@@ -247,6 +251,10 @@ def load_controls(path, hierarchy: Optional[Hierarchy] = None):
             if hierarchy is None:
                 raise ValidationError("online feedforward needs a hierarchy")
             net = hierarchy.layers[layer - 1]
+            if layer == 1 or net.B is None:
+                raise ValidationError(
+                    f"layer {layer}: online feedforward needs a layer above and B"
+                )
             r = net.r
             ubar = _online_feedforward(
                 net.B[:r, :], hierarchy.W_up[layer - 2][:r, :], net.c[:r]

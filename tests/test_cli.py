@@ -330,6 +330,35 @@ def test_cli_recruit_refuses_uncertified(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _set(index, **fields):
+    return lambda entries: entries[index].update(fields)
+
+
+@pytest.mark.parametrize("make_h, edit, match", [
+    # an online entry moved past the bottom layer, or to layer 0
+    (recruitment_hierarchy, _set(2, layer=4), "layer 4; no such layer"),
+    (recruitment_hierarchy, _set(2, layer=0), "layer 0; no such layer"),
+    # a constant entry past the bottom layer is not silently dropped
+    (recruitment_hierarchy, _set(0, layer=7), "layer 7; no such layer"),
+    # online feedforward on layer 1, or on a layer without B
+    (recruitment_hierarchy, _set(0, ubar="online"), "layer 1: online feedforward"),
+    (lc_hierarchy, _set(1, ubar="online"), "layer 2: online feedforward"),
+    (recruitment_hierarchy, lambda entries: entries.append(7), "malformed"),
+], ids=["online-past-bottom", "online-layer-0", "constant-past-bottom",
+        "online-on-layer-1", "online-without-B", "non-object-entry"])
+def test_cli_recruit_rejects_bad_controls(tmp_path, capsys, make_h, edit, match):
+    h_path = tmp_path / "h.json"
+    ltio.dump_hierarchy(make_h(), h_path)
+    c_path = tmp_path / "controls.json"
+    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(c_path)]) == 0
+    blob = json.loads(c_path.read_text())
+    edit(blob["controls"])
+    c_path.write_text(json.dumps(blob))
+    assert main(["recruit", "--hierarchy", str(h_path), "--controls", str(c_path),
+                 "--eps", "0.5"]) == 2
+    assert match in capsys.readouterr().err
+
+
 def scalar_problem_json():
     return {
         "layer_sizes": [1],
@@ -394,6 +423,23 @@ def test_cli_fit_and_predict(tmp_path):
     est = np.array(pblob["estimates"]["base"])
     assert est.shape == (51, 1)
     assert pblob["r2"] == pytest.approx(blob["r2"], rel=1e-10)
+
+
+@pytest.mark.parametrize("params", [
+    {"f": 0.5},  # no z
+    {"z": "abc"},
+    {"z": [0.6, "x", 1.2, 0.4, 0.0]},
+    {"z": {"W11": 0.6}},
+    {"z": None},
+    {"z": [0.6, 3.0]},  # wrong length
+], ids=["no-z", "string-z", "non-numeric-entry", "object-z", "null-z", "short-z"])
+def test_cli_predict_rejects_bad_params(tmp_path, capsys, params):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params))
+    assert main(["predict", "--problem", str(problem_path), "--data", str(data_dir),
+                 "--params", str(params_path)]) == 2
+    assert "z must be a list of 5 numbers" in capsys.readouterr().err
 
 
 def test_cli_timescale(tmp_path):

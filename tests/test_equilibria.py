@@ -10,7 +10,10 @@ from ltnet import (
     LINEAR,
     SATURATED,
     ZERO,
+    AffinePiece,
+    NoCoveringPiece,
     NotCertified,
+    PiecewiseAffineMap,
     UniquenessNotCertified,
     compose_maps,
     equilibrium_map,
@@ -20,6 +23,7 @@ from ltnet import (
     piece_for_pattern,
     solve_equilibrium_iterative,
 )
+from ltnet.equilibria import _QUERY_CHUNK
 
 from helpers import clip01m, fixed_point, joint_fixed_point, random_contractive
 
@@ -240,3 +244,100 @@ def test_composite_labels_carry_both_patterns():
     for piece in comp.pieces:
         assert len(piece.label) == 2  # inner pattern plus outer pattern
     assert len({p.label for p in comp.pieces}) == len(comp.pieces)
+
+
+# -- point location against a brute-force scan ------------------------------
+
+
+def _scan(pa, d, tol=1e-9):
+    """Indices of the pieces whose region holds d, in label order."""
+    return [i for i, p in enumerate(pa.pieces) if np.all(p.G @ d + p.g >= -tol)]
+
+
+def _oracle_maps():
+    """A base map (n = 5, mixed ceilings) and a composite from compose_maps."""
+    rng = np.random.default_rng(61)
+    W = rng.normal(size=(5, 5))
+    W *= 0.7 / np.max(np.abs(np.linalg.eigvals(np.abs(W))))
+    base = equilibrium_map(W, np.array([1.0, np.inf, 2.0, np.inf, 1.5]))
+    inner = equilibrium_map(np.array([[0.2, -0.3], [0.4, 0.1]]),
+                            np.array([1.5, np.inf]))
+    W1 = np.array([[0.1, -0.2], [0.3, 0.2]])
+    W2 = np.array([[0.3, 0.0], [-0.2, 0.2]])
+    W3 = np.array([[0.2, 0.1], [0.0, -0.3]])
+    cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
+    assert cert.passed
+    comp = compose_maps(inner, W1, W2, W3, np.array([0.3, -0.2]),
+                        np.array([2.0, np.inf]), certificate=cert)
+    return [base, comp]
+
+
+def _query_points(pa, rng, k):
+    """k points mixing random inputs with points on faces shared by pieces."""
+    D = rng.uniform(-4.0, 4.0, size=(k, pa.domain_dim))
+    ties = []
+    for d in D[: k // 4]:
+        p = pa.pieces[_scan(pa, d)[0]]
+        for G_j, g_j in zip(p.G, p.g):
+            if not G_j.any():
+                continue  # a composite's inner row that the outer state misses
+            face = d - (G_j @ d + g_j) / (G_j @ G_j) * G_j
+            if len(_scan(pa, face)) >= 2:
+                ties.append(face)
+    assert len(ties) >= k // 4
+    pool = np.vstack([D, ties])
+    return pool[rng.permutation(len(pool))[:k]]
+
+
+def _tagged(pa):
+    """pa's regions with constant values: piece i evaluates to i everywhere."""
+    pieces = [AffinePiece(F=np.zeros_like(p.F), f=np.full(pa.output_dim, float(i)),
+                          G=p.G, g=p.g, label=p.label)
+              for i, p in enumerate(pa.pieces)]
+    return PiecewiseAffineMap(tuple(pieces), pa.domain_dim, pa.output_dim)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_point_location_matches_scan(which):
+    pa = _oracle_maps()[which]
+    tags = _tagged(pa)
+    rng = np.random.default_rng(67 + which)
+    D = _query_points(pa, rng, 3 * _QUERY_CHUNK + 7)
+    first = np.array([_scan(pa, d)[0] for d in D])
+    for d, i in zip(D, first):
+        assert tags.eval(d)[0] == i
+        p = pa.pieces[i]
+        np.testing.assert_array_equal(pa.eval(d), p.F @ d + p.f)
+        covering = [pa.pieces[j].label for j in _scan(pa, d)]
+        assert [q.label for q in pa.pieces_at(d)] == covering
+    for k in (1, _QUERY_CHUNK - 1, _QUERY_CHUNK, _QUERY_CHUNK + 1, len(D)):
+        np.testing.assert_array_equal(tags.eval_many(D[:k])[:, 0], first[:k])
+        # the grouped per-piece product over the whole call, as in one block
+        want = np.empty((k, pa.output_dim))
+        for i in np.unique(first[:k]):
+            sel = first[:k] == i
+            want[sel] = D[:k][sel] @ pa.pieces[i].F.T + pa.pieces[i].f
+        np.testing.assert_array_equal(pa.eval_many(D[:k]), want)
+
+
+def test_eval_many_names_the_uncovered_row():
+    pa = _oracle_maps()[0]
+    all_linear = (LINEAR,) * 5
+    holed = PiecewiseAffineMap(
+        tuple(p for p in pa.pieces if p.label != all_linear), 5, 5)
+    # an input whose equilibrium is strictly inside the all-linear regime
+    lin = pa.pieces[[p.label for p in pa.pieces].index(all_linear)]
+    hole = np.linalg.solve(lin.F, np.array([0.5, 0.8, 1.0, 0.6, 0.7]))
+    assert _scan(holed, hole) == []
+    rng = np.random.default_rng(71)
+    for k in (1, _QUERY_CHUNK - 1, _QUERY_CHUNK, _QUERY_CHUNK + 1,
+              3 * _QUERY_CHUNK + 7):
+        D = rng.uniform(-4.0, 4.0, size=(2 * k, 5))
+        D = D[np.any(D @ lin.G.T + lin.g < -1e-6, axis=1)][: k - 1]  # off the hole
+        bad = int(rng.integers(0, k))
+        D = np.insert(D, bad, hole, axis=0)
+        assert D.shape == (k, 5)
+        with pytest.raises(NoCoveringPiece, match=rf"no piece covers row {bad}: d="):
+            holed.eval_many(D)
+    with pytest.raises(NoCoveringPiece, match="no piece covers d="):
+        holed.eval(hole)
