@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -181,8 +182,10 @@ def _load_problem(path, data_dir):
             T=obj.get("T", 0.1),
             tau_bounds=obj.get("tau_bounds"),
             c_bounds=tuple(obj.get("c_bounds", (-3.0, 5.0))),
+            x0_max=obj.get("x0_max"),
             gamma1=obj.get("gamma1", 250.0),
             gamma2=obj.get("gamma2", 150.0),
+            sim_substeps=obj.get("sim_substeps", 2),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"{path}: bad problem definition: {e}")
@@ -191,6 +194,14 @@ def _load_problem(path, data_dir):
         for cond in problem.conditions:
             csv_path = os.path.join(data_dir, f"{cond}.csv")
             _, times, vals = ltio.rates_from_csv(csv_path)
+            grid = problem.t0 + problem.T * np.arange(len(times))
+            off = np.flatnonzero(~(np.abs(times - grid) <= 1e-9 * problem.T))
+            if off.size:
+                k = int(off[0])
+                raise ValidationError(
+                    f"{csv_path}: data row {k + 1}: t = {float(times[k])!r} is off the "
+                    f"grid t0 + k*T (expected {float(grid[k])!r})"
+                )
             data[cond] = vals
         try:
             problem.attach_data(data)
@@ -359,8 +370,28 @@ def run(args) -> int:
     raise ValidationError(f"unknown command {cmd!r}")
 
 
+# flags whose value is a comma list of numbers
+_LIST_FLAGS = ("--at", "--x0", "--tspan", "--eps", "--window", "--a", "--b")
+
+
+def _attach_negative_lists(argv):
+    """Write `--at -1,-1` as `--at=-1,-1`.
+
+    argparse reads a value that starts with '-' and is not a plain
+    negative number as the next flag.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _LIST_FLAGS and re.match(r"-\.?\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_lists(argv))
     try:
         return run(args)
     except _NUMERICAL_ERRORS as e:

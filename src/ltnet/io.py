@@ -190,10 +190,16 @@ def rates_from_csv(path):
     for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != len(rows[0]):
+            raise ValidationError(
+                f"{path}: line {ln}: expected {len(rows[0])} fields, got {len(row)}"
+            )
         try:
             data.append([float(v) for v in row])
         except ValueError as e:
             raise ValidationError(f"{path}: line {ln}: {e}")
+    if not data:
+        raise ValidationError(f"{path}: line 2: no data rows after the header")
     arr = np.array(data)
     return ids, arr[:, 0], arr[:, 1:]
 

@@ -16,9 +16,16 @@ with f_SSE the summed squared error, f_corr = 1 - mean sample Pearson
 correlation over (node, condition) pairs, and f_var the 4-norm of the
 standard-deviation mismatches.  Sample statistics use the K-1 convention
 throughout.  Multi-start bounded quasi-Newton minimization (L-BFGS-B)
-with central finite differences (relative step 1e-5) searches the box;
-gradients are evaluated as one batched simulation over all perturbed
-parameter vectors.
+searches the box with the exact gradient of this discretized objective:
+a discrete adjoint, i.e. one taped forward RK4 pass and one reverse
+sweep through its stages, the ReLU and the post-step clip.  At kinks the
+ReLU and clip derivatives are 1 where the argument is > 0, pairs with a
+zero-variance series get a zero correlation gradient, a zero standard
+deviation a zero derivative, f_var = 0 a zero variance gradient, and a
+diverged candidate the penalty value with a zero gradient.  Because a
+constant reference series is matched by f_corr only by an exactly
+constant estimate, each start ends with one Newton step that tries to
+make such estimates exactly constant.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ __all__ = [
     "two_channel_hierarchy_structure",
 ]
 
-_FD_REL_STEP = 1e-5
 _DIVERGENCE_LIMIT = 1e9
 _PENALTY = 1e12
 
@@ -325,6 +331,12 @@ class SysIdProblem:
         self.K = int(round((self.tf - self.t0) / self.T)) + 1
         self.gamma1, self.gamma2 = float(gamma1), float(gamma2)
         self.sim_substeps = int(sim_substeps)
+        if self.sim_substeps < 1 or self.sim_substeps != sim_substeps:
+            raise ValueError(f"sim_substeps must be a positive integer, got {sim_substeps!r}")
+        if x0_max is not None:
+            x0_max = float(x0_max)
+            if not 0.0 < x0_max < math.inf:
+                raise ValueError(f"x0_max must be positive and finite, got {x0_max!r}")
         if tau_bounds is None:
             tau_bounds = [(0.3, 10.0)] * self.N
         self.tau_bounds = [tuple(map(float, tb)) for tb in tau_bounds]
@@ -454,11 +466,15 @@ class SysIdProblem:
             self._stage_cache[key] = (dt, n_steps, sig)
         return self._stage_cache[key]
 
-    def simulate_candidates(self, Z):
+    def simulate_candidates(self, Z, _tape=None):
         """Simulate a batch of parameter vectors under every condition.
 
         Returns (states (P, C, K, n), diverged (P,) bool).  Diverged rows
-        are zeroed beyond the point of failure.
+        are zeroed beyond the point of failure.  A list passed as _tape
+        receives, per step, ((X, X1, X2, X3), (k1, k2, k3, k4), (a1, a2,
+        a3, a4), Y): the stage states, the stage slopes, the ReLU
+        arguments and the pre-clip update, for the adjoint of
+        _value_and_grad.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         P = Z.shape[0]
@@ -482,15 +498,21 @@ class SysIdProblem:
                 d0 = drive[:, 2 * k]
                 dh = drive[:, 2 * k + 1]
                 d1 = drive[:, 2 * k + 2]
-                WX = np.einsum("bij,bj->bi", Wb, X)
-                k1 = (-X + np.maximum(WX + d0, 0.0)) / taub
+                a1 = np.einsum("bij,bj->bi", Wb, X) + d0
+                k1 = (-X + np.maximum(a1, 0.0)) / taub
                 X1 = X + half * k1
-                k2 = (-X1 + np.maximum(np.einsum("bij,bj->bi", Wb, X1) + dh, 0.0)) / taub
+                a2 = np.einsum("bij,bj->bi", Wb, X1) + dh
+                k2 = (-X1 + np.maximum(a2, 0.0)) / taub
                 X2 = X + half * k2
-                k3 = (-X2 + np.maximum(np.einsum("bij,bj->bi", Wb, X2) + dh, 0.0)) / taub
+                a3 = np.einsum("bij,bj->bi", Wb, X2) + dh
+                k3 = (-X2 + np.maximum(a3, 0.0)) / taub
                 X3 = X + dt * k3
-                k4 = (-X3 + np.maximum(np.einsum("bij,bj->bi", Wb, X3) + d1, 0.0)) / taub
-                X = np.maximum(X + sixth * (k1 + 2.0 * (k2 + k3) + k4), 0.0)
+                a4 = np.einsum("bij,bj->bi", Wb, X3) + d1
+                k4 = (-X3 + np.maximum(a4, 0.0)) / taub
+                Y = X + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                if _tape is not None:
+                    _tape.append(((X, X1, X2, X3), (k1, k2, k3, k4), (a1, a2, a3, a4), Y))
+                X = np.maximum(Y, 0.0)
                 if (k & 15) == 0 or k == n_steps - 1:
                     bad = ~np.isfinite(X).all(axis=1) | (
                         np.nan_to_num(np.abs(X), nan=np.inf).max(axis=1)
@@ -556,10 +578,14 @@ def objective(z, problem: SysIdProblem):
     return float(f[0]), *parts
 
 
-def _objective_batch(Z, problem: SysIdProblem, want_parts=False):
+def _objective_batch(Z, problem: SysIdProblem, want_parts=False, _tape=None):
+    """f of every row of Z; with want_parts also the first row's
+    (f_sse, f_corr, f_var) and the divergence flags.  With a _tape list
+    (one row, taped for _adjoint) returns (f, est, ref): the paired
+    (C, nm, K) series the objective compares."""
     if problem.data is None:
         raise ValueError("problem has no attached data")
-    states, diverged = problem.simulate_candidates(Z)
+    states, diverged = problem.simulate_candidates(Z, _tape=_tape)
     est = states[:, :, :, problem.manifest]  # (P, C, K, nm)
     ref = np.stack([problem.data[c] for c in problem.conditions])  # (C, K, nm)
     # axes -> (P, C, nm, K) so pairs line up for the statistics
@@ -574,9 +600,158 @@ def _objective_batch(Z, problem: SysIdProblem, want_parts=False):
     f_var = (((sd_e - sd_r) ** 4).sum(axis=(1, 2))) ** 0.25
     f = f_sse + problem.gamma1 * f_corr + problem.gamma2 * f_var
     f = np.where(diverged | ~np.isfinite(f), _PENALTY, f)
+    if _tape is not None:
+        return f, est_t[0], ref_t[0]
     if want_parts:
         return f, (float(f_sse[0]), float(f_corr[0]), float(f_var[0])), diverged
     return f
+
+
+def _objective_state_grad(est, ref, problem: SysIdProblem):
+    """d f / d est for one candidate; est and ref are (C, nm, K).
+
+    Pairs where either series is flat (the 1e-12 threshold of
+    _pearson_rows) get a zero correlation gradient, a zero standard
+    deviation gets a zero derivative, and f_var = 0 a zero variance
+    gradient.
+    """
+    K = est.shape[-1]
+    grad = 2.0 * (est - ref)
+    est_c = est - est.mean(axis=-1, keepdims=True)
+    ref_c = ref - ref.mean(axis=-1, keepdims=True)
+    se = np.sqrt((est_c**2).sum(axis=-1, keepdims=True))
+    sr = np.sqrt((ref_c**2).sum(axis=-1, keepdims=True))
+    live = (se >= 1e-12) & (sr >= 1e-12)
+    se_l = np.where(live, se, 1.0)
+    denom = se_l * np.where(live, sr, 1.0)
+    corr = (est_c * ref_c).sum(axis=-1, keepdims=True) / denom
+    dcorr = np.where(live, ref_c / denom - corr * est_c / se_l**2, 0.0)
+    grad -= problem.gamma1 / live.size * dcorr
+    # f_var = ||sd_e - sd_r||_4 with sd = ||x - mean|| / sqrt(K - 1)
+    sd_e = se / math.sqrt(K - 1)
+    dev = sd_e - sr / math.sqrt(K - 1)
+    f_var = ((dev**4).sum()) ** 0.25
+    if f_var > 0.0:
+        dsd = np.divide(1.0, (K - 1) * sd_e, out=np.zeros_like(sd_e), where=sd_e > 0.0)
+        grad += problem.gamma2 * (dev**3 / f_var**3) * dsd * est_c
+    return grad
+
+
+def _value_and_grad(z, problem: SysIdProblem):
+    """Objective f and its exact gradient for one parameter vector.
+
+    f is _objective_batch's value; the gradient is _adjoint's.  A
+    penalized candidate (diverged or non-finite f) gets a zero gradient.
+    """
+    tape = []
+    f, est, ref = _objective_batch(z[None, :], problem, _tape=tape)
+    f = float(f[0])
+    if f == _PENALTY:
+        return f, np.zeros(problem.dim)
+    return f, _adjoint(z, problem, tape, _objective_state_grad(est, ref, problem))
+
+
+def _adjoint(z, problem: SysIdProblem, tape, grad_est):
+    """Gradient in z of a function of the sampled manifest states.
+
+    grad_est (C, nm, K) is the function's derivative with respect to the
+    states of simulate_candidates(z[None, :], _tape=tape).  This is the
+    discrete adjoint of that fixed-step RK4: one reverse sweep through
+    the stages, the ReLU and the post-step clip (derivative 1 where the
+    argument is > 0).
+    """
+    C, n = len(problem.conditions), problem.n
+    G = np.zeros((C, problem.K, n))  # on the full state
+    G[:, :, problem.manifest] = np.moveaxis(grad_est, 2, 1)
+    W, _, tau, _, _ = problem.unpack(z)
+    W, tau = W[0], tau[0]
+    dt, n_steps, sig = problem._stage_signals()
+    sub = problem.sim_substeps
+    b = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)  # weights of k1..k4 in the update
+    c = (0.5 * dt, 0.5 * dt, dt)  # stage s + 1 starts at X + c[s] * k_s
+    XS = np.array([t[0] for t in tape])  # stage states (steps, 4, C, n)
+    KS = np.array([t[1] for t in tape])  # stage slopes
+    relu = np.array([t[2] for t in tape]) > 0.0  # ReLU derivatives
+    clip = np.array([t[3] for t in tape]) > 0.0  # clip derivatives (steps, C, n)
+    itau = 1.0 / tau
+    # Row-vector Jacobians of every step, built for all steps at once:
+    # dk_s = D_s dX_s with D_s = diag(V_s) W - diag(1 / tau), V_s = relu_s / tau,
+    # and the adjoint of the pre-clip update Y maps to the stage slopes by
+    # P_s and to the step's start by J = I + sum_s P_s D_s.
+    V = relu * itau  # (steps, 4, C, n)
+    eye = np.eye(n)
+    P = np.empty(V.shape + (n,))
+    J = np.broadcast_to(eye, (n_steps, C, n, n)).copy()
+    PD = None
+    for s in (3, 2, 1, 0):
+        P[:, s] = b[s] * eye if PD is None else b[s] * eye + c[s] * PD
+        PV = P[:, s] * V[:, s, :, None, :]
+        PD = (PV.reshape(-1, n) @ W).reshape(PV.shape) - P[:, s] * itau
+        J += PD
+    lamY = np.empty((n_steps, C, n))  # adjoint of each step's pre-clip update
+    lam = np.zeros((C, n))  # adjoint of the state after step k
+    for k in range(n_steps - 1, -1, -1):
+        if (k + 1) % sub == 0:
+            lam = lam + G[:, (k + 1) // sub]
+        lamY[k] = lam = lam * clip[k]
+        lam = np.matmul(lam[:, None, :], J[k])[:, 0]
+    lam = lam + G[:, 0]
+    LK = np.einsum("kci,kscij->kscj", lamY, P)  # adjoints of the stage slopes
+    LA = LK * V  # adjoints of the ReLU arguments
+
+    gW = np.einsum("ksbi,ksbj->ij", LA, XS).ravel()
+    # drive samples: stage 1 reads 2k, stages 2 and 3 read 2k + 1, stage 4 reads 2k + 2
+    LD = np.zeros((C, 2 * n_steps + 1, n))
+    LD[:, 0:-1:2] += np.moveaxis(LA[:, 0], 0, 1)
+    LD[:, 1::2] += np.moveaxis(LA[:, 1] + LA[:, 2], 0, 1)
+    LD[:, 2::2] += np.moveaxis(LA[:, 3], 0, 1)
+    gU = np.einsum("csk,csn->nk", sig, LD).ravel()
+    g_tau = -(LK * KS).sum(axis=(0, 1, 2)) * itau
+    g = np.empty(problem.dim)
+    for zpos, flat in problem._w_slots:
+        g[zpos] = gW[flat]
+    for zpos, flat in problem._u_slots:
+        g[zpos] = gU[flat]
+    g[problem.off_tau : problem.off_c] = np.bincount(
+        problem._node_layer, weights=g_tau, minlength=problem.N
+    )
+    g[problem.off_c : problem.off_x0] = LD.sum(axis=(0, 1))
+    g[problem.off_x0 :] = lam.ravel()
+    return g
+
+
+def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
+    """Try one Newton step that makes the estimates of constant reference
+    series exactly constant; keep it only if f drops.
+
+    For a pair whose reference is constant, f_corr gives gamma1 / M back
+    only when the estimate is exactly constant (the 1e-12 threshold of
+    _pearson_rows).  No gradient sees that jump, and the standard
+    deviation is a cone there, so a local search stalls just off it.  The
+    step solves sd_p(z + dz) = 0 to first order for every such pair whose
+    estimate still varies (minimum-norm dz from the adjoint gradients of
+    sd_p).  Returns (z, f), unchanged when there is no such pair.
+    """
+    ref = np.stack([problem.data[c].T for c in problem.conditions])  # (C, nm, K)
+    ref_flat = np.linalg.norm(ref - ref.mean(axis=-1, keepdims=True), axis=-1) < 1e-12
+    if not ref_flat.any():
+        return z, f
+    tape = []
+    _, est, _ = _objective_batch(z[None, :], problem, _tape=tape)
+    est_c = est - est.mean(axis=-1, keepdims=True)
+    se = np.linalg.norm(est_c, axis=-1)
+    pairs = np.argwhere(ref_flat & (se >= 1e-12))
+    if not len(pairs):
+        return z, f
+    J = np.empty((len(pairs), problem.dim))
+    for row, (cond, node) in enumerate(pairs):
+        d_se = np.zeros_like(est)
+        d_se[cond, node] = est_c[cond, node] / se[cond, node]
+        J[row] = _adjoint(z, problem, tape, d_se)
+    dz = np.linalg.lstsq(J, -se[tuple(pairs.T)], rcond=None)[0]
+    z_new = np.clip(z + dz, lo, hi)
+    f_new = float(_objective_batch(z_new[None, :], problem)[0])
+    return (z_new, f_new) if f_new < f else (z, f)
 
 
 def r_squared(data, estimates) -> float:
@@ -623,21 +798,6 @@ class FitReport:
         object.__setattr__(self, "z", z)
 
 
-def _fd_gradient(problem, z, lo, hi):
-    """Central-difference gradient via one batched objective evaluation."""
-    dim = z.size
-    h = _FD_REL_STEP * np.maximum(np.abs(z), 1.0)
-    Zp = np.repeat(z[None, :], dim, axis=0)
-    Zm = Zp.copy()
-    idx = np.arange(dim)
-    Zp[idx, idx] = np.minimum(z + h, hi)
-    Zm[idx, idx] = np.maximum(z - h, lo)
-    F = _objective_batch(np.vstack([Zp, Zm]), problem)
-    denom = Zp[idx, idx] - Zm[idx, idx]
-    denom[denom == 0.0] = 1.0
-    return (F[:dim] - F[dim:]) / denom
-
-
 def fit(
     problem: SysIdProblem,
     n_starts: int = 32,
@@ -649,9 +809,11 @@ def fit(
     """Multi-start bounded quasi-Newton fit of the problem's parameters.
 
     Starts are drawn uniformly inside the bounds from the seeded
-    generator, minimized independently with L-BFGS-B, and the best final
-    objective wins; the search stops early once target_r2 (when given)
-    is reached.  Deterministic for fixed (problem, n_starts, seed).
+    generator, minimized independently with L-BFGS-B on the exact
+    gradient (_value_and_grad), finished by _flatten_constant_pairs, and
+    the best final objective wins; the search stops early once target_r2
+    (when given) is reached.  Deterministic for fixed (problem, n_starts,
+    seed).
     """
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
@@ -659,26 +821,24 @@ def fit(
     records = []
     for s in range(n_starts):
         z0 = rng.uniform(lo, hi)
-        try:
-            res = minimize(
-                lambda z: float(_objective_batch(z[None, :], problem)[0]),
-                z0,
-                jac=lambda z: _fd_gradient(problem, z, lo, hi),
-                method="L-BFGS-B",
-                bounds=list(zip(lo, hi)),
-                options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-10},
-            )
-        except SimulationDiverged:
-            records.append((s, float("inf"), "diverged"))
-            continue
-        records.append((s, float(res.fun), "ok" if res.success else str(res.message)))
+        res = minimize(
+            _value_and_grad,
+            z0,
+            args=(problem,),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lo, hi)),
+            options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-10},
+        )
+        z_s, f_s = _flatten_constant_pairs(res.x, float(res.fun), problem, lo, hi)
+        records.append((s, f_s, "ok" if res.success else str(res.message)))
         if verbose:
-            print(f"start {s}: f = {res.fun:.6g}")
-        usable = np.isfinite(res.fun) and res.fun < 0.5 * _PENALTY
-        if usable and (best is None or res.fun < best[1]):
-            best = (s, float(res.fun), res.x)
+            print(f"start {s}: f = {f_s:.6g}")
+        usable = np.isfinite(f_s) and f_s < 0.5 * _PENALTY
+        if usable and (best is None or f_s < best[1]):
+            best = (s, f_s, z_s)
             if target_r2 is not None:
-                est = predict(res.x, problem)
+                est = predict(z_s, problem)
                 if r_squared(problem.data, est) >= target_r2:
                     break
     if best is None:

@@ -261,7 +261,7 @@ def test_08_sysid_round_trip():
     elapsed = time.perf_counter() - t_start
     ok = report.r2 >= 0.95 and elapsed < 600.0
     record(8, f"two-channel identification R^2 = {report.r2:.4f} "
-              f"in {report.n_starts} starts", ok)
+              f"in {report.n_starts} starts, {elapsed:.1f} s", ok)
     assert report.r2 >= 0.95
     assert elapsed < 600.0
 

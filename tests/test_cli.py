@@ -14,7 +14,7 @@ import pytest
 from ltnet import Hierarchy, LTNetwork, simulate
 from ltnet import io as ltio
 from ltnet import sysid
-from ltnet.cli import main
+from ltnet.cli import _load_problem, main
 from ltnet.control import multilayer_controls
 from ltnet.io import ValidationError
 from ltnet.stability import certify_hierarchy
@@ -490,3 +490,120 @@ def test_cli_env_overrides(tmp_path, monkeypatch, capsys):
     # explicit flags win over the environment
     assert main(["rtest", "--a", "1,2,3", "--b", "1,2,3", "--n-perm", "25"]) == 0
     assert json.loads(capsys.readouterr().out)["n_perm"] == 25
+
+
+# -- comma lists that start with a negative number ----------------------------
+
+
+def test_cli_equilibrium_at_negative_list(tmp_path):
+    net_path = tmp_path / "net.json"
+    ltio.dump_network(demo_network(), net_path)
+    out, ref = tmp_path / "eq.json", tmp_path / "ref.json"
+    assert main(["equilibrium", "--net", str(net_path), "--at", "-1,-1",
+                 "--out", str(out)]) == 0
+    assert main(["equilibrium", "--net", str(net_path), "--at=-1,-1",
+                 "--out", str(ref)]) == 0
+    assert json.loads(out.read_text())["at"] == [-1.0, -1.0]
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_cli_simulate_x0_negative_list(tmp_path, capsys):
+    net = demo_network()
+    net_path = tmp_path / "net.json"
+    ltio.dump_network(net, net_path)
+    out = tmp_path / "traj.csv"
+    # the list is read as the value of --x0, and then refused by the network
+    assert main(["simulate", "--net", str(net_path), "--x0", "-1,-0.5",
+                 "--out", str(out)]) == 2
+    assert "x0 lies outside the box" in capsys.readouterr().err
+    assert main(["simulate", "--net", str(net_path), "--x0", "1,0.25",
+                 "--tspan", "-1,1", "--out", str(out)]) == 0
+    back = ltio.trajectory_from_csv(out)
+    ref = simulate(net, [1.0, 0.25], None, (-1.0, 1.0))
+    np.testing.assert_array_equal(back.samples, ref.samples)
+    assert back.t0 == -1.0
+
+
+def test_cli_recruit_x0_negative_list(tmp_path):
+    h_path = tmp_path / "h.json"
+    ltio.dump_hierarchy(recruitment_hierarchy(), h_path)
+    x0 = "-0.5,0.2,0.1,-0.3,0.4,0.2,0.1,-0.2"
+    out, ref = tmp_path / "sweep.json", tmp_path / "ref.json"
+    assert main(["recruit", "--hierarchy", str(h_path), "--eps", "0.5",
+                 "--x0", x0, "--out", str(out)]) == 0
+    assert main(["recruit", "--hierarchy", str(h_path), "--eps", "0.5",
+                 f"--x0={x0}", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    default = tmp_path / "default.json"
+    assert main(["recruit", "--hierarchy", str(h_path), "--eps", "0.5",
+                 "--out", str(default)]) == 0
+    assert out.read_bytes() != default.read_bytes()  # the initial state was used
+
+
+# -- rate CSVs and the problem JSON ------------------------------------------
+
+
+@pytest.mark.parametrize("text, match", [
+    ("t,a,b\n", r"line 2: no data rows"),
+    ("t,a,b\n\n", r"line 2: no data rows"),
+    ("t,a,b\n0,1,2\n0.1,3\n", r"line 3: expected 3 fields, got 2"),
+    ("t,a,b\n0,1,2\n0.1,3,4,5\n", r"line 3: expected 3 fields, got 4"),
+], ids=["header-only", "header-and-blank", "short-row", "long-row"])
+def test_rates_csv_rejects_malformed(tmp_path, text, match):
+    path = tmp_path / "rates.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=rf"rates\.csv: {match}"):
+        ltio.rates_from_csv(path)
+
+
+def test_cli_fit_rejects_malformed_rates(tmp_path, capsys):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    (data_dir / "base.csv").write_text("t,n0\n")
+    assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir),
+                 "--seed", "1", "--starts", "1", "--maxiter", "1"]) == 2
+    assert "base.csv: line 2: no data rows" in capsys.readouterr().err
+
+
+def test_cli_fit_rejects_rates_off_the_grid(tmp_path, capsys):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    csv_path = data_dir / "base.csv"
+    lines = csv_path.read_text().splitlines()
+    args = ["predict", "--problem", str(problem_path), "--data", str(data_dir),
+            "--params", str(tmp_path / "nope.json")]
+    # the right row count on a different grid: t = 0.2 k instead of 0.1 k
+    shifted = [lines[0]] + [f"{0.2 * k!r},{row.split(',')[1]}"
+                            for k, row in enumerate(lines[1:])]
+    csv_path.write_text("\n".join(shifted) + "\n")
+    assert main(args) == 2
+    assert "base.csv: data row 2: t = 0.2 is off the grid" in capsys.readouterr().err
+    # one late sample in the middle
+    late = list(lines)
+    t, v = late[11].split(",")
+    late[11] = f"{float(t) + 1e-6!r},{v}"
+    csv_path.write_text("\n".join(late) + "\n")
+    assert main(args) == 2
+    assert "data row 11:" in capsys.readouterr().err
+    # an offset well inside 1e-9 T is accepted: fails later, on the missing params
+    late[11] = f"{float(t) + 1e-12!r},{v}"
+    csv_path.write_text("\n".join(late) + "\n")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "nope.json" in err and "off the grid" not in err
+
+
+def test_cli_problem_reads_x0_max_and_sim_substeps(tmp_path, capsys):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    obj = json.loads(problem_path.read_text())
+    problem = _load_problem(problem_path, data_dir)
+    assert problem.sim_substeps == 2 and problem.bounds()[1][-1] != 0.75
+    obj.update(x0_max=0.75, sim_substeps=3)
+    problem_path.write_text(json.dumps(obj))
+    problem = _load_problem(problem_path, data_dir)
+    assert problem.sim_substeps == 3
+    assert problem.x0_max == 0.75 and problem.bounds()[1][-1] == 0.75
+    for bad in ({"sim_substeps": 0}, {"sim_substeps": 1.5}, {"x0_max": -1.0},
+                {"x0_max": "wide"}):
+        problem_path.write_text(json.dumps({**obj, **bad}))
+        assert main(["predict", "--problem", str(problem_path),
+                     "--params", str(tmp_path / "nope.json")]) == 2
+        assert "bad problem definition" in capsys.readouterr().err

@@ -144,6 +144,11 @@ def test_iterative_solver():
     np.testing.assert_allclose(x, [2.0], atol=1e-9)
     with pytest.raises(NotCertified, match="rho"):
         solve_equilibrium_iterative(np.array([[1.2]]), np.array([np.inf]), np.array([1.0]))
+    # reducible |W|: the Perron vector is zero on the slower nodes, whose
+    # error must still be bounded by the stopping rule
+    W = np.diag([0.9, 0.45, 0.0])
+    x = solve_equilibrium_iterative(W, np.full(3, np.inf), np.array([0.0, 1.0, 0.0]))
+    np.testing.assert_allclose(x, [0.0, 1.0 / 0.55, 0.0], rtol=0, atol=1e-9)
 
 
 def test_iterative_matches_enumeration():

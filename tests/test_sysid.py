@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from ltnet import sysid
 from ltnet.sysid import (
     InputSignal,
     NonPositiveCorrelations,
@@ -328,3 +329,112 @@ def test_fit_constant_data_recovers_background():
     np.testing.assert_array_equal(W[0], np.zeros((2, 2)))  # nothing freed
     np.testing.assert_allclose(c[0], [1.2, 0.7], atol=1e-3)
     np.testing.assert_allclose(X0[0, 0], [1.2, 0.7], atol=1e-3)
+
+
+# -- exact gradient ------------------------------------------------------------
+
+
+def central_differences(z, problem):
+    """Central differences with step 1e-6 max(|z|, 1), in one batched call."""
+    h = 1e-6 * np.maximum(np.abs(z), 1.0)
+    steps = np.diag(h)
+    F = sysid._objective_batch(np.vstack([z + steps, z - steps]), problem)
+    return (F[: z.size] - F[z.size :]) / (2.0 * h)
+
+
+def noisy_data(problem, z, seed):
+    rng = np.random.default_rng(seed)
+    clean = predict(z, problem)
+    return {c: v + 0.05 * rng.standard_normal(v.shape) for c, v in clean.items()}
+
+
+def interior_points(problem, seed, count):
+    lo, hi = problem.bounds()
+    rng = np.random.default_rng(seed)
+    return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=(count, lo.size))
+
+
+def assert_gradient_matches(problem, z):
+    f, g = sysid._value_and_grad(z, problem)
+    assert f == objective(z, problem)[0]  # the same f, bit for bit
+    fd = central_differences(z, problem)
+    assert np.all(np.isfinite(fd))
+    assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_gradient_two_channel_matches_central_differences():
+    layer_sizes, structure, inputs, manifest = two_channel_hierarchy_structure()
+    problem = SysIdProblem(layer_sizes, structure, inputs, ("A", "B"), manifest,
+                           x0_max=2.0)
+    truth, *points = interior_points(problem, 40, 4)
+    problem.attach_data(noisy_data(problem, truth, 41))
+    for z in points:
+        assert_gradient_matches(problem, z)
+
+
+def test_gradient_substeps_and_conditions():
+    structure = [
+        WeightEntry("W11", 0, 0, "+", 0.8),
+        WeightEntry("W11", 0, 1, "-", 1.0),
+        WeightEntry("W11", 1, 0, "free", 1.0),
+        WeightEntry("U1", 0, 0, "+", 4.0),
+        WeightEntry("U1", 1, 1, "+", 4.0),
+    ]
+    inputs = [InputSignal("cue", "rule", {"on": ("on",)}),
+              InputSignal("stim", "pulse", {"window": (0.5, 2.0), "sigma": 0.5})]
+    problem = SysIdProblem((2,), structure, inputs, ("on", "off"), (0, 1),
+                           t0=0.0, tf=4.0, T=0.1, sim_substeps=3)
+    truth, *points = interior_points(problem, 50, 4)
+    problem.attach_data(noisy_data(problem, truth, 51))
+    for z in points:
+        assert_gradient_matches(problem, z)
+
+
+def test_gradient_of_diverged_candidate_is_zero():
+    problem = SysIdProblem(
+        (1,), [WeightEntry("W11", 0, 0, "free", 3.0)], [],
+        ("base",), (0,), t0=0.0, tf=5.0, T=0.1,
+        data={"base": np.zeros((51, 1))},
+    )
+    f, g = sysid._value_and_grad(np.array([3.0, 0.3, 2.0, 1.0]), problem)
+    assert f == sysid._PENALTY
+    np.testing.assert_array_equal(g, np.zeros(4))
+
+
+def test_gradient_flat_series_is_finite():
+    problem = SysIdProblem(
+        (2,), [], [], ("flat",), (0, 1), t0=0.0, tf=3.0, T=0.1,
+        data={"flat": np.tile([1.25, 0.5], (31, 1))},
+    )
+    # tau, c, x0: the first node sits at its background (a flat estimate of a
+    # flat reference), the second decays towards it
+    z = np.array([2.0, 1.25, 0.5, 1.25, 1.5])
+    f, g = sysid._value_and_grad(z, problem)
+    assert f == objective(z, problem)[0]
+    assert np.all(np.isfinite(g)) and np.any(g != 0.0)
+    # both estimates flat at the data: f = 0, f_var = 0, zero-variance pairs
+    z = np.array([2.0, 1.25, 0.5, 1.25, 0.5])
+    f, g = sysid._value_and_grad(z, problem)
+    assert objective(z, problem) == (0.0, 0.0, 0.0, 0.0)
+    np.testing.assert_array_equal(g, np.zeros(5))
+
+
+def test_flatten_constant_pairs_lands_on_the_flat_estimate():
+    problem = SysIdProblem(
+        (2,), [], [], ("flat",), (0, 1), t0=0.0, tf=3.0, T=0.1,
+        c_bounds=(0.0, 5.0),
+        data={"flat": np.tile([1.2, 0.7], (31, 1))},
+    )
+    lo, hi = problem.bounds()
+    # backgrounds at the data, initial states 1e-9 off them: every estimate
+    # still varies, so f_corr = 1
+    z = np.array([4.0, 1.2, 0.7, 1.2 + 1e-9, 0.7 - 2e-9])
+    f = objective(z, problem)[0]
+    assert f > problem.gamma1
+    z_new, f_new = sysid._flatten_constant_pairs(z, f, problem, lo, hi)
+    assert f_new == objective(z_new, problem)[0] < 1e-12
+    # a varying reference leaves the point alone
+    problem.attach_data({"flat": np.column_stack([np.linspace(0, 1, 31)] * 2)})
+    f = objective(z, problem)[0]
+    z_same, f_same = sysid._flatten_constant_pairs(z, f, problem, lo, hi)
+    assert z_same is z and f_same == f
