@@ -119,34 +119,29 @@ def _sat_times_m(sat_mask, m):
     return out
 
 
-def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
-    """Build the affine piece generated by the switching pattern sigma.
+def _regimes(m):
+    """Per-node regime alphabet: no Saturated regime under an unbounded ceiling."""
+    return [(ZERO, LINEAR) if np.isinf(mi) else (ZERO, LINEAR, SATURATED) for mi in m]
 
-    Returns None (with a warning) when the pattern's linear system is
-    singular, or when sigma saturates a node with an unbounded ceiling.
+
+def _pattern_piece(W, m, sigma, off):
+    """(F, f, G, g) of pattern sigma for x = [W x + off + d]_0^m, or None if singular.
+
+    Base maps pass off = -0.0, the bitwise additive identity (+0.0 would
+    turn signed zeros in f and g into +0.0).
     """
-    W = np.asarray(W, dtype=float)
-    m = np.asarray(m, dtype=float)
     n = W.shape[0]
-    sigma = tuple(int(s) for s in sigma)
-    if len(sigma) != n:
-        raise ValueError(f"pattern length {len(sigma)} != n = {n}")
     lin, sat = _sigma_masks(sigma)
-    if np.any(sat & np.isinf(m)):
-        warnings.warn(f"pattern {sigma} saturates an unbounded node; skipped")
-        return None
-
     A = np.eye(n) - lin[:, None] * W  # I - S_l W
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > _SINGULAR_RCOND:
-        warnings.warn(f"pattern {sigma} has a singular linear system; skipped")
         return None
     F = np.linalg.solve(A, np.diag(lin.astype(float)))
-    f = np.linalg.solve(A, _sat_times_m(sat, m))
+    f = np.linalg.solve(A, _sat_times_m(sat, m) + lin * off)
 
-    # regime conditions on z = W(F d + f) + d, written as G d + g >= 0
+    # regime conditions on z = W(F d + f) + off + d, written as G d + g >= 0
     WF_I = W @ F + np.eye(n)
-    Wf = W @ f
+    Wf = W @ f + off
     G_rows, g_rows = [], []
     for i, s in enumerate(sigma):
         if s == ZERO:
@@ -161,7 +156,30 @@ def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
         else:  # SATURATED
             G_rows.append(WF_I[i])
             g_rows.append(Wf[i] - m[i])
-    return AffinePiece(F=F, f=f, G=np.array(G_rows), g=np.array(g_rows), label=sigma)
+    return F, f, np.array(G_rows), np.array(g_rows)
+
+
+def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
+    """Build the affine piece generated by the switching pattern sigma.
+
+    Returns None (with a warning) when the pattern's linear system is
+    singular, or when sigma saturates a node with an unbounded ceiling.
+    """
+    W = np.asarray(W, dtype=float)
+    m = np.asarray(m, dtype=float)
+    n = W.shape[0]
+    sigma = tuple(int(s) for s in sigma)
+    if len(sigma) != n:
+        raise ValueError(f"pattern length {len(sigma)} != n = {n}")
+    _, sat = _sigma_masks(sigma)
+    if np.any(sat & np.isinf(m)):
+        warnings.warn(f"pattern {sigma} saturates an unbounded node; skipped")
+        return None
+    rows = _pattern_piece(W, m, sigma, np.full(n, -0.0))
+    if rows is None:
+        warnings.warn(f"pattern {sigma} has a singular linear system; skipped")
+        return None
+    return AffinePiece(*rows, label=sigma)
 
 
 @dataclass(frozen=True)
@@ -275,20 +293,15 @@ def equilibrium_map(W, m, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PiecewiseAf
             f"n={n} exceeds the enumeration limit {limit}; use "
             "solve_equilibrium_iterative for pointwise equilibria"
         )
-    regimes = [
-        (ZERO, LINEAR) if np.isinf(m[i]) else (ZERO, LINEAR, SATURATED)
-        for i in range(n)
-    ]
     pieces = []
     n_singular = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for sigma in itertools.product(*regimes):
-            p = piece_for_pattern(W, m, sigma)
-            if p is None:
-                n_singular += 1
-            else:
-                pieces.append(p)
+    no_offset = np.full(n, -0.0)
+    for sigma in itertools.product(*_regimes(m)):
+        rows = _pattern_piece(W, m, sigma, no_offset)
+        if rows is None:
+            n_singular += 1
+        else:
+            pieces.append(AffinePiece(*rows, label=sigma))
     if n_singular:
         warnings.warn(f"equilibrium_map: skipped {n_singular} singular pattern(s)")
     return PiecewiseAffineMap(pieces=tuple(pieces), domain_dim=n, output_dim=n)
@@ -387,52 +400,26 @@ def compose_maps(
     cbar = np.asarray(cbar, dtype=float)
     n = W1.shape[0]
     m = np.broadcast_to(np.asarray(m, dtype=float), (n,))
-    regimes = [
-        (ZERO, LINEAR) if np.isinf(m[i]) else (ZERO, LINEAR, SATURATED)
-        for i in range(n)
-    ]
-
     candidates = []
     n_singular = 0
     for lam_piece in inner.pieces:
         Weff = W1 + W2 @ lam_piece.F @ W3
         off = W2 @ (lam_piece.F @ cbar + lam_piece.f)  # constant drive term
-        for sigma in itertools.product(*regimes):
-            lin, sat = _sigma_masks(sigma)
-            A = np.eye(n) - lin[:, None] * Weff
-            cond = np.linalg.cond(A)
-            if not np.isfinite(cond) or cond > _SINGULAR_RCOND:
+        # inner region mapped through x: G_lam (W3 x + cbar) + g_lam >= 0
+        Gi = lam_piece.G @ W3
+        Gc = lam_piece.G @ cbar
+        for sigma in itertools.product(*_regimes(m)):
+            rows = _pattern_piece(Weff, m, sigma, off)
+            if rows is None:
                 n_singular += 1
                 continue
-            F = np.linalg.solve(A, np.diag(lin.astype(float)))
-            f = np.linalg.solve(A, _sat_times_m(sat, m) + lin * off)
-            # outer regime rows on z = Weff x + off + c' with x = F c' + f
-            WF_I = Weff @ F + np.eye(n)
-            Wf = Weff @ f + off
-            G_rows, g_rows = [], []
-            for i, s in enumerate(sigma):
-                if s == ZERO:
-                    G_rows.append(-WF_I[i])
-                    g_rows.append(-Wf[i])
-                elif s == LINEAR:
-                    G_rows.append(WF_I[i])
-                    g_rows.append(Wf[i])
-                    if np.isfinite(m[i]):
-                        G_rows.append(-WF_I[i])
-                        g_rows.append(m[i] - Wf[i])
-                else:
-                    G_rows.append(WF_I[i])
-                    g_rows.append(Wf[i] - m[i])
-            # inner region mapped through x: G_lam (W3 x + cbar) + g_lam >= 0
-            Gi = lam_piece.G @ W3
-            G_rows.extend(Gi @ F)
-            g_rows.extend(Gi @ f + lam_piece.G @ cbar + lam_piece.g)
+            F, f, G, g = rows
             candidates.append(
                 AffinePiece(
                     F=F,
                     f=f,
-                    G=np.array(G_rows),
-                    g=np.array(g_rows),
+                    G=np.vstack([G, Gi @ F]),
+                    g=np.concatenate([g, Gi @ f + Gc + lam_piece.g]),
                     label=tuple(lam_piece.label) + tuple(sigma),
                 )
             )

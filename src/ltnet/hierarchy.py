@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .equilibria import PiecewiseAffineMap
-from .network import LTNetwork, Trajectory, clip_box, rk4_integrate
+from .network import LTNetwork, Trajectory, _step_count, clip_box, rk4_integrate
 
 __all__ = [
     "Hierarchy",
@@ -110,7 +110,7 @@ def simulate_hierarchy(
     dt: Optional[float] = None,
     x1_override=None,
 ) -> list:
-    """Integrate all layers jointly with one fixed RK4 step.
+    """Integrate all layers jointly with one fixed RK4 step (rk4_integrate).
 
     controls, when given, is one ControlLaw per layer (entries may be
     None).  x0 is a list of per-layer initial states (zeros by default).
@@ -127,10 +127,7 @@ def simulate_hierarchy(
         dt = min(la.tau for la in h.layers) / 50.0
     if dt > min(la.tau for la in h.layers) / 20.0 + 1e-15:
         raise ValueError(f"dt={dt} exceeds tau_min/20")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 1:
-        raise ValueError("t_span shorter than one step")
+    t0, n_steps = _step_count(t_span, dt)
     if x0 is None:
         x0 = [np.zeros(la.n) for la in h.layers]
     X0 = np.concatenate([clip_box(np.asarray(x, float), la.m) for x, la in zip(x0, h.layers)])
@@ -174,26 +171,11 @@ def simulate_hierarchy(
             dX[sl[0]] = 0.0
         return dX
 
-    if x1_override is not None:
-        X0[sl[0]] = np.asarray(x1_override(t0), dtype=float)
-
-    # integrate the stacked system, projecting onto the box after each step
-    X = X0.copy()
-    samples = np.empty((n_steps + 1, X.size))
-    samples[0] = X
-    half, sixth = 0.5 * dt, dt / 6.0
-    for k in range(n_steps):
-        t = t0 + k * dt
-        k1 = f(t, X)
-        k2 = f(t + half, X + half * k1)
-        k3 = f(t + half, X + half * k2)
-        k4 = f(t + dt, X + dt * k3)
-        X = clip_box(X + sixth * (k1 + 2.0 * (k2 + k3) + k4), ms)
-        if x1_override is not None:
-            X[sl[0]] = np.asarray(x1_override(t + dt), dtype=float)
-        samples[k + 1] = X
-
+    samples = rk4_integrate(f, X0, t0, dt, n_steps, project=lambda X: clip_box(X, ms))
     times = t0 + dt * np.arange(n_steps + 1)
+    if x1_override is not None:
+        # f never reads the integrated top block, so report the script
+        samples[:, sl[0]] = [x1_override(t) for t in times]
     out = []
     for i, la in enumerate(h.layers):
         log = None
@@ -360,8 +342,7 @@ def rom_simulate(
     if x0 is None:
         x0 = np.zeros(W11.shape[0])
     x0 = clip_box(np.asarray(x0, float), m)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps = int(round((t1 - t0) / dt))
+    t0, n_steps = _step_count(t_span, dt)
 
     def f(t, x):
         slaved = pa_map.eval(W21 @ x + c2p)

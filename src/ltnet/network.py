@@ -13,7 +13,12 @@ so trajectories started inside it stay inside it.
 Integration uses classic fixed-step fourth-order Runge-Kutta with a
 projection of each completed step back onto the box, which removes the
 O(dt^5) excursions that the clipped vector field can otherwise produce at
-the boundary.
+the boundary.  rk4_integrate is the one fixed-step core: simulate, the
+stacked hierarchy (hierarchy.simulate_hierarchy) and the reduced-order
+model (hierarchy.rom_simulate) all step through it.  Identification
+(sysid.SysIdProblem.simulate_candidates) keeps its own loop, because it
+steps many candidate networks as one batch, records a tape of every
+stage for its adjoint gradient and masks diverging candidates as it goes.
 """
 
 from __future__ import annotations
@@ -173,20 +178,18 @@ def _resolve_input(net: LTNetwork, input) -> Callable[[float], np.ndarray]:
     return lambda t: const
 
 
-def rk4_integrate(f, x0, t0, dt, n_steps, project=None, record_every=1):
+def rk4_integrate(f, x0, t0, dt, n_steps, project=None):
     """Classic RK4 on dx/dt = f(t, x) with an optional per-step projection.
 
-    Returns the (n_recorded, n) array of states at t0 + k*record_every*dt,
-    including the initial state.
+    Returns the (n_steps + 1, n) array of states at t0 + k*dt, including
+    the initial state.
     """
     x = np.array(x0, dtype=float)
-    n_rec = n_steps // record_every + 1
-    out = np.empty((n_rec, x.size))
+    out = np.empty((n_steps + 1, x.size))
     out[0] = x
     t = t0
     half = 0.5 * dt
     sixth = dt / 6.0
-    j = 1
     for k in range(n_steps):
         k1 = f(t, x)
         k2 = f(t + half, x + half * k1)
@@ -196,10 +199,19 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None, record_every=1):
         if project is not None:
             x = project(x)
         t = t0 + (k + 1) * dt
-        if (k + 1) % record_every == 0:
-            out[j] = x
-            j += 1
+        out[k + 1] = x
     return out
+
+
+def _step_count(t_span, dt):
+    """(t0, n_steps) of a run over t_span with fixed step dt > 0."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError(f"empty time span {t_span}")
+    n_steps = int(round((t1 - t0) / dt))
+    if n_steps < 1:
+        raise ValueError("t_span shorter than one step")
+    return t0, n_steps
 
 
 def simulate(
@@ -232,16 +244,11 @@ def simulate(
         raise ValueError(f"x0 must have shape ({net.n},), got {x0.shape}")
     if np.any(x0 < -1e-12) or np.any(x0 > net.m + 1e-12):
         raise ValueError("x0 lies outside the box [0, m]")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError(f"empty time span {t_span}")
     if dt is None:
         dt = net.tau / 50.0
     if not 0 < dt <= net.tau / 20.0 + 1e-15:
         raise ValueError(f"dt={dt} must satisfy 0 < dt <= tau/20 = {net.tau / 20.0}")
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 1:
-        raise ValueError("t_span shorter than one step")
+    t0, n_steps = _step_count(t_span, dt)
 
     d_of = _resolve_input(net, input)
 

@@ -804,7 +804,6 @@ def fit(
     seed: int = 0,
     maxiter: int = 300,
     target_r2: Optional[float] = None,
-    verbose: bool = False,
 ) -> FitReport:
     """Multi-start bounded quasi-Newton fit of the problem's parameters.
 
@@ -832,8 +831,6 @@ def fit(
         )
         z_s, f_s = _flatten_constant_pairs(res.x, float(res.fun), problem, lo, hi)
         records.append((s, f_s, "ok" if res.success else str(res.message)))
-        if verbose:
-            print(f"start {s}: f = {f_s:.6g}")
         usable = np.isfinite(f_s) and f_s < 0.5 * _PENALTY
         if usable and (best is None or f_s < best[1]):
             best = (s, f_s, z_s)

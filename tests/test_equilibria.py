@@ -215,6 +215,29 @@ def test_compose_with_zero_coupling_reduces_to_base_map():
         np.testing.assert_allclose(comp(cp), base(cp), atol=1e-10)
 
 
+def test_compose_shares_the_base_piece_rows():
+    # with W2 = 0 every composite piece (lam, sigma) solves the outer
+    # equation alone, so it must carry the base piece of sigma followed by
+    # the inner region rows
+    inner = equilibrium_map(np.array([[0.3, -0.2], [0.1, 0.4]]), np.array([1.5, np.inf]))
+    W1 = np.array([[0.4, -0.3, 0.1], [0.2, 0.1, -0.2], [0.0, 0.3, 0.2]])
+    m_out = np.array([2.0, np.inf, 1.0])
+    W2 = np.zeros((3, 2))
+    W3 = np.array([[0.5, -0.2, 0.1], [0.3, 0.4, -0.6]])
+    cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
+    comp = compose_maps(inner, W1, W2, W3, np.array([0.2, -0.4]), m_out,
+                        certificate=cert)
+    assert len(comp) > len(inner)
+    for piece in comp.pieces:
+        base = piece_for_pattern(W1, m_out, piece.label[2:])
+        rows = base.G.shape[0]
+        assert piece.G.shape[0] > rows
+        np.testing.assert_allclose(piece.F, base.F, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(piece.f, base.f, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(piece.G[:rows], base.G, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(piece.g[:rows], base.g, rtol=0, atol=1e-12)
+
+
 def test_compose_random_pairs():
     rng = np.random.default_rng(47)
     built = 0

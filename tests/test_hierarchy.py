@@ -87,7 +87,6 @@ def test_stacked_matches_manual_rk4():
     h = lc_hierarchy()
     x0 = [np.array([0.2]), np.array([1.0, 0.5]), np.array([0.1])]
     dt = 0.01
-    trajs = simulate_hierarchy(h, x0=x0, t_span=(0.0, 2.0), dt=dt)
 
     taus = np.array([3.36, 1.68, 1.68, 0.7])
     ms = np.concatenate([la.m for la in h.layers])
@@ -101,21 +100,42 @@ def test_stacked_matches_manual_rk4():
     Wfull[3:4, 1:3] = h.W_up[1]
     Wfull[3:4, 3:4] = h.layers[2].W
 
-    def f(x):
-        return (-x + clip_box(Wfull @ x + cs, ms)) / taus
+    def script(t):
+        return np.array([0.6 + 0.4 * np.sin(3.0 * t)])
 
-    x = np.concatenate(x0)
-    manual = [x.copy()]
-    for _ in range(200):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = clip_box(x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), ms)
-        manual.append(x.copy())
-    manual = np.array(manual)
-    got = np.hstack([t.samples for t in trajs])
-    assert np.max(np.abs(got - manual)) < 1e-12
+    def manual_rk4(x1_override):
+        def f(t, x):
+            if x1_override is not None:
+                # the scripted top layer holds the script's value at every stage
+                x = np.concatenate([x1_override(t), x[1:]])
+            dx = (-x + clip_box(Wfull @ x + cs, ms)) / taus
+            if x1_override is not None:
+                dx[0] = 0.0
+            return dx
+
+        x = np.concatenate(x0)
+        out = [x.copy()]
+        for k in range(200):
+            t = k * dt
+            k1 = f(t, x)
+            k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
+            k4 = f(t + dt, x + dt * k3)
+            x = clip_box(x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), ms)
+            out.append(x.copy())
+        out = np.array(out)
+        if x1_override is not None:
+            out[:, 0] = [x1_override(k * dt)[0] for k in range(201)]
+        return out
+
+    got = {}
+    for x1_override in (None, script):
+        trajs = simulate_hierarchy(h, x0=x0, t_span=(0.0, 2.0), dt=dt,
+                                   x1_override=x1_override)
+        got[x1_override] = np.hstack([t.samples for t in trajs])
+        assert np.max(np.abs(got[x1_override] - manual_rk4(x1_override))) < 1e-12
+    # the script reaches the lower layers through W_up[0]
+    assert np.max(np.abs(got[script][:, 1:3] - got[None][:, 1:3])) > 1e-3
 
 
 def test_x1_override_scripts_top_layer():
@@ -263,3 +283,22 @@ def test_rom_tracks_full_system_at_small_eps():
     assert gap < 5e-2
     with pytest.raises(ValueError, match="layer below"):
         rom_simulate(Hierarchy((layers[0],), (), ()), cert.maps[2])
+
+
+def test_time_span_checks_are_shared():
+    h = oscillator_bilayer()
+    cert = certify_hierarchy(h)
+    dt = h.layers[0].tau / 50.0
+    one = rom_simulate(h, cert.maps[2], t_span=(0.0, dt))
+    assert one.samples.shape == (2, 3)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        rom_simulate(h, cert.maps[2], t_span=(0.0, 0.001))
+    for t_span in [(1.0, 0.0), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match="empty time span"):
+            rom_simulate(h, cert.maps[2], t_span=t_span)
+        with pytest.raises(ValueError, match="empty time span"):
+            simulate_hierarchy(h, t_span=t_span)
+        with pytest.raises(ValueError, match="empty time span"):
+            simulate(h.layers[0], np.zeros(3), t_span=t_span)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        simulate_hierarchy(h, t_span=(0.0, 1e-5))

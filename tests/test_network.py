@@ -137,11 +137,8 @@ def test_trajectory_times_window():
 
 def test_rk4_integrate_exponential():
     out = rk4_integrate(lambda t, x: -x, np.array([1.0]), 0.0, 0.01, 100)
+    assert out.shape == (101, 1)
     assert abs(out[-1, 0] - np.exp(-1.0)) < 1e-10
-    thinned = rk4_integrate(lambda t, x: -x, np.array([1.0]), 0.0, 0.01, 100,
-                            record_every=10)
-    assert thinned.shape == (11, 1)
-    np.testing.assert_allclose(thinned, out[::10])
 
 
 def test_network_validation():
