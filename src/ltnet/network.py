@@ -15,10 +15,11 @@ projection of each completed step back onto the box, which removes the
 O(dt^5) excursions that the clipped vector field can otherwise produce at
 the boundary.  rk4_integrate is the one fixed-step core: simulate, the
 stacked hierarchy (hierarchy.simulate_hierarchy) and the reduced-order
-model (hierarchy.rom_simulate) all step through it.  Identification
-(sysid.SysIdProblem.simulate_candidates) keeps its own loop, because it
-steps many candidate networks as one batch, records a tape of every
-stage for its adjoint gradient and masks diverging candidates as it goes.
+model (hierarchy.rom_simulate) all step through it, and so does
+identification (sysid.SysIdProblem.simulate_candidates), which steps a
+batch of candidate networks as one (candidates x conditions, n) state
+and records the stages for its adjoint gradient from inside f and
+project.
 """
 
 from __future__ import annotations
@@ -181,11 +182,11 @@ def _resolve_input(net: LTNetwork, input) -> Callable[[float], np.ndarray]:
 def rk4_integrate(f, x0, t0, dt, n_steps, project=None):
     """Classic RK4 on dx/dt = f(t, x) with an optional per-step projection.
 
-    Returns the (n_steps + 1, n) array of states at t0 + k*dt, including
-    the initial state.
+    The state may have any shape; returns the (n_steps + 1,) + x0.shape
+    array of states at t0 + k*dt, including the initial state.
     """
     x = np.array(x0, dtype=float)
-    out = np.empty((n_steps + 1, x.size))
+    out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
     t = t0
     half = 0.5 * dt
@@ -205,6 +206,8 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None):
 
 def _step_count(t_span, dt):
     """(t0, n_steps) of a run over t_span with fixed step dt > 0."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"empty time span {t_span}")

@@ -22,7 +22,7 @@ envelope sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -223,15 +223,7 @@ def certify_hierarchy(hierarchy) -> HierarchyCertification:
         if i + 1 not in maps:
             # layer below failed: the composite test matrix is unavailable,
             # so this layer cannot be certified either
-            base = ges_certificate(Wii, tau=net.tau)
-            certs[i] = GESCertificate(
-                test_matrix=base.test_matrix,
-                rho=base.rho,
-                alpha=base.alpha,
-                mu=base.mu,
-                rate=base.rate,
-                passed=False,
-            )
+            certs[i] = replace(ges_certificate(Wii, tau=net.tau), passed=False)
             continue
         Fbar = max_gain_matrix(maps[i + 1])
         certs[i] = ges_certificate(Wii, Wdn, Wup, Fbar, tau=net.tau)

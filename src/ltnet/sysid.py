@@ -39,6 +39,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
+from .network import rk4_integrate
+
 __all__ = [
     "RateSeries",
     "InputSignal",
@@ -403,7 +405,7 @@ class SysIdProblem:
     def _global_row(self, layer_idx, row):
         if not 0 <= row < self.layer_sizes[layer_idx]:
             raise ValueError(f"row {row} out of range for layer {layer_idx + 1}")
-        return int(np.cumsum([0] + list(self.layer_sizes))[layer_idx] + row)
+        return int(self._layer_offsets[layer_idx] + row)
 
     def bounds(self):
         lo, hi = [], []
@@ -469,11 +471,12 @@ class SysIdProblem:
     def simulate_candidates(self, Z, _tape=None):
         """Simulate a batch of parameter vectors under every condition.
 
-        Returns (states (P, C, K, n), diverged (P,) bool).  Diverged rows
-        are zeroed beyond the point of failure.  A list passed as _tape
-        receives, per step, ((X, X1, X2, X3), (k1, k2, k3, k4), (a1, a2,
-        a3, a4), Y): the stage states, the stage slopes, the ReLU
-        arguments and the pre-clip update, for the adjoint of
+        Returns (states (P, C, K, n), diverged (P,) bool).  A candidate
+        has diverged when any state of any of its conditions is
+        non-finite or above _DIVERGENCE_LIMIT at any RK4 step; its states
+        are returned as zeros.  A list passed as _tape receives, per
+        step, the state, slope and ReLU argument of each of the four
+        stages and then the pre-clip update, for the adjoint of
         _value_and_grad.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -487,45 +490,30 @@ class SysIdProblem:
         drive = drive.reshape(B, -1, n)
         Wb = np.repeat(W, C, axis=0)
         taub = np.repeat(tau, C, axis=0)
-        X = X0.reshape(B, n).copy()
-        out = np.empty((B, self.K, n))
-        out[:, 0] = X
-        alive = np.ones(B, dtype=bool)
-        half, sixth = 0.5 * dt, dt / 6.0
-        j = 1
+        inv_half = 2.0 / dt  # stage times are multiples of dt / 2 from t0 = 0
+
+        def f(t, X):
+            a = np.einsum("bij,bj->bi", Wb, X) + drive[:, round(t * inv_half)]
+            k = (-X + np.maximum(a, 0.0)) / taub
+            if _tape is not None:
+                _tape.extend((X, k, a))
+            return k
+
+        def project(Y):
+            if _tape is not None:
+                _tape.append(Y)
+            return np.maximum(Y, 0.0)
+
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                d0 = drive[:, 2 * k]
-                dh = drive[:, 2 * k + 1]
-                d1 = drive[:, 2 * k + 2]
-                a1 = np.einsum("bij,bj->bi", Wb, X) + d0
-                k1 = (-X + np.maximum(a1, 0.0)) / taub
-                X1 = X + half * k1
-                a2 = np.einsum("bij,bj->bi", Wb, X1) + dh
-                k2 = (-X1 + np.maximum(a2, 0.0)) / taub
-                X2 = X + half * k2
-                a3 = np.einsum("bij,bj->bi", Wb, X2) + dh
-                k3 = (-X2 + np.maximum(a3, 0.0)) / taub
-                X3 = X + dt * k3
-                a4 = np.einsum("bij,bj->bi", Wb, X3) + d1
-                k4 = (-X3 + np.maximum(a4, 0.0)) / taub
-                Y = X + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                if _tape is not None:
-                    _tape.append(((X, X1, X2, X3), (k1, k2, k3, k4), (a1, a2, a3, a4), Y))
-                X = np.maximum(Y, 0.0)
-                if (k & 15) == 0 or k == n_steps - 1:
-                    bad = ~np.isfinite(X).all(axis=1) | (
-                        np.nan_to_num(np.abs(X), nan=np.inf).max(axis=1)
-                        > _DIVERGENCE_LIMIT
-                    )
-                    if bad.any():
-                        alive &= ~bad
-                        X[~alive] = 0.0
-                if (k + 1) % self.sim_substeps == 0:
-                    out[:, j] = X
-                    j += 1
-        diverged = ~alive.reshape(P, C).all(axis=1)
-        return out.reshape(P, C, self.K, n), diverged
+            traj = rk4_integrate(f, X0.reshape(B, n), 0.0, dt, n_steps, project)
+        bad = ~(np.abs(traj) <= _DIVERGENCE_LIMIT).all(axis=(0, 2))  # NaN fails <=
+        diverged = bad.reshape(P, C).any(axis=1)
+        # a contiguous copy, as the objective's reductions expect (a strided
+        # view changes their summation order)
+        states = np.ascontiguousarray(traj[:: self.sim_substeps].swapaxes(0, 1))
+        states = states.reshape(P, C, self.K, n)
+        states[diverged] = 0.0
+        return states, diverged
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +657,12 @@ def _adjoint(z, problem: SysIdProblem, tape, grad_est):
     sub = problem.sim_substeps
     b = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)  # weights of k1..k4 in the update
     c = (0.5 * dt, 0.5 * dt, dt)  # stage s + 1 starts at X + c[s] * k_s
-    XS = np.array([t[0] for t in tape])  # stage states (steps, 4, C, n)
-    KS = np.array([t[1] for t in tape])  # stage slopes
-    relu = np.array([t[2] for t in tape]) > 0.0  # ReLU derivatives
-    clip = np.array([t[3] for t in tape]) > 0.0  # clip derivatives (steps, C, n)
+    # per step: (state, slope, ReLU argument) of stages 1-4, then the pre-clip update
+    taped = np.array(tape).reshape(n_steps, 13, C, n)
+    XS = taped[:, 0:12:3]  # stage states (steps, 4, C, n)
+    KS = taped[:, 1:12:3]  # stage slopes
+    relu = taped[:, 2:12:3] > 0.0  # ReLU derivatives
+    clip = taped[:, 12] > 0.0  # clip derivatives (steps, C, n)
     itau = 1.0 / tau
     # Row-vector Jacobians of every step, built for all steps at once:
     # dk_s = D_s dX_s with D_s = diag(V_s) W - diag(1 / tau), V_s = relu_s / tau,
@@ -862,11 +852,8 @@ def predict(z, problem: SysIdProblem):
 
     Returns {condition: (K, n_manifest)} on the data grid.
     """
-    states, diverged = problem.simulate_candidates(np.atleast_2d(z))
-    if diverged[0]:
-        raise SimulationDiverged("candidate trajectory diverged")
-    est = states[0][:, :, problem.manifest]
-    return {c: est[i] for i, c in enumerate(problem.conditions)}
+    states = simulate_candidate(z, problem)
+    return {c: x[:, problem.manifest] for c, x in states.items()}
 
 
 def simulate_candidate(z, problem: SysIdProblem):

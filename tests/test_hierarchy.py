@@ -302,3 +302,8 @@ def test_time_span_checks_are_shared():
             simulate(h.layers[0], np.zeros(3), t_span=t_span)
     with pytest.raises(ValueError, match="shorter than one step"):
         simulate_hierarchy(h, t_span=(0.0, 1e-5))
+    for dt in [0.0, -0.1, np.nan]:
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            rom_simulate(h, cert.maps[2], dt=dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            simulate_hierarchy(h, dt=dt)

@@ -139,6 +139,19 @@ def test_rk4_integrate_exponential():
     out = rk4_integrate(lambda t, x: -x, np.array([1.0]), 0.0, 0.01, 100)
     assert out.shape == (101, 1)
     assert abs(out[-1, 0] - np.exp(-1.0)) < 1e-10
+    # a (B, n) state steps as B independent rows, bit for bit
+    X0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, 2))
+
+    def f(t, x):
+        return np.cos(t) - x * np.abs(x)
+
+    def project(x):
+        return np.maximum(x, -0.5)
+
+    batch = rk4_integrate(f, X0, 0.0, 0.05, 40, project)
+    assert batch.shape == (41, 3, 2)
+    for b, x0 in enumerate(X0):
+        np.testing.assert_array_equal(batch[:, b], rk4_integrate(f, x0, 0.0, 0.05, 40, project))
 
 
 def test_network_validation():

@@ -285,6 +285,62 @@ def test_objective_divergence():
         objective(z, problem)
 
 
+def test_divergence_is_flagged_per_candidate():
+    problem = SysIdProblem(
+        (1,), [WeightEntry("W11", 0, 0, "free", 3.0)], [],
+        ("base",), (0,), t0=0.0, tf=5.0, T=0.1,
+    )
+    diverging = np.array([3.0, 0.3, 2.0, 1.0])  # the z of test_objective_divergence
+    stable = np.array([0.5, 1.0, 1.0, 0.5])
+    states, diverged = problem.simulate_candidates(np.vstack([diverging, stable]))
+    solo, solo_diverged = problem.simulate_candidates(stable)
+    assert diverged.tolist() == [True, False] and not solo_diverged[0]
+    np.testing.assert_array_equal(states[1], solo[0])
+    np.testing.assert_array_equal(states[0], np.zeros_like(states[0]))
+
+
+def test_simulate_candidates_matches_stagewise_rk4():
+    structure = [
+        WeightEntry("W11", 0, 0, "+", 0.8),
+        WeightEntry("W12", 0, 1, "-", 1.0),
+        WeightEntry("W21", 0, 0, "+", 1.0),
+        WeightEntry("W22", 0, 1, "free", 0.5),
+        WeightEntry("W22", 1, 0, "free", 0.5),
+        WeightEntry("U1", 0, 0, "+", 4.0),
+        WeightEntry("U2", 1, 1, "+", 4.0),
+    ]
+    inputs = [InputSignal("cue", "rule", {"on": ("on",)}),
+              InputSignal("stim", "pulse", {"window": (0.5, 2.0), "sigma": 0.5})]
+    problem = SysIdProblem((1, 2), structure, inputs, ("on", "off"), (0, 2),
+                           t0=-1.0, tf=3.0, T=0.1, tau_bounds=[(0.3, 0.6), (1.5, 3.0)],
+                           sim_substeps=3)
+    lo, hi = problem.bounds()
+    Z = np.random.default_rng(7).uniform(lo, hi, size=(3, lo.size))
+    states, diverged = problem.simulate_candidates(Z)
+    assert not diverged.any()
+    dt = problem.T / 3
+    for p, z in enumerate(Z):
+        W, U, tau, c, X0 = (a[0] for a in problem.unpack(z))
+        for ci, cond in enumerate(problem.conditions):
+
+            def f(t, x):
+                u = np.array([float(s.values(cond, t)) for s in inputs])
+                return (-x + np.maximum(W @ x + U @ u + c, 0.0)) / tau
+
+            x = X0[ci]
+            expect = [x]
+            for k in range((problem.K - 1) * 3):
+                t = problem.t0 + k * dt
+                k1 = f(t, x)
+                k2 = f(t + dt / 2, x + dt / 2 * k1)
+                k3 = f(t + dt / 2, x + dt / 2 * k2)
+                k4 = f(t + dt, x + dt * k3)
+                x = np.maximum(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), 0.0)
+                if (k + 1) % 3 == 0:
+                    expect.append(x)
+            np.testing.assert_allclose(states[p, ci], expect, rtol=0.0, atol=1e-12)
+
+
 def test_r_squared_conventions():
     data = {"a": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])}
     assert r_squared(data, {k: v.copy() for k, v in data.items()}) == 1.0
