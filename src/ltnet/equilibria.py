@@ -26,7 +26,8 @@ For the base map every remaining pattern has a nonempty region: choosing
 target pre-activations z strictly inside each regime interval and setting
 d = z - W x(z), with x(z) the state pinned by the pattern, produces an
 interior witness.  Composed maps (see compose_maps) gain extra region
-rows from the inner map, so there emptiness is real and checked.
+rows from the inner map, so there emptiness is real and is decided by
+max-margin LPs, _LP_CHUNK candidates stacked into one block-diagonal LP.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .network import clip_box
@@ -66,6 +68,7 @@ ZERO, LINEAR, SATURATED = 0, 1, 2
 _REGION_TOL = 1e-9  # slack when testing membership d in {G d + g >= 0}
 _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
 _QUERY_CHUNK = 64  # points per membership block: memory O(region rows * chunk)
+_LP_CHUNK = 64  # regions per stacked emptiness LP
 DEFAULT_ENUMERATION_LIMIT = 12
 
 
@@ -340,27 +343,51 @@ def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10, max_iter: int = 1_0
     raise NotCertified("fixed-point iteration failed to reach tolerance")
 
 
-def _region_nonempty(G, g) -> bool:
-    """Feasibility of {d : G d + g >= 0} via a max-margin linear program."""
-    n = G.shape[1]
-    # quick rejections: a row with zero coefficients and negative offset
-    zero_rows = np.all(np.abs(G) < 1e-14, axis=1)
-    if np.any(g[zero_rows] < -1e-12):
-        return False
-    keep = ~zero_rows
-    G, g = G[keep], g[keep]
-    if G.shape[0] == 0:
-        return True
-    # maximize margin s subject to G d + g >= s, s <= 1
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-G, np.ones((G.shape[0], 1))])
-    b_ub = g.copy()
-    bounds = [(None, None)] * n + [(None, 1.0)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        return False
-    return res.x[-1] >= -1e-9
+def _regions_nonempty(regions) -> np.ndarray:
+    """Nonemptiness of each {d : G d + g >= 0} in regions, a list of (G, g).
+
+    A row with zero coefficients and a negative offset makes a region
+    empty; the other zero rows are dropped, and a region with rows left
+    is nonempty when its max-margin LP (see _max_margin_lp) reaches -1e-9.
+    """
+    keep = np.ones(len(regions), dtype=bool)
+    blocks = []
+    for k, (G, g) in enumerate(regions):
+        zero_rows = np.all(np.abs(G) < 1e-14, axis=1)
+        if np.any(g[zero_rows] < -1e-12):
+            keep[k] = False
+        elif not zero_rows.all():
+            blocks.append((k, G[~zero_rows], g[~zero_rows]))
+    for lo in range(0, len(blocks), _LP_CHUNK):
+        _max_margin_lp(blocks[lo : lo + _LP_CHUNK], keep)
+    return keep
+
+
+def _max_margin_lp(blocks, keep):
+    """Set keep[k] for the blocks (k, G, g) by one block-diagonal LP:
+    max sum of s_k subject to G d_k + g >= s_k and s_k <= 1.
+
+    The blocks share no variable, so each s_k reaches its own block's
+    maximal margin.  Each block is feasible and bounded, so a nonzero
+    status is a solver failure: the blocks are split in half and solved
+    again, and a single block that fails counts as empty.
+    """
+    A = sparse.block_diag([np.hstack([-G, np.ones((len(g), 1))]) for _, G, g in blocks])
+    s_idx = np.cumsum([G.shape[1] + 1 for _, G, _ in blocks]) - 1
+    c = np.zeros(A.shape[1])
+    c[s_idx] = -1.0
+    bounds = np.full((A.shape[1], 2), [-np.inf, np.inf])
+    bounds[s_idx, 1] = 1.0
+    b = np.concatenate([g for _, _, g in blocks])
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    if res.status == 0:
+        keep[[k for k, _, _ in blocks]] = res.x[s_idx] >= -1e-9
+    elif len(blocks) == 1:
+        keep[blocks[0][0]] = False
+    else:
+        half = len(blocks) // 2
+        _max_margin_lp(blocks[:half], keep)
+        _max_margin_lp(blocks[half:], keep)
 
 
 def compose_maps(
@@ -371,8 +398,6 @@ def compose_maps(
     cbar,
     m,
     certificate=None,
-    sample_points: int = 512,
-    seed: int = 0,
 ) -> PiecewiseAffineMap:
     """Equilibrium map of x = [W1 x + W2 h(W3 x + cbar) + c']_0^m over c'.
 
@@ -382,8 +407,8 @@ def compose_maps(
     and offset W2 (F_lam cbar + f_lam), so every pair (lam, outer pattern)
     yields a candidate piece.  Composite regions combine the outer regime
     conditions with the inner region mapped through x, and pieces whose
-    region is empty are dropped (randomized hit test first, exact linear
-    feasibility for the remainder).
+    region is empty are dropped; _regions_nonempty decides emptiness
+    exactly, with up to _LP_CHUNK candidates per block-diagonal LP.
 
     certificate must witness uniqueness of the composite solution (object
     with a true ``passed`` attribute, e.g. from stability.ges_certificate);
@@ -426,20 +451,8 @@ def compose_maps(
     if n_singular:
         warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 
-    # nonemptiness: randomized interior hits first, exact LP for the rest
-    rng = np.random.default_rng(seed)
-    scale = 10.0 * (1.0 + float(np.max(m[np.isfinite(m)], initial=1.0)))
-    D = rng.normal(scale=scale, size=(sample_points, n))
-    D[0] = 0.0
-    hit = np.zeros(len(candidates), dtype=bool)
-    for idx, p in enumerate(candidates):
-        if np.any(np.all(p.G @ D.T + p.g[:, None] >= -_REGION_TOL, axis=0)):
-            hit[idx] = True
-    pieces = [
-        p
-        for idx, p in enumerate(candidates)
-        if hit[idx] or _region_nonempty(p.G, p.g)
-    ]
+    keep = _regions_nonempty([(p.G, p.g) for p in candidates])
+    pieces = [p for p, kept in zip(candidates, keep) if kept]
     return PiecewiseAffineMap(pieces=tuple(pieces), domain_dim=n, output_dim=n)
 
 

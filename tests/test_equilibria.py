@@ -2,9 +2,11 @@
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ltnet import (
     LINEAR,
@@ -23,7 +25,8 @@ from ltnet import (
     piece_for_pattern,
     solve_equilibrium_iterative,
 )
-from ltnet.equilibria import _QUERY_CHUNK
+from ltnet import equilibria
+from ltnet.equilibria import _LP_CHUNK, _QUERY_CHUNK, _regions_nonempty
 
 from helpers import clip01m, fixed_point, joint_fixed_point, random_contractive
 
@@ -369,3 +372,123 @@ def test_eval_many_names_the_uncovered_row():
             holed.eval_many(D)
     with pytest.raises(NoCoveringPiece, match="no piece covers d="):
         holed.eval(hole)
+
+
+# -- stacked emptiness decision against one LP per region ---------------------
+
+
+def _one_lp(G, g):
+    """The per-region rule with its own max-margin LP: the reference."""
+    zero_rows = np.all(np.abs(G) < 1e-14, axis=1)
+    if np.any(g[zero_rows] < -1e-12):
+        return False
+    G, g = G[~zero_rows], g[~zero_rows]
+    if G.shape[0] == 0:
+        return True
+    n = G.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([-G, np.ones((len(g), 1))]), b_ub=g,
+                  bounds=[(None, None)] * n + [(None, 1.0)], method="highs")
+    return res.status == 0 and res.x[-1] >= -1e-9
+
+
+_LP_REGIONS = 80
+
+
+def _hand_regions():
+    """(regions, truth): 128 regions of every kind in dims 1-3, of which
+    _LP_REGIONS = 80 are left for the LP after the zero-row check."""
+    rng = np.random.default_rng(83)
+    regions, truth = [], []
+
+    def add(G, g, nonempty):
+        regions.append((np.atleast_2d(np.asarray(G, float)), np.asarray(g, float)))
+        truth.append(nonempty)
+
+    for k in range(16):
+        n = 1 + k % 3
+        R = rng.normal(size=(2 * n + 1, n))
+        center = rng.normal(size=n)
+        r = R[0]
+        zero = np.zeros((1, n))
+        # full-dimensional: every row holds at center with slack
+        add(R, -R @ center + rng.uniform(0.1, 1.0, len(R)), True)
+        # contradictory rows: r.d >= 1 and r.d <= -1
+        add(np.vstack([R, r, -r]), np.concatenate([np.full(len(R), 5.0), [-1.0, -1.0]]),
+            False)
+        # hyperplane r.d = -b: maximal margin exactly 0
+        b = rng.normal()
+        add([r, -r], [b, -b], True)
+        # a zero row with a negative offset, in front of a nonempty region
+        add(np.vstack([zero, R]), np.concatenate([[-1e-6], np.full(len(R), 1.0)]), False)
+        # zero rows with offsets >= 0 (or above -1e-12) are dropped
+        add(np.vstack([zero, R, zero]), np.concatenate([[0.0], np.full(len(R), 1.0), [-1e-13]]),
+            True)
+        add(np.vstack([zero, r, -r]), [0.5, -1.0, -1.0], False)
+        # only zero rows: decided without an LP
+        add(np.zeros((2, n)), [0.0, 2.0], True)
+        add(np.zeros((2, n)), [0.3, -1e-9], False)
+    return regions, np.array(truth)
+
+
+@pytest.mark.parametrize("chunk", [_LP_CHUNK, 1, 3])
+def test_stacked_emptiness_matches_one_lp_per_region(chunk, monkeypatch):
+    regions, truth = _hand_regions()
+    reference = np.array([_one_lp(G, g) for G, g in regions])
+    np.testing.assert_array_equal(reference, truth)
+    calls = []
+
+    def counted(c, **kwargs):
+        calls.append(np.count_nonzero(c))  # one -1 per block's margin variable
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(equilibria, "_LP_CHUNK", chunk)
+    monkeypatch.setattr(equilibria, "linprog", counted)
+    np.testing.assert_array_equal(_regions_nonempty(regions), truth)
+    assert sum(calls) == _LP_REGIONS and len(calls) == -(-_LP_REGIONS // chunk)
+
+
+def _composite():
+    """A composite of 3 + 3 nodes whose candidates fill four stacked LPs."""
+    inner = equilibrium_map(np.array([[0.2, -0.3, 0.1], [0.4, 0.1, 0.0],
+                                      [-0.1, 0.2, 0.3]]), np.array([1.5, np.inf, 1.0]))
+    W1 = np.array([[0.1, -0.2, 0.1], [0.3, 0.2, 0.0], [0.0, -0.1, 0.2]])
+    W2 = np.array([[0.3, 0.0, 0.1], [-0.2, 0.2, 0.0], [0.1, 0.0, -0.2]])
+    W3 = np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.1], [0.1, 0.0, 0.2]])
+    cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
+    assert cert.passed
+    return compose_maps(inner, W1, W2, W3, np.array([0.3, -0.2, 0.5]),
+                        np.array([2.0, np.inf, 1.0]), certificate=cert)
+
+
+def _piece_bytes(pa):
+    return [(p.label,) + tuple(a.tobytes() for a in (p.F, p.f, p.G, p.g))
+            for p in pa.pieces]
+
+
+def test_stacked_lp_failure_bisects_to_single_blocks(monkeypatch):
+    regions, truth = _hand_regions()
+    want = _piece_bytes(_composite())
+    sizes = []
+
+    def fails_when_stacked(c, **kwargs):
+        blocks = np.count_nonzero(c)  # one -1 per block's margin variable
+        sizes.append(blocks)
+        if blocks > 1:
+            return SimpleNamespace(status=4, x=None)
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(equilibria, "linprog", fails_when_stacked)
+    np.testing.assert_array_equal(_regions_nonempty(regions), truth)
+    assert max(sizes) == _LP_CHUNK and 1 in sizes
+    assert _piece_bytes(_composite()) == want
+
+
+def test_single_block_failure_counts_as_empty(monkeypatch):
+    regions, truth = _hand_regions()
+    monkeypatch.setattr(equilibria, "linprog",
+                        lambda c, **kwargs: SimpleNamespace(status=4, x=None))
+    # only the regions left without rows after the zero-row check survive
+    no_rows = np.array([np.all(np.abs(G) < 1e-14) for G, _ in regions])
+    np.testing.assert_array_equal(_regions_nonempty(regions), truth & no_rows)

@@ -1,11 +1,19 @@
-"""Property-based checks (hypothesis): maps against the fixed-point solver."""
+"""Property-based checks (hypothesis): maps against fixed-point solvers."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ltnet import equilibrium_map, solve_equilibrium_iterative
+from ltnet import (
+    compose_maps,
+    equilibrium_map,
+    ges_certificate,
+    max_gain_matrix,
+    solve_equilibrium_iterative,
+)
+
+from helpers import joint_fixed_point
 
 
 @st.composite
@@ -31,3 +39,47 @@ def test_map_eval_agrees_with_iterative_solver(case):
         np.testing.assert_allclose(
             pa.eval(d), solve_equilibrium_iterative(W, m, d), rtol=0, atol=1e-8
         )
+
+
+def _rho(M):
+    return np.max(np.abs(np.linalg.eigvals(M)))
+
+
+@st.composite
+def contractive_pairs(draw):
+    """Inner (Win, m_in) and outer (W1, W2, W3, cbar, m_out) layers, n <= 3
+    each, scaled so that the composite test matrix, bounded with the
+    Neumann gain (I - |Win|)^-1 >= every inner |F|, has rho <= 0.9; plus
+    a few outer inputs."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    weights = st.floats(-1.0, 1.0)
+    Win = draw(arrays(np.float64, (k, k), elements=weights))
+    if _rho(np.abs(Win)) > 0.8:
+        Win *= 0.8 / _rho(np.abs(Win))
+    W1 = draw(arrays(np.float64, (n, n), elements=weights))
+    W2 = draw(arrays(np.float64, (n, k), elements=weights))
+    W3 = draw(arrays(np.float64, (k, n), elements=weights))
+    gain = np.linalg.inv(np.eye(k) - np.abs(Win))
+    rho = _rho(np.abs(W1) + np.abs(W2) @ gain @ np.abs(W3))
+    if rho > 0.9:  # a factor a scales the test matrix by at most a
+        W1, W2, W3 = (A * (0.9 / rho) for A in (W1, W2, W3))
+    ceiling = st.one_of(st.just(np.inf), st.floats(0.5, 3.0))
+    m_in = np.array(draw(st.lists(ceiling, min_size=k, max_size=k)))
+    m_out = np.array(draw(st.lists(ceiling, min_size=n, max_size=n)))
+    cbar = draw(arrays(np.float64, (k,), elements=st.floats(-2.0, 2.0)))
+    D = draw(arrays(np.float64, (8, n), elements=st.floats(-5.0, 5.0)))
+    return Win, m_in, W1, W2, W3, cbar, m_out, D
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(contractive_pairs())
+def test_composite_eval_many_agrees_with_joint_fixed_point(case):
+    Win, m_in, W1, W2, W3, cbar, m_out, D = case
+    inner = equilibrium_map(Win, m_in)
+    cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
+    assert cert.passed
+    composite = compose_maps(inner, W1, W2, W3, cbar, m_out, certificate=cert)
+    for d, x in zip(D, composite.eval_many(D)):
+        want, _ = joint_fixed_point(W1, W2, W3, cbar, m_out, Win, m_in, d)
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-8)

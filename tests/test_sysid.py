@@ -299,6 +299,32 @@ def test_divergence_is_flagged_per_candidate():
     np.testing.assert_array_equal(states[0], np.zeros_like(states[0]))
 
 
+def stagewise_rk4(problem, z, cond, clip=True):
+    """Every RK4 step of one candidate under one condition, stage by stage
+    from the signal definitions: the (steps + 1, n) reference states."""
+    W, U, tau, c, X0 = (a[0] for a in problem.unpack(z))
+    sub = problem.sim_substeps
+    dt = problem.T / sub
+
+    def f(t, x):
+        u = np.array([float(s.values(cond, t)) for s in problem.inputs])
+        return (-x + np.maximum(W @ x + U @ u + c, 0.0)) / tau
+
+    x = X0[problem.conditions.index(cond)]
+    steps = [x]
+    for k in range((problem.K - 1) * sub):
+        t = problem.t0 + k * dt
+        k1 = f(t, x)
+        k2 = f(t + dt / 2, x + dt / 2 * k1)
+        k3 = f(t + dt / 2, x + dt / 2 * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if clip:
+            x = np.maximum(x, 0.0)
+        steps.append(x)
+    return np.array(steps)
+
+
 def test_simulate_candidates_matches_stagewise_rk4():
     structure = [
         WeightEntry("W11", 0, 0, "+", 0.8),
@@ -318,27 +344,50 @@ def test_simulate_candidates_matches_stagewise_rk4():
     Z = np.random.default_rng(7).uniform(lo, hi, size=(3, lo.size))
     states, diverged = problem.simulate_candidates(Z)
     assert not diverged.any()
-    dt = problem.T / 3
     for p, z in enumerate(Z):
-        W, U, tau, c, X0 = (a[0] for a in problem.unpack(z))
         for ci, cond in enumerate(problem.conditions):
-
-            def f(t, x):
-                u = np.array([float(s.values(cond, t)) for s in inputs])
-                return (-x + np.maximum(W @ x + U @ u + c, 0.0)) / tau
-
-            x = X0[ci]
-            expect = [x]
-            for k in range((problem.K - 1) * 3):
-                t = problem.t0 + k * dt
-                k1 = f(t, x)
-                k2 = f(t + dt / 2, x + dt / 2 * k1)
-                k3 = f(t + dt / 2, x + dt / 2 * k2)
-                k4 = f(t + dt, x + dt * k3)
-                x = np.maximum(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), 0.0)
-                if (k + 1) % 3 == 0:
-                    expect.append(x)
+            expect = stagewise_rk4(problem, z, cond)[::3]
             np.testing.assert_allclose(states[p, ci], expect, rtol=0.0, atol=1e-12)
+
+
+def switch_off_problem(gain_bound, off_at, tau_lo, sim_substeps):
+    """A scalar node driven by a pulse that is on at t0 = 0 and switches
+    off sharply at off_at; its z is (gain, tau, c, x0)."""
+    return SysIdProblem(
+        (1,), [WeightEntry("U1", 0, 0, "+", gain_bound)],
+        [InputSignal("drive", "pulse", {"window": (-1.0, off_at), "sigma": 1e-3})],
+        ("base",), (0,), t0=0.0, tf=1.0, T=0.1, tau_bounds=[(tau_lo, 1.0)],
+        sim_substeps=sim_substeps,
+    )
+
+
+def test_post_step_clip_acts_when_dt_exceeds_two_tau():
+    # dt = 0.1 = 2.5 tau: the drive switching off inside the first step
+    # takes the RK4 update below zero, and the clip must lift it to 0
+    problem = switch_off_problem(5.0, off_at=0.02, tau_lo=0.01, sim_substeps=1)
+    z = np.array([2.0, 0.04, 0.5, 0.0])  # gain, tau, c, x0
+    assert problem.T > 2 * z[1]
+    unclipped = stagewise_rk4(problem, z, "base", clip=False)
+    assert unclipped[1, 0] < -1.0
+    states, diverged = problem.simulate_candidates(z)
+    assert not diverged[0]
+    assert states[0, 0, 1, 0] == 0.0
+    np.testing.assert_allclose(states[0, 0], stagewise_rk4(problem, z, "base"),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_divergence_between_samples_is_flagged():
+    # two RK4 steps per sample: a gain of 2e9 switched off at t = 0.05
+    # lifts the state above the limit at the first step (t = 0.05) only;
+    # every sample, from t = 0.1 on, is back below it
+    problem = switch_off_problem(1e10, off_at=0.05, tau_lo=0.01, sim_substeps=2)
+    z = np.array([2e9, 0.03, 0.0, 0.0])
+    steps = stagewise_rk4(problem, z, "base")[:, 0]
+    assert steps[1] > sysid._DIVERGENCE_LIMIT
+    assert np.all(np.abs(steps[::2]) <= sysid._DIVERGENCE_LIMIT)
+    states, diverged = problem.simulate_candidates(z)
+    assert diverged[0]
+    np.testing.assert_array_equal(states[0], np.zeros_like(states[0]))
 
 
 def test_r_squared_conventions():
