@@ -9,97 +9,21 @@ silence task-relevant subpopulations, timescale-separation sweeps, and
 identification of structured models from firing-rate data.
 """
 
-from .network import UNBOUNDED, LTNetwork, Trajectory, clip_box, rhs, rk4_integrate, simulate
-from .equilibria import (
-    LINEAR,
-    SATURATED,
-    ZERO,
-    AffinePiece,
-    NoCoveringPiece,
-    NotCertified,
-    PiecewiseAffineMap,
-    UniquenessNotCertified,
-    compose_maps,
-    equilibrium_map,
-    lipschitz_constant,
-    max_gain_matrix,
-    piece_for_pattern,
-    solve_equilibrium_iterative,
-)
-from .stability import (
-    DecayReport,
-    GESCertificate,
-    HierarchyCertification,
-    certify_hierarchy,
-    empirical_decay_check,
-    ges_certificate,
-    spectral_radius,
-    weighted_norm,
-)
-from .control import (
-    ControlLaw,
-    InfeasibleExact,
-    NegativeControl,
-    feedback_gain_bilayer,
-    feedforward_bilayer,
-    multilayer_controls,
-)
-from .hierarchy import (
-    Hierarchy,
-    TrackingReport,
-    epsilon_sweep,
-    reference_trajectory,
-    rom_simulate,
-    simulate_hierarchy,
-    tracking_error,
-)
-from . import io, sysid
+from . import network, equilibria, stability, control, hierarchy, io, sysid
+from .network import *
+from .equilibria import *
+from .stability import *
+from .control import *
+from .hierarchy import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNBOUNDED",
-    "LTNetwork",
-    "Trajectory",
-    "clip_box",
-    "rhs",
-    "rk4_integrate",
-    "simulate",
-    "ZERO",
-    "LINEAR",
-    "SATURATED",
-    "AffinePiece",
-    "PiecewiseAffineMap",
-    "NoCoveringPiece",
-    "NotCertified",
-    "UniquenessNotCertified",
-    "equilibrium_map",
-    "piece_for_pattern",
-    "compose_maps",
-    "solve_equilibrium_iterative",
-    "lipschitz_constant",
-    "max_gain_matrix",
-    "GESCertificate",
-    "HierarchyCertification",
-    "DecayReport",
-    "spectral_radius",
-    "ges_certificate",
-    "certify_hierarchy",
-    "weighted_norm",
-    "empirical_decay_check",
-    "ControlLaw",
-    "InfeasibleExact",
-    "NegativeControl",
-    "feedback_gain_bilayer",
-    "feedforward_bilayer",
-    "multilayer_controls",
-    "Hierarchy",
-    "TrackingReport",
-    "simulate_hierarchy",
-    "reference_trajectory",
-    "tracking_error",
-    "epsilon_sweep",
-    "rom_simulate",
+    *network.__all__,
+    *equilibria.__all__,
+    *stability.__all__,
+    *control.__all__,
+    *hierarchy.__all__,
     "io",
     "sysid",
     "__version__",

@@ -163,7 +163,8 @@ def _load_problem(path, data_dir):
         structure = [
             sysid.WeightEntry(
                 e["block"], int(e["row"]), int(e["col"]),
-                e.get("sign", "free"), float(e.get("bound", 1.5)),
+                **{k: float(e[k]) if k == "bound" else e[k]
+                   for k in ("sign", "bound") if k in e},
             )
             for e in obj["structure"]
         ]
@@ -171,21 +172,15 @@ def _load_problem(path, data_dir):
             sysid.InputSignal(s["name"], s["kind"], s.get("params", {}))
             for s in obj.get("inputs", [])
         ]
+        optional = ("t0", "tf", "T", "tau_bounds", "c_bounds", "x0_max",
+                    "gamma1", "gamma2", "sim_substeps")
         problem = sysid.SysIdProblem(
             layer_sizes=obj["layer_sizes"],
             structure=structure,
             inputs=inputs,
             conditions=obj["conditions"],
             manifest=obj["manifest"],
-            t0=obj.get("t0", -7.0),
-            tf=obj.get("tf", 7.0),
-            T=obj.get("T", 0.1),
-            tau_bounds=obj.get("tau_bounds"),
-            c_bounds=tuple(obj.get("c_bounds", (-3.0, 5.0))),
-            x0_max=obj.get("x0_max"),
-            gamma1=obj.get("gamma1", 250.0),
-            gamma2=obj.get("gamma2", 150.0),
-            sim_substeps=obj.get("sim_substeps", 2),
+            **{k: obj[k] for k in optional if k in obj},
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"{path}: bad problem definition: {e}")
@@ -298,10 +293,7 @@ def run(args) -> int:
         x0 = None
         if args.x0 is not None:
             flat = _parse_x0(args.x0, sum(la.n for la in h.layers))
-            x0, k = [], 0
-            for la in h.layers:
-                x0.append(flat[k : k + la.n])
-                k += la.n
+            x0 = [flat[s] for s in h.slices()]
         report = epsilon_sweep(h, laws, eps_list, x0=x0, window=window, maps=cert.maps)
         _emit(args, report.to_dict(), cmd)
         return 0

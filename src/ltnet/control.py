@@ -182,14 +182,19 @@ def _dominating_gain(B_minus, rhs) -> np.ndarray:
     return K
 
 
-def _online_feedforward(B_minus, W_up_minus, c_minus):
-    """Feedforward callable tracking the layer above.
+def _online_feedforward(hierarchy, layer):
+    """Feedforward callable of a layer (1-based, below the top, with B)
+    tracking the layer above.
 
     Evaluates ubar(t) from the live upper-layer state x_above so that
-    B^- ubar <= -W_up^- x_above - c^- elementwise (demands that are
-    already nonpositive are met with zero surplus).
+    B^- ubar <= -W_up^- x_above - c^- elementwise, over the layer's
+    inhibited (first r) rows; demands that are already nonpositive are
+    met with zero surplus.
     """
-    pinv = np.linalg.pinv(B_minus)
+    net = hierarchy.layers[layer - 1]
+    r = net.r
+    pinv = np.linalg.pinv(net.B[:r, :])
+    W_up_minus, c_minus = hierarchy.W_up[layer - 2][:r, :], net.c[:r]
 
     def ubar(t, x_above):
         target = -W_up_minus @ np.asarray(x_above, dtype=float) - c_minus
@@ -232,8 +237,6 @@ def multilayer_controls(hierarchy, certification) -> list:
             Fbar = max_gain_matrix(certification.maps[i + 1])
             rhs = -np.abs(net.W[:r, :]) - np.abs(Wdn_mp) @ Fbar @ np.abs(Wup_p)
         K = _dominating_gain(B_minus, rhs)
-        ubar = _online_feedforward(
-            B_minus, hierarchy.W_up[i - 2][:r, :], net.c[:r]
-        )
+        ubar = _online_feedforward(hierarchy, i)
         laws.append(ControlLaw(layer=i, K=K, ubar=ubar, mode="combined"))
     return laws

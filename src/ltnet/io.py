@@ -261,10 +261,7 @@ def load_controls(path, hierarchy: Optional[Hierarchy] = None):
                 raise ValidationError(
                     f"layer {layer}: online feedforward needs a layer above and B"
                 )
-            r = net.r
-            ubar = _online_feedforward(
-                net.B[:r, :], hierarchy.W_up[layer - 2][:r, :], net.c[:r]
-            )
+            ubar = _online_feedforward(hierarchy, layer)
         elif ubar is not None:
             ubar = np.array(ubar, dtype=float)
         try:

@@ -8,24 +8,25 @@ The unknown vector z stacks, in order: the free weights (recurrent and
 input-gain entries listed in the structure), the layer time constants,
 the background inputs, and the initial state per condition.  Candidate
 models are integrated with fixed-step RK4 on the stacked system and
-sampled on the data grid; the fit objective is
+sampled on the data grid; fit minimizes
 
     f = f_SSE + gamma1 * f_corr + gamma2 * f_var
 
-with f_SSE the summed squared error, f_corr = 1 - mean sample Pearson
-correlation over (node, condition) pairs, and f_var the 4-norm of the
-standard-deviation mismatches.  Sample statistics use the K-1 convention
-throughout.  Multi-start bounded quasi-Newton minimization (L-BFGS-B)
-searches the box with the exact gradient of this discretized objective:
-a discrete adjoint, i.e. one taped forward RK4 pass and one reverse
-sweep through its stages, the ReLU and the post-step clip.  At kinks the
-ReLU and clip derivatives are 1 where the argument is > 0, pairs with a
-zero-variance series get a zero correlation gradient, a zero standard
-deviation a zero derivative, f_var = 0 a zero variance gradient, and a
-diverged candidate the penalty value with a zero gradient.  Because a
-constant reference series is matched by f_corr only by an exactly
-constant estimate, each start ends with one Newton step that tries to
-make such estimates exactly constant.
+with (f_SSE, f_corr, f_var) = objective_terms(est, ref), the one
+definition of these terms: f_SSE the summed squared error, f_corr = 1 -
+mean sample Pearson correlation over (node, condition) pairs, and f_var
+the 4-norm of the standard-deviation mismatches.  Sample statistics use
+the K-1 convention throughout.  Multi-start bounded quasi-Newton
+minimization (L-BFGS-B) searches the box with the exact gradient of this
+discretized objective: a discrete adjoint, i.e. one taped forward RK4
+pass and one reverse sweep through its stages, the ReLU and the
+post-step clip.  At kinks the ReLU and clip derivatives are 1 where the
+argument is > 0, pairs with a zero-variance series get a zero
+correlation gradient, a zero standard deviation a zero derivative,
+f_var = 0 a zero variance gradient, and a diverged candidate the penalty
+value with a zero gradient.  Because a constant reference series is matched by
+f_corr only by an exactly constant estimate, each start ends with one
+Newton step that tries to make such estimates exactly constant.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,6 +67,7 @@ __all__ = [
 
 _DIVERGENCE_LIMIT = 1e9
 _PENALTY = 1e12
+_FLAT = 1e-12  # a series whose centred 2-norm is below this is constant
 
 
 class NonPositiveCorrelations(Exception):
@@ -304,6 +307,9 @@ class SysIdProblem:
     sim_substeps : integration steps per data sample (dt = T / substeps).
     """
 
+    data = None  # attach_data sets data and _ref
+    _ref = None
+
     def __init__(
         self,
         layer_sizes,
@@ -345,7 +351,6 @@ class SysIdProblem:
         if len(self.tau_bounds) != self.N:
             raise ValueError("need one tau bound pair per layer")
         self.c_bounds = tuple(map(float, c_bounds))
-        self.data = None
         self._x0_max = x0_max
         if data is not None:
             self.attach_data(data)
@@ -354,7 +359,6 @@ class SysIdProblem:
             [np.full(sz, i) for i, sz in enumerate(self.layer_sizes)]
         )
         self._index_structure()
-        self._stage_cache = {}
 
     # -- data ---------------------------------------------------------------
 
@@ -369,6 +373,9 @@ class SysIdProblem:
                     f"got {data[c].shape}"
                 )
         self.data = data
+        # a strided (C, nm, K) view: _objective_state_grad's sums depend on
+        # this layout, and fit's results on their last bits
+        self._ref = np.moveaxis(np.stack([data[c] for c in self.conditions]), 2, 1)
         if self._x0_max is None:
             peak = max(float(np.max(v)) for v in data.values())
             self._x0_max = 2.0 * max(peak, 1.0)
@@ -450,23 +457,21 @@ class SysIdProblem:
 
     # -- simulation ---------------------------------------------------------
 
+    @cached_property
     def _stage_signals(self):
-        """Exogenous signals at RK4 stage times: (C, S, n_sig)."""
-        key = self.sim_substeps
-        if key not in self._stage_cache:
-            dt = self.T / self.sim_substeps
-            n_steps = (self.K - 1) * self.sim_substeps
-            stage_t = self.t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
-            sig = np.stack(
-                [
-                    np.column_stack([s.values(c, stage_t) for s in self.inputs])
-                    if self.inputs
-                    else np.zeros((stage_t.size, 0))
-                    for c in self.conditions
-                ]
-            )
-            self._stage_cache[key] = (dt, n_steps, sig)
-        return self._stage_cache[key]
+        """(dt, n_steps, exogenous signals at RK4 stage times (C, S, n_sig))."""
+        dt = self.T / self.sim_substeps
+        n_steps = (self.K - 1) * self.sim_substeps
+        stage_t = self.t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+        sig = np.stack(
+            [
+                np.column_stack([s.values(c, stage_t) for s in self.inputs])
+                if self.inputs
+                else np.zeros((stage_t.size, 0))
+                for c in self.conditions
+            ]
+        )
+        return dt, n_steps, sig
 
     def simulate_candidates(self, Z, _tape=None):
         """Simulate a batch of parameter vectors under every condition.
@@ -483,7 +488,7 @@ class SysIdProblem:
         P = Z.shape[0]
         C, n = len(self.conditions), self.n
         W, U, tau, c, X0 = self.unpack(Z)
-        dt, n_steps, sig = self._stage_signals()
+        dt, n_steps, sig = self._stage_signals
         # drive at every stage time: d = U sig + c, laid out (P, C, S, n)
         drive = np.einsum("csk,pnk->pcsn", sig, U) + c[:, None, None, :]
         B = P * C
@@ -529,8 +534,8 @@ def _pearson_rows(est, ref):
     se = np.sqrt((est_c**2).sum(axis=-1))
     sr = np.sqrt((ref_c**2).sum(axis=-1))
     num = (est_c * ref_c).sum(axis=-1)
-    flat_e = se < 1e-12
-    flat_r = sr < 1e-12
+    flat_e = se < _FLAT
+    flat_r = sr < _FLAT
     denom = np.where(flat_e | flat_r, 1.0, se * sr)
     corr = num / denom
     corr = np.where(flat_e & flat_r, 1.0, corr)
@@ -539,18 +544,21 @@ def _pearson_rows(est, ref):
 
 
 def objective_terms(est, ref):
-    """Raw objective components from aligned rate arrays.
+    """Objective components (f_sse, f_corr, f_var) of aligned rate arrays.
 
-    est, ref : (..., n_signals, K) arrays whose leading axes enumerate
-    (condition, node) pairs.  Returns (f_sse, f_corr, f_var).
+    This is the objective fit minimizes.  est, ref : (..., pairs, K)
+    arrays; each of the pairs rows is one (condition, node) series of K
+    samples.  The last two axes are reduced and the leading axes
+    broadcast, so each component has the broadcast leading shape (a
+    scalar for (pairs, K) inputs).
     """
     est = np.asarray(est, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    f_sse = float(((est - ref) ** 2).sum())
-    f_corr = float(1.0 - _pearson_rows(est, ref).mean())
+    f_sse = ((est - ref) ** 2).sum(axis=(-2, -1))
+    f_corr = 1.0 - _pearson_rows(est, ref).mean(axis=-1)
     sd_e = est.std(axis=-1, ddof=1)
     sd_r = ref.std(axis=-1, ddof=1)
-    f_var = float((((sd_e - sd_r) ** 4).sum()) ** 0.25)
+    f_var = (((sd_e - sd_r) ** 4).sum(axis=-1)) ** 0.25
     return f_sse, f_corr, f_var
 
 
@@ -560,48 +568,42 @@ def objective(z, problem: SysIdProblem):
     Raises SimulationDiverged when the candidate leaves the admissible
     range.  Returns (f, f_sse, f_corr, f_var).
     """
-    f, parts, diverged = _objective_batch(np.atleast_2d(z), problem, want_parts=True)
+    f, parts, _, diverged = _objective_batch(np.atleast_2d(z), problem)
     if diverged[0]:
         raise SimulationDiverged("candidate trajectory diverged")
-    return float(f[0]), *parts
+    return float(f[0]), *(float(v[0]) for v in parts)
 
 
-def _objective_batch(Z, problem: SysIdProblem, want_parts=False, _tape=None):
-    """f of every row of Z; with want_parts also the first row's
-    (f_sse, f_corr, f_var) and the divergence flags.  With a _tape list
-    (one row, taped for _adjoint) returns (f, est, ref): the paired
-    (C, nm, K) series the objective compares."""
+def _objective_batch(Z, problem: SysIdProblem, _tape=None):
+    """objective_terms of every row of Z, passing a _tape list on to
+    simulate_candidates.
+
+    Returns (f (P,), (f_sse, f_corr, f_var) each (P,), est, diverged (P,)),
+    with est the (P, C, nm, K) manifest series compared with problem._ref.
+    Diverged or non-finite candidates get f = _PENALTY.
+    """
     if problem.data is None:
         raise ValueError("problem has no attached data")
     states, diverged = problem.simulate_candidates(Z, _tape=_tape)
-    est = states[:, :, :, problem.manifest]  # (P, C, K, nm)
-    ref = np.stack([problem.data[c] for c in problem.conditions])  # (C, K, nm)
-    # axes -> (P, C, nm, K) so pairs line up for the statistics
-    est_t = np.moveaxis(est, 3, 2)
-    ref_t = np.moveaxis(ref, 2, 1)[None]
-    err = est_t - ref_t
-    f_sse = (err**2).sum(axis=(1, 2, 3))
-    corr = _pearson_rows(est_t, np.broadcast_to(ref_t, est_t.shape))
-    f_corr = 1.0 - corr.mean(axis=(1, 2))
-    sd_e = est_t.std(axis=-1, ddof=1)
-    sd_r = ref_t.std(axis=-1, ddof=1)
-    f_var = (((sd_e - sd_r) ** 4).sum(axis=(1, 2))) ** 0.25
+    est = np.moveaxis(states[:, :, :, problem.manifest], 3, 2)
+    P, K = est.shape[0], problem.K
+    # (C nm, K) pair rows with K the slowest axis: each reference series
+    # is summed in sample order, as in _objective_state_grad (a C-order
+    # copy sums pairwise, which moves the last bits of f)
+    ref = np.moveaxis(problem._ref, 2, 0).reshape(K, -1).T
+    parts = objective_terms(est.reshape(P, -1, K), ref)
+    f_sse, f_corr, f_var = parts
     f = f_sse + problem.gamma1 * f_corr + problem.gamma2 * f_var
     f = np.where(diverged | ~np.isfinite(f), _PENALTY, f)
-    if _tape is not None:
-        return f, est_t[0], ref_t[0]
-    if want_parts:
-        return f, (float(f_sse[0]), float(f_corr[0]), float(f_var[0])), diverged
-    return f
+    return f, parts, est, diverged
 
 
 def _objective_state_grad(est, ref, problem: SysIdProblem):
     """d f / d est for one candidate; est and ref are (C, nm, K).
 
-    Pairs where either series is flat (the 1e-12 threshold of
-    _pearson_rows) get a zero correlation gradient, a zero standard
-    deviation gets a zero derivative, and f_var = 0 a zero variance
-    gradient.
+    Pairs where either series is flat (below _FLAT) get a zero
+    correlation gradient, a zero standard deviation gets a zero
+    derivative, and f_var = 0 a zero variance gradient.
     """
     K = est.shape[-1]
     grad = 2.0 * (est - ref)
@@ -609,7 +611,7 @@ def _objective_state_grad(est, ref, problem: SysIdProblem):
     ref_c = ref - ref.mean(axis=-1, keepdims=True)
     se = np.sqrt((est_c**2).sum(axis=-1, keepdims=True))
     sr = np.sqrt((ref_c**2).sum(axis=-1, keepdims=True))
-    live = (se >= 1e-12) & (sr >= 1e-12)
+    live = (se >= _FLAT) & (sr >= _FLAT)
     se_l = np.where(live, se, 1.0)
     denom = se_l * np.where(live, sr, 1.0)
     corr = (est_c * ref_c).sum(axis=-1, keepdims=True) / denom
@@ -632,11 +634,12 @@ def _value_and_grad(z, problem: SysIdProblem):
     penalized candidate (diverged or non-finite f) gets a zero gradient.
     """
     tape = []
-    f, est, ref = _objective_batch(z[None, :], problem, _tape=tape)
+    f, _, est, _ = _objective_batch(z[None, :], problem, _tape=tape)
     f = float(f[0])
     if f == _PENALTY:
         return f, np.zeros(problem.dim)
-    return f, _adjoint(z, problem, tape, _objective_state_grad(est, ref, problem))
+    grad_est = _objective_state_grad(est[0], problem._ref, problem)
+    return f, _adjoint(z, problem, tape, grad_est)
 
 
 def _adjoint(z, problem: SysIdProblem, tape, grad_est):
@@ -653,7 +656,7 @@ def _adjoint(z, problem: SysIdProblem, tape, grad_est):
     G[:, :, problem.manifest] = np.moveaxis(grad_est, 2, 1)
     W, _, tau, _, _ = problem.unpack(z)
     W, tau = W[0], tau[0]
-    dt, n_steps, sig = problem._stage_signals()
+    dt, n_steps, sig = problem._stage_signals
     sub = problem.sim_substeps
     b = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)  # weights of k1..k4 in the update
     c = (0.5 * dt, 0.5 * dt, dt)  # stage s + 1 starts at X + c[s] * k_s
@@ -715,22 +718,22 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     series exactly constant; keep it only if f drops.
 
     For a pair whose reference is constant, f_corr gives gamma1 / M back
-    only when the estimate is exactly constant (the 1e-12 threshold of
-    _pearson_rows).  No gradient sees that jump, and the standard
-    deviation is a cone there, so a local search stalls just off it.  The
-    step solves sd_p(z + dz) = 0 to first order for every such pair whose
-    estimate still varies (minimum-norm dz from the adjoint gradients of
-    sd_p).  Returns (z, f), unchanged when there is no such pair.
+    only when the estimate is exactly constant (below _FLAT).  No
+    gradient sees that jump, and the standard deviation is a cone there,
+    so a local search stalls just off it.  The step solves
+    sd_p(z + dz) = 0 to first order for every such pair whose estimate
+    still varies (minimum-norm dz from the adjoint gradients of sd_p).
+    Returns (z, f), unchanged when there is no such pair.
     """
-    ref = np.stack([problem.data[c].T for c in problem.conditions])  # (C, nm, K)
-    ref_flat = np.linalg.norm(ref - ref.mean(axis=-1, keepdims=True), axis=-1) < 1e-12
+    ref = problem._ref
+    ref_flat = np.linalg.norm(ref - ref.mean(axis=-1, keepdims=True), axis=-1) < _FLAT
     if not ref_flat.any():
         return z, f
     tape = []
-    _, est, _ = _objective_batch(z[None, :], problem, _tape=tape)
+    est = _objective_batch(z[None, :], problem, _tape=tape)[2][0]
     est_c = est - est.mean(axis=-1, keepdims=True)
     se = np.linalg.norm(est_c, axis=-1)
-    pairs = np.argwhere(ref_flat & (se >= 1e-12))
+    pairs = np.argwhere(ref_flat & (se >= _FLAT))
     if not len(pairs):
         return z, f
     J = np.empty((len(pairs), problem.dim))
@@ -740,7 +743,7 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
         J[row] = _adjoint(z, problem, tape, d_se)
     dz = np.linalg.lstsq(J, -se[tuple(pairs.T)], rcond=None)[0]
     z_new = np.clip(z + dz, lo, hi)
-    f_new = float(_objective_batch(z_new[None, :], problem)[0])
+    f_new = float(_objective_batch(z_new[None, :], problem)[0][0])
     return (z_new, f_new) if f_new < f else (z, f)
 
 

@@ -289,6 +289,25 @@ def test_cli_synthesize(tmp_path):
     np.testing.assert_array_equal(laws[1]["K"], [[0.2, 0.4, 0.3]])
 
 
+def test_cli_synthesize_online_feedforward_reloads_bit_for_bit(tmp_path):
+    h = recruitment_hierarchy()
+    h_path = tmp_path / "h.json"
+    ltio.dump_hierarchy(h, h_path)
+    out = tmp_path / "controls.json"
+    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 0
+    synthesized = multilayer_controls(h, certify_hierarchy(h))
+    loaded = ltio.load_controls(out, h)
+    rng = np.random.default_rng(12)
+    online = [i for i, law in enumerate(synthesized) if callable(law.ubar)]
+    assert online and all(callable(loaded[i].ubar) for i in online)
+    for i in online:
+        n_above = h.layers[i - 1].n
+        for x_above in [np.zeros(n_above), *rng.uniform(0.0, 4.0, size=(6, n_above))]:
+            a = synthesized[i].ubar(0.0, x_above)
+            b = loaded[i].ubar(0.0, x_above)
+            assert a.tobytes() == b.tobytes()
+
+
 def test_cli_synthesize_refuses_uncertified(tmp_path, capsys):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(lc_hierarchy(w_bottom=1.5), h_path)
@@ -607,3 +626,18 @@ def test_cli_problem_reads_x0_max_and_sim_substeps(tmp_path, capsys):
         assert main(["predict", "--problem", str(problem_path),
                      "--params", str(tmp_path / "nope.json")]) == 2
         assert "bad problem definition" in capsys.readouterr().err
+
+
+def test_cli_problem_defaults_are_sysid_defaults(tmp_path):
+    # only the required keys: every default comes from SysIdProblem and WeightEntry
+    obj = {"layer_sizes": [2], "conditions": ["base"], "manifest": [0, 1],
+           "structure": [{"block": "W11", "row": 0, "col": 1}]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    loaded = _load_problem(path, None)
+    direct = sysid.SysIdProblem((2,), [sysid.WeightEntry("W11", 0, 1)], [], ("base",), (0, 1))
+    for name in ("t0", "tf", "T", "K", "c_bounds", "tau_bounds", "x0_max",
+                 "gamma1", "gamma2", "sim_substeps", "structure"):
+        assert getattr(loaded, name) == getattr(direct, name), name
+    for a, b in zip(loaded.bounds(), direct.bounds()):
+        np.testing.assert_array_equal(a, b)

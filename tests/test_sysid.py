@@ -274,6 +274,34 @@ def test_objective_terms_flat_conventions():
     assert objective_terms(flat, varying)[1] == 1.0  # one flat: corr 0
 
 
+def test_objective_terms_batch_equals_separate_calls():
+    rng = np.random.default_rng(3)
+    est = rng.uniform(0.0, 2.0, size=(4, 6, 30))
+    est[1, 2] = 0.5  # a flat estimate
+    ref = rng.uniform(0.0, 2.0, size=(6, 30))
+    ref[4] = 1.0  # a flat reference
+    batched = objective_terms(est, ref)
+    for part in batched:
+        assert part.shape == (4,)
+    for p in range(4):
+        assert tuple(v[p] for v in batched) == objective_terms(est[p], ref)
+
+
+def test_objective_is_objective_terms_of_predict():
+    layer_sizes, structure, inputs, manifest = two_channel_hierarchy_structure()
+    problem = SysIdProblem(layer_sizes, structure, inputs, ("A", "B"), manifest,
+                           x0_max=2.0)
+    truth, z = interior_points(problem, 60, 2)
+    problem.attach_data(noisy_data(problem, truth, 61))
+    est = predict(z, problem)
+    stack = lambda series: np.concatenate([series[c].T for c in problem.conditions])
+    f_sse, f_corr, f_var = objective_terms(stack(est), stack(problem.data))
+    got = objective(z, problem)
+    np.testing.assert_allclose(got[1:], (f_sse, f_corr, f_var), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[0], f_sse + problem.gamma1 * f_corr
+                               + problem.gamma2 * f_var, rtol=1e-12)
+
+
 def test_objective_divergence():
     problem = SysIdProblem(
         (1,), [WeightEntry("W11", 0, 0, "free", 3.0)], [],
@@ -443,7 +471,7 @@ def central_differences(z, problem):
     """Central differences with step 1e-6 max(|z|, 1), in one batched call."""
     h = 1e-6 * np.maximum(np.abs(z), 1.0)
     steps = np.diag(h)
-    F = sysid._objective_batch(np.vstack([z + steps, z - steps]), problem)
+    F = sysid._objective_batch(np.vstack([z + steps, z - steps]), problem)[0]
     return (F[: z.size] - F[z.size :]) / (2.0 * h)
 
 
