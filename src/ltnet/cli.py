@@ -157,9 +157,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PROBLEM_KEYS = ("layer_sizes", "structure", "inputs", "conditions", "manifest")
+_PROBLEM_OPTIONAL = ("t0", "tf", "T", "tau_bounds", "c_bounds", "x0_max",
+                     "gamma1", "gamma2", "sim_substeps")
+_STRUCTURE_KEYS = ("block", "row", "col", "sign", "bound")
+_INPUT_KEYS = ("name", "kind", "params")
+
+
+def _known_keys(path, where, entry, known):
+    """Reject a key outside known, so that a misspelled optional key does
+    not silently take its default."""
+    unknown = sorted(set(entry) - set(known)) if isinstance(entry, dict) else []
+    if unknown:
+        raise ValidationError(f"{path}: {where} has unknown key {unknown[0]!r}")
+
+
 def _load_problem(path, data_dir):
     obj = ltio._load_json(path)
+    _known_keys(path, "problem", obj, _PROBLEM_KEYS + _PROBLEM_OPTIONAL)
     try:
+        for k, e in enumerate(obj["structure"]):
+            _known_keys(path, f"structure entry {k}", e, _STRUCTURE_KEYS)
+        for k, s in enumerate(obj.get("inputs", [])):
+            _known_keys(path, f"inputs entry {k}", s, _INPUT_KEYS)
         structure = [
             sysid.WeightEntry(
                 e["block"], int(e["row"]), int(e["col"]),
@@ -172,15 +192,13 @@ def _load_problem(path, data_dir):
             sysid.InputSignal(s["name"], s["kind"], s.get("params", {}))
             for s in obj.get("inputs", [])
         ]
-        optional = ("t0", "tf", "T", "tau_bounds", "c_bounds", "x0_max",
-                    "gamma1", "gamma2", "sim_substeps")
         problem = sysid.SysIdProblem(
             layer_sizes=obj["layer_sizes"],
             structure=structure,
             inputs=inputs,
             conditions=obj["conditions"],
             manifest=obj["manifest"],
-            **{k: obj[k] for k in optional if k in obj},
+            **{k: obj[k] for k in _PROBLEM_OPTIONAL if k in obj},
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"{path}: bad problem definition: {e}")

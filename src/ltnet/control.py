@@ -24,12 +24,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.optimize import linprog
 
-from .network import LTNetwork
+from .network import AffineRegion, LTNetwork
 
 __all__ = [
     "ControlLaw",
     "InfeasibleExact",
     "NegativeControl",
+    "OnlineFeedforward",
     "feedback_gain_bilayer",
     "feedforward_bilayer",
     "multilayer_controls",
@@ -85,6 +86,24 @@ class ControlLaw:
             parts.append(self.ubar(t, x_above) if callable(self.ubar) else self.ubar)
         if not parts:
             return np.zeros(0)
+        return sum(parts)
+
+    def input_log(self, times, x, x_above=None) -> np.ndarray:
+        """input_at along a trajectory: row k is u(times[k]) for state
+        x[k] and upper-layer state x_above[k].  Computed as a few stacked
+        products, except that a user's callable ubar is called per sample."""
+        if callable(self.ubar) and not isinstance(self.ubar, OnlineFeedforward):
+            above = [None] * len(times) if x_above is None else x_above
+            return np.array([self.input_at(*args) for args in zip(times, x, above)])
+        parts = []
+        if self.K is not None:
+            parts.append(x @ self.K.T)
+        if isinstance(self.ubar, OnlineFeedforward):
+            parts.append(self.ubar.many(x_above))
+        elif self.ubar is not None:
+            parts.append(np.broadcast_to(self.ubar, (len(times), self.ubar.size)))
+        if not parts:
+            return np.zeros((len(times), 0))
         return sum(parts)
 
 
@@ -182,25 +201,70 @@ def _dominating_gain(B_minus, rhs) -> np.ndarray:
     return K
 
 
-def _online_feedforward(hierarchy, layer):
-    """Feedforward callable of a layer (1-based, below the top, with B)
-    tracking the layer above.
+@dataclass(frozen=True, eq=False)
+class OnlineFeedforward:
+    """Feedforward ubar(t, x_above) of a layer tracking the layer above.
 
-    Evaluates ubar(t) from the live upper-layer state x_above so that
-    B^- ubar <= -W_up^- x_above - c^- elementwise, over the layer's
-    inhibited (first r) rows; demands that are already nonpositive are
-    met with zero surplus.
+    ubar = [pinv min(target, 0)]_+ with target = -W_up_minus x_above -
+    c_minus, so that B^- ubar <= target elementwise over the layer's
+    inhibited (first r) rows when B^- has full row rank; demands that are
+    already nonpositive are met with zero surplus.  It ignores t and is
+    piecewise affine in x_above: piece reports the affine piece at a
+    given x_above, which lets hierarchy.simulate_hierarchy take the
+    piecewise-affine block path of network.rk4_integrate.  Its kink
+    arguments are the target rows, bounded by their sign, and the rows
+    of pinv min(target, 0), bounded by theirs.
     """
+
+    pinv: np.ndarray
+    W_up_minus: np.ndarray
+    c_minus: np.ndarray
+
+    def __call__(self, t, x_above):
+        target = -self.W_up_minus @ np.asarray(x_above, dtype=float) - self.c_minus
+        return _clip_plus(self.pinv @ np.minimum(target, 0.0))
+
+    def many(self, X_above) -> np.ndarray:
+        """ubar for a stack of upper-layer states, one per row."""
+        target = -np.asarray(X_above, dtype=float) @ self.W_up_minus.T - self.c_minus
+        return _clip_plus(np.minimum(target, 0.0) @ self.pinv.T)
+
+    def _signs(self, x_above):
+        # target < 0 selects the rows that pinv min(target, 0) reads, and
+        # then ubar's rows are its positive entries
+        target = -self.W_up_minus @ np.asarray(x_above, dtype=float) - self.c_minus
+        neg = target < 0
+        return neg, self.pinv @ np.minimum(target, 0.0) > 0
+
+    def pattern(self, x_above) -> bytes:
+        """Name of the affine piece holding x_above."""
+        neg, pos = self._signs(x_above)
+        return neg.tobytes() + pos.tobytes()
+
+    def piece(self, x_above) -> AffineRegion:
+        """Affine piece x_above -> L x_above + l of ubar holding x_above."""
+        neg, pos = self._signs(x_above)
+        P = self.pinv * neg  # pinv min(target, 0) = P target on the piece
+        PW, Pc = -P @ self.W_up_minus, -P @ self.c_minus
+        return AffineRegion(
+            L=PW * pos[:, None],
+            l=Pc * pos,
+            A=np.vstack([-self.W_up_minus, PW]),
+            a=np.concatenate([-self.c_minus, Pc]),
+            lo=np.concatenate([np.where(neg, -np.inf, 0.0), np.where(pos, 0.0, -np.inf)]),
+            hi=np.concatenate([np.where(neg, 0.0, np.inf), np.where(pos, np.inf, 0.0)]),
+        )
+
+
+def _online_feedforward(hierarchy, layer):
+    """OnlineFeedforward of a layer (1-based, below the top, with B)."""
     net = hierarchy.layers[layer - 1]
     r = net.r
-    pinv = np.linalg.pinv(net.B[:r, :])
-    W_up_minus, c_minus = hierarchy.W_up[layer - 2][:r, :], net.c[:r]
-
-    def ubar(t, x_above):
-        target = -W_up_minus @ np.asarray(x_above, dtype=float) - c_minus
-        return _clip_plus(pinv @ np.minimum(target, 0.0))
-
-    return ubar
+    return OnlineFeedforward(
+        pinv=np.linalg.pinv(net.B[:r, :]),
+        W_up_minus=hierarchy.W_up[layer - 2][:r, :],
+        c_minus=net.c[:r],
+    )
 
 
 def multilayer_controls(hierarchy, certification) -> list:

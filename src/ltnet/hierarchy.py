@@ -21,8 +21,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .control import OnlineFeedforward
 from .equilibria import PiecewiseAffineMap
-from .network import LTNetwork, Trajectory, _step_count, clip_box, rk4_integrate
+from .network import (
+    LTNetwork,
+    Trajectory,
+    _clip_piece,
+    _clip_regime,
+    _step_count,
+    clip_box,
+    rk4_integrate,
+)
 
 __all__ = [
     "Hierarchy",
@@ -118,6 +127,11 @@ def simulate_hierarchy(
     by a scripted trajectory (for externally supplied slow inputs; the
     caller is responsible for keeping it bounded).  Returns one
     Trajectory per layer; controlled layers log the applied u(t).
+
+    Without x1_override, and when every callable ubar is an
+    OnlineFeedforward, the closed loop is time-invariant and piecewise
+    affine, and the run takes rk4_integrate's block path.  Its kink
+    arguments are every node's drive and each feedforward's own.
     """
     N = h.N
     taus = np.concatenate([np.full(la.n, la.tau) for la in h.layers])
@@ -158,20 +172,45 @@ def simulate_hierarchy(
         else:
             ctot[sl[i]] += la.B @ law.ubar
 
+    def drive(t, X):
+        d = Wtot @ X + ctot
+        for i, B, ubar in online:
+            d[sl[i]] += B @ ubar(t, X[sl[i - 1]] if i > 0 else None)
+        return d
+
     def f(t, X):
         if x1_override is not None:
             # scripted top layer: substitute its state at every stage time
             X = X.copy()
             X[sl[0]] = np.asarray(x1_override(t), dtype=float)
-        d = Wtot @ X + ctot
-        for i, B, ubar in online:
-            d[sl[i]] += B @ ubar(t, X[sl[i - 1]] if i > 0 else None)
-        dX = (-X + clip_box(d, ms)) / taus
+        dX = (-X + clip_box(drive(t, X), ms)) / taus
         if x1_override is not None:
             dX[sl[0]] = 0.0
         return dX
 
-    samples = rk4_integrate(f, X0, t0, dt, n_steps, project=lambda X: clip_box(X, ms))
+    piece = None
+    if x1_override is None and all(isinstance(ub, OnlineFeedforward) and i > 0
+                                   for i, _, ub in online):
+
+        def piece(X):
+            regime = _clip_regime(drive(t0, X), ms)
+            key = regime.tobytes() + b"".join(ff.pattern(X[sl[i - 1]]) for i, _, ff in online)
+
+            def build():
+                # the feedforward pieces fold into the drive's matrix
+                Wd, cd, kinks = Wtot.copy(), ctot.copy(), []
+                for i, B, ff in online:
+                    p = ff.piece(X[sl[i - 1]])
+                    Wd[sl[i], sl[i - 1]] += B @ p.L
+                    cd[sl[i]] += B @ p.l
+                    A = np.zeros((p.a.size, n_tot))
+                    A[:, sl[i - 1]] = p.A
+                    kinks.append((A, p.a, p.lo, p.hi))
+                return _clip_piece(Wd, cd, ms, taus, regime, kinks)
+
+            return key, build
+
+    samples = rk4_integrate(f, X0, t0, dt, n_steps, lambda X: clip_box(X, ms), piece)
     times = t0 + dt * np.arange(n_steps + 1)
     if x1_override is not None:
         # f never reads the integrated top block, so report the script
@@ -181,14 +220,7 @@ def simulate_hierarchy(
         log = None
         law = laws[i] if i < len(laws) else None
         if law is not None and la.B is not None:
-            log = np.array(
-                [
-                    law.input_at(
-                        t, samples[k, sl[i]], samples[k, sl[i - 1]] if i > 0 else None
-                    )
-                    for k, t in enumerate(times)
-                ]
-            )
+            log = law.input_log(times, samples[:, sl[i]], samples[:, sl[i - 1]] if i > 0 else None)
         out.append(Trajectory(t0=t0, dt=dt, samples=samples[:, sl[i]], input_log=log))
     return out
 

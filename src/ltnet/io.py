@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .control import ControlLaw, OnlineFeedforward, _online_feedforward
 from .network import LTNetwork, Trajectory
 from .hierarchy import Hierarchy
 
@@ -231,8 +232,6 @@ def load_controls(path, hierarchy: Optional[Hierarchy] = None):
     the hierarchy is used to rebuild the upper-layer tracking feedforward.
     Accepts either a bare list or a synthesize report wrapping one.
     """
-    from .control import ControlLaw, _online_feedforward
-
     obj = _load_json(path)
     if isinstance(obj, dict) and isinstance(obj.get("controls"), list):
         obj = obj["controls"]
@@ -274,6 +273,12 @@ def load_controls(path, hierarchy: Optional[Hierarchy] = None):
 
 
 def controls_to_jsonable(laws) -> list:
+    """JSON form of control laws, as load_controls reads it back.
+
+    The library's online feedforward is written as "online" and rebuilt
+    from the hierarchy on load; any other callable ubar has no JSON form
+    and raises ValidationError.
+    """
     out = []
     for law in laws:
         if law is None:
@@ -282,8 +287,13 @@ def controls_to_jsonable(laws) -> list:
         entry["K"] = None if law.K is None else law.K.tolist()
         if law.ubar is None:
             entry["ubar"] = None
-        elif callable(law.ubar):
+        elif isinstance(law.ubar, OnlineFeedforward):
             entry["ubar"] = "online"
+        elif callable(law.ubar):
+            raise ValidationError(
+                f"layer {law.layer}: ubar is a callable other than the online "
+                "feedforward; it has no JSON form"
+            )
         else:
             entry["ubar"] = law.ubar.tolist()
         out.append(entry)

@@ -1,6 +1,10 @@
 """Oracles and random-instance generators shared across the test modules."""
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 
 
 def clip01m(v, m):
@@ -122,3 +126,99 @@ def recruitment_hierarchy():
         np.array([[0.3, -0.2, 0.1], [0.0, 0.4, 0.2], [0.0, 0.3, 0.35]]),
     )
     return Hierarchy((layer1, layer2, layer3), W_down, W_up)
+
+
+def reference_rk4(f, x0, t0, dt, n_steps, project=None):
+    """Step-by-step classic RK4 with a per-step projection: the arithmetic
+    of rk4_integrate without a hint, operation for operation."""
+    x = np.array(x0, dtype=float)
+    out = [x]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for k in range(n_steps):
+        t = t0 + k * dt
+        k1 = f(t, x)
+        k2 = f(t + half, x + half * k1)
+        k3 = f(t + half, x + half * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if project is not None:
+            x = project(x)
+        out.append(x)
+    return np.array(out)
+
+
+@contextmanager
+def rk4_calls(drop_hint=False):
+    """Spy on ltnet's RK4 core.
+
+    Yields a list with one record per call: .f, the caller's field,
+    .piece, the piecewise-affine hint it passed (None when unhinted), and
+    .f_calls, how many times the core evaluated f.  With drop_hint every
+    call steps plainly, as if its caller had passed no hint.
+    """
+    from ltnet import hierarchy, network, sysid
+
+    core = network.rk4_integrate
+    calls = []
+
+    def spy(f, x0, t0, dt, n_steps, project=None, piece=None):
+        record = SimpleNamespace(f=f, piece=piece, f_calls=0)
+        calls.append(record)
+
+        def counted(t, x):
+            record.f_calls += 1
+            return f(t, x)
+
+        return core(counted, x0, t0, dt, n_steps, project, None if drop_hint else piece)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (network, hierarchy, sysid):
+            mp.setattr(module, "rk4_integrate", spy)
+        yield calls
+
+
+W_OSC = np.array([
+    [0.0, -0.8, -1.7],
+    [-1.0, 0.0, -0.5],
+    [-0.7, -1.8, 0.0],
+])
+
+
+def random_controlled_hierarchy(rng, n_layers):
+    """An oscillating top layer over n_layers - 1 recruited layers.
+
+    Each lower layer inhibits its node 0 through one or two channels,
+    with the gain that cancels the node's recurrent row and the online
+    feedforward, so that node's drive is zero up to rounding.  The
+    channels also reach node 1, so the feedforward's pattern shapes a
+    task-relevant drive; the last node has a finite ceiling and a large
+    background.  Returns (hierarchy, laws).
+    """
+    from ltnet import ControlLaw, Hierarchy, LTNetwork, feedback_gain_bilayer
+    from ltnet.control import _online_feedforward
+
+    layers = [LTNetwork(W_OSC * rng.uniform(0.9, 1.1), np.array([11.0, 10.0, 10.0]),
+                        np.full(3, np.inf), tau=3.3)]
+    W_down, W_up = [], []
+    for i in range(1, n_layers):
+        n = int(rng.integers(2, 4))
+        m = np.where(rng.random(n) < 0.5, rng.uniform(1.0, 3.0, size=n), np.inf)
+        m[-1] = 1.0
+        c = rng.uniform(-0.5, 1.0, size=n)
+        c[-1] = 4.0
+        B = np.zeros((n, int(rng.integers(1, 3))))
+        B[0] = [-1.0, 0.5][: B.shape[1]]
+        B[1] = rng.uniform(0.2, 0.6, size=B.shape[1])
+        layers.append(LTNetwork(rng.normal(scale=0.3, size=(n, n)), c, m,
+                                tau=layers[-1].tau * rng.uniform(0.15, 0.3), B=B, r=1))
+        W_up.append(rng.normal(scale=0.4, size=(n, layers[-2].n)))
+        Wd = rng.normal(scale=0.1, size=(layers[-2].n, n))
+        if i > 1:
+            Wd[0] = 0.0  # keep the inhibited node above at zero drive
+        W_down.append(Wd)
+    h = Hierarchy(tuple(layers), tuple(W_down), tuple(W_up))
+    laws = [None] + [
+        ControlLaw(i + 1, feedback_gain_bilayer(la), _online_feedforward(h, i + 1), "combined")
+        for i, la in enumerate(h.layers) if i > 0
+    ]
+    return h, laws

@@ -15,7 +15,7 @@ from ltnet import Hierarchy, LTNetwork, simulate
 from ltnet import io as ltio
 from ltnet import sysid
 from ltnet.cli import _load_problem, main
-from ltnet.control import multilayer_controls
+from ltnet.control import ControlLaw, multilayer_controls
 from ltnet.io import ValidationError
 from ltnet.stability import certify_hierarchy
 
@@ -148,6 +148,16 @@ def test_controls_round_trip(tmp_path):
             np.testing.assert_array_equal(b.ubar(0.0, x_above), a.ubar(0.0, x_above))
     with pytest.raises(ValidationError, match="hierarchy"):
         ltio.load_controls(path, None)
+
+
+def test_controls_json_refuses_user_callables():
+    h = recruitment_hierarchy()
+    laws = multilayer_controls(h, certify_hierarchy(h))
+    assert [e["ubar"] for e in ltio.controls_to_jsonable(laws)] == [None, "online", "online"]
+    ff = laws[2].ubar
+    laws[2] = ControlLaw(3, laws[2].K, lambda t, x_above: ff(t, x_above) + t, "combined")
+    with pytest.raises(ValidationError, match="layer 3: ubar is a callable"):
+        ltio.controls_to_jsonable(laws)
 
 
 def test_write_report_envelope(tmp_path):
@@ -641,3 +651,19 @@ def test_cli_problem_defaults_are_sysid_defaults(tmp_path):
         assert getattr(loaded, name) == getattr(direct, name), name
     for a, b in zip(loaded.bounds(), direct.bounds()):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda obj: obj.update(gama1=5.0), "problem has unknown key 'gama1'"),
+    (lambda obj: obj["structure"][1].update(bonud=0.2),
+     "structure entry 1 has unknown key 'bonud'"),
+    (lambda obj: obj["inputs"][0].update(parmas={}), "inputs entry 0 has unknown key 'parmas'"),
+], ids=["top-level", "structure-entry", "inputs-entry"])
+def test_cli_problem_rejects_unknown_keys(tmp_path, capsys, edit, match):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    obj = json.loads(problem_path.read_text())
+    edit(obj)
+    problem_path.write_text(json.dumps(obj))
+    assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir),
+                 "--seed", "0"]) == 2
+    assert match in capsys.readouterr().err

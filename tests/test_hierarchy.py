@@ -7,6 +7,7 @@ from ltnet import (
     ControlLaw,
     Hierarchy,
     LTNetwork,
+    OnlineFeedforward,
     certify_hierarchy,
     clip_box,
     epsilon_sweep,
@@ -17,10 +18,19 @@ from ltnet import (
     rom_simulate,
     simulate,
     simulate_hierarchy,
+    sysid,
     tracking_error,
 )
+from ltnet.network import rk4_integrate
 
-from helpers import joint_fixed_point, lc_hierarchy
+from helpers import (
+    joint_fixed_point,
+    lc_hierarchy,
+    random_controlled_hierarchy,
+    recruitment_hierarchy,
+    reference_rk4,
+    rk4_calls,
+)
 
 W_OSC = np.array([
     [0.0, -0.8, -1.7],
@@ -307,3 +317,106 @@ def test_time_span_checks_are_shared():
             rom_simulate(h, cert.maps[2], dt=dt)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             simulate_hierarchy(h, dt=dt)
+
+
+def _assert_close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, n_layers", [(0, 2), (9, 2), (9, 3)])
+def test_block_path_matches_plain_stepping(seed, n_layers):
+    rng = np.random.default_rng(seed)
+    h, laws = random_controlled_hierarchy(rng, n_layers)
+    # inhibited nodes start on the box floor, the last ones on their ceiling
+    x0 = [np.clip(rng.uniform(0.0, 2.0, size=la.n), 0.0, la.m) for la in h.layers]
+    for x, la in zip(x0[1:], h.layers[1:]):
+        x[0], x[-1] = 0.0, la.m[-1]
+    dt = h.layers[-1].tau / 50.0
+    args = (h, laws, x0, (0.0, 3000 * dt), dt)
+    with rk4_calls() as hinted_calls:
+        hinted = simulate_hierarchy(*args)
+    with rk4_calls(drop_hint=True) as plain_calls:
+        plain = simulate_hierarchy(*args)
+    for a, b in zip(hinted, plain):
+        _assert_close(a.samples, b.samples)
+        if b.input_log is not None:
+            _assert_close(a.input_log, b.input_log)
+    X = np.hstack([t.samples for t in plain])
+    # the patterns switch: the block path cut some blocks and stepped
+    # plainly there, and took every other step in blocks
+    assert 4 <= hinted_calls[0].f_calls <= plain_calls[0].f_calls / 50
+    piece = hinted_calls[0].piece
+    keys = [piece(x)[0] for x in X]
+    assert len(set(keys)) >= 3
+    # the inhibited node of layer 2 sits at exactly zero drive, which floats
+    # see as +-1e-16: it chatters between the floor and the linear regime
+    la, law, (s1, s2, *_) = h.layers[1], laws[1], h.slices()
+    drive = (X[:, s2] @ (la.W + la.B @ law.K)[0] + X[:, s1] @ h.W_up[0][0] + la.c[0]
+             + law.ubar.many(X[:, s1]) @ la.B[0])
+    if n_layers > 2:
+        drive += X[:, h.slices()[2]] @ h.W_down[1][0]
+    chatter = np.abs(drive) < 1e-14
+    assert chatter.sum() > 100
+    regime = [piece(x)[1]().lo[h.slices()[1].start] for x in X[chatter]]
+    assert {-np.inf, 0.0} <= set(regime)
+    # states rest on the floor, up to the chatter, and on a finite ceiling
+    assert np.max(hinted[1].samples[:, 0]) < 1e-15
+    assert np.any(hinted[1].samples[:, -1] == h.layers[1].m[-1])
+
+
+def test_unhinted_callers_step_plainly():
+    h, laws = random_controlled_hierarchy(np.random.default_rng(3), 3)
+    ff = laws[1].ubar
+    user_laws = [None, ControlLaw(2, laws[1].K, lambda t, xa: ff(t, xa), "combined"), laws[2]]
+
+    def script(t):
+        return np.array([1.0 + 0.5 * np.sin(t), 2.0, 1.5])
+
+    dt = h.layers[-1].tau / 50.0
+    cert = certify_hierarchy(oscillator_bilayer())
+    problem = sysid.SysIdProblem(
+        (1,), [sysid.WeightEntry("W11", 0, 0, "+", 1.0)], [], ("base",), (0,), tf=1.0)
+    z = np.mean(problem.bounds(), axis=0)
+    with rk4_calls() as calls:
+        simulate_hierarchy(h, laws, t_span=(0.0, 10 * dt), dt=dt, x1_override=script)
+        simulate_hierarchy(h, user_laws, t_span=(0.0, 10 * dt), dt=dt)
+        simulate(h.layers[0], np.zeros(3), lambda t: np.full(3, t), t_span=(0.0, 1.0))
+        rom_simulate(oscillator_bilayer(), cert.maps[2], t_span=(0.0, 1.0))
+        problem.simulate_candidates(z)
+        simulate_hierarchy(h, laws, t_span=(0.0, 10 * dt), dt=dt)
+    assert [c.piece is None for c in calls] == [True] * 5 + [False]
+
+
+def test_plain_core_is_the_reference_loop():
+    # without a hint, rk4_integrate steps the hierarchy's field as
+    # step-by-step RK4 does, bit for bit
+    h, laws = random_controlled_hierarchy(np.random.default_rng(5), 3)
+    dt = h.layers[-1].tau / 50.0
+    with rk4_calls() as calls:
+        simulate_hierarchy(h, laws, t_span=(0.0, dt), dt=dt)
+    ms = np.concatenate([la.m for la in h.layers])
+    x0 = np.linspace(0.0, 1.0, ms.size)
+    run = (calls[0].f, x0, 0.0, dt, 300, lambda X: clip_box(X, ms))
+    assert rk4_integrate(*run).tobytes() == reference_rk4(*run).tobytes()
+
+
+def test_input_log_is_input_at_per_sample():
+    h = recruitment_hierarchy()
+    laws = multilayer_controls(h, certify_hierarchy(h))
+    K, ff = laws[1].K, laws[1].ubar
+    assert isinstance(ff, OnlineFeedforward)
+    variants = [
+        laws,
+        [None, ControlLaw(2, K, np.array([0.7]), "combined"), laws[2]],
+        [None, ControlLaw(2, None, lambda t, xa: ff(t, xa) + t, "feedforward-only"),
+         ControlLaw(3, K, None, "feedback-only")],
+    ]
+    x0 = [np.array([1.0, 2.0]), np.array([0.5, 1.0, 0.2]), np.array([0.3, 0.1, 0.4])]
+    for laws_ in variants:
+        trajs = simulate_hierarchy(h, laws_, x0, (0.0, 2.0), 0.0018)
+        for i in (1, 2):
+            law, traj, above = laws_[i], trajs[i], trajs[i - 1]
+            per_sample = np.array([law.input_at(t, x, xa) for t, x, xa in
+                                   zip(traj.times, traj.samples, above.samples)])
+            assert traj.input_log.shape == per_sample.shape
+            _assert_close(traj.input_log, per_sample)

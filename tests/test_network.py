@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ltnet import LTNetwork, Trajectory, clip_box, rhs, simulate
-from ltnet.network import rk4_integrate
+from ltnet.network import AffineRegion, rk4_integrate
 
-from helpers import clip01m, fixed_point, random_contractive
+from helpers import clip01m, fixed_point, random_contractive, reference_rk4, rk4_calls
 
 # purely inhibitory layer that sustains an oscillation
 W_OSC = np.array([
@@ -180,3 +180,71 @@ def test_simulate_validation():
         simulate(net, [0.5])
     with pytest.raises(ValueError, match="time span"):
         simulate(net, [0.5, 0.5], t_span=(1.0, 1.0))
+
+
+def _hinted_and_plain(*args):
+    with rk4_calls() as calls:
+        hinted = simulate(*args)
+    with rk4_calls(drop_hint=True):
+        plain = simulate(*args)
+    assert calls[0].piece is not None
+    return hinted, plain, calls[0]
+
+
+def test_constant_input_block_path_matches_plain_stepping():
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        W, m = random_contractive(rng, n_max=5)
+        n = W.shape[0]
+        m[0] = 1.5
+        d = rng.normal(scale=2.0, size=n)
+        d[0] = 5.0  # node 0 pushes against its finite ceiling
+        net = LTNetwork(W, np.zeros(n), m, tau=0.8)
+        x0 = clip01m(rng.uniform(0.0, 2.0, size=n), m)
+        x0[0] = m[0]
+        # from x0, and resting at the equilibrium on the floor and ceiling
+        for x_start in (x0, fixed_point(W, m, d)):
+            hinted, plain, _ = _hinted_and_plain(net, x_start, d, (0.0, 30.0))
+            np.testing.assert_allclose(hinted.samples, plain.samples, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(hinted.input_log, plain.input_log)
+    # None uses the background c
+    net = LTNetwork(W_OSC, C_OSC, np.full(3, np.inf), tau=1.0)
+    hinted, plain, _ = _hinted_and_plain(net, [2.0, 6.0, 3.0], None, (0.0, 60.0))
+    np.testing.assert_allclose(hinted.samples, plain.samples, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("depth", [None, 1e-8])
+def test_block_path_cuts_at_a_single_stage_crossing(depth):
+    # nodes 0 and 1 rotate about (10, 10); node 2 reads x_0 + b, which is
+    # positive at every step's endpoints but negative at one stage state,
+    # by about 1e-3 or by depth
+    w = 2.0
+    W = np.array([[1.0, -w, 0.0], [w, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    net = LTNetwork(W, np.zeros(3), np.full(3, np.inf), tau=1.0)
+    x0, dt, n_steps = np.array([10.0, 8.0, 0.0]), 0.05, 100
+    stages = []
+
+    def f(t, x):
+        stages.append(x[0])
+        return rhs(net, x, np.array([10.0 * w, -10.0 * w, 0.0]))
+
+    ends = reference_rk4(f, x0, 0.0, dt, n_steps, lambda x: clip_box(x, net.m))[:, 0]
+    b = 1e-4 - ends.min() if depth is None else -depth - min(stages)
+    crossed = np.array(stages).reshape(n_steps, 4) + b < 0.0
+    assert crossed.sum() == 1 and crossed.any(axis=1).sum() == 1
+    d = np.array([10.0 * w, -10.0 * w, b])
+    hinted, plain, call = _hinted_and_plain(net, x0, d, (0.0, n_steps * dt), dt)
+    np.testing.assert_allclose(hinted.samples, plain.samples, rtol=1e-12, atol=1e-12)
+    assert call.f_calls == 4  # the block path stepped plainly across the crossing only
+
+
+def test_hinted_core_steps_plainly_where_project_acts():
+    # dx/dt = -1 on one piece without kinks: the block path must not run
+    # past the floor that project enforces
+    whole_line = AffineRegion(np.zeros((1, 1)), np.array([-1.0]), np.zeros((0, 1)),
+                              np.zeros(0), np.zeros(0), np.zeros(0))
+    run = (lambda t, x: np.full_like(x, -1.0), np.array([1.0]), 0.0, 0.03, 100,
+           lambda x: np.maximum(x, 0.0))
+    got = rk4_integrate(*run, piece=lambda x: (b"", lambda: whole_line))
+    np.testing.assert_allclose(got, reference_rk4(*run), rtol=0.0, atol=1e-12)
+    assert got[-1, 0] == 0.0
