@@ -18,7 +18,10 @@ S_l and S_s the indicator diagonals of the Linear and Saturated regimes
 ceilings never produce inf * 0).  The region of validity is the polyhedron
 {d : G d + g >= 0} obtained by writing the semantic regime conditions on
 z = W (F d + f) + d; these conditions, not any rearranged closed form, are
-what the implementation evaluates.
+what the implementation evaluates.  Patterns are built in stacks of up to
+_PATTERN_CHUNK: one stacked condition number, two stacked solves and
+masked region rows per stack, so the temporaries are O(chunk * n^2), and
+every piece has the bits it would have if built alone.
 
 Saturated is excluded for nodes with unbounded ceilings.  Patterns whose
 linear system is singular are skipped (the map simply has no such piece).
@@ -69,6 +72,7 @@ _REGION_TOL = 1e-9  # slack when testing membership d in {G d + g >= 0}
 _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
 _QUERY_CHUNK = 64  # points per membership block: memory O(region rows * chunk)
 _LP_CHUNK = 64  # regions per stacked emptiness LP
+_PATTERN_CHUNK = 256  # patterns per stacked piece build: memory O(chunk * n^2)
 DEFAULT_ENUMERATION_LIMIT = 12
 
 
@@ -109,57 +113,60 @@ class AffinePiece:
         return bool(np.all(self.G @ d + self.g >= -tol))
 
 
-def _sigma_masks(sigma):
-    s = np.asarray(sigma)
-    return s == LINEAR, s == SATURATED
-
-
-def _sat_times_m(sat_mask, m):
-    # S_s m with the convention that rows without saturation contribute 0,
-    # so m_i = inf never meets a zero multiplier
-    out = np.zeros(len(sat_mask))
-    out[sat_mask] = m[sat_mask]
-    return out
-
-
 def _regimes(m):
     """Per-node regime alphabet: no Saturated regime under an unbounded ceiling."""
     return [(ZERO, LINEAR) if np.isinf(mi) else (ZERO, LINEAR, SATURATED) for mi in m]
 
 
-def _pattern_piece(W, m, sigma, off):
-    """(F, f, G, g) of pattern sigma for x = [W x + off + d]_0^m, or None if singular.
+def _pattern_chunks(m):
+    """Every switching pattern of the ceilings m, in lexicographic order, as
+    lists of up to _PATTERN_CHUNK label tuples."""
+    patterns = itertools.product(*_regimes(m))
+    while chunk := list(itertools.islice(patterns, _PATTERN_CHUNK)):
+        yield chunk
 
-    Base maps pass off = -0.0, the bitwise additive identity (+0.0 would
-    turn signed zeros in f and g into +0.0).
+
+def _pattern_pieces(W, m, sigmas, off):
+    """Stacked pieces of the patterns sigmas (P, n) for x = [W x + off + d]_0^m.
+
+    Returns (ok, F, f, G, g, keep): ok (P,) marks the patterns whose linear
+    system is nonsingular, and the rest hold their K = ok.sum() pieces:
+    F (K, n, n), f (K, n), and candidate region rows G (K, R, n), g (K, R)
+    of which the rows where keep (K, R) is true form G d + g >= 0, in node
+    order (see _affine_pieces).  Base maps pass off = -0.0, the bitwise
+    additive identity (+0.0 would turn signed zeros in f and g into +0.0).
+    Each stacked product, solve and condition number has the bits of the
+    same call on one pattern; f @ W.T and einsum forms do not.
     """
-    n = W.shape[0]
-    lin, sat = _sigma_masks(sigma)
-    A = np.eye(n) - lin[:, None] * W  # I - S_l W
+    n = sigmas.shape[1]
+    eye = np.eye(n)
+    zero, lin, sat = (sigmas == r for r in (ZERO, LINEAR, SATURATED))
+    A = eye - lin[:, :, None] * W  # I - S_l W
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > _SINGULAR_RCOND:
-        return None
-    F = np.linalg.solve(A, np.diag(lin.astype(float)))
-    f = np.linalg.solve(A, _sat_times_m(sat, m) + lin * off)
+    ok = np.isfinite(cond) & (cond <= _SINGULAR_RCOND)
+    # a stacked solve fails as a whole if one matrix in it is singular
+    A, zero, lin, sat = A[ok], zero[ok], lin[ok], sat[ok]
+    F = np.linalg.solve(A, eye * lin[:, None, :])
+    # S_s m is 0 on rows without saturation, so m_i = inf never meets a 0
+    f = np.linalg.solve(A, (np.where(sat, m, 0.0) + lin * off)[..., None])[..., 0]
 
-    # regime conditions on z = W(F d + f) + off + d, written as G d + g >= 0
-    WF_I = W @ F + np.eye(n)
-    Wf = W @ f + off
-    G_rows, g_rows = [], []
-    for i, s in enumerate(sigma):
-        if s == ZERO:
-            G_rows.append(-WF_I[i])
-            g_rows.append(-Wf[i])
-        elif s == LINEAR:
-            G_rows.append(WF_I[i])
-            g_rows.append(Wf[i])
-            if np.isfinite(m[i]):
-                G_rows.append(-WF_I[i])
-                g_rows.append(m[i] - Wf[i])
-        else:  # SATURATED
-            G_rows.append(WF_I[i])
-            g_rows.append(Wf[i] - m[i])
-    return F, f, np.array(G_rows), np.array(g_rows)
+    # regime conditions on z = W(F d + f) + off + d, two candidate rows per node
+    WF_I = W @ F + eye
+    Wf = (W @ f[..., None])[..., 0] + off
+    G = np.stack([WF_I, -WF_I], axis=2)  # the second row only for Linear, m_i finite
+    g = np.stack([np.where(sat, Wf - m, Wf), m - Wf], axis=2)
+    G[zero, 0], g[zero, 0] = G[zero, 1], -Wf[zero]  # Zero: z_i <= 0
+    keep = np.stack([np.ones_like(lin), lin & np.isfinite(m)], axis=2)
+    rows = (len(F), 2 * n)  # node-major: each node's two candidates in turn
+    return ok, F, f, G.reshape(rows + (n,)), g.reshape(rows), keep.reshape(rows)
+
+
+def _affine_pieces(labels, F, f, G, g, keep):
+    """AffinePieces from _pattern_pieces' stacks, each region the rows it keeps."""
+    ends = [0, *np.cumsum(keep.sum(axis=1)).tolist()]
+    G, g = G[keep], g[keep]
+    return [AffinePiece(Fk, fk, G[a:b], g[a:b], label)
+            for Fk, fk, a, b, label in zip(F, f, ends, ends[1:], labels)]
 
 
 def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
@@ -174,15 +181,14 @@ def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
     sigma = tuple(int(s) for s in sigma)
     if len(sigma) != n:
         raise ValueError(f"pattern length {len(sigma)} != n = {n}")
-    _, sat = _sigma_masks(sigma)
-    if np.any(sat & np.isinf(m)):
+    if np.any((np.array(sigma) == SATURATED) & np.isinf(m)):
         warnings.warn(f"pattern {sigma} saturates an unbounded node; skipped")
         return None
-    rows = _pattern_piece(W, m, sigma, np.full(n, -0.0))
-    if rows is None:
+    ok, *stacks = _pattern_pieces(W, m, np.array([sigma]), np.full(n, -0.0))
+    if not ok[0]:
         warnings.warn(f"pattern {sigma} has a singular linear system; skipped")
         return None
-    return AffinePiece(*rows, label=sigma)
+    return _affine_pieces([sigma], *stacks)[0]
 
 
 @dataclass(frozen=True)
@@ -298,13 +304,10 @@ def equilibrium_map(W, m, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PiecewiseAf
         )
     pieces = []
     n_singular = 0
-    no_offset = np.full(n, -0.0)
-    for sigma in itertools.product(*_regimes(m)):
-        rows = _pattern_piece(W, m, sigma, no_offset)
-        if rows is None:
-            n_singular += 1
-        else:
-            pieces.append(AffinePiece(*rows, label=sigma))
+    for labels in _pattern_chunks(m):
+        ok, *stacks = _pattern_pieces(W, m, np.array(labels), np.full(n, -0.0))
+        n_singular += len(ok) - int(ok.sum())
+        pieces += _affine_pieces(itertools.compress(labels, ok), *stacks)
     if n_singular:
         warnings.warn(f"equilibrium_map: skipped {n_singular} singular pattern(s)")
     return PiecewiseAffineMap(pieces=tuple(pieces), domain_dim=n, output_dim=n)
@@ -433,21 +436,14 @@ def compose_maps(
         # inner region mapped through x: G_lam (W3 x + cbar) + g_lam >= 0
         Gi = lam_piece.G @ W3
         Gc = lam_piece.G @ cbar
-        for sigma in itertools.product(*_regimes(m)):
-            rows = _pattern_piece(Weff, m, sigma, off)
-            if rows is None:
-                n_singular += 1
-                continue
-            F, f, G, g = rows
-            candidates.append(
-                AffinePiece(
-                    F=F,
-                    f=f,
-                    G=np.vstack([G, Gi @ F]),
-                    g=np.concatenate([g, Gi @ f + Gc + lam_piece.g]),
-                    label=tuple(lam_piece.label) + tuple(sigma),
-                )
-            )
+        for labels in _pattern_chunks(m):
+            ok, F, f, G, g, keep = _pattern_pieces(Weff, m, np.array(labels), off)
+            n_singular += len(ok) - int(ok.sum())
+            G = np.concatenate([G, Gi @ F], axis=1)
+            g = np.concatenate([g, (Gi @ f[..., None])[..., 0] + Gc + lam_piece.g], axis=1)
+            keep = np.pad(keep, ((0, 0), (0, len(Gi))), constant_values=True)
+            labels = [lam_piece.label + s for s in itertools.compress(labels, ok)]
+            candidates += _affine_pieces(labels, F, f, G, g, keep)
     if n_singular:
         warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 
@@ -460,14 +456,11 @@ def lipschitz_constant(pa_map: PiecewiseAffineMap) -> float:
     """Global Lipschitz constant: the largest spectral norm over pieces."""
     if not pa_map.pieces:
         return 0.0
-    return max(float(np.linalg.norm(p.F, 2)) for p in pa_map.pieces)
+    return float(np.linalg.norm(np.stack([p.F for p in pa_map.pieces]), 2, axis=(1, 2)).max())
 
 
 def max_gain_matrix(pa_map: PiecewiseAffineMap) -> np.ndarray:
     """Elementwise maximum of |F| over pieces (worst-case gain bound)."""
     if not pa_map.pieces:
         return np.zeros((pa_map.output_dim, pa_map.domain_dim))
-    out = np.zeros_like(np.asarray(pa_map.pieces[0].F))
-    for p in pa_map.pieces:
-        np.maximum(out, np.abs(p.F), out=out)
-    return out
+    return np.abs(np.stack([p.F for p in pa_map.pieces])).max(axis=0)

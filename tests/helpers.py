@@ -57,6 +57,44 @@ def random_contractive(rng, n_max=5, rho_lo=0.2, rho_hi=0.85, p_inf=0.5):
     return W, m
 
 
+def pattern_piece_oracle(W, m, sigma, off):
+    """(F, f, G, g) of pattern sigma for x = [W x + off + d]_0^m, or None if
+    singular: one pattern at a time, with a Python loop over the nodes for
+    the region rows.  The stacked piece builder must match it bit for bit."""
+    from ltnet.equilibria import _SINGULAR_RCOND, LINEAR, SATURATED, ZERO
+
+    n = W.shape[0]
+    s = np.asarray(sigma)
+    lin, sat = s == LINEAR, s == SATURATED
+    A = np.eye(n) - lin[:, None] * W  # I - S_l W
+    cond = np.linalg.cond(A)
+    if not np.isfinite(cond) or cond > _SINGULAR_RCOND:
+        return None
+    F = np.linalg.solve(A, np.diag(lin.astype(float)))
+    sat_m = np.zeros(n)  # S_s m, 0 where S_s vanishes even under m_i = inf
+    sat_m[sat] = m[sat]
+    f = np.linalg.solve(A, sat_m + lin * off)
+
+    # regime conditions on z = W(F d + f) + off + d, written as G d + g >= 0
+    WF_I = W @ F + np.eye(n)
+    Wf = W @ f + off
+    G_rows, g_rows = [], []
+    for i, r in enumerate(sigma):
+        if r == ZERO:
+            G_rows.append(-WF_I[i])
+            g_rows.append(-Wf[i])
+        elif r == LINEAR:
+            G_rows.append(WF_I[i])
+            g_rows.append(Wf[i])
+            if np.isfinite(m[i]):
+                G_rows.append(-WF_I[i])
+                g_rows.append(m[i] - Wf[i])
+        else:  # SATURATED
+            G_rows.append(WF_I[i])
+            g_rows.append(Wf[i] - m[i])
+    return F, f, np.array(G_rows), np.array(g_rows)
+
+
 def rho_oracle(M):
     """Dense-eigensolver spectral radius reference."""
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)))))

@@ -1,5 +1,7 @@
 """Equilibrium maps: pieces, regions, coverage, iteration, composition."""
 
+import hashlib
+import itertools
 import json
 import warnings
 from types import SimpleNamespace
@@ -28,7 +30,13 @@ from ltnet import (
 from ltnet import equilibria
 from ltnet.equilibria import _LP_CHUNK, _QUERY_CHUNK, _regions_nonempty
 
-from helpers import clip01m, fixed_point, joint_fixed_point, random_contractive
+from helpers import (
+    clip01m,
+    fixed_point,
+    joint_fixed_point,
+    pattern_piece_oracle,
+    random_contractive,
+)
 
 
 def test_piece_all_linear_identity():
@@ -467,6 +475,17 @@ def _piece_bytes(pa):
             for p in pa.pieces]
 
 
+# SHA-256 of repr(_piece_bytes(_composite())), recorded when every pattern's
+# piece was built on its own (NumPy 2.4 with OpenBLAS, x86-64): compose bits
+# may not change, not even within a tolerance
+_COMPOSITE_SHA256 = "44e75a808e9336132ee84ea6cc9f3f8aa529bba6e1e6a1f71d1489c71d5773be"
+
+
+def test_composite_bytes_are_pinned():
+    digest = hashlib.sha256(repr(_piece_bytes(_composite())).encode()).hexdigest()
+    assert digest == _COMPOSITE_SHA256
+
+
 def test_stacked_lp_failure_bisects_to_single_blocks(monkeypatch):
     regions, truth = _hand_regions()
     want = _piece_bytes(_composite())
@@ -492,3 +511,114 @@ def test_single_block_failure_counts_as_empty(monkeypatch):
     # only the regions left without rows after the zero-row check survive
     no_rows = np.array([np.all(np.abs(G) < 1e-14) for G, _ in regions])
     np.testing.assert_array_equal(_regions_nonempty(regions), truth & no_rows)
+
+
+# -- stacked piece builder against one pattern at a time -----------------------
+
+
+def _builder_instances():
+    """Seeded (W, m) with n <= 4 and mixed ceilings; every third has W_00 = 1,
+    so its patterns with node 0 Linear are singular."""
+    rng = np.random.default_rng(89)
+    out = []
+    for k in range(12):
+        W, m = random_contractive(rng, n_max=4)
+        if k % 3 == 0:
+            W[0, 0] = 1.0
+        out.append((W, m))
+    return out
+
+
+def _all_patterns(m):
+    return itertools.product(*[(ZERO, LINEAR) if np.isinf(v) else (ZERO, LINEAR, SATURATED)
+                               for v in m])
+
+
+def _assert_same_bits(piece, want):
+    for got, ref in zip((piece.F, piece.f, piece.G, piece.g), want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("chunk", [equilibria._PATTERN_CHUNK, 1, 7])
+def test_stacked_pieces_match_one_pattern_at_a_time(chunk, monkeypatch):
+    monkeypatch.setattr(equilibria, "_PATTERN_CHUNK", chunk)
+    skipped = 0
+    for W, m in _builder_instances():
+        n = len(m)
+        want = {}
+        for sigma in _all_patterns(m):
+            rows = pattern_piece_oracle(W, m, sigma, np.full(n, -0.0))
+            if rows is None:
+                skipped += 1
+                with pytest.warns(UserWarning, match="singular"):
+                    assert piece_for_pattern(W, m, sigma) is None
+            else:
+                want[sigma] = rows
+                _assert_same_bits(piece_for_pattern(W, m, sigma), rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pa = equilibrium_map(W, m)
+        assert [p.label for p in pa.pieces] == list(want)
+        for p in pa.pieces:
+            _assert_same_bits(p, want[p.label])
+    assert skipped > 0
+
+    # composites: each kept piece is its outer pattern's piece under the
+    # inner piece's effective weights, followed by the inner region rows
+    rng = np.random.default_rng(97)
+    composites = 0
+    for (W_in, m_in), (W1, m_out) in zip(_builder_instances()[:6], _builder_instances()[6:]):
+        if max(len(m_in), len(m_out)) > 3:
+            continue
+        composites += 1
+        W2 = rng.normal(scale=0.3, size=(len(m_out), len(m_in)))
+        W3 = rng.normal(scale=0.3, size=(len(m_in), len(m_out)))
+        cbar = rng.normal(size=len(m_in))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inner = equilibrium_map(W_in, m_in)
+            comp = compose_maps(inner, W1, W2, W3, cbar, m_out,
+                                certificate=SimpleNamespace(passed=True))
+        assert len(comp) > 0
+        lams = {p.label: p for p in inner.pieces}
+        for p in comp.pieces:
+            lam = lams[p.label[: len(m_in)]]
+            F, f, G, g = pattern_piece_oracle(W1 + W2 @ lam.F @ W3, m_out,
+                                              p.label[len(m_in):],
+                                              W2 @ (lam.F @ cbar + lam.f))
+            Gi = lam.G @ W3
+            _assert_same_bits(p, (F, f, np.vstack([G, Gi @ F]),
+                                  np.concatenate([g, Gi @ f + lam.G @ cbar + lam.g])))
+    assert composites >= 3
+
+
+def test_map_and_composite_count_singular_skips():
+    with pytest.warns(UserWarning, match=r"equilibrium_map: skipped 2 singular pattern\(s\)"):
+        pa = equilibrium_map(np.diag([1.0, 0.5]), np.full(2, np.inf))
+    assert [p.label for p in pa.pieces] == [(ZERO, ZERO), (ZERO, LINEAR)]
+    # on the inner piece where h is the identity, W_eff = W1 + W2 W3 has
+    # (W_eff)_00 = 1: the 3 outer patterns with node 0 Linear are singular.
+    # The stand-in certificate only lets compose_maps run; the count does
+    # not depend on contraction.
+    inner = equilibrium_map(np.zeros((1, 1)), np.array([np.inf]))
+    with pytest.warns(UserWarning, match=r"compose_maps: skipped 3 singular pattern\(s\)"):
+        comp = compose_maps(inner, np.diag([0.5, 0.5]), np.array([[0.5], [0.0]]),
+                            np.array([[1.0, 0.0]]), np.zeros(1), np.array([np.inf, 2.0]),
+                            certificate=SimpleNamespace(passed=True))
+    assert len(comp) > 0
+    assert not [p for p in comp.pieces if p.label[:2] == (LINEAR, LINEAR)]
+
+
+def test_gain_reductions_match_the_per_piece_loop():
+    maps = _oracle_maps() + [_composite()]
+    for W, m in _builder_instances():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            maps.append(equilibrium_map(W, m))
+    for pa in maps:
+        assert lipschitz_constant(pa) == max(float(np.linalg.norm(p.F, 2)) for p in pa.pieces)
+        want = np.zeros_like(pa.pieces[0].F)
+        for p in pa.pieces:
+            np.maximum(want, np.abs(p.F), out=want)
+        assert max_gain_matrix(pa).tobytes() == want.tobytes()
