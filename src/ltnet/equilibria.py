@@ -316,24 +316,25 @@ def equilibrium_map(W, m, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PiecewiseAf
 def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10, max_iter: int = 1_000_000):
     """Fixed-point iteration x <- [W x + d]_0^m from x = 0.
 
-    Requires the absolute-weight contraction condition rho(|W|) < 1.  The
-    weight alpha = (I - |W|^T)^-1 1 >= 1 satisfies |W|^T alpha = alpha - 1,
-    so the iteration contracts by r = 1 - 1 / max(alpha) in the
-    alpha-weighted l1 norm, which bounds the max norm; it stops once that
+    Requires the absolute-weight contraction condition rho(|W|) < 1,
+    which holds exactly when alpha = (I - |W|^T)^-1 1 is positive (then
+    |W|^T alpha = alpha - 1 < alpha); refuses (NotCertified) when the
+    solve is singular, alpha is not positive or max(alpha) >= 1e9.  The
+    iteration contracts by r = 1 - 1 / max(alpha) in the alpha-weighted
+    l1 norm, which bounds the max norm as alpha >= 1; it stops once that
     error bound drops below tol.
     """
-    from .stability import spectral_radius  # local import avoids a cycle
-
     W = np.asarray(W, dtype=float)
     m = np.broadcast_to(np.asarray(m, dtype=float), (W.shape[0],))
     d = np.asarray(d, dtype=float)
     A = np.abs(W)
-    rho, _ = spectral_radius(A)
-    if rho >= 1.0 - 1e-9:
-        raise NotCertified(f"rho(|W|) = {rho:.6f} >= 1; fixed point not certified")
-    # a Perron vector of a reducible |W| can vanish on some nodes, and a
-    # change weighted by it would not bound them
-    alpha = np.linalg.solve(np.eye(A.shape[0]) - A.T, np.ones(A.shape[0]))
+    try:
+        alpha = np.linalg.solve(np.eye(A.shape[0]) - A.T, np.ones(A.shape[0]))
+        certified = np.all(alpha > 0) and alpha.max() < 1e9
+    except np.linalg.LinAlgError:  # singular: 1 is an eigenvalue of |W|
+        certified = False
+    if not certified:
+        raise NotCertified("rho(|W|) >= 1: no alpha > 0 solves (I - |W|^T) alpha = 1")
     # weighted change -> error via the geometric tail factor r/(1 - r)
     gain = float(alpha.max()) - 1.0
     x = np.zeros_like(d)

@@ -50,7 +50,8 @@ class Hierarchy:
 
     W_down[i-1] is W_{i,i+1} (drive from the layer below), W_up[i-1] is
     W_{i+1,i} (drive from the layer above), for i = 1..N-1.  The top
-    layer must have r = 0 and time constants must strictly decrease.
+    layer must have r = 0, every lower layer r < n, and time constants
+    must strictly decrease.
     """
 
     layers: tuple
@@ -72,8 +73,16 @@ class Hierarchy:
                 raise ValueError(f"W_down[{i}] must be ({na}, {nb})")
             if W_up[i].shape != (nb, na):
                 raise ValueError(f"W_up[{i}] must be ({nb}, {na})")
+            if not (np.all(np.isfinite(W_down[i])) and np.all(np.isfinite(W_up[i]))):
+                raise ValueError(f"W_down[{i}] and W_up[{i}] must be finite")
         if layers[0].r != 0:
             raise ValueError("top layer cannot have inhibited nodes (r1 = 0)")
+        for i, la in enumerate(layers[1:], start=2):
+            if la.r == la.n:
+                raise ValueError(
+                    f"layer {i} has every node inhibited (r = n = {la.n}); "
+                    "a lower layer needs a task-relevant node"
+                )
         taus = [la.tau for la in layers]
         if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
             raise ValueError(f"time constants must strictly decrease, got {taus}")

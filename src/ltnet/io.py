@@ -79,13 +79,15 @@ def network_from_dict(obj) -> LTNetwork:
         B = np.array(B, dtype=float)
         if B.size == 0:
             B = None
-    r = int(obj.get("r", 0))
+    r = obj.get("r", 0)
+    if not isinstance(r, (int, float)) or not float(r).is_integer():
+        raise ValidationError(f"r must be an integer, got {r!r}")
     if W.shape != (n, n):
         raise ValidationError(f"W must be {n}x{n}, got {W.shape}")
     if c.shape != (n,) or m.shape != (n,):
         raise ValidationError("c and m must have length n")
     try:
-        return LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=r)
+        return LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=int(r))
     except ValueError as e:
         raise ValidationError(str(e))
 
@@ -124,6 +126,8 @@ def hierarchy_from_dict(obj) -> Hierarchy:
         W_up = tuple(np.array(w, dtype=float) for w in obj["W_up"])
     except KeyError as e:
         raise ValidationError(f"hierarchy is missing field {e.args[0]!r}")
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"hierarchy field malformed: {e}")
     try:
         return Hierarchy(layers=layers, W_down=W_down, W_up=W_up)
     except ValueError as e:

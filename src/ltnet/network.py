@@ -123,15 +123,18 @@ class LTNetwork:
         n = W.shape[0]
         c = _as_readonly(np.broadcast_to(np.asarray(self.c, dtype=float), (n,)))
         m = _as_readonly(np.broadcast_to(np.asarray(self.m, dtype=float), (n,)))
-        if np.any(m <= 0):
+        if not np.all(m > 0):
             raise ValueError("ceiling entries must be positive (or np.inf)")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         B = self.B
         if B is not None:
             B = _as_readonly(B)
             if B.ndim != 2 or B.shape[0] != n:
                 raise ValueError(f"B must be (n, p), got shape {B.shape}")
+        for name, a in (("W", W), ("c", c), ("B", B)):
+            if a is not None and not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if not 0 <= self.r <= n:
             raise ValueError(f"r must lie in [0, {n}], got {self.r}")
         object.__setattr__(self, "W", W)

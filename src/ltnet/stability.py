@@ -7,17 +7,18 @@ matrix
     M = |W1| + |W2| Fbar |W3|
 
 has spectral radius rho < 1, where Fbar is the elementwise gain bound of
-h.  The positive left Perron vector alpha of M defines the weighted norm
-||v||_alpha = alpha^T |v| in which the dynamics contract with factor rho,
+h.  For any alpha > 0 the dynamics contract in ||v||_alpha = alpha^T |v|
+with the Collatz-Wielandt factor b = max_i (M^T alpha)_i / alpha_i >= rho,
 giving the continuous-time envelope
 
-    ||x(t) - x*||_alpha <= ||x(0) - x*||_alpha * exp(-(1 - rho) t / tau).
+    ||x(t) - x*||_alpha <= ||x(0) - x*||_alpha * exp(-(1 - b) t / tau).
 
-Reducible test matrices have no strictly positive Perron vector, so they
-are regularized by mu * 11^T with a mu small enough to keep a passing
-certificate passing; the reported rho and rate then refer to the
-regularized matrix, which upper-bounds the original and keeps the
-envelope sound.
+alpha is the left Perron vector of M (b = rho up to rounding); pass/fail
+and the rate are read from b, so they are sound whatever rounding the
+eigen-solver leaves.  When a weight is at or below 1e-9 (M reducible),
+M is regularized by mu * 11^T, mu = min(1e-6, (1 - rho) / (4n)), and rho,
+alpha and the rate refer to that upper bound of M.  At a Jordan block of
+size k mu moves rho by about mu^(1/k), so a defective M near 1 can fail.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import equilibria
 from .network import LTNetwork, simulate
@@ -43,55 +43,35 @@ __all__ = [
     "empirical_decay_check",
 ]
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 100_000
-_RHO_MARGIN = 1e-9  # rho within this of 1 counts as failed
+_RHO_MARGIN = 1e-9  # a contraction bound within this of 1 counts as failed
 
 
-def spectral_radius(M, tol: float = _POWER_TOL, max_iter: int = _POWER_MAX_ITER):
+def spectral_radius(M):
     """Spectral radius and left Perron vector of a nonnegative matrix.
 
-    Power iteration on the shifted matrix M + I (the shift breaks the
-    cycles of imprimitive matrices without moving the eigenvector).  The
-    start vector is the uniform 1/n vector; iteration stops when the
-    eigenvalue estimate is stable to the relative tolerance.
+    One dense eigendecomposition of M^T: rho is the eigenvalue with the
+    largest real part (the Perron root, for a nonnegative matrix), alpha
+    the modulus of its eigenvector scaled to sum 1.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
     if np.any(M < 0):
         raise ValueError("test matrix must be nonnegative")
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0]), np.ones(1)
-    shifted_T = (M + np.eye(n)).T  # left iteration via the transpose
-    v = np.full(n, 1.0 / n)
-    lam = 1.0
-    for _ in range(max_iter):
-        w = shifted_T @ v
-        lam_next = float(np.linalg.norm(w, 1))
-        w /= lam_next
-        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)) and np.all(
-            np.abs(w - v) <= tol * np.maximum(np.abs(w), 1e-300) + tol
-        ):
-            return max(lam_next - 1.0, 0.0), w
-        v, lam = w, lam_next
-    return max(lam - 1.0, 0.0), v
-
-
-def _is_irreducible(M) -> bool:
-    support = (np.abs(M) > 0).astype(np.int8)
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return n_comp == 1
+    lam, V = np.linalg.eig(M.T)
+    k = int(np.argmax(lam.real))
+    alpha = np.abs(V[:, k])
+    return max(float(lam[k].real), 0.0), alpha / alpha.sum()
 
 
 @dataclass(frozen=True)
 class GESCertificate:
     """Contraction certificate for one layer.
 
-    test_matrix is stored unregularized; rho, alpha and rate refer to the
-    mu-regularized matrix when mu > 0 (identical when mu = 0), so the
-    decay envelope built from them is always valid.
+    test_matrix is stored unregularized; rho and alpha refer to
+    M + mu 11^T, and passed and rate = (1 - b) / tau to its
+    Collatz-Wielandt bound b at alpha (see the module docstring), so the
+    decay envelope built from alpha and rate is always valid.
     """
 
     test_matrix: np.ndarray
@@ -128,7 +108,7 @@ def ges_certificate(
 
     W2, W3 and Fbar may be omitted for an isolated layer.  Fbar must be
     elementwise nonnegative.  A failing certificate is returned, not
-    raised; rho within 1e-9 of 1 counts as failed.
+    raised; a contraction bound within 1e-9 of 1 counts as failed.
     """
     W1 = np.atleast_2d(np.asarray(W1, dtype=float))
     M = np.abs(W1)
@@ -144,17 +124,15 @@ def ges_certificate(
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
 
-    n = M.shape[0]
-    if _is_irreducible(M) or n == 1:
-        mu = 0.0
-        rho, alpha = spectral_radius(M)
-    else:
-        rho0, _ = spectral_radius(M)
-        mu = min(1e-6, (1.0 - rho0) / (4 * n)) if rho0 < 1.0 else 1e-6
-        rho, alpha = spectral_radius(M + mu * np.ones((n, n)))
-    alpha = alpha / alpha.sum()
-    passed = rho < 1.0 - _RHO_MARGIN
-    rate = (1.0 - rho) / tau
+    mu = 0.0
+    rho, alpha = spectral_radius(M)
+    if alpha.min() <= 1e-9:  # a reducible M's Perron vector can vanish
+        mu = min(1e-6, (1.0 - rho) / (4 * M.shape[0])) if rho < 1.0 else 1e-6
+        rho, alpha = spectral_radius(M + mu)
+    # Collatz-Wielandt: >= rho(M + mu 11^T) for any alpha > 0
+    bound = float(np.max((M + mu).T @ alpha / alpha))
+    passed = bound < 1.0 - _RHO_MARGIN
+    rate = (1.0 - bound) / tau
     return GESCertificate(
         test_matrix=M, rho=rho, alpha=alpha, mu=mu, rate=rate, passed=passed
     )

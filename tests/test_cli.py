@@ -7,6 +7,7 @@ numerical failures.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,37 @@ def test_cli_certify_reports_failure(tmp_path, capsys):
     assert main(["certify", "--hierarchy", str(h_path)]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["all_pass"] is False
+
+
+def _layer(index, **fields):
+    return lambda blob: blob["layers"][index].update(fields)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda blob: blob.update(layers=5), "hierarchy field malformed"),
+    (lambda blob: blob.update(W_down=None), "hierarchy field malformed"),
+    (lambda blob: blob.update(W_up=None), "hierarchy field malformed"),
+    (_layer(0, m=[float("nan")]), "ceiling entries must be positive"),
+    (_layer(1, W=[[1e400, 0.0], [0.76, 0.0]]), "W must be finite"),
+    (_layer(1, c=[float("nan"), 0.5]), "c must be finite"),
+    (_layer(2, B=[[float("-inf")]]), "B must be finite"),
+    (_layer(0, tau=float("inf")), "tau must be positive and finite"),
+    (lambda blob: blob["W_up"][1][0].__setitem__(0, float("nan")),
+     "W_down[1] and W_up[1] must be finite"),
+    (_layer(1, r=0.5), "r must be an integer, got 0.5"),
+    (_layer(2, r=1), "layer 3 has every node inhibited"),
+    (_layer(1, r=2), "layer 2 has every node inhibited"),
+], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling",
+        "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
+        "fractional-r", "bottom-layer-all-inhibited", "middle-layer-all-inhibited"])
+def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
+    fixture = Path(ltio.__file__).parent / "fixtures" / "case_study_lc.json"
+    blob = json.loads(fixture.read_text())
+    edit(blob)
+    h_path = tmp_path / "h.json"
+    h_path.write_text(json.dumps(blob))
+    assert main(["certify", "--hierarchy", str(h_path)]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_cli_synthesize(tmp_path):

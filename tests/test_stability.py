@@ -1,4 +1,4 @@
-"""Spectral certificates: power iteration, layer tests, hierarchy walks."""
+"""Spectral certificates: Perron pairs, layer tests, hierarchy walks."""
 
 import numpy as np
 import pytest
@@ -45,6 +45,66 @@ def test_spectral_radius_left_vector():
         M = rng.uniform(0.1, 1.0, size=(n, n))  # strictly positive: irreducible
         rho, alpha = spectral_radius(M)
         np.testing.assert_allclose(alpha @ M, rho * alpha, atol=1e-7 * rho)
+
+
+def jordan_type(lam, n, s, perm=None):
+    """lam I + s N (N the upper shift), optionally permuted: defective."""
+    J = lam * np.eye(n) + s * np.eye(n, k=1)
+    if perm is not None:
+        P = np.eye(n)[perm]
+        J = P @ J @ P.T
+    return J
+
+
+@pytest.mark.parametrize("lam, n, s, perm", [
+    (0.9, 2, 1.0, None),
+    (0.5, 3, 1.0, None),
+    (0.99, 4, 0.3, None),
+    (0.0, 3, 1.0, None),
+    (0.7, 5, 2.0, [3, 0, 4, 1, 2]),
+    (0.9, 2, 1.0, [1, 0]),
+])
+def test_spectral_radius_jordan_blocks(lam, n, s, perm):
+    # defective matrices, on which an iterative estimate converges like 1/k
+    M = jordan_type(lam, n, s, perm)
+    rho, alpha = spectral_radius(M)
+    assert abs(rho - rho_oracle(M)) <= 1e-8
+    assert np.all(alpha >= 0) and abs(alpha.sum() - 1.0) < 1e-12
+
+
+def test_passing_certificates_have_sound_bounds():
+    # every passing certificate carries alpha > 0 whose Collatz-Wielandt
+    # bound on the (regularized) test matrix is the certified factor
+    rng = np.random.default_rng(97)
+    passed = dict.fromkeys(("dense", "triangular", "sparse", "jordan"), 0)
+    for k in range(240):
+        kind = tuple(passed)[k % 4]
+        n = int(rng.integers(1, 8))
+        if kind == "jordan":
+            M = jordan_type(rng.uniform(0.0, 1.0), n, rng.uniform(0.0, 2.0),
+                            rng.permutation(n))
+        else:
+            M = rng.uniform(0.0, 1.0, size=(n, n))
+            if kind == "triangular":
+                M = np.triu(M)
+            elif kind == "sparse":
+                M[rng.random(size=(n, n)) < 0.6] = 0.0
+            rho = rho_oracle(M)
+            if rho > 0:
+                M *= rng.uniform(0.3, 1.2) / rho
+        tau = rng.uniform(0.5, 3.0)
+        cert = ges_certificate(M, tau=tau)
+        if not cert.passed:
+            continue
+        passed[kind] += 1
+        test = cert.test_matrix + cert.mu * np.ones((n, n))
+        assert np.all(cert.alpha > 0)
+        bound = np.max(test.T @ cert.alpha / cert.alpha)
+        assert bound <= 1.0 - cert.rate * tau + 1e-15
+        assert 1.0 - cert.rate * tau < 1.0 - 1e-9
+        # the oracle itself drifts by ~1e-11 on near-defective matrices
+        assert rho_oracle(test) <= bound + 1e-9
+    assert min(passed.values()) >= 20, passed
 
 
 def test_spectral_radius_validation():
