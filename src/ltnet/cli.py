@@ -182,11 +182,13 @@ def _load_problem(path, data_dir):
             _known_keys(path, f"inputs entry {k}", s, _INPUT_KEYS)
         structure = [
             sysid.WeightEntry(
-                e["block"], int(e["row"]), int(e["col"]),
+                e["block"],
+                ltio._integer(e["row"], f"{path}: structure entry {j} row"),
+                ltio._integer(e["col"], f"{path}: structure entry {j} col"),
                 **{k: float(e[k]) if k == "bound" else e[k]
                    for k in ("sign", "bound") if k in e},
             )
-            for e in obj["structure"]
+            for j, e in enumerate(obj["structure"])
         ]
         inputs = [
             sysid.InputSignal(s["name"], s["kind"], s.get("params", {}))
@@ -407,7 +409,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as e:
+    except (ValidationError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ input channels as inhibited nodes (p >= r); the gain then solves
 B^- K = -[W^-- W^-+] exactly.  In a deeper hierarchy the layers between
 top and bottom must also dominate the worst-case drive routed through the
 slaved layer below, which the gain inequalities express through the
-composed map's gain bound.
+composed map's gain bound.  Only the gain LP of _dominating_gain loads SciPy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .network import AffineRegion, LTNetwork
 
@@ -185,6 +184,7 @@ def _dominating_gain(B_minus, rhs) -> np.ndarray:
         resid = float(np.max(np.abs(B_minus @ K - rhs)))
         if resid <= _RESIDUAL_TOL:
             return K
+    from scipy.optimize import linprog
     K = np.empty((p, n))
     for j in range(n):
         # minimize sum of surplus (rhs_j - B^- k), i.e. maximize sum B^- k

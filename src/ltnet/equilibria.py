@@ -30,7 +30,8 @@ target pre-activations z strictly inside each regime interval and setting
 d = z - W x(z), with x(z) the state pinned by the pattern, produces an
 interior witness.  Composed maps (see compose_maps) gain extra region
 rows from the inner map, so there emptiness is real and is decided by
-max-margin LPs, _LP_CHUNK candidates stacked into one block-diagonal LP.
+max-margin LPs, _LP_CHUNK candidates stacked into one block-diagonal LP;
+SciPy (HiGHS) is imported by the first such LP, not by this module.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .network import clip_box
 
@@ -367,6 +366,12 @@ def _regions_nonempty(regions) -> np.ndarray:
     return keep
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported when called; a patch of this global takes effect."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
 def _max_margin_lp(blocks, keep):
     """Set keep[k] for the blocks (k, G, g) by one block-diagonal LP:
     max sum of s_k subject to G d_k + g >= s_k and s_k <= 1.
@@ -376,6 +381,7 @@ def _max_margin_lp(blocks, keep):
     status is a solver failure: the blocks are split in half and solved
     again, and a single block that fails counts as empty.
     """
+    from scipy import sparse
     A = sparse.block_diag([np.hstack([-G, np.ones((len(g), 1))]) for _, G, g in blocks])
     s_idx = np.cumsum([G.shape[1] + 1 for _, G, _ in blocks]) - 1
     c = np.zeros(A.shape[1])

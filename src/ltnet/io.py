@@ -39,6 +39,15 @@ class ValidationError(Exception):
     """Malformed or inconsistent input file."""
 
 
+def _integer(value, what):
+    """value as an int; a bool, a non-integral number or a non-number raises."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def _ceiling_in(v):
     if v == "inf":
         return np.inf
@@ -65,7 +74,7 @@ def _load_json(path):
 
 def network_from_dict(obj) -> LTNetwork:
     try:
-        n = int(obj["n"])
+        n = _integer(obj["n"], "n")
         W = np.array(obj["W"], dtype=float)
         c = np.array(obj["c"], dtype=float)
         m = np.array([_ceiling_in(v) for v in obj["m"]])
@@ -79,15 +88,12 @@ def network_from_dict(obj) -> LTNetwork:
         B = np.array(B, dtype=float)
         if B.size == 0:
             B = None
-    r = obj.get("r", 0)
-    if not isinstance(r, (int, float)) or not float(r).is_integer():
-        raise ValidationError(f"r must be an integer, got {r!r}")
     if W.shape != (n, n):
         raise ValidationError(f"W must be {n}x{n}, got {W.shape}")
     if c.shape != (n,) or m.shape != (n,):
         raise ValidationError("c and m must have length n")
     try:
-        return LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=int(r))
+        return LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=_integer(obj.get("r", 0), "r"))
     except ValueError as e:
         raise ValidationError(str(e))
 
@@ -244,7 +250,7 @@ def load_controls(path, hierarchy: Optional[Hierarchy] = None):
     laws = {}
     for entry in obj:
         try:
-            layer = int(entry["layer"])
+            layer = _integer(entry["layer"], "control entry layer")
             mode = entry["mode"]
         except KeyError as e:
             raise ValidationError(f"control entry missing field {e.args[0]!r}")

@@ -26,7 +26,8 @@ correlation gradient, a zero standard deviation a zero derivative,
 f_var = 0 a zero variance gradient, and a diverged candidate the penalty
 value with a zero gradient.  Because a constant reference series is matched by
 f_corr only by an exactly constant estimate, each start ends with one
-Newton step that tries to make such estimates exactly constant.
+Newton step that tries to make such estimates exactly constant.  SciPy is
+imported by fit (minimize) and by 'pulse' inputs (ndtr), not by this module.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr
 
 from .network import rk4_integrate
 
@@ -260,6 +259,7 @@ class InputSignal:
             # literal ramp: |t0| - t before the reference time, 0 after
             return np.where(t < 0.0, abs(t0) - t, 0.0)
         if self.kind == "pulse":
+            from scipy.special import ndtr
             a, b = self.params["window"]
             s = float(self.params.get("sigma", 1.0))
             return ndtr((t - a) / s) - ndtr((t - b) / s)
@@ -807,6 +807,7 @@ def fit(
     (when given) is reached.  Deterministic for fixed (problem, n_starts,
     seed).
     """
+    from scipy.optimize import minimize
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
     best = None

@@ -6,11 +6,16 @@ success (including failing certificates), 2 on validation errors, 3 on
 numerical failures.
 """
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltnet import Hierarchy, LTNetwork, simulate
 from ltnet import io as ltio
@@ -304,11 +309,16 @@ def _layer(index, **fields):
     (lambda blob: blob["W_up"][1][0].__setitem__(0, float("nan")),
      "W_down[1] and W_up[1] must be finite"),
     (_layer(1, r=0.5), "r must be an integer, got 0.5"),
+    (_layer(1, r=True), "r must be an integer, got True"),
+    (_layer(0, n=1.7), "n must be an integer, got 1.7"),
+    (_layer(0, n=True), "n must be an integer, got True"),
+    (_layer(0, tau=10**400), "int too large to convert to float"),
     (_layer(2, r=1), "layer 3 has every node inhibited"),
     (_layer(1, r=2), "layer 2 has every node inhibited"),
 ], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling",
         "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
-        "fractional-r", "bottom-layer-all-inhibited", "middle-layer-all-inhibited"])
+        "fractional-r", "boolean-r", "fractional-n", "boolean-n", "tau-beyond-float",
+        "bottom-layer-all-inhibited", "middle-layer-all-inhibited"])
 def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
     fixture = Path(ltio.__file__).parent / "fixtures" / "case_study_lc.json"
     blob = json.loads(fixture.read_text())
@@ -317,6 +327,43 @@ def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
     h_path.write_text(json.dumps(blob))
     assert main(["certify", "--hierarchy", str(h_path)]) == 2
     assert match in capsys.readouterr().err
+
+
+def _json_paths(obj, prefix=()):
+    """The key/index path of every value below obj."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _json_paths(v, prefix + (k,))
+
+
+_LC_FIXTURE = Path(ltio.__file__).parent / "fixtures" / "case_study_lc.json"
+_LC_PATHS = list(_json_paths(json.loads(_LC_FIXTURE.read_text())))
+_MALFORMED = st.sampled_from([True, False, 1.7, -1, None, "x", [], [[1.0], [1.0, 2.0]],
+                              [1.0, [2.0]]])
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(path=st.sampled_from(_LC_PATHS), value=_MALFORMED)
+def test_cli_certify_survives_one_malformed_field(path, value):
+    blob = json.loads(_LC_FIXTURE.read_text())
+    parent = blob
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        h_path = Path(tmp) / "h.json"
+        h_path.write_text(json.dumps(blob))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["certify", "--hierarchy", str(h_path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip()  # a refusal always says why
 
 
 def test_cli_synthesize(tmp_path):
@@ -405,8 +452,12 @@ def _set(index, **fields):
     (recruitment_hierarchy, _set(0, ubar="online"), "layer 1: online feedforward"),
     (lc_hierarchy, _set(1, ubar="online"), "layer 2: online feedforward"),
     (recruitment_hierarchy, lambda entries: entries.append(7), "malformed"),
+    # a fractional or boolean layer is not truncated to layer 1
+    (recruitment_hierarchy, _set(2, layer=1.7), "layer must be an integer, got 1.7"),
+    (recruitment_hierarchy, _set(2, layer=True), "layer must be an integer, got True"),
 ], ids=["online-past-bottom", "online-layer-0", "constant-past-bottom",
-        "online-on-layer-1", "online-without-B", "non-object-entry"])
+        "online-on-layer-1", "online-without-B", "non-object-entry",
+        "fractional-layer", "boolean-layer"])
 def test_cli_recruit_rejects_bad_controls(tmp_path, capsys, make_h, edit, match):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(make_h(), h_path)
@@ -699,3 +750,23 @@ def test_cli_problem_rejects_unknown_keys(tmp_path, capsys, edit, match):
     assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir),
                  "--seed", "0"]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("row", 1.7), ("row", True), ("col", 0.5),
+                                        ("col", False), ("row", "0")])
+def test_cli_problem_rejects_non_integer_row_and_col(tmp_path, capsys, key, value):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    obj = json.loads(problem_path.read_text())
+    obj["structure"][1][key] = value
+    problem_path.write_text(json.dumps(obj))
+    assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir),
+                 "--seed", "0"]) == 2
+    assert f"structure entry 1 {key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_network_from_dict_reads_n_as_an_integer():
+    for n in ("1", None, [1]):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            ltio.network_from_dict({"n": n, "W": [[0.0]], "c": [0.0], "m": ["inf"], "tau": 1.0})
+    assert ltio.network_from_dict({"n": 1.0, "W": [[0.0]], "c": [0.0], "m": ["inf"],
+                                   "tau": 1.0}).n == 1

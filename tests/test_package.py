@@ -1,10 +1,13 @@
 """The package namespace re-exports each module's public names; its
-import pulls in no more of SciPy than it needs."""
+import pulls in no SciPy at import."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import ltnet
 from ltnet import control, equilibria, hierarchy, io, network, stability, sysid
@@ -30,3 +33,62 @@ def test_import_loads_no_csgraph():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _fresh(code, *argv):
+    """Run code in a new interpreter that imports ltnet and this module; its stdout."""
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(ltnet.__file__).parents[1]),
+                                                      str(here)]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _compose_digest():
+    """SHA-256 of the piece bytes of a small composite map."""
+    inner = equilibria.equilibrium_map(np.array([[0.2, -0.3], [0.4, 0.1]]),
+                                       np.array([1.5, np.inf]))
+    W1 = np.array([[0.1, -0.2], [0.3, 0.2]])
+    W2 = np.array([[0.3, 0.1], [-0.2, 0.2]])
+    W3 = np.array([[0.2, 0.1], [0.0, -0.3]])
+    cert = stability.ges_certificate(W1, W2, W3, equilibria.max_gain_matrix(inner))
+    comp = equilibria.compose_maps(inner, W1, W2, W3, np.array([0.3, -0.2]),
+                                   np.array([2.0, 1.0]), certificate=cert)
+    blob = [(p.label,) + tuple(a.tobytes() for a in (p.F, p.f, p.G, p.g)) for p in comp.pieces]
+    return hashlib.sha256(repr(blob).encode()).hexdigest()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, ltnet, ltnet.cli; "
+            "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])")
+    assert _fresh(code).strip() == "[]"
+
+
+def test_cli_equilibrium_and_simulate_load_no_scipy_optimize(tmp_path):
+    code = """
+import sys
+from pathlib import Path
+from ltnet import cli, io
+out = Path(sys.argv[1])
+h = io.load_hierarchy(Path(io.__file__).parent / "fixtures" / "case_study_lc.json")
+io.dump_network(h.layers[1], out / "net.json")
+net = str(out / "net.json")
+assert cli.main(["equilibrium", "--net", net, "--at", "0.5,-0.5",
+                 "--out", str(out / "eq.json")]) == 0
+assert cli.main(["simulate", "--net", net, "--out", str(out / "x.csv")]) == 0
+print([k for k in sys.modules if k.startswith("scipy.optimize")])
+"""
+    assert _fresh(code, tmp_path).strip() == "[]"
+    assert (tmp_path / "eq.json").exists() and (tmp_path / "x.csv").exists()
+
+
+def test_first_compose_maps_loads_scipy_optimize_and_gives_the_same_pieces():
+    code = """
+import sys
+import test_package
+before = "scipy.optimize" in sys.modules
+print(before, test_package._compose_digest(), "scipy.optimize" in sys.modules)
+"""
+    before, digest, after = _fresh(code).split()
+    assert (before, after) == ("False", "True")
+    assert digest == _compose_digest()
