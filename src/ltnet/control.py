@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .network import AffineRegion, LTNetwork
+from .network import LINEAR, ZERO, AffinePiece, LTNetwork, _regime_rows
 
 __all__ = [
     "ControlLaw",
@@ -209,11 +209,14 @@ class OnlineFeedforward:
     c_minus, so that B^- ubar <= target elementwise over the layer's
     inhibited (first r) rows when B^- has full row rank; demands that are
     already nonpositive are met with zero surplus.  It ignores t and is
-    piecewise affine in x_above: piece reports the affine piece at a
+    piecewise affine in x_above: piece reports the AffinePiece at a
     given x_above, which lets hierarchy.simulate_hierarchy take the
-    piecewise-affine block path of network.rk4_integrate.  Its kink
-    arguments are the target rows, bounded by their sign, and the rows
-    of pinv min(target, 0), bounded by theirs.
+    piecewise-affine block path of network.rk4_integrate.  Its rows
+    G x_above + g >= 0, built by network._regime_rows, hold the target
+    rows and the rows of pinv min(target, 0) at their signs: each is a
+    clip argument under an unbounded ceiling, LINEAR where it is
+    nonnegative (target) or positive (pinv min(target, 0)), ZERO
+    elsewhere.
     """
 
     pinv: np.ndarray
@@ -241,19 +244,16 @@ class OnlineFeedforward:
         neg, pos = self._signs(x_above)
         return neg.tobytes() + pos.tobytes()
 
-    def piece(self, x_above) -> AffineRegion:
-        """Affine piece x_above -> L x_above + l of ubar holding x_above."""
+    def piece(self, x_above) -> AffinePiece:
+        """Affine piece x_above -> F x_above + f of ubar holding x_above."""
         neg, pos = self._signs(x_above)
         P = self.pinv * neg  # pinv min(target, 0) = P target on the piece
         PW, Pc = -P @ self.W_up_minus, -P @ self.c_minus
-        return AffineRegion(
-            L=PW * pos[:, None],
-            l=Pc * pos,
-            A=np.vstack([-self.W_up_minus, PW]),
-            a=np.concatenate([-self.c_minus, Pc]),
-            lo=np.concatenate([np.where(neg, -np.inf, 0.0), np.where(pos, 0.0, -np.inf)]),
-            hi=np.concatenate([np.where(neg, 0.0, np.inf), np.where(pos, np.inf, 0.0)]),
-        )
+        # sign kinks are clip regimes under an unbounded ceiling
+        regime = np.where(np.concatenate([~neg, pos]), LINEAR, ZERO)
+        G, g, keep = _regime_rows(np.vstack([-self.W_up_minus, PW]),
+                                  np.concatenate([-self.c_minus, Pc]), regime, np.inf)
+        return AffinePiece(PW * pos[:, None], Pc * pos, G[keep], g[keep])
 
 
 def _online_feedforward(hierarchy, layer):

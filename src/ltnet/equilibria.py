@@ -44,13 +44,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import clip_box
+from .network import _REGION_TOL, LINEAR, SATURATED, ZERO, AffinePiece, _regime_rows, clip_box
 
 __all__ = [
-    "ZERO",
-    "LINEAR",
-    "SATURATED",
-    "AffinePiece",
     "PiecewiseAffineMap",
     "NoCoveringPiece",
     "NotCertified",
@@ -63,11 +59,7 @@ __all__ = [
     "max_gain_matrix",
 ]
 
-# regime codes; the integer order defines the lexicographic tie-break
-ZERO, LINEAR, SATURATED = 0, 1, 2
-
 # pinned tolerances
-_REGION_TOL = 1e-9  # slack when testing membership d in {G d + g >= 0}
 _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
 _QUERY_CHUNK = 64  # points per membership block: memory O(region rows * chunk)
 _LP_CHUNK = 64  # regions per stacked emptiness LP
@@ -85,31 +77,6 @@ class NotCertified(Exception):
 
 class UniquenessNotCertified(NotCertified):
     """Composition requested without a certificate for the composite equation."""
-
-
-@dataclass(frozen=True)
-class AffinePiece:
-    """One affine piece x = F d + f valid on {d : G d + g >= 0}.
-
-    label is the generating switching pattern as a tuple of regime codes;
-    for composed maps it is the concatenation (inner label, outer pattern).
-    """
-
-    F: np.ndarray
-    f: np.ndarray
-    G: np.ndarray
-    g: np.ndarray
-    label: tuple
-
-    def __post_init__(self):
-        for name in ("F", "f", "G", "g"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "label", tuple(self.label))
-
-    def contains(self, d, tol=_REGION_TOL) -> bool:
-        return bool(np.all(self.G @ d + self.g >= -tol))
 
 
 def _regimes(m):
@@ -132,32 +99,24 @@ def _pattern_pieces(W, m, sigmas, off):
     system is nonsingular, and the rest hold their K = ok.sum() pieces:
     F (K, n, n), f (K, n), and candidate region rows G (K, R, n), g (K, R)
     of which the rows where keep (K, R) is true form G d + g >= 0, in node
-    order (see _affine_pieces).  Base maps pass off = -0.0, the bitwise
+    order (see _regime_rows).  Base maps pass off = -0.0, the bitwise
     additive identity (+0.0 would turn signed zeros in f and g into +0.0).
     Each stacked product, solve and condition number has the bits of the
     same call on one pattern; f @ W.T and einsum forms do not.
     """
-    n = sigmas.shape[1]
-    eye = np.eye(n)
-    zero, lin, sat = (sigmas == r for r in (ZERO, LINEAR, SATURATED))
+    eye = np.eye(sigmas.shape[1])
+    lin, sat = sigmas == LINEAR, sigmas == SATURATED
     A = eye - lin[:, :, None] * W  # I - S_l W
     cond = np.linalg.cond(A)
     ok = np.isfinite(cond) & (cond <= _SINGULAR_RCOND)
     # a stacked solve fails as a whole if one matrix in it is singular
-    A, zero, lin, sat = A[ok], zero[ok], lin[ok], sat[ok]
+    A, sigmas, lin, sat = A[ok], sigmas[ok], lin[ok], sat[ok]
     F = np.linalg.solve(A, eye * lin[:, None, :])
     # S_s m is 0 on rows without saturation, so m_i = inf never meets a 0
     f = np.linalg.solve(A, (np.where(sat, m, 0.0) + lin * off)[..., None])[..., 0]
-
-    # regime conditions on z = W(F d + f) + off + d, two candidate rows per node
-    WF_I = W @ F + eye
+    # regime conditions on z = W(F d + f) + off + d
     Wf = (W @ f[..., None])[..., 0] + off
-    G = np.stack([WF_I, -WF_I], axis=2)  # the second row only for Linear, m_i finite
-    g = np.stack([np.where(sat, Wf - m, Wf), m - Wf], axis=2)
-    G[zero, 0], g[zero, 0] = G[zero, 1], -Wf[zero]  # Zero: z_i <= 0
-    keep = np.stack([np.ones_like(lin), lin & np.isfinite(m)], axis=2)
-    rows = (len(F), 2 * n)  # node-major: each node's two candidates in turn
-    return ok, F, f, G.reshape(rows + (n,)), g.reshape(rows), keep.reshape(rows)
+    return ok, F, f, *_regime_rows(W @ F + eye, Wf, sigmas, m)
 
 
 def _affine_pieces(labels, F, f, G, g, keep):

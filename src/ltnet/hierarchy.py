@@ -139,8 +139,8 @@ def simulate_hierarchy(
 
     Without x1_override, and when every callable ubar is an
     OnlineFeedforward, the closed loop is time-invariant and piecewise
-    affine, and the run takes rk4_integrate's block path.  Its kink
-    arguments are every node's drive and each feedforward's own.
+    affine, and the run takes rk4_integrate's block path.  Its pieces'
+    rows hold every node's drive and each feedforward's own rows.
     """
     N = h.N
     taus = np.concatenate([np.full(la.n, la.tau) for la in h.layers])
@@ -210,11 +210,11 @@ def simulate_hierarchy(
                 Wd, cd, kinks = Wtot.copy(), ctot.copy(), []
                 for i, B, ff in online:
                     p = ff.piece(X[sl[i - 1]])
-                    Wd[sl[i], sl[i - 1]] += B @ p.L
-                    cd[sl[i]] += B @ p.l
-                    A = np.zeros((p.a.size, n_tot))
-                    A[:, sl[i - 1]] = p.A
-                    kinks.append((A, p.a, p.lo, p.hi))
+                    Wd[sl[i], sl[i - 1]] += B @ p.F
+                    cd[sl[i]] += B @ p.f
+                    G = np.zeros((p.g.size, n_tot))
+                    G[:, sl[i - 1]] = p.G
+                    kinks.append((G, p.g))
                 return _clip_piece(Wd, cd, ms, taus, regime, kinks)
 
             return key, build

@@ -125,9 +125,16 @@ def load_hierarchy(path) -> Hierarchy:
     return hierarchy_from_dict(obj)
 
 
+def _layer_from_dict(k, obj) -> LTNetwork:
+    try:
+        return network_from_dict(obj)
+    except ValidationError as e:
+        raise ValidationError(f"layer {k}: {e}") from None
+
+
 def hierarchy_from_dict(obj) -> Hierarchy:
     try:
-        layers = tuple(network_from_dict(la) for la in obj["layers"])
+        layers = tuple(_layer_from_dict(k, la) for k, la in enumerate(obj["layers"], start=1))
         W_down = tuple(np.array(w, dtype=float) for w in obj["W_down"])
         W_up = tuple(np.array(w, dtype=float) for w in obj["W_up"])
     except KeyError as e:
@@ -163,28 +170,13 @@ def trajectory_to_csv(traj: Trajectory, path, force=False):
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as e:
-        raise ValidationError(f"{path}: {e}")
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise ValidationError(f"{path}: line 1: expected header starting with 't'")
-    data = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as e:
-            raise ValidationError(f"{path}: line {ln}: {e}")
-    arr = np.array(data)
-    if arr.shape[0] < 2:
+    _, times, samples = rates_from_csv(path)
+    if times.size < 2:
         raise ValidationError(f"{path}: need at least two samples")
-    dts = np.diff(arr[:, 0])
+    dts = np.diff(times)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(1.0, abs(dts[0])):
         raise ValidationError(f"{path}: time grid is not uniform")
-    return Trajectory(t0=arr[0, 0], dt=float(dts[0]), samples=arr[:, 1:])
+    return Trajectory(t0=times[0], dt=float(dts[0]), samples=samples)
 
 
 def rates_from_csv(path):

@@ -22,16 +22,18 @@ and records the stages for its adjoint gradient from inside f and
 project.
 
 Piecewise-affine block stepping.  A time-invariant clipped field is
-affine on each clip regime, and inside one regime an RK4 step is exactly
-x -> R x + r, with R the RK4 stability polynomial of h L.  rk4_integrate
-takes an optional hint, piece(x) -> (key, build), that names the piece
-holding x and builds its AffineRegion on demand: the field L y + l and
-the kink arguments A y + a with their bounds.  With the hint the core
-advances BLOCK_STEPS = 64 steps with one stacked product, checks every
-post-step state and all four stage states of every step against the
-bounds, keeps the steps before the first one that leaves the piece,
+affine on each clip regime (ZERO, LINEAR, SATURATED), and inside one
+regime an RK4 step is exactly x -> R x + r, with R the RK4 stability
+polynomial of h F.  rk4_integrate takes an optional hint,
+piece(x) -> (key, build), that names the piece holding x and builds it
+on demand as an AffinePiece: the field F y + f on the rows G y + g >= 0,
+which _regime_rows writes for each clip argument, the same rows that
+hold an equilibrium piece's drive in its pattern.  With the hint the
+core advances BLOCK_STEPS = 64 steps with one stacked product, checks
+every post-step state and all four stage states of every step against
+the rows, keeps the steps before the first one that leaves the piece,
 that project moves or that is not finite, and takes that step with the
-plain RK4 code.  The kink and projection checks allow a slack of
+plain RK4 code.  The row and projection checks allow a slack of
 _KINK_SLACK = 1e-12 times the size of the terms: a node inhibited to
 exactly zero drive sees +-1e-16 in floats, and both pieces agree at a
 kink.  Each call caches the block maps of up to _PIECE_CACHE = 16 pieces.
@@ -44,14 +46,17 @@ before, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "UNBOUNDED",
-    "AffineRegion",
+    "ZERO",
+    "LINEAR",
+    "SATURATED",
+    "AffinePiece",
     "LTNetwork",
     "Trajectory",
     "clip_box",
@@ -63,6 +68,10 @@ __all__ = [
 # marker for unbounded ceilings; kept as a module name so intent is explicit
 UNBOUNDED = np.inf
 
+# clip regimes of a node's drive; the integer order defines the
+# lexicographic tie-break between equilibrium pieces
+ZERO, LINEAR, SATURATED = 0, 1, 2
+
 # steps advanced per stacked product by the piecewise-affine block path
 BLOCK_STEPS = 64
 # relative slack of the block path's kink and projection checks: about
@@ -70,6 +79,7 @@ BLOCK_STEPS = 64
 _KINK_SLACK = 1e-12
 # distinct pieces whose block maps one integration keeps
 _PIECE_CACHE = 16
+_REGION_TOL = 1e-9  # slack when testing membership y in {G y + g >= 0}
 
 
 def clip_box(v, m):
@@ -85,6 +95,30 @@ def _as_readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+@dataclass(frozen=True)
+class AffinePiece:
+    """One affine piece y -> F y + f valid on {y : G y + g >= 0}.
+
+    label names the piece; for an equilibrium map it is the generating
+    switching pattern as a tuple of regime codes, and for a composed map
+    the concatenation (inner label, outer pattern).
+    """
+
+    F: np.ndarray
+    f: np.ndarray
+    G: np.ndarray
+    g: np.ndarray
+    label: tuple = ()
+
+    def __post_init__(self):
+        for name in ("F", "f", "G", "g"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        object.__setattr__(self, "label", tuple(self.label))
+
+    def contains(self, y, tol=_REGION_TOL) -> bool:
+        return bool(np.all(self.G @ y + self.g >= -tol))
 
 
 @dataclass(frozen=True)
@@ -200,41 +234,44 @@ def rhs(net: LTNetwork, x, d_ext) -> np.ndarray:
     return (-x + clip_box(net.W @ x + d_ext, net.m)) / net.tau
 
 
-class AffineRegion(NamedTuple):
-    """One piece of a piecewise-affine map: y -> L y + l wherever every
-    kink argument A y + a lies in [lo, hi] (bounds may be infinite)."""
-
-    L: np.ndarray
-    l: np.ndarray
-    A: np.ndarray
-    a: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
 def _clip_regime(d, m) -> np.ndarray:
-    """Clip regime of each drive entry against [0, m]: 0 at the floor,
-    1 in the linear range, 2 at the ceiling (equilibria's ZERO, LINEAR,
-    SATURATED)."""
+    """Clip regime of each drive entry against [0, m]: ZERO at the floor,
+    LINEAR in the linear range, SATURATED at the ceiling."""
     return (d > 0).astype(np.int8) + (d > m)
 
 
-def _clip_piece(Wd, cd, m, tau, regime, kinks=()) -> AffineRegion:
+def _regime_rows(A, a, regime, m):
+    """Rows G y + g >= 0 that hold each clip argument A y + a in its regime.
+
+    A is (..., n, k), a and regime are (..., n), and m broadcasts against
+    a.  Returns node-major candidate rows G (..., 2n, k), g (..., 2n) and
+    keep (..., 2n): a node's first row is A y + a <= 0 at Zero, >= 0 at
+    Linear and >= m at Saturated; its second, A y + a <= m, is kept only
+    at Linear under a finite m.
+    """
+    zero, lin, sat = (regime == r for r in (ZERO, LINEAR, SATURATED))
+    G = np.stack([A, -A], axis=-2)
+    g = np.stack([np.where(sat, a - m, a), m - a], axis=-1)
+    G[zero, 0], g[zero, 0] = G[zero, 1], -a[zero]
+    keep = np.stack([np.ones_like(lin), lin & np.isfinite(m)], axis=-1)
+    rows = a.shape[:-1] + (2 * a.shape[-1],)
+    return G.reshape(rows + A.shape[-1:]), g.reshape(rows), keep.reshape(rows)
+
+
+def _clip_piece(Wd, cd, m, tau, regime, kinks=()) -> AffinePiece:
     """Piece of the field y -> (-y + [Wd y + cd]_0^m) / tau in a clip regime.
 
-    Every node's drive Wd y + cd is a kink argument, bounded by its
-    regime: (-inf, 0], [0, m] or [m, inf).  tau is a scalar or one time
-    constant per node.  kinks adds rows (A, a, lo, hi) of further kink
-    arguments, for drives that are themselves piecewise affine.
+    Its rows hold every node's drive Wd y + cd in its regime.  tau is a
+    scalar or one time constant per node.  kinks adds rows (G, g) of
+    further conditions, for drives that are themselves piecewise affine.
     """
-    on, sat = regime == 1, regime == 2
+    on, sat = regime == LINEAR, regime == SATURATED
     tau = np.broadcast_to(tau, regime.shape)
-    L = (np.where(on[:, None], Wd, 0.0) - np.eye(regime.size)) / tau[:, None]
-    l = np.where(on, cd, np.where(sat, m, 0.0)) / tau
-    lo = np.where(regime == 0, -np.inf, np.where(on, 0.0, m))
-    hi = np.where(regime == 0, 0.0, np.where(on, m, np.inf))
-    A, a, lo, hi = (np.concatenate(col) for col in zip((Wd, cd, lo, hi), *kinks))
-    return AffineRegion(L, l, A, a, lo, hi)
+    F = (np.where(on[:, None], Wd, 0.0) - np.eye(regime.size)) / tau[:, None]
+    f = np.where(on, cd, np.where(sat, m, 0.0)) / tau
+    G, g, keep = _regime_rows(Wd, cd, regime, m)
+    G, g = (np.concatenate(col) for col in zip((G[keep], g[keep]), *kinks))
+    return AffinePiece(F, f, G, g)
 
 
 class _BlockStepper:
@@ -251,9 +288,9 @@ class _BlockStepper:
         self.maps = {}
 
     def _build(self, piece):
-        n = piece.l.size
+        n = piece.f.size
         eye = np.eye(n + 1)
-        Fk = np.column_stack([piece.L, piece.l])  # f(y) = Fk z
+        Fk = np.column_stack([piece.F, piece.f])  # f(y) = Fk z
 
         def stage(S, c):  # y + c f(S z)
             T = eye.copy()
@@ -268,17 +305,13 @@ class _BlockStepper:
         while len(P) <= BLOCK_STEPS:
             P = np.concatenate([P, P @ (P[-1] @ M)])
         powers = P[: BLOCK_STEPS + 1].reshape(-1, n + 1)
-        # each bound becomes a one-sided row g z <= tol: lo - arg or arg - hi
-        has_lo, has_hi = np.isfinite(piece.lo), np.isfinite(piece.hi)
-        Ka = np.column_stack([piece.A, piece.a])
-        G = np.vstack([-Ka[has_lo], Ka[has_hi]])
-        G[:, -1] += np.concatenate([piece.lo[has_lo], -piece.hi[has_hi]])
-        rows = np.concatenate([np.flatnonzero(has_lo), np.flatnonzero(has_hi)])
-        # slack: _KINK_SLACK times the terms' size, |a| + |A| max|y|
-        tol0 = _KINK_SLACK * (1.0 + np.abs(piece.a[rows]))
-        tol1 = _KINK_SLACK * np.abs(piece.A[rows]).sum(axis=1)
-        # g at the four stage states of the step from z: stages.T @ z
-        stages = np.vstack([G, G @ S2, G @ S3, G @ S4]).T
+        Gz = np.column_stack([piece.G, piece.g])
+        # slack: _KINK_SLACK times the terms' size, |g| + |G| max|y|
+        tol0 = _KINK_SLACK * (1.0 + np.abs(piece.g))
+        tol1 = _KINK_SLACK * np.abs(piece.G).sum(axis=1)
+        # rows at the four stage states of the step from z, negated: a row
+        # holds while (z @ stages) stays at most its slack
+        stages = -np.vstack([Gz, Gz @ S2, Gz @ S3, Gz @ S4]).T
         return powers, stages, tol0, tol1
 
     def advance(self, key, build, x, out):
@@ -319,10 +352,11 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None, piece=None):
     piece, the piecewise-affine hint, is for time-invariant f on a 1-D
     state: piece(x) returns (key, build) for the piece holding x, where
     key names the piece (equal keys, equal pieces) and build() returns
-    its AffineRegion; f(t, y) must equal L y + l on all of it.  With the
-    hint the core advances runs of one piece BLOCK_STEPS steps per stacked
-    product and takes the step that leaves a piece with the plain code
-    below; project must then accept a (steps, n) stack of states.
+    it as an AffinePiece; f(t, y) must equal F y + f wherever its rows
+    G y + g >= 0 (see _regime_rows) hold.  With the hint the core
+    advances runs of one piece BLOCK_STEPS steps per stacked product and
+    takes the step that leaves a piece with the plain code below;
+    project must then accept a (steps, n) stack of states.
     """
     x = np.array(x0, dtype=float)
     out = np.empty((n_steps + 1,) + x.shape)

@@ -43,7 +43,6 @@ import numpy as np
 from .network import rk4_integrate
 
 __all__ = [
-    "RateSeries",
     "InputSignal",
     "WeightEntry",
     "SysIdProblem",
@@ -210,27 +209,6 @@ def randomization_test(a, b, n_perm: int = 1999, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # problem definition
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RateSeries:
-    """Rates of one node under one condition, sampled at t0 + k*step."""
-
-    condition: str
-    layer: int
-    node: int
-    t0: float
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def times(self):
-        return self.t0 + self.step * np.arange(len(self.values))
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,10 @@ def test_trajectory_csv_errors(tmp_path):
     ragged.write_text("t,x1\n0,1\n0.1,1\n0.3,1\n")
     with pytest.raises(ValidationError, match="not uniform"):
         ltio.trajectory_from_csv(ragged)
+    missing_field = tmp_path / "d.csv"
+    missing_field.write_text("t,x1,x2\n0,1,2\n0.1,1\n")
+    with pytest.raises(ValidationError, match="line 3: expected 3 fields, got 2"):
+        ltio.trajectory_from_csv(missing_field)
 
 
 def test_rates_csv(tmp_path):
@@ -311,13 +315,15 @@ def _layer(index, **fields):
     (_layer(1, r=0.5), "r must be an integer, got 0.5"),
     (_layer(1, r=True), "r must be an integer, got True"),
     (_layer(0, n=1.7), "n must be an integer, got 1.7"),
+    (_layer(1, n=1.7), "layer 2: n must be an integer, got 1.7"),
     (_layer(0, n=True), "n must be an integer, got True"),
     (_layer(0, tau=10**400), "int too large to convert to float"),
     (_layer(2, r=1), "layer 3 has every node inhibited"),
     (_layer(1, r=2), "layer 2 has every node inhibited"),
 ], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling",
         "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
-        "fractional-r", "boolean-r", "fractional-n", "boolean-n", "tau-beyond-float",
+        "fractional-r", "boolean-r", "fractional-n", "fractional-n-in-layer-2", "boolean-n",
+        "tau-beyond-float",
         "bottom-layer-all-inhibited", "middle-layer-all-inhibited"])
 def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
     fixture = Path(ltio.__file__).parent / "fixtures" / "case_study_lc.json"

@@ -21,7 +21,7 @@ from ltnet import (
     sysid,
     tracking_error,
 )
-from ltnet.network import rk4_integrate
+from ltnet.network import LINEAR, ZERO, rk4_integrate
 
 from helpers import (
     joint_fixed_point,
@@ -357,8 +357,9 @@ def test_block_path_matches_plain_stepping(seed, n_layers):
         drive += X[:, h.slices()[2]] @ h.W_down[1][0]
     chatter = np.abs(drive) < 1e-14
     assert chatter.sum() > 100
-    regime = [piece(x)[1]().lo[h.slices()[1].start] for x in X[chatter]]
-    assert {-np.inf, 0.0} <= set(regime)
+    # a piece's key starts with the int8 drive regimes, one byte per node
+    regime = [piece(x)[0][h.slices()[1].start] for x in X[chatter]]
+    assert {ZERO, LINEAR} <= set(regime)
     # states rest on the floor, up to the chatter, and on a finite ceiling
     assert np.max(hinted[1].samples[:, 0]) < 1e-15
     assert np.any(hinted[1].samples[:, -1] == h.layers[1].m[-1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ltnet import LTNetwork, Trajectory, clip_box, rhs, simulate
-from ltnet.network import AffineRegion, rk4_integrate
+from ltnet.network import AffinePiece, rk4_integrate
 
 from helpers import clip01m, fixed_point, random_contractive, reference_rk4, rk4_calls
 
@@ -241,8 +241,7 @@ def test_block_path_cuts_at_a_single_stage_crossing(depth):
 def test_hinted_core_steps_plainly_where_project_acts():
     # dx/dt = -1 on one piece without kinks: the block path must not run
     # past the floor that project enforces
-    whole_line = AffineRegion(np.zeros((1, 1)), np.array([-1.0]), np.zeros((0, 1)),
-                              np.zeros(0), np.zeros(0), np.zeros(0))
+    whole_line = AffinePiece(np.zeros((1, 1)), np.array([-1.0]), np.zeros((0, 1)), np.zeros(0))
     run = (lambda t, x: np.full_like(x, -1.0), np.array([1.0]), 0.0, 0.03, 100,
            lambda x: np.maximum(x, 0.0))
     got = rk4_integrate(*run, piece=lambda x: (b"", lambda: whole_line))

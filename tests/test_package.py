@@ -1,7 +1,10 @@
 """The package namespace re-exports each module's public names; its
-import pulls in no SciPy at import."""
+import pulls in no SciPy at import; the shipped report schema names the
+CLI's schema version and subcommands."""
 
+import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import ltnet
-from ltnet import control, equilibria, hierarchy, io, network, stability, sysid
+from ltnet import cli, control, equilibria, hierarchy, io, network, stability, sysid
 
 
 def test_package_all_is_the_union_of_module_lists():
@@ -23,6 +26,14 @@ def test_package_all_is_the_union_of_module_lists():
             assert getattr(ltnet, name) is getattr(m, name), name
     assert ltnet.io is io and ltnet.sysid is sysid
     assert isinstance(ltnet.__version__, str)
+
+
+def test_report_schema_matches_the_cli():
+    schema = json.loads((Path(io.__file__).parent / "schemas" / "report.schema.json").read_text())
+    assert schema["$id"] == io.REPORT_SCHEMA
+    assert schema["properties"]["schema"]["const"] == io.REPORT_SCHEMA
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert schema["properties"]["command"]["enum"] == list(sub.choices)
 
 
 def test_import_loads_no_csgraph():
