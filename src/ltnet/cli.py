@@ -172,6 +172,15 @@ def _known_keys(path, where, entry, known):
         raise ValidationError(f"{path}: {where} has unknown key {unknown[0]!r}")
 
 
+def _input_signal(path, k, entry):
+    try:
+        return sysid.InputSignal(entry["name"], entry["kind"], entry.get("params", {}))
+    except KeyError as e:
+        raise ValidationError(f"{path}: inputs entry {k} is missing key {e}")
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: inputs entry {k}: {e}")
+
+
 def _load_problem(path, data_dir):
     obj = ltio._load_json(path)
     _known_keys(path, "problem", obj, _PROBLEM_KEYS + _PROBLEM_OPTIONAL)
@@ -190,10 +199,7 @@ def _load_problem(path, data_dir):
             )
             for j, e in enumerate(obj["structure"])
         ]
-        inputs = [
-            sysid.InputSignal(s["name"], s["kind"], s.get("params", {}))
-            for s in obj.get("inputs", [])
-        ]
+        inputs = [_input_signal(path, k, s) for k, s in enumerate(obj.get("inputs", []))]
         problem = sysid.SysIdProblem(
             layer_sizes=obj["layer_sizes"],
             structure=structure,

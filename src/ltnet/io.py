@@ -132,11 +132,24 @@ def _layer_from_dict(k, obj) -> LTNetwork:
         raise ValidationError(f"layer {k}: {e}") from None
 
 
+def _blocks(obj, name):
+    """obj[name] as a tuple of float arrays; a ragged or non-numeric block
+    is refused by name and index."""
+    out = []
+    for k, w in enumerate(obj[name]):
+        try:
+            out.append(np.array(w, dtype=float))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"hierarchy field malformed: {name}[{k}] must be a rectangular array of numbers"
+            ) from None
+    return tuple(out)
+
+
 def hierarchy_from_dict(obj) -> Hierarchy:
     try:
         layers = tuple(_layer_from_dict(k, la) for k, la in enumerate(obj["layers"], start=1))
-        W_down = tuple(np.array(w, dtype=float) for w in obj["W_down"])
-        W_up = tuple(np.array(w, dtype=float) for w in obj["W_up"])
+        W_down, W_up = _blocks(obj, "W_down"), _blocks(obj, "W_up")
     except KeyError as e:
         raise ValidationError(f"hierarchy is missing field {e.args[0]!r}")
     except (TypeError, ValueError) as e:

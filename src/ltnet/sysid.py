@@ -26,13 +26,21 @@ correlation gradient, a zero standard deviation a zero derivative,
 f_var = 0 a zero variance gradient, and a diverged candidate the penalty
 value with a zero gradient.  Because a constant reference series is matched by
 f_corr only by an exactly constant estimate, each start ends with one
-Newton step that tries to make such estimates exactly constant.  SciPy is
-imported by fit (minimize) and by 'pulse' inputs (ndtr), not by this module.
+Newton step that tries to make such estimates exactly constant.  The
+starts run in lock-step windows of 8, one thread per start's L-BFGS-B:
+the calling thread evaluates every candidate they post in one batched
+forward pass and takes the gradients row by row, so each start sees, bit
+for bit, the values it would see alone, and fit returns what one start
+after another would.  SciPy is imported by fit (minimize) and by 'pulse'
+inputs (ndtr), not by this module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,6 +74,7 @@ __all__ = [
 _DIVERGENCE_LIMIT = 1e9
 _PENALTY = 1e12
 _FLAT = 1e-12  # a series whose centred 2-norm is below this is constant
+_LOCKSTEP = 8  # fit's starts minimized together, one forward pass per round
 
 
 class NonPositiveCorrelations(Exception):
@@ -211,6 +220,10 @@ def randomization_test(a, b, n_perm: int = 1999, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _finite_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class InputSignal:
     """One known exogenous signal.
@@ -220,12 +233,38 @@ class InputSignal:
       'time_cell'  |t0| - t on [t0, 0), 0 afterwards (params['t0'])
       'pulse'      square pulse on params['window'] convolved with a
                    Gaussian of params['sigma'] (difference of CDFs)
-      'const'      params['value']
+      'const'      params['value'] (default 1)
+
+    Construction refuses an unknown kind and missing or malformed params
+    with ValueError.
     """
 
     name: str
     kind: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        p = self.params
+        if not isinstance(p, dict):
+            raise ValueError(f"params must be an object, got {p!r}")
+        if self.kind == "rule":
+            if not isinstance(p.get("on"), (list, tuple)):
+                raise ValueError(f"rule 'on' must be a list of conditions, got {p.get('on')!r}")
+        elif self.kind == "time_cell":
+            if not _finite_number(p.get("t0")):
+                raise ValueError(f"time_cell t0 must be a finite number, got {p.get('t0')!r}")
+        elif self.kind == "pulse":
+            window, sigma = p.get("window"), p.get("sigma", 1.0)
+            if not (isinstance(window, (list, tuple)) and len(window) == 2
+                    and all(map(_finite_number, window))):
+                raise ValueError(f"pulse window must be two finite numbers, got {window!r}")
+            if not (_finite_number(sigma) and sigma > 0):
+                raise ValueError(f"pulse sigma must be finite and > 0, got {sigma!r}")
+        elif self.kind == "const":
+            if not _finite_number(p.get("value", 1.0)):
+                raise ValueError(f"const value must be a finite number, got {p.get('value')!r}")
+        else:
+            raise ValueError(f"unknown signal kind {self.kind!r}")
 
     def values(self, condition: str, times) -> np.ndarray:
         t = np.asarray(times, dtype=float)
@@ -241,9 +280,7 @@ class InputSignal:
             a, b = self.params["window"]
             s = float(self.params.get("sigma", 1.0))
             return ndtr((t - a) / s) - ndtr((t - b) / s)
-        if self.kind == "const":
-            return np.full_like(t, float(self.params.get("value", 1.0)))
-        raise ValueError(f"unknown signal kind {self.kind!r}")
+        return np.full_like(t, float(self.params.get("value", 1.0)))  # const
 
 
 @dataclass(frozen=True)
@@ -457,10 +494,11 @@ class SysIdProblem:
         Returns (states (P, C, K, n), diverged (P,) bool).  A candidate
         has diverged when any state of any of its conditions is
         non-finite or above _DIVERGENCE_LIMIT at any RK4 step; its states
-        are returned as zeros.  A list passed as _tape receives, per
-        step, the state, slope and ReLU argument of each of the four
-        stages and then the pre-clip update, for the adjoint of
-        _value_and_grad.
+        are returned as zeros.  An _empty_tape(self, P) buffer passed as
+        _tape is filled, per candidate and step, with 13 (C, n) rows: the
+        state, slope and ReLU argument of each of the four stages, then
+        the pre-clip update.  Row p of it is the tape _adjoint reads for
+        candidate p, the same as that of a batch of one.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         P = Z.shape[0]
@@ -474,17 +512,24 @@ class SysIdProblem:
         Wb = np.repeat(W, C, axis=0)
         taub = np.repeat(tau, C, axis=0)
         inv_half = 2.0 / dt  # stage times are multiples of dt / 2 from t0 = 0
+        row = 0  # the next row of _tape
+
+        def record(*arrays):
+            nonlocal row
+            for v in arrays:
+                _tape[:, row] = v.reshape(P, C, n)
+                row += 1
 
         def f(t, X):
             a = np.einsum("bij,bj->bi", Wb, X) + drive[:, round(t * inv_half)]
             k = (-X + np.maximum(a, 0.0)) / taub
             if _tape is not None:
-                _tape.extend((X, k, a))
+                record(X, k, a)
             return k
 
         def project(Y):
             if _tape is not None:
-                _tape.append(Y)
+                record(Y)
             return np.maximum(Y, 0.0)
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -553,7 +598,7 @@ def objective(z, problem: SysIdProblem):
 
 
 def _objective_batch(Z, problem: SysIdProblem, _tape=None):
-    """objective_terms of every row of Z, passing a _tape list on to
+    """objective_terms of every row of Z, passing a _tape buffer on to
     simulate_candidates.
 
     Returns (f (P,), (f_sse, f_corr, f_var) each (P,), est, diverged (P,)),
@@ -569,7 +614,10 @@ def _objective_batch(Z, problem: SysIdProblem, _tape=None):
     # is summed in sample order, as in _objective_state_grad (a C-order
     # copy sums pairwise, which moves the last bits of f)
     ref = np.moveaxis(problem._ref, 2, 0).reshape(K, -1).T
-    parts = objective_terms(est.reshape(P, -1, K), ref)
+    # C-order estimate rows, whatever P: the layout a batch of one has, so
+    # each row is reduced in the same order as alone (with one condition or
+    # one manifest node the reshape is a view, strided by P)
+    parts = objective_terms(np.ascontiguousarray(est.reshape(P, -1, K)), ref)
     f_sse, f_corr, f_var = parts
     f = f_sse + problem.gamma1 * f_corr + problem.gamma2 * f_var
     f = np.where(diverged | ~np.isfinite(f), _PENALTY, f)
@@ -605,27 +653,41 @@ def _objective_state_grad(est, ref, problem: SysIdProblem):
     return grad
 
 
-def _value_and_grad(z, problem: SysIdProblem):
-    """Objective f and its exact gradient for one parameter vector.
+def _empty_tape(problem: SysIdProblem, P):
+    """An unfilled simulate_candidates tape for P candidates."""
+    _, n_steps, _ = problem._stage_signals
+    return np.empty((P, 13 * n_steps, len(problem.conditions), problem.n))
 
-    f is _objective_batch's value; the gradient is _adjoint's.  A
-    penalized candidate (diverged or non-finite f) gets a zero gradient.
+
+def _values_and_grads(Z, problem: SysIdProblem):
+    """Objective values and exact gradients of the rows of Z (P, dim).
+
+    One batched forward pass tapes every row; each row's gradient is then
+    _adjoint's on its own tape, so row p gets the (f, g) of a batch of one,
+    bit for bit.  A penalized row (diverged or non-finite f) gets a zero
+    gradient.  Returns (F (P,), G (P, dim)).
     """
-    tape = []
-    f, _, est, _ = _objective_batch(z[None, :], problem, _tape=tape)
-    f = float(f[0])
-    if f == _PENALTY:
-        return f, np.zeros(problem.dim)
-    grad_est = _objective_state_grad(est[0], problem._ref, problem)
-    return f, _adjoint(z, problem, tape, grad_est)
+    tape = _empty_tape(problem, Z.shape[0])
+    F, _, est, _ = _objective_batch(Z, problem, _tape=tape)
+    G = np.zeros(Z.shape)
+    for p in np.flatnonzero(F != _PENALTY):
+        grad_est = _objective_state_grad(est[p], problem._ref, problem)
+        G[p] = _adjoint(Z[p], problem, tape[p], grad_est)
+    return F, G
+
+
+def _value_and_grad(z, problem: SysIdProblem):
+    """_values_and_grads of one parameter vector: (f, g)."""
+    F, G = _values_and_grads(z[None, :], problem)
+    return float(F[0]), G[0]
 
 
 def _adjoint(z, problem: SysIdProblem, tape, grad_est):
     """Gradient in z of a function of the sampled manifest states.
 
     grad_est (C, nm, K) is the function's derivative with respect to the
-    states of simulate_candidates(z[None, :], _tape=tape).  This is the
-    discrete adjoint of that fixed-step RK4: one reverse sweep through
+    states of z, and tape z's row of a simulate_candidates tape.  This is
+    the discrete adjoint of that fixed-step RK4: one reverse sweep through
     the stages, the ReLU and the post-step clip (derivative 1 where the
     argument is > 0).
     """
@@ -639,7 +701,7 @@ def _adjoint(z, problem: SysIdProblem, tape, grad_est):
     b = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)  # weights of k1..k4 in the update
     c = (0.5 * dt, 0.5 * dt, dt)  # stage s + 1 starts at X + c[s] * k_s
     # per step: (state, slope, ReLU argument) of stages 1-4, then the pre-clip update
-    taped = np.array(tape).reshape(n_steps, 13, C, n)
+    taped = np.asarray(tape).reshape(n_steps, 13, C, n)
     XS = taped[:, 0:12:3]  # stage states (steps, 4, C, n)
     KS = taped[:, 1:12:3]  # stage slopes
     relu = taped[:, 2:12:3] > 0.0  # ReLU derivatives
@@ -707,7 +769,7 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     ref_flat = np.linalg.norm(ref - ref.mean(axis=-1, keepdims=True), axis=-1) < _FLAT
     if not ref_flat.any():
         return z, f
-    tape = []
+    tape = _empty_tape(problem, 1)
     est = _objective_batch(z[None, :], problem, _tape=tape)[2][0]
     est_c = est - est.mean(axis=-1, keepdims=True)
     se = np.linalg.norm(est_c, axis=-1)
@@ -718,7 +780,7 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     for row, (cond, node) in enumerate(pairs):
         d_se = np.zeros_like(est)
         d_se[cond, node] = est_c[cond, node] / se[cond, node]
-        J[row] = _adjoint(z, problem, tape, d_se)
+        J[row] = _adjoint(z, problem, tape[0], d_se)
     dz = np.linalg.lstsq(J, -se[tuple(pairs.T)], rcond=None)[0]
     z_new = np.clip(z + dz, lo, hi)
     f_new = float(_objective_batch(z_new[None, :], problem)[0][0])
@@ -779,37 +841,32 @@ def fit(
     """Multi-start bounded quasi-Newton fit of the problem's parameters.
 
     Starts are drawn uniformly inside the bounds from the seeded
-    generator, minimized independently with L-BFGS-B on the exact
-    gradient (_value_and_grad), finished by _flatten_constant_pairs, and
-    the best final objective wins; the search stops early once target_r2
-    (when given) is reached.  Deterministic for fixed (problem, n_starts,
-    seed).
+    generator and minimized with L-BFGS-B on the exact gradient
+    (_values_and_grads), in lock-step windows of up to _LOCKSTEP starts
+    that share one batched forward pass per round, run in the calling
+    thread (_minimize_window).
+    Each start is then finished by _flatten_constant_pairs and the best
+    final objective wins; taken in start order, the search stops early
+    once target_r2 (when given) is reached, and later starts are dropped.
+    Every start sees the values it would see alone, so the result is that
+    of one start after another.  Deterministic for fixed (problem,
+    n_starts, seed).
     """
-    from scipy.optimize import minimize
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
     best = None
     records = []
-    for s in range(n_starts):
-        z0 = rng.uniform(lo, hi)
-        res = minimize(
-            _value_and_grad,
-            z0,
-            args=(problem,),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-10},
-        )
-        z_s, f_s = _flatten_constant_pairs(res.x, float(res.fun), problem, lo, hi)
-        records.append((s, f_s, "ok" if res.success else str(res.message)))
-        usable = np.isfinite(f_s) and f_s < 0.5 * _PENALTY
-        if usable and (best is None or f_s < best[1]):
-            best = (s, f_s, z_s)
-            if target_r2 is not None:
-                est = predict(z_s, problem)
-                if r_squared(problem.data, est) >= target_r2:
-                    break
+    with contextlib.closing(_lockstep_starts(problem, n_starts, rng, lo, hi, maxiter)) as starts:
+        for s, res in starts:
+            z_s, f_s = _flatten_constant_pairs(res.x, float(res.fun), problem, lo, hi)
+            records.append((s, f_s, "ok" if res.success else str(res.message)))
+            usable = np.isfinite(f_s) and f_s < 0.5 * _PENALTY
+            if usable and (best is None or f_s < best[1]):
+                best = (s, f_s, z_s)
+                if target_r2 is not None:
+                    est = predict(z_s, problem)
+                    if r_squared(problem.data, est) >= target_r2:
+                        break
     if best is None:
         raise AllStartsFailed("no start produced a finite objective")
     s_best, f_best, z_best = best
@@ -827,6 +884,100 @@ def fit(
         starts=tuple(records),
         seed=seed,
     )
+
+
+def _lockstep_starts(problem, n_starts, rng, lo, hi, maxiter):
+    """(start index, OptimizeResult) of every start in order, minimized
+    window by window; a window starts only once the caller asks past the
+    window before it."""
+    for first in range(0, n_starts, _LOCKSTEP):
+        Z0 = [rng.uniform(lo, hi) for _ in range(min(_LOCKSTEP, n_starts - first))]
+        yield from enumerate(_minimize_window(Z0, problem, lo, hi, maxiter), start=first)
+
+
+class _Abandoned(Exception):
+    """Raised in a start's objective when its window is torn down."""
+
+
+def _minimize_window(Z0, problem: SysIdProblem, lo, hi, maxiter):
+    """L-BFGS-B from every start of Z0 at once, yielding their results in
+    start order.
+
+    Each start runs minimize in a thread of its own, whose objective posts
+    z and waits.  The calling thread, once every running start has posted,
+    evaluates all posted z with one _values_and_grads call and hands each
+    start its row, round after round.  Between rounds it yields the result
+    of each start that has returned, once every earlier start has been
+    yielded; an exception raised in a start is re-raised in its place.
+    When the generator ends or is closed, waiting starts are released
+    (their objective raises _Abandoned) and every thread is joined.
+    """
+    from scipy.optimize import minimize
+
+    cond = threading.Condition()
+    posted = {}  # start -> z awaiting its (f, g)
+    answers = {}  # start -> (f, g) not yet taken
+    results = [None] * len(Z0)  # OptimizeResult, or the exception raised
+    live = len(Z0)  # starts whose minimize has not returned
+    torn_down = False
+
+    def value_and_grad(z, s):
+        with cond:
+            posted[s] = z
+            cond.notify_all()
+            while s not in answers:
+                if torn_down:
+                    raise _Abandoned
+                cond.wait()
+            return answers.pop(s)
+
+    def run(s):
+        nonlocal live
+        try:
+            results[s] = minimize(
+                value_and_grad,
+                Z0[s],
+                args=(s,),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=list(zip(lo, hi)),
+                options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-10},
+            )
+        except BaseException as e:  # handed to the calling thread
+            results[s] = e
+        finally:
+            with cond:
+                live -= 1
+                cond.notify_all()
+
+    threads = []
+    try:
+        for s in range(len(Z0)):
+            threads.append(threading.Thread(target=run, args=(s,), daemon=True))
+            threads[-1].start()
+        given = 0  # starts yielded so far
+        while given < len(Z0):
+            with cond:
+                while len(posted) < live:
+                    cond.wait()
+                starts = sorted(posted)
+                Z = [posted.pop(s) for s in starts]
+            if starts:
+                F, G = _values_and_grads(np.stack(Z), problem)
+                with cond:
+                    answers.update((s, (float(F[p]), G[p])) for p, s in enumerate(starts))
+                    cond.notify_all()
+            while given < len(Z0) and results[given] is not None:
+                if isinstance(results[given], BaseException):
+                    raise results[given]
+                yield results[given]
+                given += 1
+    finally:
+        with cond:
+            torn_down = True
+            cond.notify_all()
+        for t in threads:
+            t.join()
 
 
 def predict(z, problem: SysIdProblem):

@@ -260,3 +260,42 @@ def random_controlled_hierarchy(rng, n_layers):
         for i, la in enumerate(h.layers) if i > 0
     ]
     return h, laws
+
+
+def sequential_fit(problem, n_starts=32, seed=0, maxiter=300, target_r2=None):
+    """Multi-start fit one start after another, each on _value_and_grad alone:
+    the loop sysid.fit ran before its starts moved in lock-step.  Returns
+    (z, f, starts, best_start, n_starts); fit must match it exactly."""
+    from scipy.optimize import minimize
+
+    from ltnet.sysid import (_PENALTY, AllStartsFailed, _flatten_constant_pairs,
+                             _value_and_grad, objective, predict, r_squared)
+
+    lo, hi = problem.bounds()
+    rng = np.random.default_rng(seed)
+    best = None
+    records = []
+    for s in range(n_starts):
+        z0 = rng.uniform(lo, hi)
+        res = minimize(
+            _value_and_grad,
+            z0,
+            args=(problem,),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lo, hi)),
+            options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-10},
+        )
+        z_s, f_s = _flatten_constant_pairs(res.x, float(res.fun), problem, lo, hi)
+        records.append((s, f_s, "ok" if res.success else str(res.message)))
+        usable = np.isfinite(f_s) and f_s < 0.5 * _PENALTY
+        if usable and (best is None or f_s < best[1]):
+            best = (s, f_s, z_s)
+            if target_r2 is not None:
+                est = predict(z_s, problem)
+                if r_squared(problem.data, est) >= target_r2:
+                    break
+    if best is None:
+        raise AllStartsFailed("no start produced a finite objective")
+    s_best, _, z_best = best
+    return z_best, objective(z_best, problem)[0], tuple(records), s_best, len(records)

@@ -320,11 +320,16 @@ def _layer(index, **fields):
     (_layer(0, tau=10**400), "int too large to convert to float"),
     (_layer(2, r=1), "layer 3 has every node inhibited"),
     (_layer(1, r=2), "layer 2 has every node inhibited"),
+    (lambda blob: blob["W_down"].__setitem__(1, [[0.04], [0.58, 0.0]]),
+     "W_down[1] must be a rectangular array of numbers"),
+    (lambda blob: blob["W_up"].__setitem__(0, [[0.2], ["x"]]),
+     "W_up[0] must be a rectangular array of numbers"),
 ], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling",
         "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
         "fractional-r", "boolean-r", "fractional-n", "fractional-n-in-layer-2", "boolean-n",
         "tau-beyond-float",
-        "bottom-layer-all-inhibited", "middle-layer-all-inhibited"])
+        "bottom-layer-all-inhibited", "middle-layer-all-inhibited",
+        "ragged-W_down", "non-numeric-W_up"])
 def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
     fixture = Path(ltio.__file__).parent / "fixtures" / "case_study_lc.json"
     blob = json.loads(fixture.read_text())
@@ -756,6 +761,42 @@ def test_cli_problem_rejects_unknown_keys(tmp_path, capsys, edit, match):
     assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir),
                  "--seed", "0"]) == 2
     assert match in capsys.readouterr().err
+
+
+def _drive(**params):
+    """Replace the params of the scalar problem's pulse input."""
+    return lambda obj: obj["inputs"][0].update(params=params)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda obj: obj["inputs"][0].update(kind="sawtooth"),
+     "inputs entry 0: unknown signal kind 'sawtooth'"),
+    (lambda obj: obj["inputs"][0].pop("kind"), "inputs entry 0 is missing key 'kind'"),
+    (_drive(sigma=1.0), "inputs entry 0: pulse window must be two finite numbers, got None"),
+    (_drive(window=[0.0], sigma=1.0), "pulse window must be two finite numbers, got [0.0]"),
+    (_drive(window=[0.0, "2"], sigma=1.0), "pulse window must be two finite numbers"),
+    (_drive(window=[0.0, float("inf")], sigma=1.0), "pulse window must be two finite numbers"),
+    (_drive(window=[0.0, 2.0], sigma=0), "inputs entry 0: pulse sigma must be finite and > 0, got 0"),
+    (_drive(window=[0.0, 2.0], sigma=float("nan")), "pulse sigma must be finite and > 0"),
+    (lambda obj: obj["inputs"][0].update(kind="time_cell", params={"t0": "late"}),
+     "inputs entry 0: time_cell t0 must be a finite number, got 'late'"),
+    (lambda obj: obj["inputs"][0].update(kind="const", params={"value": [1.0]}),
+     "inputs entry 0: const value must be a finite number, got [1.0]"),
+    (lambda obj: obj["inputs"][0].update(kind="rule", params={}),
+     "inputs entry 0: rule 'on' must be a list of conditions, got None"),
+    (lambda obj: obj["inputs"][0].update(params=None), "inputs entry 0: params must be an object"),
+], ids=["unknown-kind", "missing-kind", "pulse-without-window", "short-window",
+        "string-in-window", "infinite-window", "zero-sigma", "nan-sigma",
+        "non-numeric-t0", "non-numeric-value", "rule-without-on", "null-params"])
+def test_cli_problem_rejects_malformed_inputs(tmp_path, capsys, edit, match):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    obj = json.loads(problem_path.read_text())
+    edit(obj)
+    problem_path.write_text(json.dumps(obj))
+    assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir),
+                 "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert match in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [("row", 1.7), ("row", True), ("col", 0.5),

@@ -1,8 +1,13 @@
 """Rate preprocessing, timescales, permutation tests, structured fitting."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from helpers import sequential_fit
 from scipy.special import ndtr
+from test_acceptance import true_two_channel_parameters
 
 from ltnet import sysid
 from ltnet.sysid import (
@@ -165,7 +170,14 @@ def test_input_signal_values():
     np.testing.assert_array_equal(const.values("A", t), np.full(3, 2.5))
 
     with pytest.raises(ValueError, match="kind"):
-        InputSignal("bad", "sawtooth").values("A", t)
+        InputSignal("bad", "sawtooth")
+    # malformed params are refused when the signal is made, not when a fit runs
+    with pytest.raises(ValueError, match="window"):
+        InputSignal("stim", "pulse", {"sigma": 1.0})
+    with pytest.raises(ValueError, match="sigma"):
+        InputSignal("stim", "pulse", {"window": (0.0, 1.5), "sigma": 0.0})
+    with pytest.raises(ValueError, match="t0"):
+        InputSignal("elapsed", "time_cell", {})
 
 
 def test_weight_entry_intervals():
@@ -571,3 +583,160 @@ def test_flatten_constant_pairs_lands_on_the_flat_estimate():
     f = objective(z, problem)[0]
     z_same, f_same = sysid._flatten_constant_pairs(z, f, problem, lo, hi)
     assert z_same is z and f_same == f
+
+
+# -- lock-step starts ------------------------------------------------------------
+
+
+def two_channel_problem(noise_seed):
+    """The benchmark's fit problem: test_08's ground truth, its rates with
+    Gaussian noise of 2% of each series' sd, clipped at zero."""
+    layer_sizes, structure, inputs, manifest = two_channel_hierarchy_structure()
+    problem = SysIdProblem(layer_sizes, structure, inputs, ("A", "B"), manifest,
+                           x0_max=2.0)
+    rng = np.random.default_rng(noise_seed)
+    clean = predict(true_two_channel_parameters(), problem)
+    problem.attach_data({
+        c: np.maximum(v + rng.normal(scale=0.02 * v.std(axis=0), size=v.shape), 0.0)
+        for c, v in clean.items()})
+    return problem
+
+
+def assert_rows_match_batches_of_one(problem, Z):
+    F, G = sysid._values_and_grads(Z, problem)
+    assert F.shape == (len(Z),) and G.shape == Z.shape
+    for z, f, g in zip(Z, F, G):
+        f1, g1 = sysid._value_and_grad(z, problem)
+        assert f == f1
+        assert np.array_equal(g, g1)
+    return F, G
+
+
+@pytest.mark.parametrize("P", [1, 3, 8])
+def test_values_and_grads_rows_equal_batches_of_one(P):
+    problem = two_channel_problem(60)
+    assert_rows_match_batches_of_one(problem, interior_points(problem, 61, P))
+
+
+def test_values_and_grads_diverged_row_leaves_its_neighbours_alone():
+    problem = SysIdProblem(
+        (1,), [WeightEntry("W11", 0, 0, "free", 3.0)], [],
+        ("base",), (0,), t0=0.0, tf=5.0, T=0.1,
+        data={"base": np.linspace(0.0, 1.0, 51)[:, None]},
+    )
+    Z = np.array([[0.2, 1.0, 0.5, 0.1], [3.0, 0.3, 2.0, 1.0], [-0.5, 2.0, 1.0, 0.8]])
+    F, G = assert_rows_match_batches_of_one(problem, Z)
+    assert F[1] == sysid._PENALTY and F[0] != sysid._PENALTY != F[2]
+    np.testing.assert_array_equal(G[1], np.zeros(4))
+    assert np.any(G[0] != 0.0) and np.any(G[2] != 0.0)
+
+
+def test_values_and_grads_scalar_problem():
+    problem = scalar_problem()
+    problem.attach_data(noisy_data(problem, np.array([0.5, 2.0, 1.0, 0.3, 0.2]), 62))
+    assert_rows_match_batches_of_one(problem, interior_points(problem, 63, 5))
+
+
+def assert_fit_matches_sequential_starts(problem, switch_interval=None, **kwargs):
+    """fit against helpers.sequential_fit; with switch_interval, fit runs
+    with the interpreter switching threads that often (seconds)."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(switch_interval or saved)
+    try:
+        report = fit(problem, **kwargs)
+    finally:
+        sys.setswitchinterval(saved)
+    z, f, starts, best_start, n_starts = sequential_fit(problem, **kwargs)
+    assert report.z.tobytes() == z.tobytes()
+    assert report.f == f and report.starts == starts
+    assert (report.best_start, report.n_starts) == (best_start, n_starts)
+    return report
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_sequential_starts_two_channel(seed):
+    # the benchmark's budget: two starts of four iterations each
+    problem = two_channel_problem(seed)
+    assert_fit_matches_sequential_starts(problem, n_starts=2, seed=seed, maxiter=4)
+
+
+def test_fit_matches_sequential_starts_across_windows_and_early_stop():
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    # more starts than one window, every one of them run, with more
+    # threads than cores and frequent thread switches
+    report = assert_fit_matches_sequential_starts(problem, switch_interval=1e-5,
+                                                  n_starts=9, seed=4, maxiter=8)
+    assert report.n_starts == 9 > sysid._LOCKSTEP
+    # target_r2 stops at the first start that reaches it, here start 0: the
+    # rest of its window is torn down and dropped
+    report = assert_fit_matches_sequential_starts(problem, n_starts=12, seed=4,
+                                                  maxiter=40, target_r2=0.99)
+    assert report.n_starts == 1
+
+
+def test_fit_matches_sequential_starts_constant_data():
+    problem = SysIdProblem(
+        (2,), [], [], ("flat",), (0, 1), t0=0.0, tf=3.0, T=0.1,
+        c_bounds=(0.0, 5.0),
+        data={"flat": np.tile([1.2, 0.7], (31, 1))},
+    )
+    assert_fit_matches_sequential_starts(problem, n_starts=10, seed=0, maxiter=40)
+
+
+def fit_in_a_thread(problem, **kwargs):
+    """Run fit in a helper thread joined with a timeout, so that a deadlock
+    fails the test instead of hanging the suite; returns what fit raised."""
+    caught = []
+
+    def call_fit():
+        try:
+            fit(problem, **kwargs)
+        except Exception as e:
+            caught.append(e)
+
+    helper = threading.Thread(target=call_fit, daemon=True)
+    helper.start()
+    helper.join(timeout=60.0)
+    assert not helper.is_alive(), "fit deadlocked"
+    return caught
+
+
+def test_fit_failing_evaluation_neither_hangs_nor_leaks_threads(monkeypatch):
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    evaluate = sysid._values_and_grads
+    calls = []
+
+    def failing(Z, problem):
+        calls.append(len(Z))
+        if len(calls) == 3:
+            raise RuntimeError("evaluation failed")
+        return evaluate(Z, problem)
+
+    monkeypatch.setattr(sysid, "_values_and_grads", failing)
+    before = threading.active_count()
+    caught = fit_in_a_thread(problem, n_starts=5, seed=0, maxiter=50)
+    assert [str(e) for e in caught] == ["evaluation failed"]
+    assert calls == [5, 5, 5]  # every start waits on one batched evaluation
+    assert threading.active_count() == before
+
+
+def test_fit_reraises_a_failing_start(monkeypatch):
+    import scipy.optimize
+
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    minimize = scipy.optimize.minimize
+
+    def start_1_fails(fun, x0, args, **kwargs):
+        if args == (1,):  # the start index the window passes its objective
+            fun(x0, *args)
+            raise FloatingPointError("start 1 failed")
+        return minimize(fun, x0, args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", start_1_fails)
+    before = threading.active_count()
+    caught = fit_in_a_thread(problem, n_starts=3, seed=0, maxiter=5)
+    assert [str(e) for e in caught] == ["start 1 failed"]
+    assert threading.active_count() == before
