@@ -27,11 +27,12 @@ f_var = 0 a zero variance gradient, and a diverged candidate the penalty
 value with a zero gradient.  Because a constant reference series is matched by
 f_corr only by an exactly constant estimate, each start ends with one
 Newton step that tries to make such estimates exactly constant.  The
-starts run in lock-step windows of 8, one thread per start's L-BFGS-B:
-the calling thread evaluates every candidate they post in one batched
-forward pass and takes the gradients row by row, so each start sees, bit
-for bit, the values it would see alone, and fit returns what one start
-after another would.  SciPy is imported by fit (minimize) and by 'pulse'
+starts run in lock-step windows of 8 (growing 1, 2, 4, 8 under an
+R-squared early stop), one thread per start's L-BFGS-B: the calling
+thread evaluates every candidate they post in one batched forward pass
+and takes the gradients row by row, so each start sees, bit for bit,
+the values it would see alone, and fit returns what one start after
+another would.  SciPy is imported by fit (minimize) and by 'pulse'
 inputs (ndtr), not by this module.
 """
 
@@ -42,6 +43,7 @@ import math
 import numbers
 import threading
 import warnings
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -224,6 +226,14 @@ def _finite_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _pair_of_numbers(v):
+    """True for any two-element sequence (list, tuple, array) of finite numbers."""
+    try:
+        return np.shape(v) == (2,) and all(map(_finite_number, v))
+    except ValueError:  # a ragged nesting
+        return False
+
+
 @dataclass(frozen=True)
 class InputSignal:
     """One known exogenous signal.
@@ -248,15 +258,15 @@ class InputSignal:
         if not isinstance(p, dict):
             raise ValueError(f"params must be an object, got {p!r}")
         if self.kind == "rule":
-            if not isinstance(p.get("on"), (list, tuple)):
-                raise ValueError(f"rule 'on' must be a list of conditions, got {p.get('on')!r}")
+            on = p.get("on")
+            if not isinstance(on, Collection) or isinstance(on, (str, bytes)):
+                raise ValueError(f"rule 'on' must be a collection of conditions, got {on!r}")
         elif self.kind == "time_cell":
             if not _finite_number(p.get("t0")):
                 raise ValueError(f"time_cell t0 must be a finite number, got {p.get('t0')!r}")
         elif self.kind == "pulse":
             window, sigma = p.get("window"), p.get("sigma", 1.0)
-            if not (isinstance(window, (list, tuple)) and len(window) == 2
-                    and all(map(_finite_number, window))):
+            if not _pair_of_numbers(window):
                 raise ValueError(f"pulse window must be two finite numbers, got {window!r}")
             if not (_finite_number(sigma) and sigma > 0):
                 raise ValueError(f"pulse sigma must be finite and > 0, got {sigma!r}")
@@ -495,10 +505,10 @@ class SysIdProblem:
         has diverged when any state of any of its conditions is
         non-finite or above _DIVERGENCE_LIMIT at any RK4 step; its states
         are returned as zeros.  An _empty_tape(self, P) buffer passed as
-        _tape is filled, per candidate and step, with 13 (C, n) rows: the
-        state, slope and ReLU argument of each of the four stages, then
-        the pre-clip update.  Row p of it is the tape _adjoint reads for
-        candidate p, the same as that of a batch of one.
+        _tape is filled, per step, with 13 (P C, n) rows: the state, slope
+        and ReLU argument of each of the four stages, then the pre-clip
+        update.  Its columns p C to (p + 1) C are the tape _adjoint reads
+        for candidate p, the values of a batch of one.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         P = Z.shape[0]
@@ -514,22 +524,20 @@ class SysIdProblem:
         inv_half = 2.0 / dt  # stage times are multiples of dt / 2 from t0 = 0
         row = 0  # the next row of _tape
 
-        def record(*arrays):
-            nonlocal row
-            for v in arrays:
-                _tape[:, row] = v.reshape(P, C, n)
-                row += 1
-
         def f(t, X):
+            nonlocal row
             a = np.einsum("bij,bj->bi", Wb, X) + drive[:, round(t * inv_half)]
             k = (-X + np.maximum(a, 0.0)) / taub
             if _tape is not None:
-                record(X, k, a)
+                _tape[row], _tape[row + 1], _tape[row + 2] = X, k, a
+                row += 3
             return k
 
         def project(Y):
+            nonlocal row
             if _tape is not None:
-                record(Y)
+                _tape[row] = Y
+                row += 1
             return np.maximum(Y, 0.0)
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -656,7 +664,7 @@ def _objective_state_grad(est, ref, problem: SysIdProblem):
 def _empty_tape(problem: SysIdProblem, P):
     """An unfilled simulate_candidates tape for P candidates."""
     _, n_steps, _ = problem._stage_signals
-    return np.empty((P, 13 * n_steps, len(problem.conditions), problem.n))
+    return np.empty((13 * n_steps, P * len(problem.conditions), problem.n))
 
 
 def _values_and_grads(Z, problem: SysIdProblem):
@@ -670,9 +678,10 @@ def _values_and_grads(Z, problem: SysIdProblem):
     tape = _empty_tape(problem, Z.shape[0])
     F, _, est, _ = _objective_batch(Z, problem, _tape=tape)
     G = np.zeros(Z.shape)
+    C = len(problem.conditions)
     for p in np.flatnonzero(F != _PENALTY):
         grad_est = _objective_state_grad(est[p], problem._ref, problem)
-        G[p] = _adjoint(Z[p], problem, tape[p], grad_est)
+        G[p] = _adjoint(Z[p], problem, tape[:, p * C : (p + 1) * C], grad_est)
     return F, G
 
 
@@ -686,7 +695,7 @@ def _adjoint(z, problem: SysIdProblem, tape, grad_est):
     """Gradient in z of a function of the sampled manifest states.
 
     grad_est (C, nm, K) is the function's derivative with respect to the
-    states of z, and tape z's row of a simulate_candidates tape.  This is
+    states of z, and tape z's columns of a simulate_candidates tape.  This is
     the discrete adjoint of that fixed-step RK4: one reverse sweep through
     the stages, the ReLU and the post-step clip (derivative 1 where the
     argument is > 0).
@@ -701,7 +710,9 @@ def _adjoint(z, problem: SysIdProblem, tape, grad_est):
     b = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)  # weights of k1..k4 in the update
     c = (0.5 * dt, 0.5 * dt, dt)  # stage s + 1 starts at X + c[s] * k_s
     # per step: (state, slope, ReLU argument) of stages 1-4, then the pre-clip update
-    taped = np.asarray(tape).reshape(n_steps, 13, C, n)
+    # a batch's columns are copied to the layout of a batch of one, so the
+    # reductions below sum in the same order whatever the batch
+    taped = np.ascontiguousarray(tape).reshape(n_steps, 13, C, n)
     XS = taped[:, 0:12:3]  # stage states (steps, 4, C, n)
     KS = taped[:, 1:12:3]  # stage slopes
     relu = taped[:, 2:12:3] > 0.0  # ReLU derivatives
@@ -780,7 +791,7 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     for row, (cond, node) in enumerate(pairs):
         d_se = np.zeros_like(est)
         d_se[cond, node] = est_c[cond, node] / se[cond, node]
-        J[row] = _adjoint(z, problem, tape[0], d_se)
+        J[row] = _adjoint(z, problem, tape, d_se)
     dz = np.linalg.lstsq(J, -se[tuple(pairs.T)], rcond=None)[0]
     z_new = np.clip(z + dz, lo, hi)
     f_new = float(_objective_batch(z_new[None, :], problem)[0][0])
@@ -844,7 +855,8 @@ def fit(
     generator and minimized with L-BFGS-B on the exact gradient
     (_values_and_grads), in lock-step windows of up to _LOCKSTEP starts
     that share one batched forward pass per round, run in the calling
-    thread (_minimize_window).
+    thread (_minimize_window); with target_r2 the windows grow from one
+    start (_lockstep_starts).
     Each start is then finished by _flatten_constant_pairs and the best
     final objective wins; taken in start order, the search stops early
     once target_r2 (when given) is reached, and later starts are dropped.
@@ -856,7 +868,8 @@ def fit(
     rng = np.random.default_rng(seed)
     best = None
     records = []
-    with contextlib.closing(_lockstep_starts(problem, n_starts, rng, lo, hi, maxiter)) as starts:
+    with contextlib.closing(_lockstep_starts(problem, n_starts, rng, lo, hi, maxiter,
+                                           target_r2 is not None)) as starts:
         for s, res in starts:
             z_s, f_s = _flatten_constant_pairs(res.x, float(res.fun), problem, lo, hi)
             records.append((s, f_s, "ok" if res.success else str(res.message)))
@@ -886,13 +899,22 @@ def fit(
     )
 
 
-def _lockstep_starts(problem, n_starts, rng, lo, hi, maxiter):
+def _lockstep_starts(problem, n_starts, rng, lo, hi, maxiter, early_stop):
     """(start index, OptimizeResult) of every start in order, minimized
     window by window; a window starts only once the caller asks past the
-    window before it."""
-    for first in range(0, n_starts, _LOCKSTEP):
-        Z0 = [rng.uniform(lo, hi) for _ in range(min(_LOCKSTEP, n_starts - first))]
+    window before it.
+
+    Windows hold _LOCKSTEP starts.  With an early stop they grow 1, 2, 4,
+    ... up to _LOCKSTEP instead: the starts of the winner's window after
+    it are wasted, and this way they never outnumber the starts before it
+    (a winning start 0 runs alone, as it would one start at a time).
+    """
+    first, size = 0, 1 if early_stop else _LOCKSTEP
+    while first < n_starts:
+        Z0 = [rng.uniform(lo, hi) for _ in range(min(size, n_starts - first))]
         yield from enumerate(_minimize_window(Z0, problem, lo, hi, maxiter), start=first)
+        first += len(Z0)
+        size = min(2 * size, _LOCKSTEP)
 
 
 class _Abandoned(Exception):

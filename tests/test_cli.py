@@ -783,7 +783,7 @@ def _drive(**params):
     (lambda obj: obj["inputs"][0].update(kind="const", params={"value": [1.0]}),
      "inputs entry 0: const value must be a finite number, got [1.0]"),
     (lambda obj: obj["inputs"][0].update(kind="rule", params={}),
-     "inputs entry 0: rule 'on' must be a list of conditions, got None"),
+     "inputs entry 0: rule 'on' must be a collection of conditions, got None"),
     (lambda obj: obj["inputs"][0].update(params=None), "inputs entry 0: params must be an object"),
 ], ids=["unknown-kind", "missing-kind", "pulse-without-window", "short-window",
         "string-in-window", "infinite-window", "zero-sigma", "nan-sigma",

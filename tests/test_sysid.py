@@ -178,6 +178,16 @@ def test_input_signal_values():
         InputSignal("stim", "pulse", {"window": (0.0, 1.5), "sigma": 0.0})
     with pytest.raises(ValueError, match="t0"):
         InputSignal("elapsed", "time_cell", {})
+    with pytest.raises(ValueError, match="window"):
+        InputSignal("stim", "pulse", {"window": [[0.0, 1.0], 1.5]})
+    with pytest.raises(ValueError, match="'on'"):
+        InputSignal("rule-A", "rule", {"on": "A"})
+    # any two-number sequence is a window, any collection an 'on' list
+    array_pulse = InputSignal("stim", "pulse", {"window": np.array([0.0, 1.5]), "sigma": 1.0})
+    np.testing.assert_array_equal(array_pulse.values("A", t), got)
+    set_rule = InputSignal("rule-A", "rule", {"on": frozenset({"A"})})
+    np.testing.assert_array_equal(set_rule.values("A", t), np.ones(3))
+    np.testing.assert_array_equal(set_rule.values("B", t), np.zeros(3))
 
 
 def test_weight_entry_intervals():
@@ -668,11 +678,34 @@ def test_fit_matches_sequential_starts_across_windows_and_early_stop():
     report = assert_fit_matches_sequential_starts(problem, switch_interval=1e-5,
                                                   n_starts=9, seed=4, maxiter=8)
     assert report.n_starts == 9 > sysid._LOCKSTEP
-    # target_r2 stops at the first start that reaches it, here start 0: the
-    # rest of its window is torn down and dropped
+    # target_r2 stops at the first start that reaches it, here start 0,
+    # which runs in a window of its own
     report = assert_fit_matches_sequential_starts(problem, n_starts=12, seed=4,
                                                   maxiter=40, target_r2=0.99)
     assert report.n_starts == 1
+    # here start 5 reaches it, in the window of starts 3-6 (windows grow
+    # 1, 2, 4): start 6 is torn down and dropped
+    report = assert_fit_matches_sequential_starts(problem, n_starts=12, seed=3,
+                                                  maxiter=10, target_r2=0.99)
+    assert (report.best_start, report.n_starts) == (5, 6)
+
+
+def test_fit_windows_grow_under_an_early_stop(monkeypatch):
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    minimize_window = sysid._minimize_window
+    sizes = []
+
+    def recording(Z0, *args):
+        sizes.append(len(Z0))
+        return minimize_window(Z0, *args)
+
+    monkeypatch.setattr(sysid, "_minimize_window", recording)
+    fit(problem, n_starts=17, seed=4, maxiter=1)
+    assert sizes == [8, 8, 1]
+    sizes.clear()
+    fit(problem, n_starts=17, seed=4, maxiter=1, target_r2=2.0)  # never reached
+    assert sizes == [1, 2, 4, 8, 2]
 
 
 def test_fit_matches_sequential_starts_constant_data():
