@@ -21,7 +21,8 @@ z = W (F d + f) + d; these conditions, not any rearranged closed form, are
 what the implementation evaluates.  Patterns are built in stacks of up to
 _PATTERN_CHUNK: one stacked condition number, two stacked solves and
 masked region rows per stack, so the temporaries are O(chunk * n^2), and
-every piece has the bits it would have if built alone.
+every piece has the bits it would have if built alone.  The pieces view
+their stack, marked read-only, instead of holding copies.
 
 Saturated is excluded for nodes with unbounded ceilings.  Patterns whose
 linear system is singular are skipped (the map simply has no such piece).
@@ -32,11 +33,20 @@ interior witness.  Composed maps (see compose_maps) gain extra region
 rows from the inner map, so there emptiness is real and is decided by
 max-margin LPs, _LP_CHUNK candidates stacked into one block-diagonal LP;
 SciPy (HiGHS) is imported by the first such LP, not by this module.
+
+A map locates a point by the first piece in label order whose region
+holds it.  Points are scanned in chunks against the pieces in label
+order, in tiles of at most _QUERY_TILE row x point entries, and a point
+leaves the scan at the first tile that covers it (see
+PiecewiseAffineMap._scan), so the scan's memory does not grow with the
+batch and its work stops at each point's first covering tile.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,7 +71,7 @@ __all__ = [
 
 # pinned tolerances
 _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
-_QUERY_CHUNK = 64  # points per membership block: memory O(region rows * chunk)
+_QUERY_TILE = 1 << 15  # row x point entries per point-location tile; isqrt = 181 points per chunk
 _LP_CHUNK = 64  # regions per stacked emptiness LP
 _PATTERN_CHUNK = 256  # patterns per stacked piece build: memory O(chunk * n^2)
 DEFAULT_ENUMERATION_LIMIT = 12
@@ -119,12 +129,28 @@ def _pattern_pieces(W, m, sigmas, off):
     return ok, F, f, *_regime_rows(W @ F + eye, Wf, sigmas, m)
 
 
-def _affine_pieces(labels, F, f, G, g, keep):
-    """AffinePieces from _pattern_pieces' stacks, each region the rows it keeps."""
+def _frozen(a):
+    """a, marked read-only with the array that owns its memory."""
+    a.setflags(write=False)
+    if a.base is not None:
+        a.base.setflags(write=False)
+    return a
+
+
+def _regions(G, g, keep):
+    """Each stacked candidate's region (G_k, g_k): the rows keep marks, as
+    views of one fresh read-only stack."""
     ends = [0, *np.cumsum(keep.sum(axis=1)).tolist()]
-    G, g = G[keep], g[keep]
-    return [AffinePiece(Fk, fk, G[a:b], g[a:b], label)
-            for Fk, fk, a, b, label in zip(F, f, ends, ends[1:], labels)]
+    G, g = _frozen(G[keep]), _frozen(g[keep])
+    return [(G[a:b], g[a:b]) for a, b in zip(ends, ends[1:])]
+
+
+def _affine_pieces(labels, F, f, G, g, keep):
+    """AffinePieces from _pattern_pieces' stacks, each region the rows it
+    keeps.  The stacks are the builder's own and are marked read-only, so
+    every piece views them and AffinePiece copies nothing."""
+    return [AffinePiece(Fk, fk, Gk, gk, label) for Fk, fk, (Gk, gk), label
+            in zip(_frozen(F), _frozen(f), _regions(G, g, keep), labels)]
 
 
 def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
@@ -171,55 +197,99 @@ class PiecewiseAffineMap:
 
     @cached_property
     def _rows(self):
-        """(G_all, g_all, piece starts): all region rows, stacked on first query
-        (not at construction: maps built to certify or compose are never read)."""
+        """(G_all, g_all, ends, row_ends): all region rows, stacked on first
+        query (not at construction: maps built to certify or compose are
+        never read), and the row where each piece ends after a leading 0,
+        as an array and as a list."""
         G_all = np.vstack([p.G for p in self.pieces])
         g_all = np.concatenate([p.g for p in self.pieces])
-        starts = np.cumsum([0] + [p.G.shape[0] for p in self.pieces])[:-1]
-        return G_all, g_all, starts
+        ends = np.cumsum([0] + [p.G.shape[0] for p in self.pieces])
+        return G_all, g_all, ends, ends.tolist()
 
-    def _member(self, D, tol):
-        """(pieces, points) membership of the rows of D: G d + g >= -tol."""
-        out = np.zeros((len(self.pieces), D.shape[0]), dtype=bool)
+    def _scan(self, D, tol, first=True):
+        """Yield (points, pieces): index pairs of the rows of D and the pieces
+        whose region holds them, G d + g >= -tol, tile by tile in label order.
+
+        Points go in chunks of isqrt(_QUERY_TILE), and a chunk's live points
+        meet the pieces in tiles of at most _QUERY_TILE row x point entries
+        (at least one piece), so the scan's memory does not grow with D.
+        With first, a point leaves the scan at the first tile that covers
+        it, paired with its first covering piece only, and the tiles grow
+        as points leave.  A product of 2 to 192 columns gives each entry the
+        bits it has in any other such product (NumPy 2.4 on OpenBLAS; wider
+        ones differ in their last N mod 8 columns), so a point's pieces do
+        not depend on its batch.  But a point left alone in a tile goes
+        through a matrix-vector product, whose last bits can differ, so its
+        piece can change where a row is within an ulp of -tol.  A single
+        point reads _QUERY_TILE rows per tile, so on maps of up to that many
+        rows it is one product over every row, bit for bit as before.
+        """
         if not self.pieces:
-            return out
-        G_all, g_all, starts = self._rows
-        for lo in range(0, D.shape[0], _QUERY_CHUNK):
-            ok = G_all @ D[lo : lo + _QUERY_CHUNK].T + g_all[:, None] >= -tol
-            out[:, lo : lo + _QUERY_CHUNK] = np.logical_and.reduceat(ok, starts, axis=0)
-        return out
+            return
+        G_all, g_all, ends, row_ends = self._rows
+        P, chunk = len(self.pieces), math.isqrt(_QUERY_TILE)
+        for lo in range(0, len(D), chunk):
+            D_live = D[lo : lo + chunk]
+            live = np.arange(lo, lo + len(D_live))
+            a = 0
+            while a < P and live.size:
+                r0 = row_ends[a]
+                b = max(bisect.bisect_right(row_ends, r0 + _QUERY_TILE // live.size) - 1, a + 1)
+                r1 = row_ends[b]
+                rows = G_all[r0:r1] @ D_live.T
+                rows += g_all[r0:r1, None]
+                starts = ends[a:b] - r0 if a else ends[:b]
+                member = np.logical_and.reduceat(rows >= -tol, starts, axis=0)
+                if first:
+                    hit, pcs = member.any(axis=0), a + np.argmax(member, axis=0)
+                    if hit.all():
+                        yield live, pcs
+                        break
+                    yield live[hit], pcs[hit]
+                    live, D_live = live[~hit], D_live[~hit]
+                else:
+                    pc, pt = np.nonzero(member)
+                    yield live[pt], a + pc
+                a = b
+
+    def _points(self, D, ndim):
+        """D as a float array of ndim axes, the last of length domain_dim."""
+        D = np.asarray(D, dtype=float)
+        if D.ndim != ndim or D.shape[-1] != self.domain_dim:
+            raise ValueError(f"points must have length domain_dim = {self.domain_dim}; "
+                             f"got an array of shape {D.shape}")
+        return D
 
     def pieces_at(self, d, tol=_REGION_TOL):
         """All pieces whose region contains d, in label order."""
-        d = np.asarray(d, dtype=float)
-        member = self._member(d[None, :], tol)[:, 0]
-        return [self.pieces[i] for i in np.flatnonzero(member)]
+        d = self._points(d, 1)
+        return [self.pieces[i] for _, pcs in self._scan(d[None], tol, first=False) for i in pcs]
 
     def eval(self, d, tol=_REGION_TOL) -> np.ndarray:
         """Value at d, using the first covering piece in label order."""
-        d = np.asarray(d, dtype=float)
-        member = self._member(d[None, :], tol)[:, 0]
-        if not member.any():
-            raise NoCoveringPiece(
-                f"no piece covers d={d!r}; the map may be incomplete or the "
-                "underlying equation non-contractive at this input"
-            )
-        p = self.pieces[int(np.argmax(member))]
-        return p.F @ d + p.f
+        d = self._points(d, 1)
+        for _, hit in self._scan(d[None], tol):
+            if hit.size:
+                p = self.pieces[hit[0]]
+                return p.F @ d + p.f
+        raise NoCoveringPiece(
+            f"no piece covers d={d!r}; the map may be incomplete or the "
+            "underlying equation non-contractive at this input"
+        )
 
     __call__ = eval
 
     def eval_many(self, D, tol=_REGION_TOL) -> np.ndarray:
         """Vectorized evaluation over the rows of D (shape (k, domain_dim))."""
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        member = self._member(D, tol)
-        covered = member.any(axis=0)
-        if not np.all(covered):
-            bad = int(np.argmin(covered))
+        D = self._points(np.atleast_2d(D), 2)
+        first = np.full(D.shape[0], -1)
+        for pts, pcs in self._scan(D, tol):
+            first[pts] = pcs
+        if np.any(first < 0):
+            bad = int(np.argmax(first < 0))
             raise NoCoveringPiece(f"no piece covers row {bad}: d={D[bad]!r}")
-        first = np.argmax(member, axis=0)  # label order = piece order
         out = np.empty((D.shape[0], self.output_dim))
-        for idx in np.unique(first):
+        for idx in np.unique(first):  # label order = piece order
             sel = first == idx
             p = self.pieces[idx]
             out[sel] = D[sel] @ p.F.T + p.f
@@ -394,7 +464,7 @@ def compose_maps(
     cbar = np.asarray(cbar, dtype=float)
     n = W1.shape[0]
     m = np.broadcast_to(np.asarray(m, dtype=float), (n,))
-    candidates = []
+    stacks, regions = [], []
     n_singular = 0
     for lam_piece in inner.pieces:
         Weff = W1 + W2 @ lam_piece.F @ W3
@@ -409,12 +479,19 @@ def compose_maps(
             g = np.concatenate([g, (Gi @ f[..., None])[..., 0] + Gc + lam_piece.g], axis=1)
             keep = np.pad(keep, ((0, 0), (0, len(Gi))), constant_values=True)
             labels = [lam_piece.label + s for s in itertools.compress(labels, ok)]
-            candidates += _affine_pieces(labels, F, f, G, g, keep)
+            stacks.append((labels, F, f, G, g, keep))
+            regions += _regions(G, g, keep)
     if n_singular:
         warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 
-    keep = _regions_nonempty([(p.G, p.g) for p in candidates])
-    pieces = [p for p, kept in zip(candidates, keep) if kept]
+    kept = _regions_nonempty(regions)
+    # the kept pieces get stacks of their own, so the composite does not
+    # hold the rejected candidates' rows
+    pieces, lo = [], 0
+    for labels, F, f, G, g, keep in stacks:
+        k = kept[lo : lo + len(labels)]
+        lo += len(labels)
+        pieces += _affine_pieces(itertools.compress(labels, k), F[k], f[k], G[k], g[k], keep[k])
     return PiecewiseAffineMap(pieces=tuple(pieces), domain_dim=n, output_dim=n)
 
 

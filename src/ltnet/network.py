@@ -92,6 +92,13 @@ def clip_box(v, m):
 
 
 def _as_readonly(a, dtype=float):
+    """a as a read-only C-contiguous array of dtype: a itself when it already
+    is one and the array owning its memory is read-only too, so nothing can
+    write to it; else a read-only copy."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.c_contiguous
+            and not a.flags.writeable
+            and (a.base is None or type(a.base) is np.ndarray and not a.base.flags.writeable)):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out

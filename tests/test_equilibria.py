@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -28,7 +30,7 @@ from ltnet import (
     solve_equilibrium_iterative,
 )
 from ltnet import equilibria
-from ltnet.equilibria import _LP_CHUNK, _QUERY_CHUNK, _regions_nonempty
+from ltnet.equilibria import _LP_CHUNK, _QUERY_TILE, _regions_nonempty
 
 from helpers import (
     clip01m,
@@ -273,6 +275,22 @@ def test_compose_random_pairs():
             np.testing.assert_allclose(comp(cp), x, atol=1e-8)
 
 
+def test_builders_share_one_read_only_stack():
+    # a map's pieces view the builder's read-only stacks instead of copying
+    base = _oracle_maps()[0]
+    assert len({id(p.G.base) for p in base.pieces}) < len(base)
+    for p in base.pieces:
+        for a in (p.F, p.f, p.G, p.g):
+            assert not a.flags.writeable and not a.base.flags.writeable
+    # a composite's stacks hold its kept pieces only, not rejected candidates
+    comp = _oracle_maps()[1]
+    held = {}
+    for p in comp.pieces:
+        for a in (p.F, p.f, p.G, p.g):
+            held.setdefault(id(a.base), [a.base, 0])[1] += a.size
+    assert all(stack.size == size for stack, size in held.values())
+
+
 def test_composite_labels_carry_both_patterns():
     inner = equilibrium_map(np.array([[0.5]]), np.array([2.0]))
     W1 = np.array([[0.2]])
@@ -336,30 +354,75 @@ def _tagged(pa):
     return PiecewiseAffineMap(tuple(pieces), pa.domain_dim, pa.output_dim)
 
 
+# the pinned tile, and one so small that nearly every piece is a tile edge
+_TILES = [_QUERY_TILE, 64]
+
+
+def _batch_sizes(tile):
+    """1, the point chunk's edge - 1, edge and edge + 1, and several chunks."""
+    chunk = math.isqrt(tile)
+    return [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7]
+
+
 @pytest.mark.parametrize("which", [0, 1])
-def test_point_location_matches_scan(which):
+def test_point_location_matches_scan(which, monkeypatch):
     pa = _oracle_maps()[which]
     tags = _tagged(pa)
     rng = np.random.default_rng(67 + which)
-    D = _query_points(pa, rng, 3 * _QUERY_CHUNK + 7)
+    D = _query_points(pa, rng, _batch_sizes(_QUERY_TILE)[-1])
     first = np.array([_scan(pa, d)[0] for d in D])
-    for d, i in zip(D, first):
-        assert tags.eval(d)[0] == i
-        p = pa.pieces[i]
-        np.testing.assert_array_equal(pa.eval(d), p.F @ d + p.f)
-        covering = [pa.pieces[j].label for j in _scan(pa, d)]
-        assert [q.label for q in pa.pieces_at(d)] == covering
-    for k in (1, _QUERY_CHUNK - 1, _QUERY_CHUNK, _QUERY_CHUNK + 1, len(D)):
-        np.testing.assert_array_equal(tags.eval_many(D[:k])[:, 0], first[:k])
-        # the grouped per-piece product over the whole call, as in one block
-        want = np.empty((k, pa.output_dim))
-        for i in np.unique(first[:k]):
-            sel = first[:k] == i
-            want[sel] = D[:k][sel] @ pa.pieces[i].F.T + pa.pieces[i].f
-        np.testing.assert_array_equal(pa.eval_many(D[:k]), want)
+    for tile in _TILES:
+        monkeypatch.setattr(equilibria, "_QUERY_TILE", tile)
+        for d, i in zip(D[: _batch_sizes(tile)[-1]], first):
+            assert tags.eval(d)[0] == i
+            p = pa.pieces[i]
+            np.testing.assert_array_equal(pa.eval(d), p.F @ d + p.f)
+            covering = [pa.pieces[j].label for j in _scan(pa, d)]
+            assert [q.label for q in pa.pieces_at(d)] == covering
+        for k in _batch_sizes(tile):
+            np.testing.assert_array_equal(tags.eval_many(D[:k])[:, 0], first[:k])
+            # the grouped per-piece product over the whole call, as in one block
+            want = np.empty((k, pa.output_dim))
+            for i in np.unique(first[:k]):
+                sel = first[:k] == i
+                want[sel] = D[:k][sel] @ pa.pieces[i].F.T + pa.pieces[i].f
+            np.testing.assert_array_equal(pa.eval_many(D[:k]), want)
 
 
-def test_eval_many_names_the_uncovered_row():
+@pytest.mark.parametrize("tile", _TILES)
+def test_batch_does_not_change_a_points_piece(tile, monkeypatch):
+    tags = _tagged(_oracle_maps()[0])
+    rng = np.random.default_rng(73)
+    chunk = math.isqrt(tile)
+    D = _query_points(tags, rng, 3 * chunk + 7)
+    monkeypatch.setattr(equilibria, "_QUERY_TILE", tile)
+    whole = tags.eval_many(D)[:, 0]
+    np.testing.assert_array_equal(whole, [tags.eval(d)[0] for d in D])
+    for size in (1, 2, chunk - 1, chunk + 1, len(D) // 2, len(D)):
+        S = rng.choice(len(D), size, replace=False)
+        np.testing.assert_array_equal(tags.eval_many(D[S])[:, 0], whole[S])
+
+
+@pytest.mark.parametrize("tile", [_QUERY_TILE, 256])
+def test_covering_pieces_in_the_last_tile(tile, monkeypatch):
+    monkeypatch.setattr(equilibria, "_QUERY_TILE", tile)
+    rows = tile // math.isqrt(tile)  # a tile's rows while a full chunk is live
+    real = equilibrium_map(np.array([[0.3, -0.2], [0.1, 0.4]]), np.array([1.5, np.inf]))
+    assert sum(p.G.shape[0] for p in real.pieces) <= rows
+    # pieces that cover nothing, labelled to come first, one full tile each
+    dead = [AffinePiece(np.eye(2), np.ones(2), np.zeros((rows, 2)), np.full(rows, -1.0),
+                        (-1, j)) for j in range(3)]
+    pa = PiecewiseAffineMap(tuple(dead) + real.pieces, 2, 2)
+    rng = np.random.default_rng(79)
+    for k in _batch_sizes(tile):
+        D = rng.uniform(-4.0, 4.0, size=(k, 2))
+        np.testing.assert_array_equal(pa.eval_many(D), real.eval_many(D))
+    for d in D[:20]:
+        np.testing.assert_array_equal(pa.eval(d), real.eval(d))
+        assert [p.label for p in pa.pieces_at(d)] == [p.label for p in real.pieces_at(d)]
+
+
+def test_eval_many_names_the_uncovered_row(monkeypatch):
     pa = _oracle_maps()[0]
     all_linear = (LINEAR,) * 5
     holed = PiecewiseAffineMap(
@@ -369,17 +432,73 @@ def test_eval_many_names_the_uncovered_row():
     hole = np.linalg.solve(lin.F, np.array([0.5, 0.8, 1.0, 0.6, 0.7]))
     assert _scan(holed, hole) == []
     rng = np.random.default_rng(71)
-    for k in (1, _QUERY_CHUNK - 1, _QUERY_CHUNK, _QUERY_CHUNK + 1,
-              3 * _QUERY_CHUNK + 7):
-        D = rng.uniform(-4.0, 4.0, size=(2 * k, 5))
-        D = D[np.any(D @ lin.G.T + lin.g < -1e-6, axis=1)][: k - 1]  # off the hole
-        bad = int(rng.integers(0, k))
-        D = np.insert(D, bad, hole, axis=0)
-        assert D.shape == (k, 5)
-        with pytest.raises(NoCoveringPiece, match=rf"no piece covers row {bad}: d="):
-            holed.eval_many(D)
+    for tile in _TILES:
+        monkeypatch.setattr(equilibria, "_QUERY_TILE", tile)
+        for k in _batch_sizes(tile):
+            D = rng.uniform(-4.0, 4.0, size=(2 * k, 5))
+            D = D[np.any(D @ lin.G.T + lin.g < -1e-6, axis=1)][: k - 1]  # off the hole
+            bad = int(rng.integers(0, k))
+            D = np.insert(D, bad, hole, axis=0)
+            assert D.shape == (k, 5)
+            with pytest.raises(NoCoveringPiece, match=rf"no piece covers row {bad}: d="):
+                holed.eval_many(D)
+        with pytest.raises(NoCoveringPiece, match="no piece covers d="):
+            holed.eval(hole)
+
+
+def test_point_location_input_checks():
+    pa = _oracle_maps()[0]
+    for d in (np.zeros(4), np.zeros((1, 5)), 0.0):
+        with pytest.raises(ValueError, match="domain_dim = 5"):
+            pa.eval(d)
+        with pytest.raises(ValueError, match="domain_dim = 5"):
+            pa.pieces_at(d)
+    for D in (np.zeros((3, 4)), np.zeros(6), np.zeros((2, 3, 5))):
+        with pytest.raises(ValueError, match="domain_dim = 5"):
+            pa.eval_many(D)
+    assert pa.eval_many(np.zeros((0, 5))).shape == (0, 5)
+    # NaN holds no row, so it is uncovered; the lowest such row is named
+    D = np.random.default_rng(89).uniform(-4.0, 4.0, size=(600, 5))
+    D[[400, 300], 2] = np.nan
+    with pytest.raises(NoCoveringPiece, match="no piece covers row 300: d="):
+        pa.eval_many(D)
     with pytest.raises(NoCoveringPiece, match="no piece covers d="):
-        holed.eval(hole)
+        pa.eval(D[300])
+    assert pa.pieces_at(D[300]) == []
+    empty = PiecewiseAffineMap((), 5, 5)
+    with pytest.raises(NoCoveringPiece, match="no piece covers d="):
+        empty.eval(np.zeros(5))
+    with pytest.raises(NoCoveringPiece, match="no piece covers row 0: d="):
+        empty.eval_many(np.zeros((2, 5)))
+    assert empty.pieces_at(np.zeros(5)) == []
+    assert empty.eval_many(np.zeros((0, 5))).shape == (0, 5)
+
+
+def test_eval_many_memory_does_not_grow_with_the_batch():
+    rng = np.random.default_rng(97)
+    W = rng.normal(size=(8, 8))
+    W *= 0.5 / np.max(np.abs(np.linalg.eigvals(np.abs(W))))
+    m = np.full(8, np.inf)
+    m[:5] = rng.uniform(0.5, 3.0, size=5)
+    pa = equilibrium_map(W, m)
+    assert len(pa) == 1944
+    pa.eval_many(np.zeros((1, 8)))  # the rows are stacked once, on the first query
+
+    def peak(k):
+        """Peak traced bytes of eval_many over k points, beyond its result."""
+        D = rng.uniform(-8.0, 8.0, size=(k, 8))
+        tracemalloc.start()
+        try:
+            X = pa.eval_many(D)
+            return tracemalloc.get_traced_memory()[1] - X.nbytes
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5_000), peak(50_000)
+    # the scan's tiles are bounded (a (pieces x points) membership matrix
+    # would take 97 MB here); only the 8-byte index vector grows with k
+    assert large < 4e6
+    assert large - small < 45_000 * 16
 
 
 # -- stacked emptiness decision against one LP per region ---------------------

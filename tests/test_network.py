@@ -247,3 +247,21 @@ def test_hinted_core_steps_plainly_where_project_acts():
     got = rk4_integrate(*run, piece=lambda x: (b"", lambda: whole_line))
     np.testing.assert_allclose(got, reference_rk4(*run), rtol=0.0, atol=1e-12)
     assert got[-1, 0] == 0.0
+
+
+def test_piece_does_not_see_later_writes_by_its_caller():
+    F, f, G, g = np.eye(2), np.zeros(2), np.ones((3, 2)), np.ones(3)
+    shown = F.view()
+    shown.setflags(write=False)  # read-only, but its owner is writeable
+    piece = AffinePiece(shown, f, G, g)
+    F[0, 0], f[0], G[0, 0], g[0] = 5.0, 5.0, 5.0, 5.0
+    np.testing.assert_array_equal(piece.F, np.eye(2))
+    np.testing.assert_array_equal(piece.f, np.zeros(2))
+    np.testing.assert_array_equal(piece.G, np.ones((3, 2)))
+    np.testing.assert_array_equal(piece.g, np.ones(3))
+    assert not any(a.flags.writeable for a in (piece.F, piece.f, piece.G, piece.g))
+    # a read-only float64 array whose owner is read-only is kept, not copied
+    frozen = np.arange(6.0).reshape(3, 2).copy()
+    frozen.setflags(write=False)
+    kept = AffinePiece(frozen[:2], frozen[2], frozen, frozen[:, 0].copy())
+    assert kept.G is frozen and kept.F.base is frozen and kept.f.base is frozen
