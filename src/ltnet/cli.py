@@ -77,9 +77,12 @@ def _floats(text, count=None):
 def _parse_x0(text, n):
     if text is None:
         return np.zeros(n)
-    if os.path.exists(str(text)):
-        return np.loadtxt(text)
-    return np.array(_floats(text, n))
+    if not os.path.exists(str(text)):
+        return np.array(_floats(text, n))
+    x0 = np.loadtxt(text, ndmin=1).ravel()
+    if x0.size != n:
+        raise ValidationError(f"expected {n} numbers, got {x0.size} in {str(text)!r}")
+    return x0
 
 
 def build_parser() -> argparse.ArgumentParser:

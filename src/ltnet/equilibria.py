@@ -200,10 +200,13 @@ class PiecewiseAffineMap:
         """(G_all, g_all, ends, row_ends): all region rows, stacked on first
         query (not at construction: maps built to certify or compose are
         never read), and the row where each piece ends after a leading 0,
-        as an array and as a list."""
-        G_all = np.vstack([p.G for p in self.pieces])
-        g_all = np.concatenate([p.g for p in self.pieces])
-        ends = np.cumsum([0] + [p.G.shape[0] for p in self.pieces])
+        as an array and as a list.  A piece without region rows (valid
+        everywhere) reads the one row 0·d + 0 >= -tol."""
+        rows = [(p.G, p.g) if p.G.shape[0] else (np.zeros((1, p.G.shape[1])), np.zeros(1))
+                for p in self.pieces]
+        G_all = np.vstack([G for G, _ in rows])
+        g_all = np.concatenate([g for _, g in rows])
+        ends = np.cumsum([0] + [len(g) for _, g in rows])
         return G_all, g_all, ends, ends.tolist()
 
     def _scan(self, D, tol, first=True):

@@ -28,11 +28,12 @@ value with a zero gradient.  Because a constant reference series is matched by
 f_corr only by an exactly constant estimate, each start ends with one
 Newton step that tries to make such estimates exactly constant.  The
 starts run in lock-step windows of 8 (growing 1, 2, 4, 8 under an
-R-squared early stop), one thread per start's L-BFGS-B: the calling
-thread evaluates every candidate they post in one batched forward pass
-and takes the gradients row by row, so each start sees, bit for bit,
-the values it would see alone, and fit returns what one start after
-another would.  SciPy is imported by fit (minimize) and by 'pulse'
+R-squared early stop), one thread per start's L-BFGS-B.  They share
+only queues: the calling thread evaluates every candidate posted on its
+inbox in one batched forward pass and replies to each start with its
+row's value and gradient, so each start sees, bit for bit, the values
+it would see alone, and fit returns what one start after another
+would.  SciPy is imported by fit (minimize) and by 'pulse'
 inputs (ndtr), not by this module.
 """
 
@@ -925,38 +926,32 @@ def _minimize_window(Z0, problem: SysIdProblem, lo, hi, maxiter):
     """L-BFGS-B from every start of Z0 at once, yielding their results in
     start order.
 
-    Each start runs minimize in a thread of its own, whose objective posts
-    z and waits.  The calling thread, once every running start has posted,
-    evaluates all posted z with one _values_and_grads call and hands each
-    start its row, round after round.  Between rounds it yields the result
-    of each start that has returned, once every earlier start has been
-    yielded; an exception raised in a start is re-raised in its place.
-    When the generator ends or is closed, waiting starts are released
-    (their objective raises _Abandoned) and every thread is joined.
+    Each start runs minimize in a thread of its own, sharing only queues:
+    its objective puts (s, z) on the inbox and waits on its own reply
+    queue, and on return it puts (s, result), its OptimizeResult or the
+    exception it raised.  Only the calling thread reads the inbox.  Once
+    every start that has not returned has posted, it yields the results
+    now due in start order (re-raising an exception in its place), then
+    evaluates the posted z with one _values_and_grads call and replies to
+    each start with its row.  On close it puts None on every reply queue,
+    so a waiting objective raises _Abandoned, and joins every thread.
     """
+    import queue
+
     from scipy.optimize import minimize
 
-    cond = threading.Condition()
-    posted = {}  # start -> z awaiting its (f, g)
-    answers = {}  # start -> (f, g) not yet taken
-    results = [None] * len(Z0)  # OptimizeResult, or the exception raised
-    live = len(Z0)  # starts whose minimize has not returned
-    torn_down = False
+    inbox = queue.SimpleQueue()
+    replies = [queue.SimpleQueue() for _ in Z0]
 
     def value_and_grad(z, s):
-        with cond:
-            posted[s] = z
-            cond.notify_all()
-            while s not in answers:
-                if torn_down:
-                    raise _Abandoned
-                cond.wait()
-            return answers.pop(s)
+        inbox.put((s, z))
+        if (answer := replies[s].get()) is None:
+            raise _Abandoned
+        return answer
 
     def run(s):
-        nonlocal live
         try:
-            results[s] = minimize(
+            result = minimize(
                 value_and_grad,
                 Z0[s],
                 args=(s,),
@@ -966,38 +961,36 @@ def _minimize_window(Z0, problem: SysIdProblem, lo, hi, maxiter):
                 options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-10},
             )
         except BaseException as e:  # handed to the calling thread
-            results[s] = e
-        finally:
-            with cond:
-                live -= 1
-                cond.notify_all()
+            result = e
+        inbox.put((s, result))
 
+    posted = {}  # start -> z awaiting its (f, g)
+    results = {}  # start -> OptimizeResult or exception, not yet yielded
+    given = 0  # starts yielded so far
     threads = []
     try:
         for s in range(len(Z0)):
             threads.append(threading.Thread(target=run, args=(s,), daemon=True))
             threads[-1].start()
-        given = 0  # starts yielded so far
         while given < len(Z0):
-            with cond:
-                while len(posted) < live:
-                    cond.wait()
-                starts = sorted(posted)
-                Z = [posted.pop(s) for s in starts]
-            if starts:
-                F, G = _values_and_grads(np.stack(Z), problem)
-                with cond:
-                    answers.update((s, (float(F[p]), G[p])) for p, s in enumerate(starts))
-                    cond.notify_all()
-            while given < len(Z0) and results[given] is not None:
-                if isinstance(results[given], BaseException):
-                    raise results[given]
-                yield results[given]
+            # read the inbox until every start has posted, returned or been yielded
+            while len(posted) + len(results) + given < len(Z0):
+                s, message = inbox.get()
+                (posted if isinstance(message, np.ndarray) else results)[s] = message
+            while given in results:
+                result = results.pop(given)
+                if isinstance(result, BaseException):
+                    raise result
+                yield result
                 given += 1
+            if posted:
+                starts = sorted(posted)
+                F, G = _values_and_grads(np.stack([posted.pop(s) for s in starts]), problem)
+                for p, s in enumerate(starts):
+                    replies[s].put((float(F[p]), G[p]))
     finally:
-        with cond:
-            torn_down = True
-            cond.notify_all()
+        for reply in replies:
+            reply.put(None)
         for t in threads:
             t.join()
 

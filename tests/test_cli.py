@@ -630,6 +630,20 @@ def test_cli_equilibrium_at_negative_list(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_cli_x0_file_of_the_wrong_length(tmp_path, capsys):
+    net_path, h_path = tmp_path / "net.json", tmp_path / "h.json"
+    ltio.dump_network(demo_network(), net_path)
+    ltio.dump_hierarchy(recruitment_hierarchy(), h_path)
+    x0_path, out = tmp_path / "x0.txt", tmp_path / "out"
+    for argv, n in ((["simulate", "--net", str(net_path), "--tspan", "0,1"], 2),
+                    (["recruit", "--hierarchy", str(h_path), "--eps", "0.5"], 8)):
+        for count in (n - 1, n + 7):  # short and long, as a comma list is refused
+            np.savetxt(x0_path, np.full(count, 0.1))
+            assert main([*argv, "--x0", str(x0_path), "--out", str(out)]) == 2
+            assert f"expected {n} numbers, got {count}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_cli_simulate_x0_negative_list(tmp_path, capsys):
     net = demo_network()
     net_path = tmp_path / "net.json"

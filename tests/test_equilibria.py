@@ -474,6 +474,27 @@ def test_point_location_input_checks():
     assert empty.eval_many(np.zeros((0, 5))).shape == (0, 5)
 
 
+def test_a_piece_without_region_rows_covers_every_point():
+    # G of shape (0, n): a piece valid everywhere, alone, first and last
+    everywhere = AffinePiece(np.array([[2.0]]), np.array([1.0]), np.zeros((0, 1)),
+                             np.zeros(0), (1,))
+    D = np.array([[-1.0], [0.0], [3.0]])
+    alone = PiecewiseAffineMap((everywhere,), 1, 1)
+    np.testing.assert_array_equal(alone.eval_many(D), 2.0 * D + 1.0)
+    for d in D:
+        np.testing.assert_array_equal(alone.eval(d), 2.0 * d + 1.0)
+        assert [p.label for p in alone.pieces_at(d)] == [(1,)]
+    for label in ((0,), (2,)):  # the piece d >= 0, labelled before and after it
+        other = AffinePiece(np.zeros((1, 1)), np.array([5.0]), np.eye(1), np.zeros(1), label)
+        pa = PiecewiseAffineMap((everywhere, other), 1, 1)
+        first = np.where(D >= 0.0, 5.0, 2.0 * D + 1.0) if label < (1,) else 2.0 * D + 1.0
+        np.testing.assert_array_equal(pa.eval_many(D), first)
+        for d, x in zip(D, first):
+            np.testing.assert_array_equal(pa.eval(d), x)
+            covering = sorted([(1,)] + ([label] if d[0] >= 0.0 else []))
+            assert [p.label for p in pa.pieces_at(d)] == covering
+
+
 def test_eval_many_memory_does_not_grow_with_the_batch():
     rng = np.random.default_rng(97)
     W = rng.normal(size=(8, 8))

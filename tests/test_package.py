@@ -4,6 +4,7 @@ CLI's schema version and subcommands."""
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -103,3 +104,24 @@ print(before, test_package._compose_digest(), "scipy.optimize" in sys.modules)
     before, digest, after = _fresh(code).split()
     assert (before, after) == ("False", "True")
     assert digest == _compose_digest()
+
+
+def test_perfbench_tracer_finds_and_restores_every_function_it_wraps():
+    # the benchmark's tracer wraps library functions by name from outside;
+    # a renamed function would otherwise break only traced benchmark runs
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [(tracing._resolve(where), attr)
+             for places in tracing.SITES.values() for where, attr in places]
+    sites.append((cli, "run"))
+    originals = [getattr(owner, attr) for owner, attr in sites]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [getattr(owner, attr) for owner, attr in sites]
+    finally:
+        tracer.uninstall()
+    assert [w.__wrapped__ for w in wrapped] == originals
+    assert all(getattr(owner, attr) is o for (owner, attr), o in zip(sites, originals))

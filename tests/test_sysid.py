@@ -773,3 +773,47 @@ def test_fit_reraises_a_failing_start(monkeypatch):
     caught = fit_in_a_thread(problem, n_starts=3, seed=0, maxiter=5)
     assert [str(e) for e in caught] == ["start 1 failed"]
     assert threading.active_count() == before
+
+
+def test_fit_early_stop_joins_the_torn_down_window():
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    before = threading.active_count()
+    report = fit(problem, n_starts=12, seed=3, maxiter=10, target_r2=0.99)
+    assert (report.best_start, report.n_starts) == (5, 6)  # start 6 was torn down
+    assert threading.active_count() == before
+
+
+def test_closing_a_window_after_its_first_result_joins_every_thread(monkeypatch):
+    import scipy.optimize
+
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    minimize = scipy.optimize.minimize
+
+    def start_0_returns_at_once(fun, x0, args, **kwargs):
+        if args == (0,):
+            f, _ = fun(x0, *args)
+            return scipy.optimize.OptimizeResult(x=x0, fun=f, success=True)
+        return minimize(fun, x0, args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", start_0_returns_at_once)
+    lo, hi = problem.bounds()
+    Z0 = list(np.random.default_rng(5).uniform(lo, hi, size=(4, len(lo))))
+    before = threading.active_count()
+    seen = []
+
+    def first_result_then_close():
+        window = sysid._minimize_window(Z0, problem, lo, hi, 50)
+        seen.append(next(window))
+        seen.append(threading.active_count())
+        window.close()
+
+    helper = threading.Thread(target=first_result_then_close, daemon=True)
+    helper.start()
+    helper.join(timeout=60.0)
+    assert not helper.is_alive(), "closing the window deadlocked"
+    first, alive = seen
+    assert first.x is Z0[0]
+    assert alive >= before + 4  # the helper and starts 1-3, waiting on their replies
+    assert threading.active_count() == before
