@@ -30,9 +30,12 @@ For the base map every remaining pattern has a nonempty region: choosing
 target pre-activations z strictly inside each regime interval and setting
 d = z - W x(z), with x(z) the state pinned by the pattern, produces an
 interior witness.  Composed maps (see compose_maps) gain extra region
-rows from the inner map, so there emptiness is real and is decided by
-max-margin LPs, _LP_CHUNK candidates stacked into one block-diagonal LP;
-SciPy (HiGHS) is imported by the first such LP, not by this module.
+rows from the inner map, so there emptiness is real.  A candidate is
+first dropped without an LP when one inner row is negative over the
+whole box its outer pattern allows the outer state (see _box_empty); the
+rest are decided by max-margin LPs, _LP_CHUNK candidates stacked into
+one block-diagonal LP.  SciPy (HiGHS) is imported by the first such LP,
+not by this module.
 
 A map locates a point by the first piece in label order whose region
 holds it.  Points are scanned in chunks against the pieces in label
@@ -432,6 +435,30 @@ def _max_margin_lp(blocks, keep):
         _max_margin_lp(blocks[half:], keep)
 
 
+def _box_empty(Gi, b, sigmas, m) -> np.ndarray:
+    """Candidates (P,) that an inner row Gi x + b >= 0 rules out before any LP.
+
+    The outer patterns sigmas (P, n) pin x to a box: x_i = 0 at Zero, m_i
+    at Saturated and x_i in [0, m_i] at Linear, unbounded when m_i = inf.
+    A row's maximum over the box is b plus its positive coefficients times
+    the upper corner and its negative ones times the lower corner, +inf
+    when a positive coefficient meets an unbounded node (0 * inf is 0).  A
+    candidate is empty when some row's maximum is below
+    -1e-6 (1 + |Gi_r|_1 + |b_r|): a max-margin LP that reaches -1e-9 holds
+    x within about 1e-9 of the box, so it could keep such a candidate only
+    by erring far past its tolerance.
+    """
+    sat = sigmas == SATURATED
+    hi = np.where(sat | (sigmas == LINEAR), m, 0.0)
+    lo = np.where(sat, m, 0.0)
+    unbounded = np.isinf(hi)
+    top = np.maximum(Gi, 0.0) @ np.where(unbounded, 0.0, hi).T
+    top += np.minimum(Gi, 0.0) @ lo.T + b[:, None]
+    top[(Gi > 0) @ unbounded.T] = np.inf
+    tol = 1e-6 * (1.0 + np.abs(Gi).sum(axis=1) + np.abs(b))
+    return np.any(top < -tol[:, None], axis=0)
+
+
 def compose_maps(
     inner: PiecewiseAffineMap,
     W1,
@@ -449,8 +476,11 @@ def compose_maps(
     and offset W2 (F_lam cbar + f_lam), so every pair (lam, outer pattern)
     yields a candidate piece.  Composite regions combine the outer regime
     conditions with the inner region mapped through x, and pieces whose
-    region is empty are dropped; _regions_nonempty decides emptiness
-    exactly, with up to _LP_CHUNK candidates per block-diagonal LP.
+    region is empty are dropped.  A candidate whose inner rows rule out the
+    box that its outer pattern pins x to is dropped before any LP (see
+    _box_empty, computed for a whole pattern stack at once);
+    _regions_nonempty decides the others exactly, with up to _LP_CHUNK
+    candidates per block-diagonal LP.
 
     certificate must witness uniqueness of the composite solution (object
     with a true ``passed`` attribute, e.g. from stability.ges_certificate);
@@ -467,7 +497,7 @@ def compose_maps(
     cbar = np.asarray(cbar, dtype=float)
     n = W1.shape[0]
     m = np.broadcast_to(np.asarray(m, dtype=float), (n,))
-    stacks, regions = [], []
+    stacks, regions, undecided = [], [], [np.zeros(0, dtype=bool)]
     n_singular = 0
     for lam_piece in inner.pieces:
         Weff = W1 + W2 @ lam_piece.F @ W3
@@ -476,18 +506,23 @@ def compose_maps(
         Gi = lam_piece.G @ W3
         Gc = lam_piece.G @ cbar
         for labels in _pattern_chunks(m):
-            ok, F, f, G, g, keep = _pattern_pieces(Weff, m, np.array(labels), off)
+            sigmas = np.array(labels)
+            ok, F, f, G, g, keep = _pattern_pieces(Weff, m, sigmas, off)
             n_singular += len(ok) - int(ok.sum())
             G = np.concatenate([G, Gi @ F], axis=1)
             g = np.concatenate([g, (Gi @ f[..., None])[..., 0] + Gc + lam_piece.g], axis=1)
             keep = np.pad(keep, ((0, 0), (0, len(Gi))), constant_values=True)
             labels = [lam_piece.label + s for s in itertools.compress(labels, ok)]
             stacks.append((labels, F, f, G, g, keep))
-            regions += _regions(G, g, keep)
+            to_lp = ~_box_empty(Gi, Gc + lam_piece.g, sigmas[ok], m)
+            undecided.append(to_lp)
+            regions += _regions(G[to_lp], g[to_lp], keep[to_lp])
     if n_singular:
         warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 
-    kept = _regions_nonempty(regions)
+    undecided = np.concatenate(undecided)
+    kept = np.zeros_like(undecided)
+    kept[undecided] = _regions_nonempty(regions)
     # the kept pieces get stacks of their own, so the composite does not
     # hold the rejected candidates' rows
     pieces, lo = [], 0

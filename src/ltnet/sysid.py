@@ -176,6 +176,12 @@ def autocorr_timescale(trial_rates, bin_width, fit_lags):
     R = np.asarray(trial_rates, dtype=float)
     if R.ndim != 2 or R.shape[0] < 3:
         raise ValueError("trial_rates must be (n_trials >= 3, n_bins)")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be a finite number > 0, got {bin_width}")
+    fit_lags = list(fit_lags)
+    if not all(0 <= k < R.shape[1] for k in fit_lags):
+        raise ValueError(f"fit lags must lie in 0..{R.shape[1] - 1} for {R.shape[1]} bins; "
+                         f"got {min(fit_lags)}..{max(fit_lags)}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # constant bins -> nan
         C = np.corrcoef(R, rowvar=False)
@@ -205,6 +211,8 @@ def randomization_test(a, b, n_perm: int = 1999, seed: int = 0) -> float:
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
+    if n_perm < 1:
+        raise ValueError(f"n_perm must be at least 1, got {n_perm}")
     observed = abs(a.mean() - b.mean())
     pooled = np.sort(np.concatenate([a, b]))
     na = a.size

@@ -603,6 +603,35 @@ def test_cli_rtest(tmp_path):
     assert json.loads(out2.read_text())["p_value"] < 0.2
 
 
+@pytest.mark.parametrize("n_perm", ["-5", "0"])
+def test_cli_rtest_without_permutations_exits_2(n_perm, tmp_path, capsys):
+    # (1 + count) / (1 + n_perm) read -0.25 at n_perm = -5 and 1.0 at 0
+    out = tmp_path / "p.json"
+    assert main(["rtest", "--a", "1,2", "--b", "3,4", "--seed", "1", "--n-perm", n_perm,
+                 "--out", str(out)]) == 2
+    assert f"n_perm must be at least 1, got {n_perm}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lags", "1:100"], "fit lags must lie in 0..39 for 40 bins; got 1..100"),
+    (["--lags=-2:5"], "fit lags must lie in 0..39 for 40 bins; got -2..5"),
+    (["--binwidth", "0"], "bin_width must be a finite number > 0, got 0.0"),
+    (["--binwidth", "-1"], "bin_width must be a finite number > 0, got -1.0"),
+    (["--binwidth", "nan"], "bin_width must be a finite number > 0, got nan"),
+    (["--binwidth", "inf"], "bin_width must be a finite number > 0, got inf"),
+])
+def test_cli_timescale_bad_bins_or_lags_exit_2(flags, message, tmp_path, capsys):
+    # before: the lags beyond the bins raised IndexError (exit 1), and the
+    # bin widths gave tau 0, -140 or a bare NaN, which is not JSON
+    data = tmp_path / "trials.csv"
+    np.savetxt(data, np.random.default_rng(3).normal(size=(6, 40)), delimiter=",")
+    out = tmp_path / "ts.json"
+    assert main(["timescale", "--data", str(data), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_env_overrides(tmp_path, monkeypatch, capsys):
     # a required flag may come from its LTNET_ variable instead
     monkeypatch.setenv("LTNET_SEED", "0")

@@ -1,11 +1,13 @@
 """Equilibrium maps: pieces, regions, coverage, iteration, composition."""
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +32,7 @@ from ltnet import (
     solve_equilibrium_iterative,
 )
 from ltnet import equilibria
-from ltnet.equilibria import _LP_CHUNK, _QUERY_TILE, _regions_nonempty
+from ltnet.equilibria import _LP_CHUNK, _QUERY_TILE, _box_empty, _regions_nonempty
 
 from helpers import (
     clip01m,
@@ -598,7 +600,8 @@ def test_stacked_emptiness_matches_one_lp_per_region(chunk, monkeypatch):
 
 
 def _composite():
-    """A composite of 3 + 3 nodes whose candidates fill four stacked LPs."""
+    """A composite of 3 + 3 nodes.  Its candidates would fill four stacked LPs;
+    after the box test two are left (see _box_empty)."""
     inner = equilibrium_map(np.array([[0.2, -0.3, 0.1], [0.4, 0.1, 0.0],
                                       [-0.1, 0.2, 0.3]]), np.array([1.5, np.inf, 1.0]))
     W1 = np.array([[0.1, -0.2, 0.1], [0.3, 0.2, 0.0], [0.0, -0.1, 0.2]])
@@ -651,6 +654,140 @@ def test_single_block_failure_counts_as_empty(monkeypatch):
     # only the regions left without rows after the zero-row check survive
     no_rows = np.array([np.all(np.abs(G) < 1e-14) for G, _ in regions])
     np.testing.assert_array_equal(_regions_nonempty(regions), truth & no_rows)
+
+
+# -- the box test that settles composite candidates before any LP ---------------
+
+
+def _decides_nothing(Gi, b, sigmas, m):
+    return np.zeros(len(sigmas), dtype=bool)
+
+
+def _lp_blocks(monkeypatch):
+    """A list that gets the block count of every stacked LP solved from now on."""
+    blocks = []
+
+    def counted(c, **kwargs):
+        blocks.append(np.count_nonzero(c))  # one -1 per block's margin variable
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(equilibria, "linprog", counted)
+    return blocks
+
+
+def test_box_test_keeps_the_composite_bytes_and_saves_lp_blocks(monkeypatch):
+    blocks = _lp_blocks(monkeypatch)
+    boxed = _piece_bytes(_composite())
+    boxed_blocks = sum(blocks)
+    blocks.clear()
+    monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
+    assert _piece_bytes(_composite()) == boxed
+    assert hashlib.sha256(repr(boxed).encode()).hexdigest() == _COMPOSITE_SHA256
+    assert sum(blocks) == 222 and len(blocks) == 4
+    assert boxed_blocks <= 92
+
+
+def _one_node_composite(a, c, m_out):
+    """x = [0.5 [a x + c]_+ + c']_0^m_out.  The inner piece (ZERO,) has the
+    row -(a x + c) >= 0, and (LINEAR,) the row a x + c >= 0."""
+    inner = equilibrium_map(np.zeros((1, 1)), np.array([np.inf]))
+    W1, W2, W3 = np.zeros((1, 1)), np.array([[0.5]]), np.array([[a]])
+    cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
+    return compose_maps(inner, W1, W2, W3, np.array([c]), np.array([m_out]), certificate=cert)
+
+
+def test_box_maximum_of_exactly_zero_reaches_the_lp_and_is_kept(monkeypatch):
+    # inner ZERO needs x <= 0 and outer LINEAR x in [0, 1]: the region is the
+    # point c' = 0, whose maximal margin is exactly 0
+    assert not _box_empty(np.array([[-1.0]]), np.array([0.0]), np.array([[LINEAR]]),
+                          np.array([1.0])).any()
+    blocks = _lp_blocks(monkeypatch)
+    comp = _one_node_composite(1.0, 0.0, 1.0)
+    assert (ZERO, LINEAR) in [p.label for p in comp.pieces]
+    # in one dimension an outer ZERO or SATURATED pins x, so inner rows on
+    # those candidates have no coefficients and the zero-row rule settles
+    # them in any case: only (ZERO, SATURATED) is left out of the LP
+    assert sum(blocks) == 5
+    blocks.clear()
+    monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
+    assert _piece_bytes(_one_node_composite(1.0, 0.0, 1.0)) == _piece_bytes(comp)
+    assert sum(blocks) == 5
+
+
+def test_box_maximum_below_zero_rejects_without_an_lp_block(monkeypatch):
+    # inner ZERO needs x <= -1e-3, but every outer pattern has x >= 0
+    blocks = _lp_blocks(monkeypatch)
+    comp = _one_node_composite(1.0, 1e-3, 1.0)
+    assert [p.label[0] for p in comp.pieces] == [LINEAR] * 3
+    assert sum(blocks) == 3  # only the inner LINEAR candidates
+    blocks.clear()
+    monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
+    assert _piece_bytes(_one_node_composite(1.0, 1e-3, 1.0)) == _piece_bytes(comp)
+    assert sum(blocks) == 4  # (ZERO, LINEAR) went to the LP to be rejected there
+
+
+def test_positive_coefficient_on_an_unbounded_linear_node_never_rejects(monkeypatch):
+    # inner ZERO needs x >= 5: outer ZERO is settled by its box, but outer
+    # LINEAR under m = inf reaches the LP, which keeps it
+    blocks = _lp_blocks(monkeypatch)
+    labels = [p.label for p in _one_node_composite(-1.0, 5.0, np.inf).pieces]
+    assert (ZERO, LINEAR) in labels and (ZERO, ZERO) not in labels
+    assert sum(blocks) == 3
+    sigmas = np.array([[LINEAR, LINEAR], [LINEAR, ZERO], [ZERO, SATURATED]])
+    m = np.array([np.inf, 2.0])
+    # a positive coefficient on the unbounded node: no finite box maximum
+    # while that node is Linear; Zero pins it to 0
+    np.testing.assert_array_equal(
+        _box_empty(np.array([[1.0, -1.0]]), np.array([-1e6]), sigmas, m), [False, False, True])
+    # a zero coefficient on it counts 0 * inf as 0: the maximum is -1 - 0 or -1 - 2
+    np.testing.assert_array_equal(
+        _box_empty(np.array([[0.0, -1.0]]), np.array([-1.0]), sigmas, m), [True, True, True])
+
+
+def test_box_threshold_scales_with_the_row():
+    sigmas = np.array([[ZERO], [LINEAR], [SATURATED]])
+    m = np.array([2.0])
+    # the row -x + b peaks at x = 0 in the Zero and Linear boxes, where it
+    # is b, and is b - 2 at Saturated; the tolerance is 1e-6 (2 + |b|)
+    for b, want in [(-1.9e-6, [False, False, True]), (-2.1e-6, [True, True, True]),
+                    (2.5, [False, False, False])]:
+        np.testing.assert_array_equal(_box_empty(np.array([[-1.0]]), np.array([b]), sigmas, m),
+                                      want)
+    # the rows' own sizes set the tolerance: 1e-6 (1 + 1e6 + |b|) at |Gi| = 1e6
+    assert not _box_empty(np.array([[-1e6]]), np.array([-0.5]), sigmas[:1], m).any()
+    assert _box_empty(np.array([[-1e6]]), np.array([-1.5]), sigmas[:1], m).all()
+
+
+def _perfbench_map_build():
+    """perfbench's MapBuild workload class, imported from its file."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.MapBuild
+
+
+# SHA-256 of the composite pieces (label, F, f, G, g bytes, in order) of
+# perfbench's map_build pairs for seeds 1-3, recorded before the box test
+# (NumPy 2.4 with OpenBLAS, x86-64)
+_MAP_BUILD_SHA256 = "d112f50f8f168e1410ef3bb09a70508f1be17ed1b08de7377a8d787daa23cf2c"
+
+
+@pytest.mark.parametrize("box", ["box", "lp only"])
+def test_perfbench_map_build_composites_are_pinned(box, monkeypatch):
+    if box == "lp only":
+        monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
+    MapBuild = _perfbench_map_build()
+    blob = []
+    for seed in (1, 2, 3):
+        for p in MapBuild(seed, None).pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = MapBuild._build(p)
+            assert out["passed"]
+            blob.append([(label,) + tuple(a.tobytes() for a in arrays)
+                         for label, *arrays in out["composite"]])
+    assert hashlib.sha256(repr(blob).encode()).hexdigest() == _MAP_BUILD_SHA256
 
 
 # -- stacked piece builder against one pattern at a time -----------------------
