@@ -197,8 +197,7 @@ def _load_problem(path, data_dir):
                 e["block"],
                 ltio._integer(e["row"], f"{path}: structure entry {j} row"),
                 ltio._integer(e["col"], f"{path}: structure entry {j} col"),
-                **{k: float(e[k]) if k == "bound" else e[k]
-                   for k in ("sign", "bound") if k in e},
+                **{k: e[k] for k in ("sign", "bound") if k in e},
             )
             for j, e in enumerate(obj["structure"])
         ]

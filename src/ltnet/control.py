@@ -18,6 +18,7 @@ composed map's gain bound.  Only the gain LP of _dominating_gain loads SciPy.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -106,6 +107,16 @@ class ControlLaw:
         return sum(parts)
 
 
+def _exact_solve(A, b, subject) -> np.ndarray:
+    """Minimum-norm least-squares X of A X = b, refused with
+    InfeasibleExact, naming subject, when a residual exceeds _RESIDUAL_TOL."""
+    X, *_ = np.linalg.lstsq(A, b, rcond=None)
+    resid = float(np.max(np.abs(A @ X - b)))
+    if resid > _RESIDUAL_TOL:
+        raise InfeasibleExact(f"{subject} residual {resid:.2e} exceeds 1e-10")
+    return X
+
+
 def feedback_gain_bilayer(net: LTNetwork) -> np.ndarray:
     """Gain K zeroing the inhibited rows of W + B K.
 
@@ -123,12 +134,7 @@ def feedback_gain_bilayer(net: LTNetwork) -> np.ndarray:
     B_minus = net.B[:r, :]
     if np.all(B_minus == 0):
         raise InfeasibleExact("inhibited rows of B are zero")
-    target = -net.W[:r, :]
-    K, *_ = np.linalg.lstsq(B_minus, target, rcond=None)
-    resid = float(np.max(np.abs(B_minus @ K - target)))
-    if resid > _RESIDUAL_TOL:
-        raise InfeasibleExact(f"cancellation residual {resid:.2e} exceeds 1e-10")
-    return K
+    return _exact_solve(B_minus, -net.W[:r, :], "cancellation")
 
 
 def feedforward_bilayer(net: LTNetwork, xbar1, nu, W21) -> np.ndarray:
@@ -160,11 +166,7 @@ def feedforward_bilayer(net: LTNetwork, xbar1, nu, W21) -> np.ndarray:
         W21 = np.atleast_2d(np.asarray(W21, dtype=float))
         inter = _clip_plus(W21[:r, :]) @ xbar1
     target = -_clip_plus(net.W[:r, :]) @ nu - inter - _clip_plus(net.c[:r])
-    B_minus = net.B[:r, :]
-    ubar, *_ = np.linalg.lstsq(B_minus, target, rcond=None)
-    resid = float(np.max(np.abs(B_minus @ ubar - target)))
-    if resid > _RESIDUAL_TOL:
-        raise InfeasibleExact(f"feedforward residual {resid:.2e} exceeds 1e-10")
+    ubar = _exact_solve(net.B[:r, :], target, "feedforward")
     if np.any(ubar < -1e-12):
         raise NegativeControl(f"feedforward has negative entries: {ubar}")
     return _clip_plus(ubar)
@@ -180,10 +182,8 @@ def _dominating_gain(B_minus, rhs) -> np.ndarray:
     r, p = B_minus.shape
     n = rhs.shape[1]
     if p >= r:
-        K, *_ = np.linalg.lstsq(B_minus, rhs, rcond=None)
-        resid = float(np.max(np.abs(B_minus @ K - rhs)))
-        if resid <= _RESIDUAL_TOL:
-            return K
+        with contextlib.suppress(InfeasibleExact):
+            return _exact_solve(B_minus, rhs, "gain")
     from scipy.optimize import linprog
     K = np.empty((p, n))
     for j in range(n):

@@ -204,7 +204,7 @@ class PiecewiseAffineMap:
         query (not at construction: maps built to certify or compose are
         never read), and the row where each piece ends after a leading 0,
         as an array and as a list.  A piece without region rows (valid
-        everywhere) reads the one row 0·d + 0 >= -tol."""
+        everywhere) reads the one row 0·d + 0 >= -_REGION_TOL."""
         rows = [(p.G, p.g) if p.G.shape[0] else (np.zeros((1, p.G.shape[1])), np.zeros(1))
                 for p in self.pieces]
         G_all = np.vstack([G for G, _ in rows])
@@ -212,9 +212,10 @@ class PiecewiseAffineMap:
         ends = np.cumsum([0] + [len(g) for _, g in rows])
         return G_all, g_all, ends, ends.tolist()
 
-    def _scan(self, D, tol, first=True):
+    def _scan(self, D, first=True):
         """Yield (points, pieces): index pairs of the rows of D and the pieces
-        whose region holds them, G d + g >= -tol, tile by tile in label order.
+        whose region holds them, G d + g >= -_REGION_TOL, tile by tile in
+        label order.
 
         Points go in chunks of isqrt(_QUERY_TILE), and a chunk's live points
         meet the pieces in tiles of at most _QUERY_TILE row x point entries
@@ -226,9 +227,9 @@ class PiecewiseAffineMap:
         ones differ in their last N mod 8 columns), so a point's pieces do
         not depend on its batch.  But a point left alone in a tile goes
         through a matrix-vector product, whose last bits can differ, so its
-        piece can change where a row is within an ulp of -tol.  A single
-        point reads _QUERY_TILE rows per tile, so on maps of up to that many
-        rows it is one product over every row, bit for bit as before.
+        piece can change where a row is within an ulp of -_REGION_TOL.  A
+        single point reads _QUERY_TILE rows per tile, so on maps of up to
+        that many rows it is one matrix-vector product over every row.
         """
         if not self.pieces:
             return
@@ -245,7 +246,7 @@ class PiecewiseAffineMap:
                 rows = G_all[r0:r1] @ D_live.T
                 rows += g_all[r0:r1, None]
                 starts = ends[a:b] - r0 if a else ends[:b]
-                member = np.logical_and.reduceat(rows >= -tol, starts, axis=0)
+                member = np.logical_and.reduceat(rows >= -_REGION_TOL, starts, axis=0)
                 if first:
                     hit, pcs = member.any(axis=0), a + np.argmax(member, axis=0)
                     if hit.all():
@@ -266,15 +267,15 @@ class PiecewiseAffineMap:
                              f"got an array of shape {D.shape}")
         return D
 
-    def pieces_at(self, d, tol=_REGION_TOL):
+    def pieces_at(self, d):
         """All pieces whose region contains d, in label order."""
         d = self._points(d, 1)
-        return [self.pieces[i] for _, pcs in self._scan(d[None], tol, first=False) for i in pcs]
+        return [self.pieces[i] for _, pcs in self._scan(d[None], first=False) for i in pcs]
 
-    def eval(self, d, tol=_REGION_TOL) -> np.ndarray:
+    def eval(self, d) -> np.ndarray:
         """Value at d, using the first covering piece in label order."""
         d = self._points(d, 1)
-        for _, hit in self._scan(d[None], tol):
+        for _, hit in self._scan(d[None]):
             if hit.size:
                 p = self.pieces[hit[0]]
                 return p.F @ d + p.f
@@ -285,11 +286,11 @@ class PiecewiseAffineMap:
 
     __call__ = eval
 
-    def eval_many(self, D, tol=_REGION_TOL) -> np.ndarray:
+    def eval_many(self, D) -> np.ndarray:
         """Vectorized evaluation over the rows of D (shape (k, domain_dim))."""
         D = self._points(np.atleast_2d(D), 2)
         first = np.full(D.shape[0], -1)
-        for pts, pcs in self._scan(D, tol):
+        for pts, pcs in self._scan(D):
             first[pts] = pcs
         if np.any(first < 0):
             bad = int(np.argmax(first < 0))
@@ -301,9 +302,9 @@ class PiecewiseAffineMap:
             out[sel] = D[sel] @ p.F.T + p.f
         return out
 
-    def consistency_gap(self, d, tol=_REGION_TOL) -> float:
+    def consistency_gap(self, d) -> float:
         """Largest disagreement among covering pieces at d (0 if unique)."""
-        vals = [p.F @ np.asarray(d, float) + p.f for p in self.pieces_at(d, tol)]
+        vals = [p.F @ np.asarray(d, float) + p.f for p in self.pieces_at(d)]
         if len(vals) <= 1:
             return 0.0
         vals = np.array(vals)
@@ -322,7 +323,7 @@ class PiecewiseAffineMap:
         ]
 
 
-def equilibrium_map(W, m, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PiecewiseAffineMap:
+def equilibrium_map(W, m) -> PiecewiseAffineMap:
     """Enumerate all switching patterns of (W, m) into a piecewise map.
 
     Raises ValueError beyond the enumeration limit (3^n growth); use
@@ -331,9 +332,9 @@ def equilibrium_map(W, m, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PiecewiseAf
     W = np.asarray(W, dtype=float)
     m = np.broadcast_to(np.asarray(m, dtype=float), (W.shape[0],))
     n = W.shape[0]
-    if n > limit:
+    if n > DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(
-            f"n={n} exceeds the enumeration limit {limit}; use "
+            f"n={n} exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}; use "
             "solve_equilibrium_iterative for pointwise equilibria"
         )
     pieces = []
@@ -347,7 +348,7 @@ def equilibrium_map(W, m, limit: int = DEFAULT_ENUMERATION_LIMIT) -> PiecewiseAf
     return PiecewiseAffineMap(pieces=tuple(pieces), domain_dim=n, output_dim=n)
 
 
-def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10, max_iter: int = 1_000_000):
+def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10):
     """Fixed-point iteration x <- [W x + d]_0^m from x = 0.
 
     Requires the absolute-weight contraction condition rho(|W|) < 1,
@@ -372,7 +373,7 @@ def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10, max_iter: int = 1_0
     # weighted change -> error via the geometric tail factor r/(1 - r)
     gain = float(alpha.max()) - 1.0
     x = np.zeros_like(d)
-    for _ in range(max_iter):
+    for _ in range(1_000_000):  # sweeps before it gives up
         x_next = clip_box(W @ x + d, m)
         delta = float(alpha @ np.abs(x_next - x))
         x = x_next

@@ -120,6 +120,14 @@ class Hierarchy:
         return out
 
 
+def _layer_state(x, layer, n):
+    """x as the initial state of a layer of n nodes, or ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 of layer {layer} has shape {x.shape}, but the layer has {n} nodes")
+    return x
+
+
 def simulate_hierarchy(
     h: Hierarchy,
     controls: Optional[Sequence] = None,
@@ -132,6 +140,7 @@ def simulate_hierarchy(
 
     controls, when given, is one ControlLaw per layer (entries may be
     None).  x0 is a list of per-layer initial states (zeros by default).
+    dt is as in simulate, for the smallest layer time constant.
     x1_override, a callable t -> state, replaces the top layer's dynamics
     by a scripted trajectory (for externally supplied slow inputs; the
     caller is responsible for keeping it bounded).  Returns one
@@ -146,15 +155,14 @@ def simulate_hierarchy(
     taus = np.concatenate([np.full(la.n, la.tau) for la in h.layers])
     ms = np.concatenate([la.m for la in h.layers])
     sl = h.slices()
-    if dt is None:
-        dt = min(la.tau for la in h.layers) / 50.0
-    if dt > min(la.tau for la in h.layers) / 20.0 + 1e-15:
-        raise ValueError(f"dt={dt} exceeds tau_min/20")
-    t0, n_steps = _step_count(t_span, dt)
+    t0, dt, n_steps = _step_count(t_span, dt, min(la.tau for la in h.layers))
     if x0 is None:
         x0 = [np.zeros(la.n) for la in h.layers]
-    X0 = np.concatenate([clip_box(np.asarray(x, float), la.m) for x, la in zip(x0, h.layers)])
-    laws = list(controls) if controls is not None else [None] * N
+    if len(x0) != N:
+        raise ValueError(f"x0 holds {len(x0)} layer states, but the hierarchy has {N} layers")
+    X0 = np.concatenate([clip_box(_layer_state(x, i, la.n), la.m)
+                         for i, (x, la) in enumerate(zip(x0, h.layers), start=1)])
+    laws = list(controls or ()) + [None] * N  # None past the given laws
 
     # stack the layer and inter-layer blocks into one matrix; feedback
     # gains fold into the diagonal blocks and constant feedforward into
@@ -169,7 +177,7 @@ def simulate_hierarchy(
             Wtot[sl[i], sl[i - 1]] = h.W_up[i - 1]
         if i < N - 1:
             Wtot[sl[i], sl[i + 1]] = h.W_down[i]
-        law = laws[i] if i < len(laws) else None
+        law = laws[i]
         if law is None or la.B is None:
             continue
         if law.K is not None:
@@ -227,7 +235,7 @@ def simulate_hierarchy(
     out = []
     for i, la in enumerate(h.layers):
         log = None
-        law = laws[i] if i < len(laws) else None
+        law = laws[i]
         if law is not None and la.B is not None:
             log = law.input_log(times, samples[:, sl[i]], samples[:, sl[i - 1]] if i > 0 else None)
         out.append(Trajectory(t0=t0, dt=dt, samples=samples[:, sl[i]], input_log=log))
@@ -307,14 +315,14 @@ def epsilon_sweep(
     eps_list: Sequence[float],
     x0=None,
     window=None,
-    t_end: Optional[float] = None,
     dt_factor: float = 50.0,
     maps: Optional[dict] = None,
 ) -> TrackingReport:
     """Rescale the hierarchy over eps_list and measure slaving quality.
 
     For each eps the layer time constants are reset to tau_1 * eps^(i-1),
-    the controlled hierarchy is simulated, and every layer below the top
+    the controlled hierarchy is simulated from t = 0 to the later of the
+    window's end and 10 tau_1, and every layer below the top
     is compared against its quasi-steady reference over the window
     (default [2 tau_1, 10 tau_1]); inhibited nodes are scored by their
     sup norm over the same window.  maps supplies the per-layer composed
@@ -323,8 +331,7 @@ def epsilon_sweep(
     tau1 = h.layers[0].tau
     if window is None:
         window = (2.0 * tau1, 10.0 * tau1)
-    if t_end is None:
-        t_end = max(window[1], 10.0 * tau1)
+    t_end = max(window[1], 10.0 * tau1)
     errors = {i: [] for i in range(2, h.N + 1)}
     inhibited = {i: [] for i in range(2, h.N + 1) if h.layers[i - 1].r > 0}
     for eps in eps_list:
@@ -367,7 +374,7 @@ def rom_simulate(
 
         tau_1 x' = -x + [W_11^{++} x + W_12^{++} h_2^+(W_21^{++} x + c_2^+) + c_1^+]_0^m.
 
-    x0 defaults to zeros; dt to tau_1 / 50.
+    x0 defaults to zeros; dt is as in simulate, for tau_1.
     """
     if h.N < 2:
         raise ValueError("reduced model needs a layer below the top")
@@ -378,12 +385,8 @@ def rom_simulate(
     W21 = h.W_up[0][below.plus, top.plus]
     c2p = below.c[below.plus]
     m = top.m[top.plus]
-    if dt is None:
-        dt = top.tau / 50.0
-    if x0 is None:
-        x0 = np.zeros(W11.shape[0])
-    x0 = clip_box(np.asarray(x0, float), m)
-    t0, n_steps = _step_count(t_span, dt)
+    t0, dt, n_steps = _step_count(t_span, dt, top.tau)
+    x0 = clip_box(np.zeros(m.size) if x0 is None else _layer_state(x0, 1, m.size), m)
 
     def f(t, x):
         slaved = pa_map.eval(W21 @ x + c2p)

@@ -40,8 +40,8 @@ kink.  Each call caches the block maps of up to _PIECE_CACHE = 16 pieces.
 simulate passes the hint when its input is None or constant, and
 hierarchy.simulate_hierarchy when it has no x1_override and every
 callable ubar is the library's control.OnlineFeedforward; block results
-agree with plain stepping to about 1e-13.  Every other caller steps as
-before, bit for bit.
+agree with plain stepping to about 1e-13.  Every other caller takes
+plain RK4 steps only.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class AffinePiece:
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         object.__setattr__(self, "label", tuple(self.label))
 
-    def contains(self, y, tol=_REGION_TOL) -> bool:
-        return bool(np.all(self.G @ y + self.g >= -tol))
+    def contains(self, y) -> bool:
+        return bool(np.all(self.G @ y + self.g >= -_REGION_TOL))
 
 
 @dataclass(frozen=True)
@@ -340,11 +340,10 @@ class _BlockStepper:
         top = np.maximum(top[1:], top[:-1])
         tol = tol0 + np.multiply.outer(top, tol1)
         ok = (g <= tol[:, None]).reshape(size, -1).all(axis=1) & np.isfinite(top)
-        if self.project is not None:
-            Xp = self.project(X)
-            if (Xp != X).any():
-                ok &= (np.abs(Xp - X) <= _KINK_SLACK * (1.0 + np.abs(X))).all(axis=1)
-                X = Xp
+        Xp = self.project(X)
+        if (Xp != X).any():
+            ok &= (np.abs(Xp - X) <= _KINK_SLACK * (1.0 + np.abs(X))).all(axis=1)
+            X = Xp
         taken = size if ok.all() else int(np.argmin(ok))
         out[:taken] = X[:taken]
         return taken
@@ -363,7 +362,7 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None, piece=None):
     G y + g >= 0 (see _regime_rows) hold.  With the hint the core
     advances runs of one piece BLOCK_STEPS steps per stacked product and
     takes the step that leaves a piece with the plain code below;
-    project must then accept a (steps, n) stack of states.
+    project must then be given and accept a (steps, n) stack of states.
     """
     x = np.array(x0, dtype=float)
     out = np.empty((n_steps + 1,) + x.shape)
@@ -393,17 +392,22 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None, piece=None):
     return out
 
 
-def _step_count(t_span, dt):
-    """(t0, n_steps) of a run over t_span with fixed step dt > 0."""
+def _step_count(t_span, dt, tau):
+    """(t0, dt, n_steps) of a fixed-step run over t_span; tau is the run's
+    smallest time constant, and dt defaults to tau / 50, at most tau / 20."""
+    if dt is None:
+        dt = tau / 50.0
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if dt > tau / 20.0 + 1e-15:
+        raise ValueError(f"dt={dt} exceeds tau/20 = {tau / 20.0}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"empty time span {t_span}")
     n_steps = int(round((t1 - t0) / dt))
     if n_steps < 1:
         raise ValueError("t_span shorter than one step")
-    return t0, n_steps
+    return t0, dt, n_steps
 
 
 def simulate(
@@ -437,11 +441,7 @@ def simulate(
         raise ValueError(f"x0 must have shape ({net.n},), got {x0.shape}")
     if np.any(x0 < -1e-12) or np.any(x0 > net.m + 1e-12):
         raise ValueError("x0 lies outside the box [0, m]")
-    if dt is None:
-        dt = net.tau / 50.0
-    if not 0 < dt <= net.tau / 20.0 + 1e-15:
-        raise ValueError(f"dt={dt} must satisfy 0 < dt <= tau/20 = {net.tau / 20.0}")
-    t0, n_steps = _step_count(t_span, dt)
+    t0, dt, n_steps = _step_count(t_span, dt, net.tau)
 
     piece = None
     if callable(input):

@@ -27,14 +27,13 @@ f_var = 0 a zero variance gradient, and a diverged candidate the penalty
 value with a zero gradient.  Because a constant reference series is matched by
 f_corr only by an exactly constant estimate, each start ends with one
 Newton step that tries to make such estimates exactly constant.  The
-starts run in lock-step windows of 8 (growing 1, 2, 4, 8 under an
-R-squared early stop), one thread per start's L-BFGS-B.  They share
-only queues: the calling thread evaluates every candidate posted on its
-inbox in one batched forward pass and replies to each start with its
-row's value and gradient, so each start sees, bit for bit, the values
-it would see alone, and fit returns what one start after another
-would.  SciPy is imported by fit (minimize) and by 'pulse'
-inputs (ndtr), not by this module.
+starts run in lock-step windows of 8, one thread per start's L-BFGS-B.
+They share only queues: the calling thread evaluates every candidate
+posted on its inbox in one batched forward pass and replies to each
+start with its row's value and gradient, so each start sees, bit for
+bit, the values it would see alone, and fit returns what one start
+after another would.  SciPy is imported by fit (minimize) and by
+'pulse' inputs (ndtr), not by this module.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import re
 import threading
 import warnings
 from collections.abc import Collection
@@ -78,6 +78,7 @@ _DIVERGENCE_LIMIT = 1e9
 _PENALTY = 1e12
 _FLAT = 1e-12  # a series whose centred 2-norm is below this is constant
 _LOCKSTEP = 8  # fit's starts minimized together, one forward pass per round
+_BLOCK = re.compile(r"W(\d)(\d)|U(\d+)")  # a structure entry's block name
 
 
 class NonPositiveCorrelations(Exception):
@@ -114,7 +115,7 @@ def bin_rates(spike_times, window, bin_width):
 
 
 def gaussian_smooth(values, sigma, dt=1.0):
-    """Smooth a uniformly sampled series with a normalized Gaussian kernel.
+    """Smooth each series along the last axis with a normalized Gaussian kernel.
 
     sigma is in time units (samples when dt is 1).  The kernel is
     truncated at +-4 sigma and renormalized; boundaries are handled by
@@ -128,13 +129,9 @@ def gaussian_smooth(values, sigma, dt=1.0):
     x = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (x / s) ** 2)
     kernel /= kernel.sum()
-    if values.ndim == 1:
-        padded = np.pad(values, radius, mode="reflect")
-        return np.convolve(padded, kernel, mode="valid")
     out = np.empty_like(values)
-    for i in range(values.shape[0]):
-        padded = np.pad(values[i], radius, mode="reflect")
-        out[i] = np.convolve(padded, kernel, mode="valid")
+    for i in np.ndindex(values.shape[:-1]):
+        out[i] = np.convolve(np.pad(values[i], radius, mode="reflect"), kernel, mode="valid")
     return out
 
 
@@ -171,7 +168,8 @@ def autocorr_timescale(trial_rates, bin_width, fit_lags):
     trial_rates is (n_trials, n_bins).  The Pearson correlation between
     every pair of bins is computed across trials, averaged over pairs at
     equal lag |k1 - k2| = k, and A * exp(-k / tau) is fitted to the
-    averages over fit_lags.  Returns (A, tau) with tau in time units.
+    averages over fit_lags, at least two distinct lags.  Returns (A, tau)
+    with tau in time units.
     """
     R = np.asarray(trial_rates, dtype=float)
     if R.ndim != 2 or R.shape[0] < 3:
@@ -179,6 +177,8 @@ def autocorr_timescale(trial_rates, bin_width, fit_lags):
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be a finite number > 0, got {bin_width}")
     fit_lags = list(fit_lags)
+    if len(set(fit_lags)) < 2:
+        raise ValueError(f"need at least two fit lags, got {fit_lags}")
     if not all(0 <= k < R.shape[1] for k in fit_lags):
         raise ValueError(f"fit lags must lie in 0..{R.shape[1] - 1} for {R.shape[1]} bins; "
                          f"got {min(fit_lags)}..{max(fit_lags)}")
@@ -423,17 +423,26 @@ class SysIdProblem:
     def _index_structure(self):
         n, n_sig = self.n, len(self.inputs)
         w_flat, u_flat = [], []
-        for e in self.structure:
-            if e.block.startswith("U"):
-                i = int(e.block[1:]) - 1
-                gr = self._global_row(i, e.row)
+        for k, e in enumerate(self.structure):
+            where = f"structure entry {k}"
+            block = _BLOCK.fullmatch(e.block) if isinstance(e.block, str) else None
+            layers = [int(v) - 1 for v in block.groups() if v] if block else []
+            if not (block and all(0 <= i < self.N for i in layers)):
+                raise ValueError(f"{where}: block must be W<i><j> or U<i> with layers "
+                                 f"1..{self.N}, got {e.block!r}")
+            if e.sign not in ("+", "-", "free"):
+                raise ValueError(f"{where}: sign must be '+', '-' or 'free', got {e.sign!r}")
+            if not (_finite_number(e.bound) and e.bound > 0):
+                raise ValueError(f"{where}: bound must be finite and > 0, got {e.bound!r}")
+            gr = self._global_row(layers[0], e.row, f"{where} row")
+            if e.block[0] == "U":
+                if not 0 <= e.col < n_sig:
+                    raise ValueError(f"{where} col {e.col} out of range for {n_sig} inputs")
                 u_flat.append((len(w_flat) + len(u_flat), gr * n_sig + e.col))
             else:
-                i, j = int(e.block[1]) - 1, int(e.block[2]) - 1
-                if abs(i - j) > 1:
-                    raise ValueError(f"block {e.block} skips a layer")
-                gr = self._global_row(i, e.row)
-                gc = self._global_row(j, e.col)
+                if abs(layers[0] - layers[1]) > 1:
+                    raise ValueError(f"{where}: block {e.block} skips a layer")
+                gc = self._global_row(layers[1], e.col, f"{where} col")
                 w_flat.append((len(w_flat) + len(u_flat), gr * n + gc))
         self._w_slots = w_flat  # (z position, flat index into W)
         self._u_slots = u_flat  # (z position, flat index into U)
@@ -443,9 +452,9 @@ class SysIdProblem:
         self.off_x0 = self.off_c + self.n
         self.dim = self.off_x0 + self.n * len(self.conditions)
 
-    def _global_row(self, layer_idx, row):
+    def _global_row(self, layer_idx, row, what):
         if not 0 <= row < self.layer_sizes[layer_idx]:
-            raise ValueError(f"row {row} out of range for layer {layer_idx + 1}")
+            raise ValueError(f"{what} {row} out of range for layer {layer_idx + 1}")
         return int(self._layer_offsets[layer_idx] + row)
 
     def bounds(self):
@@ -862,10 +871,9 @@ def fit(
 
     Starts are drawn uniformly inside the bounds from the seeded
     generator and minimized with L-BFGS-B on the exact gradient
-    (_values_and_grads), in lock-step windows of up to _LOCKSTEP starts
-    that share one batched forward pass per round, run in the calling
-    thread (_minimize_window); with target_r2 the windows grow from one
-    start (_lockstep_starts).
+    (_values_and_grads), in lock-step windows of _LOCKSTEP starts
+    (_lockstep_starts) that share one batched forward pass per round, run
+    in the calling thread (_minimize_window).
     Each start is then finished by _flatten_constant_pairs and the best
     final objective wins; taken in start order, the search stops early
     once target_r2 (when given) is reached, and later starts are dropped.
@@ -877,8 +885,7 @@ def fit(
     rng = np.random.default_rng(seed)
     best = None
     records = []
-    with contextlib.closing(_lockstep_starts(problem, n_starts, rng, lo, hi, maxiter,
-                                           target_r2 is not None)) as starts:
+    with contextlib.closing(_lockstep_starts(problem, n_starts, rng, lo, hi, maxiter)) as starts:
         for s, res in starts:
             z_s, f_s = _flatten_constant_pairs(res.x, float(res.fun), problem, lo, hi)
             records.append((s, f_s, "ok" if res.success else str(res.message)))
@@ -908,22 +915,13 @@ def fit(
     )
 
 
-def _lockstep_starts(problem, n_starts, rng, lo, hi, maxiter, early_stop):
+def _lockstep_starts(problem, n_starts, rng, lo, hi, maxiter):
     """(start index, OptimizeResult) of every start in order, minimized
-    window by window; a window starts only once the caller asks past the
-    window before it.
-
-    Windows hold _LOCKSTEP starts.  With an early stop they grow 1, 2, 4,
-    ... up to _LOCKSTEP instead: the starts of the winner's window after
-    it are wasted, and this way they never outnumber the starts before it
-    (a winning start 0 runs alone, as it would one start at a time).
-    """
-    first, size = 0, 1 if early_stop else _LOCKSTEP
-    while first < n_starts:
-        Z0 = [rng.uniform(lo, hi) for _ in range(min(size, n_starts - first))]
+    window by window in windows of _LOCKSTEP starts; a window starts only
+    once the caller asks past the window before it."""
+    for first in range(0, n_starts, _LOCKSTEP):
+        Z0 = [rng.uniform(lo, hi) for _ in range(min(_LOCKSTEP, n_starts - first))]
         yield from enumerate(_minimize_window(Z0, problem, lo, hi, maxiter), start=first)
-        first += len(Z0)
-        size = min(2 * size, _LOCKSTEP)
 
 
 class _Abandoned(Exception):

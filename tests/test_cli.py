@@ -7,6 +7,7 @@ numerical failures.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -442,6 +443,30 @@ def test_cli_recruit(tmp_path):
     assert blob2["inhibited_norms"] == blob["inhibited_norms"]
 
 
+# SHA-256 of the report files of certify, synthesize and recruit --eps 0.5,0.2
+# on the bundled fixtures (NumPy 2.4 with OpenBLAS, x86-64)
+_REPORT_SHA256 = {
+    ("case_study_lc", "certify"): "a5c666040067fd7db1bee02c2d16edca713bb3e446ffbb1aba46708ed2c8c6f2",
+    ("case_study_lc", "synthesize"): "f1101aff52160e1dde5b47beab4126640434d77bb80a30329ee4a92745cfe38b",
+    ("case_study_lc", "recruit"): "628b0e6f9e8f4d3a80fa363bf0bc676af9f2e38c96a4a9237011d42a6be53096",
+    ("case_study_pd", "certify"): "ea8ef5102f865c174690592e8db7947c217b2a96fd4e472abbf461d5d3742186",
+    ("case_study_pd", "synthesize"): "f1101aff52160e1dde5b47beab4126640434d77bb80a30329ee4a92745cfe38b",
+    ("case_study_pd", "recruit"): "dcd616543f900cbcb26069d25010eecfb04699f35c50162246fe0d1f3f3af4d0",
+    ("example_oscillator", "certify"): "7dafb8d8339f5abf65d19092c80157e02cecc4de0146be5f480d9161b6a9d17e",
+    ("example_oscillator", "synthesize"): "5557c8585a1a31ee09c8fe67ac73fa7d46b3b6e05a212c5d492b5b8627505e53",
+    ("example_oscillator", "recruit"): "25438743719423b6287f0397554c14594bf23dcbd77e464f9410a4f597e54c23",
+}
+
+
+@pytest.mark.parametrize("fixture, command", sorted(_REPORT_SHA256))
+def test_cli_reports_on_the_bundled_fixtures_are_pinned(fixture, command, tmp_path):
+    path = Path(ltio.__file__).parent / "fixtures" / f"{fixture}.json"
+    out = tmp_path / "report.json"
+    extra = ["--eps", "0.5,0.2"] if command == "recruit" else []
+    assert main([command, "--hierarchy", str(path), *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_SHA256[fixture, command]
+
+
 def test_cli_recruit_refuses_uncertified(tmp_path, capsys):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(lc_hierarchy(w_bottom=1.5), h_path)
@@ -620,10 +645,14 @@ def test_cli_rtest_without_permutations_exits_2(n_perm, tmp_path, capsys):
     (["--binwidth", "-1"], "bin_width must be a finite number > 0, got -1.0"),
     (["--binwidth", "nan"], "bin_width must be a finite number > 0, got nan"),
     (["--binwidth", "inf"], "bin_width must be a finite number > 0, got inf"),
+    (["--lags", "5:2"], "need at least two fit lags, got []"),
+    (["--lags", "3:3"], "need at least two fit lags, got [3]"),
 ])
 def test_cli_timescale_bad_bins_or_lags_exit_2(flags, message, tmp_path, capsys):
-    # before: the lags beyond the bins raised IndexError (exit 1), and the
-    # bin widths gave tau 0, -140 or a bare NaN, which is not JSON
+    # before: the lags beyond the bins raised IndexError (exit 1), the
+    # bin widths gave tau 0, -140 or a bare NaN, which is not JSON, and an
+    # empty or one-lag range exited 3, as data without decaying
+    # correlations does
     data = tmp_path / "trials.csv"
     np.savetxt(data, np.random.default_rng(3).normal(size=(6, 40)), delimiter=",")
     out = tmp_path / "ts.json"
@@ -852,6 +881,63 @@ def test_cli_problem_rejects_non_integer_row_and_col(tmp_path, capsys, key, valu
     assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir),
                  "--seed", "0"]) == 2
     assert f"structure entry 1 {key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def two_layer_problem_json(entry):
+    """A two-layer problem whose structure entry 1 is entry."""
+    return {
+        "layer_sizes": [1, 1],
+        "structure": [{"block": "W11", "row": 0, "col": 0}, entry],
+        "inputs": [{"name": "drive", "kind": "const"}],
+        "conditions": ["base"],
+        "manifest": [0],
+        "t0": 0.0,
+        "tf": 1.0,
+        "T": 0.1,
+    }
+
+
+_BLOCK_GRAMMAR = "structure entry 1: block must be W<i><j> or U<i> with layers 1..2, got "
+
+
+@pytest.mark.parametrize("edit, match", [
+    ({"block": "W1"}, _BLOCK_GRAMMAR + "'W1'"),
+    ({"block": "U3"}, _BLOCK_GRAMMAR + "'U3'"),
+    ({"block": "W00"}, _BLOCK_GRAMMAR + "'W00'"),
+    ({"block": "U0"}, _BLOCK_GRAMMAR + "'U0'"),
+    ({"block": "X12"}, _BLOCK_GRAMMAR + "'X12'"),
+    ({"block": "W11x"}, _BLOCK_GRAMMAR + "'W11x'"),
+    ({"sign": "pos"}, "structure entry 1: sign must be '+', '-' or 'free', got 'pos'"),
+    ({"bound": 0}, "structure entry 1: bound must be finite and > 0, got 0"),
+    ({"bound": -0.5}, "structure entry 1: bound must be finite and > 0, got -0.5"),
+    ({"bound": 1e400}, "structure entry 1: bound must be finite and > 0, got inf"),
+    ({"bound": "1.5"}, "structure entry 1: bound must be finite and > 0, got '1.5'"),
+    ({"block": "U1", "col": 1}, "structure entry 1 col 1 out of range for 1 inputs"),
+], ids=["W1", "U3", "W00", "U0", "X12", "W11x", "unknown-sign", "zero-bound",
+        "negative-bound", "infinite-bound", "string-bound", "input-col-out-of-range"])
+def test_cli_problem_rejects_malformed_structure_entries(tmp_path, capsys, edit, match):
+    # before: W1 and U3 raised IndexError on load, W00 and U0 in unpack,
+    # X12 and W11x were read as W12 and W11, an unknown sign as 'free', and
+    # a bound as any float
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(two_layer_problem_json(
+        {"block": "W12", "row": 0, "col": 0, **edit})))
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"z": [0.1] * 8}))
+    assert main(["predict", "--problem", str(problem_path), "--params", str(params_path)]) == 2
+    err = capsys.readouterr().err
+    assert match in err and "Traceback" not in err
+
+
+def test_cli_problem_accepts_every_adjacent_block(tmp_path, capsys):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"z": [0.1] * 8}))
+    for block in ("W11", "W12", "W21", "W22", "U1", "U2"):
+        problem_path = tmp_path / f"{block}.json"
+        problem_path.write_text(json.dumps(two_layer_problem_json(
+            {"block": block, "row": 0, "col": 0, "sign": "-", "bound": 2})))
+        assert main(["predict", "--problem", str(problem_path),
+                     "--params", str(params_path)]) == 0, capsys.readouterr().err
 
 
 def test_network_from_dict_reads_n_as_an_integer():

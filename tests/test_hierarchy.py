@@ -317,6 +317,27 @@ def test_time_span_checks_are_shared():
             rom_simulate(h, cert.maps[2], dt=dt)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             simulate_hierarchy(h, dt=dt)
+    # dt <= tau/20 for the run's smallest tau: tau_1 = 3.3 for the reduced
+    # model (which ran any dt before), 1.65 for the stacked layers
+    with pytest.raises(ValueError, match=r"dt=5.0 exceeds tau/20 = 0.16"):
+        rom_simulate(h, cert.maps[2], dt=5.0)
+    with pytest.raises(ValueError, match=r"dt=5.0 exceeds tau/20 = 0.08"):
+        simulate_hierarchy(h, dt=5.0)
+    assert rom_simulate(h, cert.maps[2], t_span=(0.0, 0.33), dt=0.165).samples.shape == (3, 3)
+
+
+def test_wrong_length_initial_states_are_refused():
+    # before: a one-number state was broadcast to every node of its layer
+    h = oscillator_bilayer()
+    cert = certify_hierarchy(h)
+    with pytest.raises(ValueError, match=r"x0 of layer 1 has shape \(1,\), but the layer has 3 nodes"):
+        simulate_hierarchy(h, x0=[np.array([1.0]), np.zeros(3)])
+    with pytest.raises(ValueError, match=r"x0 of layer 2 has shape \(4,\), but the layer has 3 nodes"):
+        simulate_hierarchy(h, x0=[np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError, match="x0 holds 3 layer states, but the hierarchy has 2 layers"):
+        simulate_hierarchy(h, x0=[np.zeros(3)] * 3)
+    with pytest.raises(ValueError, match=r"x0 of layer 1 has shape \(1,\), but the layer has 3 nodes"):
+        rom_simulate(h, cert.maps[2], x0=[2.0])
 
 
 def _assert_close(a, b):

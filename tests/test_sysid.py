@@ -678,19 +678,19 @@ def test_fit_matches_sequential_starts_across_windows_and_early_stop():
     report = assert_fit_matches_sequential_starts(problem, switch_interval=1e-5,
                                                   n_starts=9, seed=4, maxiter=8)
     assert report.n_starts == 9 > sysid._LOCKSTEP
-    # target_r2 stops at the first start that reaches it, here start 0,
-    # which runs in a window of its own
+    # target_r2 stops at the first start that reaches it, here start 0:
+    # starts 1-7 of its window are torn down and dropped
     report = assert_fit_matches_sequential_starts(problem, n_starts=12, seed=4,
                                                   maxiter=40, target_r2=0.99)
     assert report.n_starts == 1
-    # here start 5 reaches it, in the window of starts 3-6 (windows grow
-    # 1, 2, 4): start 6 is torn down and dropped
+    # here start 5 reaches it, in the window of starts 0-7: starts 6 and 7
+    # are torn down and dropped
     report = assert_fit_matches_sequential_starts(problem, n_starts=12, seed=3,
                                                   maxiter=10, target_r2=0.99)
     assert (report.best_start, report.n_starts) == (5, 6)
 
 
-def test_fit_windows_grow_under_an_early_stop(monkeypatch):
+def test_fit_windows_hold_eight_starts_under_an_early_stop(monkeypatch):
     problem = scalar_problem()
     problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
     minimize_window = sysid._minimize_window
@@ -705,7 +705,7 @@ def test_fit_windows_grow_under_an_early_stop(monkeypatch):
     assert sizes == [8, 8, 1]
     sizes.clear()
     fit(problem, n_starts=17, seed=4, maxiter=1, target_r2=2.0)  # never reached
-    assert sizes == [1, 2, 4, 8, 2]
+    assert sizes == [8, 8, 1]
 
 
 def test_fit_matches_sequential_starts_constant_data():
