@@ -108,11 +108,11 @@ class ControlLaw:
 
 
 def _exact_solve(A, b, subject) -> np.ndarray:
-    """Minimum-norm least-squares X of A X = b, refused with
-    InfeasibleExact, naming subject, when a residual exceeds _RESIDUAL_TOL."""
+    """Minimum-norm least-squares X of A X = b, refused with InfeasibleExact,
+    naming subject, unless every residual is at most _RESIDUAL_TOL."""
     X, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.max(np.abs(A @ X - b)))
-    if resid > _RESIDUAL_TOL:
+    if not resid <= _RESIDUAL_TOL:
         raise InfeasibleExact(f"{subject} residual {resid:.2e} exceeds 1e-10")
     return X
 
@@ -167,7 +167,7 @@ def feedforward_bilayer(net: LTNetwork, xbar1, nu, W21) -> np.ndarray:
         inter = _clip_plus(W21[:r, :]) @ xbar1
     target = -_clip_plus(net.W[:r, :]) @ nu - inter - _clip_plus(net.c[:r])
     ubar = _exact_solve(net.B[:r, :], target, "feedforward")
-    if np.any(ubar < -1e-12):
+    if not np.all(ubar >= -1e-12):
         raise NegativeControl(f"feedforward has negative entries: {ubar}")
     return _clip_plus(ubar)
 

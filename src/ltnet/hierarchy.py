@@ -28,6 +28,7 @@ from .network import (
     Trajectory,
     _clip_piece,
     _clip_regime,
+    _initial_state,
     _step_count,
     clip_box,
     rk4_integrate,
@@ -120,14 +121,6 @@ class Hierarchy:
         return out
 
 
-def _layer_state(x, layer, n):
-    """x as the initial state of a layer of n nodes, or ValueError."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 of layer {layer} has shape {x.shape}, but the layer has {n} nodes")
-    return x
-
-
 def simulate_hierarchy(
     h: Hierarchy,
     controls: Optional[Sequence] = None,
@@ -139,7 +132,7 @@ def simulate_hierarchy(
     """Integrate all layers jointly with one fixed RK4 step (rk4_integrate).
 
     controls, when given, is one ControlLaw per layer (entries may be
-    None).  x0 is a list of per-layer initial states (zeros by default).
+    None).  x0 lists per-layer initial states in [0, m] (zeros by default).
     dt is as in simulate, for the smallest layer time constant.
     x1_override, a callable t -> state, replaces the top layer's dynamics
     by a scripted trajectory (for externally supplied slow inputs; the
@@ -160,7 +153,7 @@ def simulate_hierarchy(
         x0 = [np.zeros(la.n) for la in h.layers]
     if len(x0) != N:
         raise ValueError(f"x0 holds {len(x0)} layer states, but the hierarchy has {N} layers")
-    X0 = np.concatenate([clip_box(_layer_state(x, i, la.n), la.m)
+    X0 = np.concatenate([_initial_state(x, la.m, f"x0 of layer {i}")
                          for i, (x, la) in enumerate(zip(x0, h.layers), start=1)])
     laws = list(controls or ()) + [None] * N  # None past the given laws
 
@@ -261,15 +254,21 @@ def reference_trajectory(
     if pa_map is None:
         if layer != h.N:
             raise ValueError("pa_map required for layers above the bottom")
-        from .equilibria import equilibrium_map
-
-        pa_map = equilibrium_map(net.W[net.plus, net.plus], net.m[net.plus])
+        pa_map = _bottom_map(h)
     Wup_pp = h.W_up[layer - 2][net.plus, above.plus]
     drive = upper_traj.samples[:, above.plus] @ Wup_pp.T + net.c[net.plus]
     plus_vals = pa_map.eval_many(drive)
     samples = np.zeros((plus_vals.shape[0], net.n))
     samples[:, net.plus] = plus_vals
     return Trajectory(t0=upper_traj.t0, dt=upper_traj.dt, samples=samples)
+
+
+def _bottom_map(h: Hierarchy) -> PiecewiseAffineMap:
+    """h_N^+, the bottom layer's map: it reads W^{++} and m^+, not tau."""
+    from .equilibria import equilibrium_map
+
+    net = h.layers[-1]
+    return equilibrium_map(net.W[net.plus, net.plus], net.m[net.plus])
 
 
 def tracking_error(traj: Trajectory, ref: Trajectory, window) -> float:
@@ -326,7 +325,8 @@ def epsilon_sweep(
     is compared against its quasi-steady reference over the window
     (default [2 tau_1, 10 tau_1]); inhibited nodes are scored by their
     sup norm over the same window.  maps supplies the per-layer composed
-    equilibrium maps keyed by layer index (required when N > 2).
+    equilibrium maps keyed by layer index (required when N > 2; else
+    the bottom map is built once).
     """
     tau1 = h.layers[0].tau
     if window is None:
@@ -334,14 +334,15 @@ def epsilon_sweep(
     t_end = max(window[1], 10.0 * tau1)
     errors = {i: [] for i in range(2, h.N + 1)}
     inhibited = {i: [] for i in range(2, h.N + 1) if h.layers[i - 1].r > 0}
+    if maps is None:
+        maps = {h.N: _bottom_map(h)} if h.N > 1 else {}
     for eps in eps_list:
         h_eps = h.with_eps(float(eps))
         dt = min(la.tau for la in h_eps.layers) / dt_factor
         trajs = simulate_hierarchy(h_eps, controls, x0, (0.0, t_end), dt)
         for i in range(2, h.N + 1):
             net = h_eps.layers[i - 1]
-            pa_map = None if maps is None else maps.get(i)
-            ref = reference_trajectory(h_eps, trajs[i - 2], i, pa_map)
+            ref = reference_trajectory(h_eps, trajs[i - 2], i, maps.get(i))
             errors[i].append(tracking_error(trajs[i - 1], ref, window))
             if net.r > 0:
                 mask = trajs[i - 1].window(*window)
@@ -374,7 +375,7 @@ def rom_simulate(
 
         tau_1 x' = -x + [W_11^{++} x + W_12^{++} h_2^+(W_21^{++} x + c_2^+) + c_1^+]_0^m.
 
-    x0 defaults to zeros; dt is as in simulate, for tau_1.
+    x0 (zeros by default) must lie in [0, m]; dt is as in simulate, for tau_1.
     """
     if h.N < 2:
         raise ValueError("reduced model needs a layer below the top")
@@ -386,7 +387,7 @@ def rom_simulate(
     c2p = below.c[below.plus]
     m = top.m[top.plus]
     t0, dt, n_steps = _step_count(t_span, dt, top.tau)
-    x0 = clip_box(np.zeros(m.size) if x0 is None else _layer_state(x0, 1, m.size), m)
+    x0 = _initial_state(np.zeros(m.size) if x0 is None else x0, m, "x0 of layer 1")
 
     def f(t, x):
         slaved = pa_map.eval(W21 @ x + c2p)

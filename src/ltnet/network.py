@@ -17,9 +17,9 @@ the boundary.  rk4_integrate is the one fixed-step core: simulate, the
 stacked hierarchy (hierarchy.simulate_hierarchy) and the reduced-order
 model (hierarchy.rom_simulate) all step through it, and so does
 identification (sysid.SysIdProblem.simulate_candidates), which steps a
-batch of candidate networks as one (candidates x conditions, n) state
-and records the stages for its adjoint gradient from inside f and
-project.
+batch of candidate networks as one (candidates x conditions, n) state;
+its adjoint gradient evaluates every step's stages again from the
+returned states.
 
 Piecewise-affine block stepping.  A time-invariant clipped field is
 affine on each clip regime (ZERO, LINEAR, SATURATED), and inside one
@@ -392,6 +392,17 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None, piece=None):
     return out
 
 
+def _initial_state(x0, m, what="x0"):
+    """x0 clipped onto the box [0, m] from within 1e-12 of it; ValueError,
+    naming x0 as what, for any other shape or point (NaN included)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != m.shape:
+        raise ValueError(f"{what} has shape {x0.shape}, but the layer has {m.size} nodes")
+    if not np.all((x0 >= -1e-12) & (x0 <= m + 1e-12)):
+        raise ValueError(f"{what} lies outside the box [0, m]")
+    return clip_box(x0, m)
+
+
 def _step_count(t_span, dt, tau):
     """(t0, dt, n_steps) of a fixed-step run over t_span; tau is the run's
     smallest time constant, and dt defaults to tau / 50, at most tau / 20."""
@@ -436,11 +447,7 @@ def simulate(
     logged at the same times.  A None or constant input makes the field
     time-invariant, and the run takes the piecewise-affine block path.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (net.n,):
-        raise ValueError(f"x0 must have shape ({net.n},), got {x0.shape}")
-    if np.any(x0 < -1e-12) or np.any(x0 > net.m + 1e-12):
-        raise ValueError("x0 lies outside the box [0, m]")
+    x0 = _initial_state(x0, net.m)
     t0, dt, n_steps = _step_count(t_span, dt, net.tau)
 
     piece = None
@@ -459,9 +466,7 @@ def simulate(
     def f(t, x):
         return rhs(net, x, d_of(t))
 
-    samples = rk4_integrate(
-        f, clip_box(x0, net.m), t0, dt, n_steps, lambda x: clip_box(x, net.m), piece
-    )
+    samples = rk4_integrate(f, x0, t0, dt, n_steps, lambda x: clip_box(x, net.m), piece)
     if piece is None:
         d_log = np.array([d_of(t0 + k * dt) for k in range(n_steps + 1)], dtype=float)
     else:

@@ -18,16 +18,17 @@ mean sample Pearson correlation over (node, condition) pairs, and f_var
 the 4-norm of the standard-deviation mismatches.  Sample statistics use
 the K-1 convention throughout.  Multi-start bounded quasi-Newton
 minimization (L-BFGS-B) searches the box with the exact gradient of this
-discretized objective: a discrete adjoint, i.e. one taped forward RK4
-pass and one reverse sweep through its stages, the ReLU and the
-post-step clip.  At kinks the ReLU and clip derivatives are 1 where the
-argument is > 0, pairs with a zero-variance series get a zero
-correlation gradient, a zero standard deviation a zero derivative,
-f_var = 0 a zero variance gradient, and a diverged candidate the penalty
-value with a zero gradient.  Because a constant reference series is matched by
-f_corr only by an exactly constant estimate, each start ends with one
-Newton step that tries to make such estimates exactly constant.  The
-starts run in lock-step windows of 8, one thread per start's L-BFGS-B.
+discretized objective: a discrete adjoint, i.e. one forward RK4 pass,
+its stages evaluated again from the stored steps, and one reverse sweep
+through the stages, the ReLU and the post-step clip.  At kinks the ReLU
+and clip derivatives are 1 where the argument is > 0, pairs with a
+zero-variance series get a zero correlation gradient, a zero standard
+deviation a zero derivative, f_var = 0 a zero variance gradient, and a
+diverged candidate the penalty value with a zero gradient.  Because a
+constant reference series is matched by f_corr only by an exactly
+constant estimate, each start ends with one Newton step that tries to
+make such estimates exactly constant.  The starts run in lock-step
+windows of 8, one thread per start's L-BFGS-B.
 They share only queues: the calling thread evaluates every candidate
 posted on its inbox in one batched forward pass and replies to each
 start with its row's value and gradient, so each start sees, bit for
@@ -516,58 +517,56 @@ class SysIdProblem:
         )
         return dt, n_steps, sig
 
-    def simulate_candidates(self, Z, _tape=None):
+    def _stage_field(self, Z):
+        """The stacked field of the candidates Z, one row per (candidate,
+        condition), p C + i for candidate p under condition i: (W (P C, n, n),
+        drive at every stage time (P C, S, n), tau (P C, n), X0 (P C, n))."""
+        W, U, tau, c, X0 = self.unpack(Z)
+        C, n = len(self.conditions), self.n
+        _, _, sig = self._stage_signals
+        # drive at every stage time: d = U sig + c, laid out (P, C, S, n)
+        drive = np.einsum("csk,pnk->pcsn", sig, U) + c[:, None, None, :]
+        return (np.repeat(W, C, axis=0), drive.reshape(-1, sig.shape[1], n),
+                np.repeat(tau, C, axis=0), X0.reshape(-1, n))
+
+    def _simulate(self, Z):
+        """(traj, states, diverged) of the candidates Z: traj is every RK4
+        step's state, (n_steps + 1, P, C, n), and (states, diverged) are
+        simulate_candidates' results."""
+        W, drive, tau, X0 = self._stage_field(Z)
+        dt, n_steps, _ = self._stage_signals
+        inv_half = 2.0 / dt  # stage times are multiples of dt / 2 from t0 = 0
+
+        def f(t, X):
+            return _stage(W, X, drive[:, round(t * inv_half)], tau)[1]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = rk4_integrate(f, X0, 0.0, dt, n_steps, lambda Y: np.maximum(Y, 0.0))
+        traj = traj.reshape(n_steps + 1, -1, len(self.conditions), self.n)
+        diverged = ~(np.abs(traj) <= _DIVERGENCE_LIMIT).all(axis=(0, 2, 3))  # NaN fails <=
+        # a contiguous copy, as the objective's reductions expect (a strided
+        # view changes their summation order)
+        states = np.ascontiguousarray(np.moveaxis(traj[:: self.sim_substeps], 0, 2))
+        states[diverged] = 0.0
+        return traj, states, diverged
+
+    def simulate_candidates(self, Z):
         """Simulate a batch of parameter vectors under every condition.
 
         Returns (states (P, C, K, n), diverged (P,) bool).  A candidate
         has diverged when any state of any of its conditions is
         non-finite or above _DIVERGENCE_LIMIT at any RK4 step; its states
-        are returned as zeros.  An _empty_tape(self, P) buffer passed as
-        _tape is filled, per step, with 13 (P C, n) rows: the state, slope
-        and ReLU argument of each of the four stages, then the pre-clip
-        update.  Its columns p C to (p + 1) C are the tape _adjoint reads
-        for candidate p, the values of a batch of one.
+        are returned as zeros.
         """
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        P = Z.shape[0]
-        C, n = len(self.conditions), self.n
-        W, U, tau, c, X0 = self.unpack(Z)
-        dt, n_steps, sig = self._stage_signals
-        # drive at every stage time: d = U sig + c, laid out (P, C, S, n)
-        drive = np.einsum("csk,pnk->pcsn", sig, U) + c[:, None, None, :]
-        B = P * C
-        drive = drive.reshape(B, -1, n)
-        Wb = np.repeat(W, C, axis=0)
-        taub = np.repeat(tau, C, axis=0)
-        inv_half = 2.0 / dt  # stage times are multiples of dt / 2 from t0 = 0
-        row = 0  # the next row of _tape
+        return self._simulate(Z)[1:]
 
-        def f(t, X):
-            nonlocal row
-            a = np.einsum("bij,bj->bi", Wb, X) + drive[:, round(t * inv_half)]
-            k = (-X + np.maximum(a, 0.0)) / taub
-            if _tape is not None:
-                _tape[row], _tape[row + 1], _tape[row + 2] = X, k, a
-                row += 3
-            return k
 
-        def project(Y):
-            nonlocal row
-            if _tape is not None:
-                _tape[row] = Y
-                row += 1
-            return np.maximum(Y, 0.0)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = rk4_integrate(f, X0.reshape(B, n), 0.0, dt, n_steps, project)
-        bad = ~(np.abs(traj) <= _DIVERGENCE_LIMIT).all(axis=(0, 2))  # NaN fails <=
-        diverged = bad.reshape(P, C).any(axis=1)
-        # a contiguous copy, as the objective's reductions expect (a strided
-        # view changes their summation order)
-        states = np.ascontiguousarray(traj[:: self.sim_substeps].swapaxes(0, 1))
-        states = states.reshape(P, C, self.K, n)
-        states[diverged] = 0.0
-        return states, diverged
+def _stage(W, X, d, tau):
+    """ReLU argument a = W X + d and slope (-X + max(a, 0)) / tau of the
+    stacked field at the states X (..., n), with W (..., n, n) broadcast
+    against them: each row is computed as it would be in a batch of one."""
+    a = np.einsum("...ij,...j->...i", W, X) + d
+    return a, (-X + np.maximum(a, 0.0)) / tau
 
 
 # ---------------------------------------------------------------------------
@@ -617,23 +616,23 @@ def objective(z, problem: SysIdProblem):
     Raises SimulationDiverged when the candidate leaves the admissible
     range.  Returns (f, f_sse, f_corr, f_var).
     """
-    f, parts, _, diverged = _objective_batch(np.atleast_2d(z), problem)
+    f, parts, _, diverged, _ = _objective_batch(np.atleast_2d(z), problem)
     if diverged[0]:
         raise SimulationDiverged("candidate trajectory diverged")
     return float(f[0]), *(float(v[0]) for v in parts)
 
 
-def _objective_batch(Z, problem: SysIdProblem, _tape=None):
-    """objective_terms of every row of Z, passing a _tape buffer on to
-    simulate_candidates.
+def _objective_batch(Z, problem: SysIdProblem):
+    """objective_terms of every row of Z.
 
-    Returns (f (P,), (f_sse, f_corr, f_var) each (P,), est, diverged (P,)),
-    with est the (P, C, nm, K) manifest series compared with problem._ref.
+    Returns (f (P,), (f_sse, f_corr, f_var) each (P,), est, diverged (P,),
+    traj), with est the (P, C, nm, K) manifest series compared with
+    problem._ref and traj every RK4 step's state (SysIdProblem._simulate).
     Diverged or non-finite candidates get f = _PENALTY.
     """
     if problem.data is None:
         raise ValueError("problem has no attached data")
-    states, diverged = problem.simulate_candidates(Z, _tape=_tape)
+    traj, states, diverged = problem._simulate(Z)
     est = np.moveaxis(states[:, :, :, problem.manifest], 3, 2)
     P, K = est.shape[0], problem.K
     # (C nm, K) pair rows with K the slowest axis: each reference series
@@ -647,7 +646,7 @@ def _objective_batch(Z, problem: SysIdProblem, _tape=None):
     f_sse, f_corr, f_var = parts
     f = f_sse + problem.gamma1 * f_corr + problem.gamma2 * f_var
     f = np.where(diverged | ~np.isfinite(f), _PENALTY, f)
-    return f, parts, est, diverged
+    return f, parts, est, diverged, traj
 
 
 def _objective_state_grad(est, ref, problem: SysIdProblem):
@@ -679,27 +678,19 @@ def _objective_state_grad(est, ref, problem: SysIdProblem):
     return grad
 
 
-def _empty_tape(problem: SysIdProblem, P):
-    """An unfilled simulate_candidates tape for P candidates."""
-    _, n_steps, _ = problem._stage_signals
-    return np.empty((13 * n_steps, P * len(problem.conditions), problem.n))
-
-
 def _values_and_grads(Z, problem: SysIdProblem):
     """Objective values and exact gradients of the rows of Z (P, dim).
 
-    One batched forward pass tapes every row; each row's gradient is then
-    _adjoint's on its own tape, so row p gets the (f, g) of a batch of one,
-    bit for bit.  A penalized row (diverged or non-finite f) gets a zero
-    gradient.  Returns (F (P,), G (P, dim)).
+    One batched forward pass integrates every row; each row's gradient is
+    then _adjoint's on its own trajectory, so row p gets the (f, g) of a
+    batch of one, bit for bit.  A penalized row (diverged or non-finite f)
+    gets a zero gradient.  Returns (F (P,), G (P, dim)).
     """
-    tape = _empty_tape(problem, Z.shape[0])
-    F, _, est, _ = _objective_batch(Z, problem, _tape=tape)
+    F, _, est, _, traj = _objective_batch(Z, problem)
     G = np.zeros(Z.shape)
-    C = len(problem.conditions)
     for p in np.flatnonzero(F != _PENALTY):
         grad_est = _objective_state_grad(est[p], problem._ref, problem)
-        G[p] = _adjoint(Z[p], problem, tape[:, p * C : (p + 1) * C], grad_est)
+        G[p] = _adjoint(Z[p], problem, traj[:, p], grad_est)
     return F, G
 
 
@@ -709,38 +700,43 @@ def _value_and_grad(z, problem: SysIdProblem):
     return float(F[0]), G[0]
 
 
-def _adjoint(z, problem: SysIdProblem, tape, grad_est):
+def _adjoint(z, problem: SysIdProblem, traj, grad_est):
     """Gradient in z of a function of the sampled manifest states.
 
     grad_est (C, nm, K) is the function's derivative with respect to the
-    states of z, and tape z's columns of a simulate_candidates tape.  This is
-    the discrete adjoint of that fixed-step RK4: one reverse sweep through
-    the stages, the ReLU and the post-step clip (derivative 1 where the
-    argument is > 0).
+    states of z, and traj (n_steps + 1, C, n) its every RK4 step's state
+    (SysIdProblem._simulate).  This is the discrete adjoint of that
+    fixed-step RK4: every step's stages are evaluated again from traj, all
+    steps at once and each row as the forward pass had it, then one
+    reverse sweep runs through the stages, the ReLU and the post-step
+    clip (derivative 1 where the argument is > 0).
     """
     C, n = len(problem.conditions), problem.n
     G = np.zeros((C, problem.K, n))  # on the full state
     G[:, :, problem.manifest] = np.moveaxis(grad_est, 2, 1)
-    W, _, tau, _, _ = problem.unpack(z)
-    W, tau = W[0], tau[0]
     dt, n_steps, sig = problem._stage_signals
     sub = problem.sim_substeps
     b = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)  # weights of k1..k4 in the update
     c = (0.5 * dt, 0.5 * dt, dt)  # stage s + 1 starts at X + c[s] * k_s
-    # per step: (state, slope, ReLU argument) of stages 1-4, then the pre-clip update
-    # a batch's columns are copied to the layout of a batch of one, so the
-    # reductions below sum in the same order whatever the batch
-    taped = np.ascontiguousarray(tape).reshape(n_steps, 13, C, n)
-    XS = taped[:, 0:12:3]  # stage states (steps, 4, C, n)
-    KS = taped[:, 1:12:3]  # stage slopes
-    relu = taped[:, 2:12:3] > 0.0  # ReLU derivatives
-    clip = taped[:, 12] > 0.0  # clip derivatives (steps, C, n)
+    Wc, drive, tauc, _ = problem._stage_field(z)
+    W, tau = Wc[0], tauc[0]
+    # drive samples: stage 1 reads 2k, stages 2 and 3 read 2k + 1, stage 4 reads 2k + 2
+    reads = (slice(0, -1, 2), slice(1, None, 2), slice(1, None, 2), slice(2, None, 2))
+    # stage states, slopes and ReLU arguments (steps, 4, C, n)
+    XS, KS, AS = (np.empty((n_steps, 4, C, n)) for _ in range(3))
+    XS[:, 0] = traj[:-1]
+    drive = drive.swapaxes(0, 1)
+    for s, r in enumerate(reads):
+        AS[:, s], KS[:, s] = _stage(Wc, XS[:, s], drive[r], tauc)
+        if s < 3:
+            XS[:, s + 1] = XS[:, 0] + c[s] * KS[:, s]
+    clip = traj[1:] > 0.0  # clip derivatives: max(Y, 0) > 0 exactly where Y > 0
     itau = 1.0 / tau
     # Row-vector Jacobians of every step, built for all steps at once:
     # dk_s = D_s dX_s with D_s = diag(V_s) W - diag(1 / tau), V_s = relu_s / tau,
     # and the adjoint of the pre-clip update Y maps to the stage slopes by
     # P_s and to the step's start by J = I + sum_s P_s D_s.
-    V = relu * itau  # (steps, 4, C, n)
+    V = (AS > 0.0) * itau  # ReLU derivatives over tau (steps, 4, C, n)
     eye = np.eye(n)
     P = np.empty(V.shape + (n,))
     J = np.broadcast_to(eye, (n_steps, C, n, n)).copy()
@@ -762,11 +758,9 @@ def _adjoint(z, problem: SysIdProblem, tape, grad_est):
     LA = LK * V  # adjoints of the ReLU arguments
 
     gW = np.einsum("ksbi,ksbj->ij", LA, XS).ravel()
-    # drive samples: stage 1 reads 2k, stages 2 and 3 read 2k + 1, stage 4 reads 2k + 2
-    LD = np.zeros((C, 2 * n_steps + 1, n))
-    LD[:, 0:-1:2] += np.moveaxis(LA[:, 0], 0, 1)
-    LD[:, 1::2] += np.moveaxis(LA[:, 1] + LA[:, 2], 0, 1)
-    LD[:, 2::2] += np.moveaxis(LA[:, 3], 0, 1)
+    LD = np.zeros((C, 2 * n_steps + 1, n))  # adjoints of the drive samples
+    for s, r in enumerate(reads):
+        LD[:, r] += np.moveaxis(LA[:, s], 0, 1)
     gU = np.einsum("csk,csn->nk", sig, LD).ravel()
     g_tau = -(LK * KS).sum(axis=(0, 1, 2)) * itau
     g = np.empty(problem.dim)
@@ -798,8 +792,7 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     ref_flat = np.linalg.norm(ref - ref.mean(axis=-1, keepdims=True), axis=-1) < _FLAT
     if not ref_flat.any():
         return z, f
-    tape = _empty_tape(problem, 1)
-    est = _objective_batch(z[None, :], problem, _tape=tape)[2][0]
+    _, _, (est,), _, traj = _objective_batch(z[None, :], problem)
     est_c = est - est.mean(axis=-1, keepdims=True)
     se = np.linalg.norm(est_c, axis=-1)
     pairs = np.argwhere(ref_flat & (se >= _FLAT))
@@ -809,7 +802,7 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     for row, (cond, node) in enumerate(pairs):
         d_se = np.zeros_like(est)
         d_se[cond, node] = est_c[cond, node] / se[cond, node]
-        J[row] = _adjoint(z, problem, tape, d_se)
+        J[row] = _adjoint(z, problem, traj[:, 0], d_se)
     dz = np.linalg.lstsq(J, -se[tuple(pairs.T)], rcond=None)[0]
     z_new = np.clip(z + dz, lo, hi)
     f_new = float(_objective_batch(z_new[None, :], problem)[0][0])

@@ -719,11 +719,17 @@ def test_cli_simulate_x0_negative_list(tmp_path, capsys):
     assert back.t0 == -1.0
 
 
-def test_cli_recruit_x0_negative_list(tmp_path):
+def test_cli_recruit_x0_negative_list(tmp_path, capsys):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(recruitment_hierarchy(), h_path)
-    x0 = "-0.5,0.2,0.1,-0.3,0.4,0.2,0.1,-0.2"
     out, ref = tmp_path / "sweep.json", tmp_path / "ref.json"
+    # the list is read as the value of --x0, and then refused by the
+    # hierarchy (before: the negative entries were clipped to 0)
+    assert main(["recruit", "--hierarchy", str(h_path), "--eps", "0.5",
+                 "--x0", "-0.5,0.2,0.1,-0.3,0.4,0.2,0.1,-0.2", "--out", str(out)]) == 2
+    assert "x0 of layer 1 lies outside the box [0, m]" in capsys.readouterr().err
+    assert not out.exists()
+    x0 = "0.5,0.2,0.1,0.3,0.4,0.2,0.1,0.2"
     assert main(["recruit", "--hierarchy", str(h_path), "--eps", "0.5",
                  "--x0", x0, "--out", str(out)]) == 0
     assert main(["recruit", "--hierarchy", str(h_path), "--eps", "0.5",

@@ -26,6 +26,12 @@ def recruited_layer():
                      tau=1.65, B=np.array([[-1.0], [0.0], [0.0]]), r=1)
 
 
+def test_feedforward_refuses_nan_bounds():
+    # before: the NaN residual passed the residual check and [nan] came back
+    with pytest.raises(InfeasibleExact, match="feedforward residual nan exceeds 1e-10"):
+        feedforward_bilayer(recruited_layer(), np.zeros(3), np.full(3, np.nan), np.zeros((3, 3)))
+
+
 def test_control_law_modes_and_eval():
     with pytest.raises(ValueError, match="mode"):
         ControlLaw(layer=2, K=None, ubar=None, mode="open-loop")

@@ -11,6 +11,7 @@ from ltnet import (
     certify_hierarchy,
     clip_box,
     epsilon_sweep,
+    equilibria,
     feedback_gain_bilayer,
     feedforward_bilayer,
     multilayer_controls,
@@ -248,6 +249,20 @@ def test_epsilon_sweep_tightens_slaving():
     assert blob["tracking_monotone"]["2"] is True
 
 
+def test_epsilon_sweep_builds_the_bottom_map_once(monkeypatch):
+    h = oscillator_bilayer()
+    net2 = h.layers[1]
+    bottom = equilibria.equilibrium_map(net2.W[net2.plus, net2.plus], net2.m[net2.plus])
+    built = []
+    build = equilibria.equilibrium_map
+    monkeypatch.setattr(equilibria, "equilibrium_map",
+                        lambda *args: built.append(args) or build(*args))
+    eps = (0.5, 0.25, 0.1)
+    report = epsilon_sweep(h, None, eps)
+    assert len(built) == 1
+    assert report == epsilon_sweep(h, None, eps, maps={2: bottom})
+
+
 def test_epsilon_sweep_stationary_at_equilibrium():
     h = lc_hierarchy()
     # the top layer settles at its ceiling; the pair below at the joint
@@ -338,6 +353,21 @@ def test_wrong_length_initial_states_are_refused():
         simulate_hierarchy(h, x0=[np.zeros(3)] * 3)
     with pytest.raises(ValueError, match=r"x0 of layer 1 has shape \(1,\), but the layer has 3 nodes"):
         rom_simulate(h, cert.maps[2], x0=[2.0])
+
+
+def test_initial_states_outside_the_box_are_refused():
+    # before: both integrators clipped such a state onto the box silently
+    h = oscillator_bilayer()
+    cert = certify_hierarchy(h)
+    bad = np.array([-5.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"x0 of layer 1 lies outside the box \[0, m\]"):
+        simulate_hierarchy(h, x0=[bad, np.zeros(3)])
+    with pytest.raises(ValueError, match=r"x0 of layer 2 lies outside the box \[0, m\]"):
+        simulate_hierarchy(h, x0=[np.zeros(3), np.array([0.0, np.nan, 1.0])])
+    with pytest.raises(ValueError, match=r"x0 of layer 1 lies outside the box \[0, m\]"):
+        rom_simulate(h, cert.maps[2], x0=bad)
+    with pytest.raises(ValueError, match=r"x0 lies outside the box \[0, m\]"):
+        simulate(h.layers[0], bad)
 
 
 def _assert_close(a, b):

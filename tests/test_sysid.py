@@ -1,5 +1,6 @@
 """Rate preprocessing, timescales, permutation tests, structured fitting."""
 
+import hashlib
 import sys
 import threading
 
@@ -545,6 +546,15 @@ def test_gradient_substeps_and_conditions():
         assert_gradient_matches(problem, z)
 
 
+def test_gradient_through_the_post_step_clip():
+    # dt = 0.1 = 2.5 tau: the clip lifts the first step's update to 0 (see
+    # test_post_step_clip_acts_when_dt_exceeds_two_tau), so an adjoint that
+    # passes that update on unclipped misses tau's derivative by far
+    problem = switch_off_problem(5.0, off_at=0.02, tau_lo=0.01, sim_substeps=1)
+    problem.attach_data({"base": 0.5 + 0.3 * np.sin(np.arange(11.0))[:, None]})
+    assert_gradient_matches(problem, np.array([2.0, 0.04, 0.5, 0.0]))
+
+
 def test_gradient_of_diverged_candidate_is_zero():
     problem = SysIdProblem(
         (1,), [WeightEntry("W11", 0, 0, "free", 3.0)], [],
@@ -626,6 +636,23 @@ def assert_rows_match_batches_of_one(problem, Z):
 def test_values_and_grads_rows_equal_batches_of_one(P):
     problem = two_channel_problem(60)
     assert_rows_match_batches_of_one(problem, interior_points(problem, 61, P))
+
+
+# SHA-256 of the (F, G) bytes of _values_and_grads on the first P rows of a
+# fixed two-channel batch (NumPy 2.4 with OpenBLAS, x86-64)
+_GRADIENT_SHA256 = {
+    1: "b7750c0b3700c276dff4c766a816497ab4247b4c23ce6075fde34d030583b7dd",
+    8: "e5b148ad406caf779cb9e34ff9be3ef4eeaa525ffdd4561777df518e8c239efa",
+}
+
+
+@pytest.mark.parametrize("P", [1, 8])
+def test_values_and_grads_bytes_are_pinned(P):
+    problem = two_channel_problem(60)
+    Z = 0.8 * true_two_channel_parameters() + 0.2 * interior_points(problem, 64, 8)
+    F, G = sysid._values_and_grads(Z[:P], problem)
+    assert np.all(F != sysid._PENALTY)
+    assert hashlib.sha256(F.tobytes() + G.tobytes()).hexdigest() == _GRADIENT_SHA256[P]
 
 
 def test_values_and_grads_diverged_row_leaves_its_neighbours_alone():
