@@ -209,9 +209,9 @@ class OnlineFeedforward:
     c_minus, so that B^- ubar <= target elementwise over the layer's
     inhibited (first r) rows when B^- has full row rank; demands that are
     already nonpositive are met with zero surplus.  It ignores t and is
-    piecewise affine in x_above: piece reports the AffinePiece at a
-    given x_above, which lets hierarchy.simulate_hierarchy take the
-    piecewise-affine block path of network.rk4_integrate.  Its rows
+    piecewise affine in x_above: pattern names and piece reports the
+    AffinePiece at a given x_above, which makes it a drive term that
+    network._clipped_run can block-step (see simulate_hierarchy).  Its rows
     G x_above + g >= 0, built by network._regime_rows, hold the target
     rows and the rows of pinv min(target, 0) at their signs: each is a
     clip argument under an unbounded ceiling, LINEAR where it is

@@ -272,17 +272,22 @@ class PiecewiseAffineMap:
         d = self._points(d, 1)
         return [self.pieces[i] for _, pcs in self._scan(d[None], first=False) for i in pcs]
 
-    def eval(self, d) -> np.ndarray:
-        """Value at d, using the first covering piece in label order."""
+    def _locate(self, d) -> int:
+        """Index of the first piece in label order whose region holds d."""
         d = self._points(d, 1)
         for _, hit in self._scan(d[None]):
             if hit.size:
-                p = self.pieces[hit[0]]
-                return p.F @ d + p.f
+                return int(hit[0])
         raise NoCoveringPiece(
             f"no piece covers d={d!r}; the map may be incomplete or the "
             "underlying equation non-contractive at this input"
         )
+
+    def eval(self, d) -> np.ndarray:
+        """Value at d, using the first covering piece in label order."""
+        d = self._points(d, 1)
+        p = self.pieces[self._locate(d)]
+        return p.F @ d + p.f
 
     __call__ = eval
 

@@ -11,7 +11,9 @@ As the timescale ratios eps_i = tau_{i+1}/tau_i shrink, a controlled
 lower layer is slaved to the quasi-steady reference
 (0, h_i^+(W_up^{++} x_{i-1}(t) + c_i^+)) built from the composed
 equilibrium maps, and the top layer approaches the reduced-order model
-that replaces the layers below by their equilibrium map.
+that replaces the layers below by their equilibrium map.  Both models
+run through network._clipped_run, on its block path, with the online
+feedforward or the slaved map as its drive terms.
 """
 
 from __future__ import annotations
@@ -21,18 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import OnlineFeedforward
 from .equilibria import PiecewiseAffineMap
-from .network import (
-    LTNetwork,
-    Trajectory,
-    _clip_piece,
-    _clip_regime,
-    _initial_state,
-    _step_count,
-    clip_box,
-    rk4_integrate,
-)
+from .network import AffinePiece, LTNetwork, Trajectory, _clipped_run, _initial_state, _step_count
+from .network import rk4_integrate  # noqa: F401  perfbench/tracing.py wraps the core here too
 
 __all__ = [
     "Hierarchy",
@@ -127,22 +120,17 @@ def simulate_hierarchy(
     x0: Optional[Sequence] = None,
     t_span=(0.0, 10.0),
     dt: Optional[float] = None,
-    x1_override=None,
 ) -> list:
     """Integrate all layers jointly with one fixed RK4 step (rk4_integrate).
 
     controls, when given, is one ControlLaw per layer (entries may be
     None).  x0 lists per-layer initial states in [0, m] (zeros by default).
-    dt is as in simulate, for the smallest layer time constant.
-    x1_override, a callable t -> state, replaces the top layer's dynamics
-    by a scripted trajectory (for externally supplied slow inputs; the
-    caller is responsible for keeping it bounded).  Returns one
-    Trajectory per layer; controlled layers log the applied u(t).
+    dt is as in simulate, for the smallest layer time constant.  Returns
+    one Trajectory per layer; controlled layers log the applied u(t).
 
-    Without x1_override, and when every callable ubar is an
-    OnlineFeedforward, the closed loop is time-invariant and piecewise
-    affine, and the run takes rk4_integrate's block path.  Its pieces'
-    rows hold every node's drive and each feedforward's own rows.
+    When every callable ubar is an OnlineFeedforward, the closed loop is
+    piecewise affine, and the run takes rk4_integrate's block path on
+    pieces whose rows hold every node's drive and each feedforward's rows.
     """
     N = h.N
     taus = np.concatenate([np.full(la.n, la.tau) for la in h.layers])
@@ -159,7 +147,7 @@ def simulate_hierarchy(
 
     # stack the layer and inter-layer blocks into one matrix; feedback
     # gains fold into the diagonal blocks and constant feedforward into
-    # the offset, leaving only online feedforward terms per stage
+    # the offset, leaving online feedforward as drive terms
     n_tot = X0.size
     Wtot = np.zeros((n_tot, n_tot))
     ctot = np.concatenate([la.c for la in h.layers])
@@ -178,60 +166,17 @@ def simulate_hierarchy(
         if law.ubar is None:
             continue
         if callable(law.ubar):
-            online.append((i, la.B, law.ubar))
+            online.append((sl[i], sl[i - 1] if i > 0 else None, la.B, law.ubar))
         else:
             ctot[sl[i]] += la.B @ law.ubar
 
-    def drive(t, X):
-        d = Wtot @ X + ctot
-        for i, B, ubar in online:
-            d[sl[i]] += B @ ubar(t, X[sl[i - 1]] if i > 0 else None)
-        return d
-
-    def f(t, X):
-        if x1_override is not None:
-            # scripted top layer: substitute its state at every stage time
-            X = X.copy()
-            X[sl[0]] = np.asarray(x1_override(t), dtype=float)
-        dX = (-X + clip_box(drive(t, X), ms)) / taus
-        if x1_override is not None:
-            dX[sl[0]] = 0.0
-        return dX
-
-    piece = None
-    if x1_override is None and all(isinstance(ub, OnlineFeedforward) and i > 0
-                                   for i, _, ub in online):
-
-        def piece(X):
-            regime = _clip_regime(drive(t0, X), ms)
-            key = regime.tobytes() + b"".join(ff.pattern(X[sl[i - 1]]) for i, _, ff in online)
-
-            def build():
-                # the feedforward pieces fold into the drive's matrix
-                Wd, cd, kinks = Wtot.copy(), ctot.copy(), []
-                for i, B, ff in online:
-                    p = ff.piece(X[sl[i - 1]])
-                    Wd[sl[i], sl[i - 1]] += B @ p.F
-                    cd[sl[i]] += B @ p.f
-                    G = np.zeros((p.g.size, n_tot))
-                    G[:, sl[i - 1]] = p.G
-                    kinks.append((G, p.g))
-                return _clip_piece(Wd, cd, ms, taus, regime, kinks)
-
-            return key, build
-
-    samples = rk4_integrate(f, X0, t0, dt, n_steps, lambda X: clip_box(X, ms), piece)
+    samples = _clipped_run(Wtot, ctot, ms, taus, X0, t0, dt, n_steps, online)
     times = t0 + dt * np.arange(n_steps + 1)
-    if x1_override is not None:
-        # f never reads the integrated top block, so report the script
-        samples[:, sl[0]] = [x1_override(t) for t in times]
     out = []
-    for i, la in enumerate(h.layers):
-        log = None
-        law = laws[i]
-        if law is not None and la.B is not None:
-            log = law.input_log(times, samples[:, sl[i]], samples[:, sl[i - 1]] if i > 0 else None)
-        out.append(Trajectory(t0=t0, dt=dt, samples=samples[:, sl[i]], input_log=log))
+    for i, (la, law) in enumerate(zip(h.layers, laws)):
+        x, above = samples[:, sl[i]], samples[:, sl[i - 1]] if i > 0 else None
+        log = law.input_log(times, x, above) if law is not None and la.B is not None else None
+        out.append(Trajectory(t0=t0, dt=dt, samples=x, input_log=log))
     return out
 
 
@@ -328,6 +273,8 @@ def epsilon_sweep(
     equilibrium maps keyed by layer index (required when N > 2; else
     the bottom map is built once).
     """
+    if len(eps_list) == 0:
+        raise ValueError("eps_list is empty: there is nothing to sweep")
     tau1 = h.layers[0].tau
     if window is None:
         window = (2.0 * tau1, 10.0 * tau1)
@@ -361,6 +308,33 @@ def epsilon_sweep(
     )
 
 
+class _SlavedLayer:
+    """The reduced model's drive term x -> h(W x + c), h the composed
+    map below: pattern names h's first piece covering d = W x + c, and
+    piece pulls it back through x.  _last holds the last state located,
+    as (its bytes, d, the piece's index), so a state is located once."""
+
+    def __init__(self, pa_map, W, c):
+        self.pa_map, self.W, self.c, self._last = pa_map, W, c, (None,)
+
+    def _at(self, x):
+        if self._last[0] != (key := x.tobytes()):
+            d = self.W @ x + self.c
+            self._last = key, d, self.pa_map._locate(d)
+        return self._last[1:]
+
+    def __call__(self, t, x):
+        d, k = self._at(x)
+        return self.pa_map.pieces[k].F @ d + self.pa_map.pieces[k].f
+
+    def pattern(self, x) -> bytes:
+        return self._at(x)[1].to_bytes(8, "little")
+
+    def piece(self, x) -> AffinePiece:
+        p = self.pa_map.pieces[self._at(x)[1]]
+        return AffinePiece(p.F @ self.W, p.F @ self.c + p.f, p.G @ self.W, p.G @ self.c + p.g)
+
+
 def rom_simulate(
     h: Hierarchy,
     pa_map: PiecewiseAffineMap,
@@ -375,23 +349,17 @@ def rom_simulate(
 
         tau_1 x' = -x + [W_11^{++} x + W_12^{++} h_2^+(W_21^{++} x + c_2^+) + c_1^+]_0^m.
 
-    x0 (zeros by default) must lie in [0, m]; dt is as in simulate, for tau_1.
+    x0 (zeros by default) must lie in [0, m]; dt is as in simulate, for
+    tau_1.  The run takes rk4_integrate's block path on pieces whose rows
+    hold the top layer's drive and the covering piece of h_2^+.
     """
     if h.N < 2:
         raise ValueError("reduced model needs a layer below the top")
-    top = h.layers[0]
-    below = h.layers[1]
-    W11 = top.W[top.plus, top.plus]
-    W12 = h.W_down[0][top.plus, below.plus]
-    W21 = h.W_up[0][below.plus, top.plus]
-    c2p = below.c[below.plus]
-    m = top.m[top.plus]
+    top, below = h.layers[0], h.layers[1]  # the top layer has r = 0: x is all of it
     t0, dt, n_steps = _step_count(t_span, dt, top.tau)
-    x0 = _initial_state(np.zeros(m.size) if x0 is None else x0, m, "x0 of layer 1")
-
-    def f(t, x):
-        slaved = pa_map.eval(W21 @ x + c2p)
-        return (-x + clip_box(W11 @ x + W12 @ slaved + top.c[top.plus], m)) / top.tau
-
-    samples = rk4_integrate(f, x0, t0, dt, n_steps, project=lambda x: clip_box(x, m))
+    x0 = _initial_state(np.zeros(top.n) if x0 is None else x0, top.m, "x0 of layer 1")
+    p = below.plus
+    slaved = _SlavedLayer(pa_map, h.W_up[0][p], below.c[p])
+    samples = _clipped_run(top.W, top.c, top.m, top.tau, x0, t0, dt, n_steps,
+                           [(slice(None), slice(None), h.W_down[0][:, p], slaved)])
     return Trajectory(t0=t0, dt=dt, samples=samples)

@@ -13,35 +13,33 @@ so trajectories started inside it stay inside it.
 Integration uses classic fixed-step fourth-order Runge-Kutta with a
 projection of each completed step back onto the box, which removes the
 O(dt^5) excursions that the clipped vector field can otherwise produce at
-the boundary.  rk4_integrate is the one fixed-step core: simulate, the
-stacked hierarchy (hierarchy.simulate_hierarchy) and the reduced-order
-model (hierarchy.rom_simulate) all step through it, and so does
-identification (sysid.SysIdProblem.simulate_candidates), which steps a
-batch of candidate networks as one (candidates x conditions, n) state;
-its adjoint gradient evaluates every step's stages again from the
-returned states.
+the boundary.  rk4_integrate is the one fixed-step core and _clipped_run
+the one clipped field, tau x' = -x + [W x + c + terms]_0^m, each term
+adding B u(t, x[src]) to some rows: simulate with a None or constant
+input, the stacked hierarchy (hierarchy.simulate_hierarchy, whose terms
+are online feedforward) and the reduced-order model (hierarchy.rom_simulate,
+whose term is the slaved layer's map) run through it.  simulate with a
+callable input steps rhs through the core, and so does identification
+(sysid.SysIdProblem.simulate_candidates) with a batch of candidate
+networks as one (candidates x conditions, n) state.
 
 Piecewise-affine block stepping.  A time-invariant clipped field is
 affine on each clip regime (ZERO, LINEAR, SATURATED), and inside one
 regime an RK4 step is exactly x -> R x + r, with R the RK4 stability
 polynomial of h F.  rk4_integrate takes an optional hint,
 piece(x) -> (key, build), that names the piece holding x and builds it
-on demand as an AffinePiece: the field F y + f on the rows G y + g >= 0,
-which _regime_rows writes for each clip argument, the same rows that
-hold an equilibrium piece's drive in its pattern.  With the hint the
-core advances BLOCK_STEPS = 64 steps with one stacked product, checks
+on demand as an AffinePiece: the field F y + f on the rows G y + g >= 0
+that _regime_rows writes for each clip argument.  With the hint the core
+advances up to BLOCK_STEPS = 64 steps with one stacked product, checks
 every post-step state and all four stage states of every step against
 the rows, keeps the steps before the first one that leaves the piece,
 that project moves or that is not finite, and takes that step with the
-plain RK4 code.  The row and projection checks allow a slack of
-_KINK_SLACK = 1e-12 times the size of the terms: a node inhibited to
-exactly zero drive sees +-1e-16 in floats, and both pieces agree at a
-kink.  Each call caches the block maps of up to _PIECE_CACHE = 16 pieces.
-simulate passes the hint when its input is None or constant, and
-hierarchy.simulate_hierarchy when it has no x1_override and every
-callable ubar is the library's control.OnlineFeedforward; block results
-agree with plain stepping to about 1e-13.  Every other caller takes
-plain RK4 steps only.
+plain RK4 code.  The checks allow a slack of _KINK_SLACK = 1e-12 times
+the size of the terms: a node inhibited to exactly zero drive sees
++-1e-16 in floats, and both pieces agree at a kink.  Each call caches
+the block maps of up to _PIECE_CACHE = 16 pieces.  _clipped_run passes
+the hint when every term is piecewise affine too, with a pattern and a
+piece; block results agree with plain stepping to about 1e-13.
 """
 
 from __future__ import annotations
@@ -290,11 +288,9 @@ class _BlockStepper:
     """
 
     def __init__(self, dt, project):
-        self.dt = dt
-        self.project = project
-        self.maps = {}
+        self.dt, self.project, self.maps = dt, project, {}
 
-    def _build(self, piece):
+    def _build(self, piece, steps):
         n = piece.f.size
         eye = np.eye(n + 1)
         Fk = np.column_stack([piece.F, piece.f])  # f(y) = Fk z
@@ -308,10 +304,10 @@ class _BlockStepper:
         S3 = stage(S2, 0.5 * self.dt)
         S4 = stage(S3, self.dt)
         M = stage(eye + 2.0 * (S2 + S3) + S4, self.dt / 6.0)
-        P = eye[None]  # M^0 .. M^BLOCK_STEPS by doubling
-        while len(P) <= BLOCK_STEPS:
+        P = eye[None]  # M^0 .. M^steps by doubling
+        while len(P) <= steps:
             P = np.concatenate([P, P @ (P[-1] @ M)])
-        powers = P[: BLOCK_STEPS + 1].reshape(-1, n + 1)
+        powers = P[: steps + 1].reshape(-1, n + 1)
         Gz = np.column_stack([piece.G, piece.g])
         # slack: _KINK_SLACK times the terms' size, |g| + |G| max|y|
         tol0 = _KINK_SLACK * (1.0 + np.abs(piece.g))
@@ -323,15 +319,15 @@ class _BlockStepper:
 
     def advance(self, key, build, x, out):
         """Fill a prefix of out (size, n) with the steps from x that stay
-        on the piece named key (built by build() when not cached);
-        returns its length."""
+        on the piece named key (built by build() with M^0 .. M^size when
+        not cached: a run's sizes never grow); returns its length."""
+        size, n = out.shape
         maps = self.maps.get(key)
         if maps is None:
             if len(self.maps) >= _PIECE_CACHE:
                 del self.maps[next(iter(self.maps))]
-            maps = self.maps[key] = self._build(build())
+            maps = self.maps[key] = self._build(build(), size)
         powers, stages, tol0, tol1 = maps
-        size, n = out.shape
         z = np.concatenate([x, [1.0]])
         Z = (powers[: (size + 1) * (n + 1)] @ z).reshape(size + 1, n + 1)  # z_k .. z_{k+size}
         X = Z[1:, :n]
@@ -413,12 +409,57 @@ def _step_count(t_span, dt, tau):
     if dt > tau / 20.0 + 1e-15:
         raise ValueError(f"dt={dt} exceeds tau/20 = {tau / 20.0}")
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not np.isfinite(t0) or not np.isfinite(t1):
+        raise ValueError(f"t_span must be finite, got {t_span}")
     if not t1 > t0:
         raise ValueError(f"empty time span {t_span}")
     n_steps = int(round((t1 - t0) / dt))
     if n_steps < 1:
         raise ValueError("t_span shorter than one step")
     return t0, dt, n_steps
+
+
+def _clipped_run(W, c, m, tau, x0, t0, dt, n_steps, terms=()):
+    """States of tau x' = -x + [W x + c + terms]_0^m on the box [0, m].
+
+    A term (dst, src, B, u) adds B @ u(t, x[src]) to the drive's rows dst
+    (u(t, None) when src is None); tau is a scalar or one per node.  When
+    every u reads x[src] and has pattern(x_src), naming its affine piece,
+    and piece(x_src), returning it, the run takes the block path on the
+    pieces that fold those into W and c and add their rows.
+    """
+
+    def drive(t, x):
+        d = W @ x + c
+        for dst, src, B, u in terms:
+            d[dst] += B @ u(t, None if src is None else x[src])
+        return d
+
+    def f(t, x):
+        return (-x + clip_box(drive(t, x), m)) / tau
+
+    piece = None
+    if all(src is not None and hasattr(u, "pattern") and hasattr(u, "piece")
+           for _, src, _, u in terms):
+
+        def piece(x):
+            regime = _clip_regime(drive(t0, x), m)
+            key = regime.tobytes() + b"".join(u.pattern(x[src]) for _, src, _, u in terms)
+
+            def build():
+                Wd, cd, kinks = W.copy(), c.copy(), []
+                for dst, src, B, u in terms:
+                    p = u.piece(x[src])
+                    Wd[dst, src] += B @ p.F
+                    cd[dst] += B @ p.f
+                    G = np.zeros((p.g.size, x.size))
+                    G[:, src] = p.G
+                    kinks.append((G, p.g))
+                return _clip_piece(Wd, cd, m, tau, regime, kinks)
+
+            return key, build
+
+    return rk4_integrate(f, x0, t0, dt, n_steps, lambda x: clip_box(x, m), piece)
 
 
 def simulate(
@@ -449,26 +490,12 @@ def simulate(
     """
     x0 = _initial_state(x0, net.m)
     t0, dt, n_steps = _step_count(t_span, dt, net.tau)
-
-    piece = None
     if callable(input):
-        d_of = input
+        samples = rk4_integrate(lambda t, x: rhs(net, x, input(t)), x0, t0, dt, n_steps,
+                                lambda x: clip_box(x, net.m))
+        d_log = np.array([input(t0 + k * dt) for k in range(n_steps + 1)], dtype=float)
     else:
         d = net.c if input is None else np.broadcast_to(np.asarray(input, dtype=float), (net.n,))
-
-        def d_of(t):
-            return d
-
-        def piece(x):
-            regime = _clip_regime(net.W @ x + d, net.m)
-            return regime.tobytes(), lambda: _clip_piece(net.W, d, net.m, net.tau, regime)
-
-    def f(t, x):
-        return rhs(net, x, d_of(t))
-
-    samples = rk4_integrate(f, x0, t0, dt, n_steps, lambda x: clip_box(x, net.m), piece)
-    if piece is None:
-        d_log = np.array([d_of(t0 + k * dt) for k in range(n_steps + 1)], dtype=float)
-    else:
+        samples = _clipped_run(net.W, d, net.m, net.tau, x0, t0, dt, n_steps)
         d_log = np.tile(d, (n_steps + 1, 1))
     return Trajectory(t0=t0, dt=dt, samples=samples, input_log=d_log)

@@ -467,6 +467,40 @@ def test_cli_reports_on_the_bundled_fixtures_are_pinned(fixture, command, tmp_pa
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_SHA256[fixture, command]
 
 
+# SHA-256 of the `ltnet simulate` CSV of each bundled fixture's top layer
+# over [0, 20] from zero, a run on the piecewise-affine block path (NumPy
+# 2.4 with OpenBLAS, x86-64)
+_SIMULATE_SHA256 = {
+    "case_study_lc": "4a103768daee01ea3ff20c86e8c3f6ce754db3d3678147ca930b7b75b8278143",
+    "case_study_pd": "4a103768daee01ea3ff20c86e8c3f6ce754db3d3678147ca930b7b75b8278143",
+    "example_oscillator": "5cd2bb3e8f9ccd731163a4a6564f5ba6836c206f23d81d6ccf8f31659306a6ad",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_SIMULATE_SHA256))
+def test_cli_simulate_on_the_bundled_top_layers_is_pinned(fixture, tmp_path):
+    h = ltio.load_hierarchy(Path(ltio.__file__).parent / "fixtures" / f"{fixture}.json")
+    net_path, out = tmp_path / "net.json", tmp_path / "traj.csv"
+    ltio.dump_network(h.layers[0], net_path)
+    assert main(["simulate", "--net", str(net_path), "--tspan", "0,20", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SIMULATE_SHA256[fixture]
+
+
+def test_cli_refuses_an_empty_sweep_and_non_finite_spans(tmp_path, capsys):
+    fixture = Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json"
+    net_path, out = tmp_path / "net.json", tmp_path / "out"
+    ltio.dump_network(ltio.load_hierarchy(fixture).layers[0], net_path)
+    assert main(["recruit", "--hierarchy", str(fixture), "--eps", "", "--out", str(out)]) == 2
+    assert "eps_list is empty" in capsys.readouterr().err
+    runs = [["recruit", "--hierarchy", str(fixture), "--eps", "0.5", "--window", "2,inf"],
+            ["simulate", "--net", str(net_path), "--tspan", "0,inf"],
+            ["simulate", "--net", str(net_path), "--tspan", "0,nan"]]
+    for argv in runs:
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "t_span must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_recruit_refuses_uncertified(tmp_path, capsys):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(lc_hierarchy(w_bottom=1.5), h_path)

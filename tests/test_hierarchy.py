@@ -1,5 +1,7 @@
 """Hierarchy integration, quasi-steady references, sweeps, reduced models."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ltnet import (
     sysid,
     tracking_error,
 )
+from ltnet import network
 from ltnet.network import LINEAR, ZERO, rk4_integrate
 
 from helpers import (
@@ -111,58 +114,22 @@ def test_stacked_matches_manual_rk4():
     Wfull[3:4, 1:3] = h.W_up[1]
     Wfull[3:4, 3:4] = h.layers[2].W
 
-    def script(t):
-        return np.array([0.6 + 0.4 * np.sin(3.0 * t)])
+    def f(t, x):
+        return (-x + clip_box(Wfull @ x + cs, ms)) / taus
 
-    def manual_rk4(x1_override):
-        def f(t, x):
-            if x1_override is not None:
-                # the scripted top layer holds the script's value at every stage
-                x = np.concatenate([x1_override(t), x[1:]])
-            dx = (-x + clip_box(Wfull @ x + cs, ms)) / taus
-            if x1_override is not None:
-                dx[0] = 0.0
-            return dx
-
-        x = np.concatenate(x0)
-        out = [x.copy()]
-        for k in range(200):
-            t = k * dt
-            k1 = f(t, x)
-            k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-            k4 = f(t + dt, x + dt * k3)
-            x = clip_box(x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), ms)
-            out.append(x.copy())
-        out = np.array(out)
-        if x1_override is not None:
-            out[:, 0] = [x1_override(k * dt)[0] for k in range(201)]
-        return out
-
-    got = {}
-    for x1_override in (None, script):
-        trajs = simulate_hierarchy(h, x0=x0, t_span=(0.0, 2.0), dt=dt,
-                                   x1_override=x1_override)
-        got[x1_override] = np.hstack([t.samples for t in trajs])
-        assert np.max(np.abs(got[x1_override] - manual_rk4(x1_override))) < 1e-12
-    # the script reaches the lower layers through W_up[0]
-    assert np.max(np.abs(got[script][:, 1:3] - got[None][:, 1:3])) > 1e-3
-
-
-def test_x1_override_scripts_top_layer():
-    h = oscillator_bilayer()
-
-    def script(t):
-        return np.array([1.0 + 0.5 * np.sin(t), 2.0, 1.5])
-
-    trajs = simulate_hierarchy(h, x0=None, t_span=(0.0, 5.0), dt=0.02,
-                               x1_override=script)
-    np.testing.assert_allclose(
-        trajs[0].samples, np.array([script(t) for t in trajs[0].times]),
-        atol=1e-12,
-    )
-    # the lower layer integrates against the scripted drive
-    assert np.std(trajs[1].samples[:, 1]) > 0.01
+    x = np.concatenate(x0)
+    manual = [x.copy()]
+    for k in range(200):
+        t = k * dt
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = clip_box(x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), ms)
+        manual.append(x.copy())
+    trajs = simulate_hierarchy(h, x0=x0, t_span=(0.0, 2.0), dt=dt)
+    got = np.hstack([t.samples for t in trajs])
+    assert np.max(np.abs(got - np.array(manual))) < 1e-12
 
 
 def test_controlled_bilayer_silences_inhibited_node():
@@ -263,6 +230,13 @@ def test_epsilon_sweep_builds_the_bottom_map_once(monkeypatch):
     assert report == epsilon_sweep(h, None, eps, maps={2: bottom})
 
 
+def test_epsilon_sweep_refuses_an_empty_eps_list():
+    # before: a report of empty error lists with every layer "monotone"
+    h = oscillator_bilayer()
+    with pytest.raises(ValueError, match="eps_list is empty"):
+        epsilon_sweep(h, None, [])
+
+
 def test_epsilon_sweep_stationary_at_equilibrium():
     h = lc_hierarchy()
     # the top layer settles at its ceiling; the pair below at the joint
@@ -310,6 +284,14 @@ def test_rom_tracks_full_system_at_small_eps():
         rom_simulate(Hierarchy((layers[0],), (), ()), cert.maps[2])
 
 
+def test_rom_refuses_a_map_of_the_wrong_size():
+    # layer 2 has r = 1, so h_2^+ reads 2 numbers, not 3
+    h = oscillator_bilayer()
+    wrong = equilibria.equilibrium_map(0.1 * W_RECRUIT, np.full(3, np.inf))
+    with pytest.raises(ValueError, match=r"domain_dim = 3; got an array of shape \(2,\)"):
+        rom_simulate(h, wrong)
+
+
 def test_time_span_checks_are_shared():
     h = oscillator_bilayer()
     cert = certify_hierarchy(h)
@@ -327,6 +309,14 @@ def test_time_span_checks_are_shared():
             simulate(h.layers[0], np.zeros(3), t_span=t_span)
     with pytest.raises(ValueError, match="shorter than one step"):
         simulate_hierarchy(h, t_span=(0.0, 1e-5))
+    # before: "cannot convert float infinity to integer", "empty time span"
+    for t_span in [(0.0, np.inf), (0.0, np.nan), (-np.inf, 1.0)]:
+        with pytest.raises(ValueError, match=r"t_span must be finite, got \("):
+            rom_simulate(h, cert.maps[2], t_span=t_span)
+        with pytest.raises(ValueError, match=r"t_span must be finite, got \("):
+            simulate_hierarchy(h, t_span=t_span)
+        with pytest.raises(ValueError, match=r"t_span must be finite, got \("):
+            simulate(h.layers[0], np.zeros(3), t_span=t_span)
     for dt in [0.0, -0.1, np.nan]:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             rom_simulate(h, cert.maps[2], dt=dt)
@@ -416,13 +406,41 @@ def test_block_path_matches_plain_stepping(seed, n_layers):
     assert np.any(hinted[1].samples[:, -1] == h.layers[1].m[-1])
 
 
+# SHA-256 of every layer's samples and input log, in layer order (NumPy 2.4
+# with OpenBLAS, x86-64): random controlled hierarchies over 3 000 steps,
+# and the recruitment hierarchy with and without its synthesized controls
+_HIERARCHY_SHA256 = {
+    "random-0-2": "4ce29577e9e9cebdcdb8676359cda4f527cf1b5073adb0e6bf2c2d3ffbb84c63",
+    "random-9-3": "58303e925288a4480b02fa0c24a230b556bc8de6ba365000068e0861b90f3269",
+    "recruitment": "88bb7d2e5c97a137026d61af6709199948d451ee632786abfdc94280e149e9a7",
+    "recruitment-uncontrolled": "0177d98b12a5af4d8938f51fcc9ec7d6260051a12f9c6a1c094316617ece01ea",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HIERARCHY_SHA256))
+def test_simulate_hierarchy_outputs_are_pinned(case):
+    if case.startswith("random"):
+        _, seed, n_layers = case.split("-")
+        h, laws = random_controlled_hierarchy(np.random.default_rng(int(seed)), int(n_layers))
+        dt = h.layers[-1].tau / 50.0
+        trajs = simulate_hierarchy(h, laws, None, (0.0, 3000 * dt), dt)
+    else:
+        h = recruitment_hierarchy()
+        laws = multilayer_controls(h, certify_hierarchy(h)) if case == "recruitment" else None
+        x0 = [np.array([1.0, 2.0]), np.array([0.5, 1.0, 0.2]), np.array([0.3, 0.1, 0.4])]
+        trajs = simulate_hierarchy(h, laws, x0, (0.0, 10.0))
+    digest = hashlib.sha256()
+    for traj in trajs:
+        digest.update(traj.samples.tobytes())
+        if traj.input_log is not None:
+            digest.update(traj.input_log.tobytes())
+    assert digest.hexdigest() == _HIERARCHY_SHA256[case]
+
+
 def test_unhinted_callers_step_plainly():
     h, laws = random_controlled_hierarchy(np.random.default_rng(3), 3)
     ff = laws[1].ubar
     user_laws = [None, ControlLaw(2, laws[1].K, lambda t, xa: ff(t, xa), "combined"), laws[2]]
-
-    def script(t):
-        return np.array([1.0 + 0.5 * np.sin(t), 2.0, 1.5])
 
     dt = h.layers[-1].tau / 50.0
     cert = certify_hierarchy(oscillator_bilayer())
@@ -430,13 +448,55 @@ def test_unhinted_callers_step_plainly():
         (1,), [sysid.WeightEntry("W11", 0, 0, "+", 1.0)], [], ("base",), (0,), tf=1.0)
     z = np.mean(problem.bounds(), axis=0)
     with rk4_calls() as calls:
-        simulate_hierarchy(h, laws, t_span=(0.0, 10 * dt), dt=dt, x1_override=script)
         simulate_hierarchy(h, user_laws, t_span=(0.0, 10 * dt), dt=dt)
         simulate(h.layers[0], np.zeros(3), lambda t: np.full(3, t), t_span=(0.0, 1.0))
-        rom_simulate(oscillator_bilayer(), cert.maps[2], t_span=(0.0, 1.0))
         problem.simulate_candidates(z)
+        rom_simulate(oscillator_bilayer(), cert.maps[2], t_span=(0.0, 1.0))
         simulate_hierarchy(h, laws, t_span=(0.0, 10 * dt), dt=dt)
-    assert [c.piece is None for c in calls] == [True] * 5 + [False]
+    assert [c.piece is None for c in calls] == [True] * 3 + [False] * 2
+
+
+def test_rom_takes_the_block_path():
+    h = recruitment_hierarchy().with_eps(0.3)
+    cert = certify_hierarchy(h)
+    dt = min(la.tau for la in h.layers) / 50.0
+    args = (h, cert.maps[2], None, (0.0, 10.0 * h.layers[0].tau), dt)
+    with rk4_calls() as hinted_calls:
+        hinted = rom_simulate(*args)
+    with rk4_calls(drop_hint=True) as plain_calls:
+        plain = rom_simulate(*args)
+    assert hinted.samples.shape == (5557, 2)
+    _assert_close(hinted.samples, plain.samples)
+    assert hinted_calls[0].f_calls * 1000 <= plain_calls[0].f_calls
+    # the slaved map's pieces change along the run
+    piece = hinted_calls[0].piece
+    assert len({piece(x)[0] for x in plain.samples}) >= 2
+
+
+def test_one_step_rom_builds_two_powers_and_locates_once(monkeypatch):
+    builds, located = [], []
+    build, locate = network._BlockStepper._build, equilibria.PiecewiseAffineMap._locate
+
+    def spy_build(self, piece, steps):
+        builds.append(build(self, piece, steps))
+        return builds[-1]
+
+    def spy_locate(self, d):
+        located.append(d)
+        return locate(self, d)
+
+    monkeypatch.setattr(network._BlockStepper, "_build", spy_build)
+    monkeypatch.setattr(equilibria.PiecewiseAffineMap, "_locate", spy_locate)
+    h = oscillator_bilayer()
+    cert = certify_hierarchy(h)
+    x0 = np.array([2.0, 6.0, 3.0])
+    with rk4_calls() as calls:
+        rom = rom_simulate(h, cert.maps[2], x0, (0.0, h.layers[0].tau / 50.0))
+    assert calls[0].f_calls == 0 and len(builds) == 1 and len(located) == 1
+    powers = builds[0][0].reshape(-1, 4, 4)  # M^0 and M^1 on z = [x; 1]
+    assert powers.shape == (2, 4, 4)
+    np.testing.assert_array_equal(powers[0], np.eye(4))
+    np.testing.assert_array_equal((powers[1] @ np.append(x0, 1.0))[:3], rom.samples[1])
 
 
 def test_plain_core_is_the_reference_loop():

@@ -1,5 +1,7 @@
 """Simulation layer: clipping, vector field, integrator accuracy, invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,15 @@ def test_simulate_validation():
         simulate(net, [0.5])
     with pytest.raises(ValueError, match="time span"):
         simulate(net, [0.5, 0.5], t_span=(1.0, 1.0))
+
+
+def test_callable_input_run_is_pinned():
+    # a time-varying input steps plainly through rhs; SHA-256 of the samples
+    # and the input log (NumPy 2.4 with OpenBLAS, x86-64)
+    net = LTNetwork(W_OSC, C_OSC, np.array([np.inf, 6.0, np.inf]), tau=1.0)
+    traj = simulate(net, [2.0, 6.0, 3.0], lambda t: C_OSC + 3.0 * np.sin(t), (0.0, 30.0))
+    digest = hashlib.sha256(traj.samples.tobytes() + traj.input_log.tobytes()).hexdigest()
+    assert digest == "060b301a3f307de9147a121eac1a9ab31df8d5023c85aea9a08fee93736c74b0"
 
 
 def _hinted_and_plain(*args):
