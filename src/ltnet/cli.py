@@ -16,6 +16,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -233,9 +234,20 @@ def _load_problem(path, data_dir):
     return problem
 
 
+def _csv_numbers(path, ndmin=0):
+    """The numbers of a comma-separated file; an unreadable, malformed or
+    empty file raises ValidationError naming it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt only warns on an empty file
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+        except (OSError, ValueError, UserWarning) as e:
+            raise ValidationError(f"{path}: {e}")
+
+
 def _sample(text):
     if os.path.exists(str(text)):
-        return np.loadtxt(text, delimiter=",").ravel()
+        return _csv_numbers(text).ravel()
     return np.array(_floats(text))
 
 
@@ -350,10 +362,7 @@ def run(args) -> int:
         return 0
 
     if cmd == "timescale":
-        try:
-            trials = np.loadtxt(args.data, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as e:
-            raise ValidationError(f"{args.data}: {e}")
+        trials = _csv_numbers(args.data, ndmin=2)
         lo, hi = (int(v) for v in str(args.lags).split(":"))
         A, tau = sysid.autocorr_timescale(
             trials, float(args.binwidth), range(lo, hi + 1)

@@ -19,13 +19,16 @@ ceilings never produce inf * 0).  The region of validity is the polyhedron
 {d : G d + g >= 0} obtained by writing the semantic regime conditions on
 z = W (F d + f) + d; these conditions, not any rearranged closed form, are
 what the implementation evaluates.  Patterns are built in stacks of up to
-_PATTERN_CHUNK: one stacked condition number, two stacked solves and
-masked region rows per stack, so the temporaries are O(chunk * n^2), and
-every piece has the bits it would have if built alone.  The pieces view
-their stack, marked read-only, instead of holding copies.
+_PATTERN_CHUNK: one stacked slogdet, two stacked solves and masked
+region rows per stack, so the temporaries are O(chunk * n^2), and every
+piece has the bits it would have if built alone.  The pieces view their
+stack, marked read-only, instead of holding copies.
 
 Saturated is excluded for nodes with unbounded ceilings.  Patterns whose
-linear system is singular are skipped (the map simply has no such piece).
+linear system is singular (condition number above _SINGULAR_RCOND) are
+skipped: the map simply has no such piece.  A Frobenius-norm bound from
+the solve settles nearly every pattern, and only the few it leaves open
+take an SVD (see _pattern_pieces).
 For the base map every remaining pattern has a nonempty region: choosing
 target pre-activations z strictly inside each regime interval and setting
 d = z - W x(z), with x(z) the state pinned by the pattern, produces an
@@ -34,8 +37,9 @@ rows from the inner map, so there emptiness is real.  A candidate is
 first dropped without an LP when one inner row is negative over the
 whole box its outer pattern allows the outer state (see _box_empty); the
 rest are decided by max-margin LPs, _LP_CHUNK candidates stacked into
-one block-diagonal LP.  SciPy (HiGHS) is imported by the first such LP,
-not by this module.
+one block-diagonal LP, assembled from one stack of every undecided
+candidate's rows with an owner index.  SciPy (HiGHS) is imported by the
+first such LP, not by this module.
 
 A map locates a point by the first piece in label order whose region
 holds it.  Points are scanned in chunks against the pieces in label
@@ -116,15 +120,28 @@ def _pattern_pieces(W, m, sigmas, off):
     additive identity (+0.0 would turn signed zeros in f and g into +0.0).
     Each stacked product, solve and condition number has the bits of the
     same call on one pattern; f @ W.T and einsum forms do not.
+
+    A pattern is kept when cond_2(A) <= _SINGULAR_RCOND for A = I - S_l W.
+    The SVD behind that test is screened: a zero LU pivot (slogdet's sign
+    0) drops a pattern, as a stacked solve fails on the same getrf, and
+    since A^-1 = I + F W, cond_2(A) <= |A|_F |I + F W|_F keeps one whose
+    bound is at most 1e-2 _SINGULAR_RCOND.  Only the patterns the bound
+    leaves open (a NaN bound included) take np.linalg.cond.
     """
     eye = np.eye(sigmas.shape[1])
     lin, sat = sigmas == LINEAR, sigmas == SATURATED
     A = eye - lin[:, :, None] * W  # I - S_l W
-    cond = np.linalg.cond(A)
-    ok = np.isfinite(cond) & (cond <= _SINGULAR_RCOND)
-    # a stacked solve fails as a whole if one matrix in it is singular
-    A, sigmas, lin, sat = A[ok], sigmas[ok], lin[ok], sat[ok]
-    F = np.linalg.solve(A, eye * lin[:, None, :])
+    idx = np.flatnonzero(np.linalg.slogdet(A)[0])
+    F = np.linalg.solve(A[idx], eye * lin[idx, None, :])
+    bound = np.linalg.norm(A[idx], axis=(1, 2)) * np.linalg.norm(eye + F @ W, axis=(1, 2))
+    open_ = ~(bound <= 1e-2 * _SINGULAR_RCOND)
+    good = np.ones(len(idx), dtype=bool)
+    if open_.any():
+        cond = np.linalg.cond(A[idx[open_]])
+        good[open_] = np.isfinite(cond) & (cond <= _SINGULAR_RCOND)
+    ok = np.zeros(len(A), dtype=bool)
+    ok[idx[good]] = True
+    A, sigmas, lin, sat, F = A[ok], sigmas[ok], lin[ok], sat[ok], F[good]
     # S_s m is 0 on rows without saturation, so m_i = inf never meets a 0
     f = np.linalg.solve(A, (np.where(sat, m, 0.0) + lin * off)[..., None])[..., 0]
     # regime conditions on z = W(F d + f) + off + d
@@ -140,20 +157,15 @@ def _frozen(a):
     return a
 
 
-def _regions(G, g, keep):
-    """Each stacked candidate's region (G_k, g_k): the rows keep marks, as
-    views of one fresh read-only stack."""
-    ends = [0, *np.cumsum(keep.sum(axis=1)).tolist()]
-    G, g = _frozen(G[keep]), _frozen(g[keep])
-    return [(G[a:b], g[a:b]) for a, b in zip(ends, ends[1:])]
-
-
 def _affine_pieces(labels, F, f, G, g, keep):
     """AffinePieces from _pattern_pieces' stacks, each region the rows it
-    keeps.  The stacks are the builder's own and are marked read-only, so
-    every piece views them and AffinePiece copies nothing."""
-    return [AffinePiece(Fk, fk, Gk, gk, label) for Fk, fk, (Gk, gk), label
-            in zip(_frozen(F), _frozen(f), _regions(G, g, keep), labels)]
+    keeps, as views of one fresh stack of those rows.  The stacks are the
+    builder's own and are marked read-only, so every piece views them and
+    AffinePiece copies nothing."""
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    G, g = _frozen(G[keep]), _frozen(g[keep])
+    return [AffinePiece(Fk, fk, G[a:b], g[a:b], label) for Fk, fk, a, b, label
+            in zip(_frozen(F), _frozen(f), [0, *ends], ends, labels)]
 
 
 def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
@@ -387,23 +399,23 @@ def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10):
     raise NotCertified("fixed-point iteration failed to reach tolerance")
 
 
-def _regions_nonempty(regions) -> np.ndarray:
-    """Nonemptiness of each {d : G d + g >= 0} in regions, a list of (G, g).
+def _regions_nonempty(G, g, owner, count) -> np.ndarray:
+    """Nonemptiness of count regions {d : G_k d + g_k >= 0}, region k made of
+    the rows of G (R, n), g (R,) that owner (R,), nondecreasing, assigns it.
 
     A row with zero coefficients and a negative offset makes a region
     empty; the other zero rows are dropped, and a region with rows left
     is nonempty when its max-margin LP (see _max_margin_lp) reaches -1e-9.
+    The regions left for the LP go _LP_CHUNK to a stacked LP.
     """
-    keep = np.ones(len(regions), dtype=bool)
-    blocks = []
-    for k, (G, g) in enumerate(regions):
-        zero_rows = np.all(np.abs(G) < 1e-14, axis=1)
-        if np.any(g[zero_rows] < -1e-12):
-            keep[k] = False
-        elif not zero_rows.all():
-            blocks.append((k, G[~zero_rows], g[~zero_rows]))
-    for lo in range(0, len(blocks), _LP_CHUNK):
-        _max_margin_lp(blocks[lo : lo + _LP_CHUNK], keep)
+    zero = np.all(np.abs(G) < 1e-14, axis=1)
+    keep = np.bincount(owner[zero & (g < -1e-12)], minlength=count) == 0
+    lp = ~zero & keep[owner]
+    G, g, owner = G[lp], g[lp], owner[lp]
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))  # each region's first row
+    cuts = [*firsts[::_LP_CHUNK].tolist(), len(owner)]
+    for a, b in zip(cuts, cuts[1:]):
+        _max_margin_lp(G[a:b], g[a:b], owner[a:b], keep)
     return keep
 
 
@@ -413,32 +425,39 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def _max_margin_lp(blocks, keep):
-    """Set keep[k] for the blocks (k, G, g) by one block-diagonal LP:
-    max sum of s_k subject to G d_k + g >= s_k and s_k <= 1.
+def _max_margin_lp(G, g, owner, keep):
+    """Set keep[k] for the regions k that owner (sorted) names, by one
+    block-diagonal LP: max sum of s_k subject to G_k d_k + g_k >= s_k and
+    s_k <= 1.
 
-    The blocks share no variable, so each s_k reaches its own block's
-    maximal margin.  Each block is feasible and bounded, so a nonzero
-    status is a solver failure: the blocks are split in half and solved
-    again, and a single block that fails counts as empty.
+    Block k holds the rows [-G_k, 1] over the variables (d_k, s_k), every
+    entry written, zeros too, as sparse.block_diag of the dense blocks
+    writes them.  The blocks share no variable, so each s_k reaches its
+    own block's maximal margin.  Each block is feasible and bounded, so a
+    nonzero status is a solver failure: the blocks are split in half and
+    solved again, and a single block that fails counts as empty.
     """
     from scipy import sparse
-    A = sparse.block_diag([np.hstack([-G, np.ones((len(g), 1))]) for _, G, g in blocks])
-    s_idx = np.cumsum([G.shape[1] + 1 for _, G, _ in blocks]) - 1
+    regions, firsts, block = np.unique(owner, return_index=True, return_inverse=True)
+    rows, w = len(g), G.shape[1] + 1
+    cols = block[:, None] * w + np.arange(w)
+    A = sparse.coo_matrix((np.hstack([-G, np.ones((rows, 1))]).ravel(),
+                           (np.repeat(np.arange(rows), w), cols.ravel())),
+                          shape=(rows, len(regions) * w))
+    s_idx = np.arange(1, len(regions) + 1) * w - 1
     c = np.zeros(A.shape[1])
     c[s_idx] = -1.0
     bounds = np.full((A.shape[1], 2), [-np.inf, np.inf])
     bounds[s_idx, 1] = 1.0
-    b = np.concatenate([g for _, _, g in blocks])
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A, b_ub=g, bounds=bounds, method="highs")
     if res.status == 0:
-        keep[[k for k, _, _ in blocks]] = res.x[s_idx] >= -1e-9
-    elif len(blocks) == 1:
-        keep[blocks[0][0]] = False
+        keep[regions] = res.x[s_idx] >= -1e-9
+    elif len(regions) == 1:
+        keep[regions] = False
     else:
-        half = len(blocks) // 2
-        _max_margin_lp(blocks[:half], keep)
-        _max_margin_lp(blocks[half:], keep)
+        cut = firsts[len(regions) // 2]
+        _max_margin_lp(G[:cut], g[:cut], owner[:cut], keep)
+        _max_margin_lp(G[cut:], g[cut:], owner[cut:], keep)
 
 
 def _box_empty(Gi, b, sigmas, m) -> np.ndarray:
@@ -503,8 +522,10 @@ def compose_maps(
     cbar = np.asarray(cbar, dtype=float)
     n = W1.shape[0]
     m = np.broadcast_to(np.asarray(m, dtype=float), (n,))
-    stacks, regions, undecided = [], [], [np.zeros(0, dtype=bool)]
-    n_singular = 0
+    stacks, undecided = [], [np.zeros(0, dtype=bool)]
+    # (G, g, owner) of the rows left for the LPs, owner a candidate's index
+    lp_rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=np.intp))]
+    n_singular = n_candidates = 0
     for lam_piece in inner.pieces:
         Weff = W1 + W2 @ lam_piece.F @ W3
         off = W2 @ (lam_piece.F @ cbar + lam_piece.f)  # constant drive term
@@ -522,13 +543,15 @@ def compose_maps(
             stacks.append((labels, F, f, G, g, keep))
             to_lp = ~_box_empty(Gi, Gc + lam_piece.g, sigmas[ok], m)
             undecided.append(to_lp)
-            regions += _regions(G[to_lp], g[to_lp], keep[to_lp])
+            rows = keep & to_lp[:, None]
+            lp_rows.append((G[rows], g[rows], n_candidates + np.nonzero(rows)[0]))
+            n_candidates += len(to_lp)
     if n_singular:
         warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 
-    undecided = np.concatenate(undecided)
-    kept = np.zeros_like(undecided)
-    kept[undecided] = _regions_nonempty(regions)
+    # a candidate the box test settled has no rows here, which reads nonempty
+    G, g, owner = (np.concatenate(col) for col in zip(*lp_rows))
+    kept = np.concatenate(undecided) & _regions_nonempty(G, g, owner, n_candidates)
     # the kept pieces get stacks of their own, so the composite does not
     # hold the rejected candidates' rows
     pieces, lo = [], 0

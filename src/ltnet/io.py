@@ -93,9 +93,15 @@ def network_from_dict(obj) -> LTNetwork:
     if c.shape != (n,) or m.shape != (n,):
         raise ValidationError("c and m must have length n")
     try:
-        return LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=_integer(obj.get("r", 0), "r"))
+        net = LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=_integer(obj.get("r", 0), "r"))
     except ValueError as e:
         raise ValidationError(str(e))
+    # controls act on the r inhibition targets only
+    if net.B is not None and np.any(net.B[net.r :]):
+        row = net.r + int(np.flatnonzero(np.any(net.B[net.r :], axis=1))[0])
+        raise ValidationError(f"B[{row}] is nonzero, but only the first r = {net.r} rows "
+                              "of B may be")
+    return net
 
 
 def network_to_dict(net: LTNetwork) -> dict:
@@ -214,6 +220,8 @@ def rates_from_csv(path):
             data.append([float(v) for v in row])
         except ValueError as e:
             raise ValidationError(f"{path}: line {ln}: {e}")
+        if not np.all(np.isfinite(data[-1])):
+            raise ValidationError(f"{path}: line {ln}: values must be finite, got {row}")
     if not data:
         raise ValidationError(f"{path}: line 2: no data rows after the header")
     arr = np.array(data)

@@ -16,12 +16,13 @@ O(dt^5) excursions that the clipped vector field can otherwise produce at
 the boundary.  rk4_integrate is the one fixed-step core and _clipped_run
 the one clipped field, tau x' = -x + [W x + c + terms]_0^m, each term
 adding B u(t, x[src]) to some rows: simulate with a None or constant
-input, the stacked hierarchy (hierarchy.simulate_hierarchy, whose terms
-are online feedforward) and the reduced-order model (hierarchy.rom_simulate,
-whose term is the slaved layer's map) run through it.  simulate with a
-callable input steps rhs through the core, and so does identification
-(sysid.SysIdProblem.simulate_candidates) with a batch of candidate
-networks as one (candidates x conditions, n) state.
+input, simulate with a callable input (one term, the input itself), the
+stacked hierarchy (hierarchy.simulate_hierarchy, whose terms are online
+feedforward) and the reduced-order model (hierarchy.rom_simulate, whose
+term is the slaved layer's map) run through it.  Besides _clipped_run,
+only identification (sysid.SysIdProblem.simulate_candidates) steps
+through the core, with a batch of candidate networks as one
+(candidates x conditions, n) state.
 
 Piecewise-affine block stepping.  A time-invariant clipped field is
 affine on each clip regime (ZERO, LINEAR, SATURATED), and inside one
@@ -423,16 +424,18 @@ def _clipped_run(W, c, m, tau, x0, t0, dt, n_steps, terms=()):
     """States of tau x' = -x + [W x + c + terms]_0^m on the box [0, m].
 
     A term (dst, src, B, u) adds B @ u(t, x[src]) to the drive's rows dst
-    (u(t, None) when src is None); tau is a scalar or one per node.  When
-    every u reads x[src] and has pattern(x_src), naming its affine piece,
-    and piece(x_src), returning it, the run takes the block path on the
-    pieces that fold those into W and c and add their rows.
+    (u(t, None) when src is None, and u itself when B is None); tau is a
+    scalar or one per node.  When every u reads x[src] and has
+    pattern(x_src), naming its affine piece, and piece(x_src), returning
+    it, the run takes the block path on the pieces that fold those into W
+    and c and add their rows.
     """
 
     def drive(t, x):
         d = W @ x + c
         for dst, src, B, u in terms:
-            d[dst] += B @ u(t, None if src is None else x[src])
+            v = u(t, None if src is None else x[src])
+            d[dst] += v if B is None else B @ v
         return d
 
     def f(t, x):
@@ -491,8 +494,10 @@ def simulate(
     x0 = _initial_state(x0, net.m)
     t0, dt, n_steps = _step_count(t_span, dt, net.tau)
     if callable(input):
-        samples = rk4_integrate(lambda t, x: rhs(net, x, input(t)), x0, t0, dt, n_steps,
-                                lambda x: clip_box(x, net.m))
+        # on a -0.0 background, the bitwise additive identity, the drive is
+        # W x + input(t) to the bit
+        samples = _clipped_run(net.W, np.full(net.n, -0.0), net.m, net.tau, x0, t0, dt, n_steps,
+                               [(slice(None), None, None, lambda t, _: input(t))])
         d_log = np.array([input(t0 + k * dt) for k in range(n_steps + 1)], dtype=float)
     else:
         d = net.c if input is None else np.broadcast_to(np.asarray(input, dtype=float), (net.n,))

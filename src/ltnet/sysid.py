@@ -175,6 +175,8 @@ def autocorr_timescale(trial_rates, bin_width, fit_lags):
     R = np.asarray(trial_rates, dtype=float)
     if R.ndim != 2 or R.shape[0] < 3:
         raise ValueError("trial_rates must be (n_trials >= 3, n_bins)")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("trial_rates must be finite")
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be a finite number > 0, got {bin_width}")
     fit_lags = list(fit_lags)
@@ -212,6 +214,8 @@ def randomization_test(a, b, n_perm: int = 1999, seed: int = 0) -> float:
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("both samples must be finite")
     if n_perm < 1:
         raise ValueError(f"n_perm must be at least 1, got {n_perm}")
     observed = abs(a.mean() - b.mean())

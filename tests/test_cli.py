@@ -7,6 +7,7 @@ numerical failures.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -419,6 +420,20 @@ def test_cli_synthesize_refuses_uncertified(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_nonzero_B_rows_past_r(tmp_path, capsys):
+    # only the first r rows of B, the inhibition targets, may be nonzero;
+    # before, synthesize exited 0 with a law that also drives node 2
+    blob = json.loads((Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json")
+                      .read_text())
+    blob["layers"][1]["B"] = [[-1.0], [-0.5], [0.0]]
+    h_path, out = tmp_path / "h.json", tmp_path / "controls.json"
+    h_path.write_text(json.dumps(blob))
+    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 2
+    assert ("layer 2: B[1] is nonzero, but only the first r = 1 rows of B may be"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_recruit(tmp_path):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(recruitment_hierarchy(), h_path)
@@ -824,6 +839,68 @@ def test_cli_fit_rejects_rates_off_the_grid(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "nope.json" in err and "off the grid" not in err
+
+
+def _mutated_csv(rows, kind, k, j):
+    """The CSV text of rows (lists of fields) with one mutation at row k,
+    field j (both taken modulo the size)."""
+    rows = [list(r) for r in rows]
+    k = k % len(rows)
+    j = j % len(rows[k])
+    if kind in ("nan", "inf", "text"):
+        rows[k][j] = {"nan": "nan", "inf": "-inf", "text": "x1"}[kind]
+    elif kind == "long_row":
+        rows[k].append("1.0")
+    elif kind == "short_row":
+        del rows[k][j]
+    elif kind == "missing_column":
+        for r in rows:
+            del r[min(j, len(r) - 1)]
+    elif kind == "off_grid":  # a time, in a rate CSV
+        rows[k][0] = repr(float(rows[k][0]) + 0.037) if k else rows[k][0]
+    elif kind == "dropped_row":
+        del rows[k]
+    elif kind == "empty":
+        rows = []
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+_CSV_MUTATIONS = ("nan", "inf", "text", "long_row", "short_row", "missing_column",
+                  "off_grid", "dropped_row", "empty")
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(command=st.sampled_from(["predict", "timescale", "rtest"]),
+       kind=st.sampled_from(_CSV_MUTATIONS), k=st.integers(0, 60), j=st.integers(0, 40))
+def test_cli_survives_one_mutated_csv(command, kind, k, j):
+    # predict --data reads a rate CSV, timescale and rtest a trial CSV; a
+    # refusal exits 2 or 3 with a message, and a report is strict JSON
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == "predict":
+            problem_path, data_dir = write_fit_inputs(tmp)
+            params, csv_path = tmp / "params.json", data_dir / "base.csv"
+            params.write_text(json.dumps({"z": [0.6, 3.0, 1.2, 0.4, 0.0]}))
+            argv = ["predict", "--problem", str(problem_path), "--data", str(data_dir),
+                    "--params", str(params)]
+        else:
+            csv_path = tmp / "trials.csv"
+            np.savetxt(csv_path, np.random.default_rng(3).normal(size=(6, 40)), delimiter=",")
+            argv = (["timescale", "--data", str(csv_path)] if command == "timescale" else
+                    ["rtest", "--a", str(csv_path), "--b", "1,2,3", "--n-perm", "19",
+                     "--seed", "1"])
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
+        csv_path.write_text(_mutated_csv(rows, kind, k, j))
+        out = tmp / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().strip() and not out.exists()
+        else:
+            json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in report"))
 
 
 def test_cli_problem_reads_x0_max_and_sim_substeps(tmp_path, capsys):

@@ -9,9 +9,12 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ltnet import (
@@ -33,6 +36,7 @@ from ltnet import (
 )
 from ltnet import equilibria
 from ltnet.equilibria import _LP_CHUNK, _QUERY_TILE, _box_empty, _regions_nonempty
+from ltnet.network import _regime_rows
 
 from helpers import (
     clip01m,
@@ -582,6 +586,17 @@ def _hand_regions():
     return regions, np.array(truth)
 
 
+def _row_stack(regions):
+    """The regions as _regions_nonempty's arguments: one row stack (G, g),
+    G padded with zero columns to the widest region, the owner of each row
+    and the region count."""
+    width = max(G.shape[1] for G, _ in regions)
+    G = np.vstack([np.pad(G, ((0, 0), (0, width - G.shape[1]))) for G, _ in regions])
+    g = np.concatenate([g for _, g in regions])
+    owner = np.repeat(np.arange(len(regions)), [len(g) for _, g in regions])
+    return G, g, owner, len(regions)
+
+
 @pytest.mark.parametrize("chunk", [_LP_CHUNK, 1, 3])
 def test_stacked_emptiness_matches_one_lp_per_region(chunk, monkeypatch):
     regions, truth = _hand_regions()
@@ -595,7 +610,7 @@ def test_stacked_emptiness_matches_one_lp_per_region(chunk, monkeypatch):
 
     monkeypatch.setattr(equilibria, "_LP_CHUNK", chunk)
     monkeypatch.setattr(equilibria, "linprog", counted)
-    np.testing.assert_array_equal(_regions_nonempty(regions), truth)
+    np.testing.assert_array_equal(_regions_nonempty(*_row_stack(regions)), truth)
     assert sum(calls) == _LP_REGIONS and len(calls) == -(-_LP_REGIONS // chunk)
 
 
@@ -642,7 +657,7 @@ def test_stacked_lp_failure_bisects_to_single_blocks(monkeypatch):
         return linprog(c, **kwargs)
 
     monkeypatch.setattr(equilibria, "linprog", fails_when_stacked)
-    np.testing.assert_array_equal(_regions_nonempty(regions), truth)
+    np.testing.assert_array_equal(_regions_nonempty(*_row_stack(regions)), truth)
     assert max(sizes) == _LP_CHUNK and 1 in sizes
     assert _piece_bytes(_composite()) == want
 
@@ -653,7 +668,7 @@ def test_single_block_failure_counts_as_empty(monkeypatch):
                         lambda c, **kwargs: SimpleNamespace(status=4, x=None))
     # only the regions left without rows after the zero-row check survive
     no_rows = np.array([np.all(np.abs(G) < 1e-14) for G, _ in regions])
-    np.testing.assert_array_equal(_regions_nonempty(regions), truth & no_rows)
+    np.testing.assert_array_equal(_regions_nonempty(*_row_stack(regions)), truth & no_rows)
 
 
 # -- the box test that settles composite candidates before any LP ---------------
@@ -885,6 +900,62 @@ def test_map_and_composite_count_singular_skips():
                             certificate=SimpleNamespace(passed=True))
     assert len(comp) > 0
     assert not [p for p in comp.pieces if p.label[:2] == (LINEAR, LINEAR)]
+
+
+def _cond_rule_pieces(W, m, sigmas, off):
+    """_pattern_pieces without the screen: one np.linalg.cond per pattern
+    decides which patterns are kept.  The reference for the screen."""
+    eye = np.eye(sigmas.shape[1])
+    lin, sat = sigmas == LINEAR, sigmas == SATURATED
+    A = eye - lin[:, :, None] * W
+    cond = np.linalg.cond(A)
+    ok = np.isfinite(cond) & (cond <= equilibria._SINGULAR_RCOND)
+    A, sigmas, lin, sat = A[ok], sigmas[ok], lin[ok], sat[ok]
+    F = np.linalg.solve(A, eye * lin[:, None, :])
+    f = np.linalg.solve(A, (np.where(sat, m, 0.0) + lin * off)[..., None])[..., 0]
+    Wf = (W @ f[..., None])[..., 0] + off
+    return ok, F, f, *_regime_rows(W @ F + eye, Wf, sigmas, m)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       plant=st.sampled_from(["none", "singular", "near"]), base=st.booleans())
+def test_singularity_screen_decides_as_the_svd_rule(seed, n, plant, base):
+    rng = np.random.default_rng(seed)
+    W = rng.normal(scale=rng.uniform(0.2, 1.5), size=(n, n))
+    m = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.5, 3.0, size=n))
+    i = rng.integers(n)
+    if plant != "none":
+        # where node i is Linear, row i of I - S_l W is delta e_i: exactly
+        # singular at delta = 0, else cond_2 about 1/delta, 1e10 to 2e12
+        W[i] = 0.0
+        W[i, i] = 1.0 if plant == "singular" else 1.0 - 10.0 ** -rng.uniform(10.0, 12.3)
+    sigmas = np.array(list(_all_patterns(m)))
+    off = np.full(n, -0.0) if base else rng.normal(size=n)
+    want = _cond_rule_pieces(W, m, sigmas, off)
+    svd_cond, seen = np.linalg.cond, []
+
+    def cond(A):
+        seen.extend(a.tobytes() for a in A)
+        return svd_cond(A)
+
+    with mock.patch.object(np.linalg, "cond", cond):
+        got = equilibria._pattern_pieces(W, m, sigmas, off)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # np.linalg.cond sees exactly the patterns whose LU has no zero pivot
+    # and whose bound |A|_F |A^-1|_F exceeds 1e10, up to rounding
+    A = np.eye(n) - (sigmas == LINEAR)[:, :, None] * W
+    for a, sign in zip(A, np.linalg.slogdet(A)[0]):
+        bound = np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) if sign else 0.0
+        if not sign or bound < 5e9:
+            assert a.tobytes() not in seen
+        elif bound > 2e10:
+            assert a.tobytes() in seen
+    if plant == "singular":
+        assert not got[0].all()
+    elif plant == "near" and n > 1:
+        assert seen
 
 
 def test_gain_reductions_match_the_per_piece_loop():
