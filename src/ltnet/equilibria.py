@@ -33,13 +33,15 @@ For the base map every remaining pattern has a nonempty region: choosing
 target pre-activations z strictly inside each regime interval and setting
 d = z - W x(z), with x(z) the state pinned by the pattern, produces an
 interior witness.  Composed maps (see compose_maps) gain extra region
-rows from the inner map, so there emptiness is real.  A candidate is
-first dropped without an LP when one inner row is negative over the
-whole box its outer pattern allows the outer state (see _box_empty); the
-rest are decided by max-margin LPs, _LP_CHUNK candidates stacked into
-one block-diagonal LP, assembled from one stack of every undecided
-candidate's rows with an owner index.  SciPy (HiGHS) is imported by the
-first such LP, not by this module.
+rows from the inner map, so there emptiness is real.  Their candidates,
+the (inner piece, outer pattern) pairs, are built in stacks of up to
+_PATTERN_CHUNK pairs, each pair with its own effective weights.  A
+candidate is first dropped without an LP when one inner row is negative
+over the whole box its outer pattern allows the outer state (see
+_box_empty); the rest are decided by max-margin LPs, _LP_CHUNK
+candidates stacked into one block-diagonal LP, assembled from one stack
+of every undecided candidate's rows with an owner index.  SciPy (HiGHS)
+is imported by the first such LP, not by this module.
 
 A map locates a point by the first piece in label order whose region
 holds it.  Points are scanned in chunks against the pieces in label
@@ -101,17 +103,17 @@ def _regimes(m):
     return [(ZERO, LINEAR) if np.isinf(mi) else (ZERO, LINEAR, SATURATED) for mi in m]
 
 
-def _pattern_chunks(m):
-    """Every switching pattern of the ceilings m, in lexicographic order, as
-    lists of up to _PATTERN_CHUNK label tuples."""
-    patterns = itertools.product(*_regimes(m))
-    while chunk := list(itertools.islice(patterns, _PATTERN_CHUNK)):
+def _chunks(items):
+    """The items of an iterator, in order, as lists of up to _PATTERN_CHUNK."""
+    while chunk := list(itertools.islice(items, _PATTERN_CHUNK)):
         yield chunk
 
 
 def _pattern_pieces(W, m, sigmas, off):
     """Stacked pieces of the patterns sigmas (P, n) for x = [W x + off + d]_0^m.
 
+    W is (n, n) and off (n,), shared by every pattern, or W (P, n, n) and
+    off (P, n), one per pattern (compose_maps' candidates).
     Returns (ok, F, f, G, g, keep): ok (P,) marks the patterns whose linear
     system is nonsingular, and the rest hold their K = ok.sum() pieces:
     F (K, n, n), f (K, n), and candidate region rows G (K, R, n), g (K, R)
@@ -119,7 +121,10 @@ def _pattern_pieces(W, m, sigmas, off):
     order (see _regime_rows).  Base maps pass off = -0.0, the bitwise
     additive identity (+0.0 would turn signed zeros in f and g into +0.0).
     Each stacked product, solve and condition number has the bits of the
-    same call on one pattern; f @ W.T and einsum forms do not.
+    same call on one pattern; f @ W.T and einsum forms do not.  A product
+    keeps its bits only at the same per-pattern shape: a (1, k) @ (k, 1)
+    product is a dot, an (R >= 2, k) @ (k, 1) one a gemv, and their last
+    bits can differ, so stacks never pad rows into a product.
 
     A pattern is kept when cond_2(A) <= _SINGULAR_RCOND for A = I - S_l W.
     The SVD behind that test is screened: a zero LU pivot (slogdet's sign
@@ -132,8 +137,10 @@ def _pattern_pieces(W, m, sigmas, off):
     lin, sat = sigmas == LINEAR, sigmas == SATURATED
     A = eye - lin[:, :, None] * W  # I - S_l W
     idx = np.flatnonzero(np.linalg.slogdet(A)[0])
+    stacked = W.ndim == 3
     F = np.linalg.solve(A[idx], eye * lin[idx, None, :])
-    bound = np.linalg.norm(A[idx], axis=(1, 2)) * np.linalg.norm(eye + F @ W, axis=(1, 2))
+    FW = F @ (W[idx] if stacked else W)
+    bound = np.linalg.norm(A[idx], axis=(1, 2)) * np.linalg.norm(eye + FW, axis=(1, 2))
     open_ = ~(bound <= 1e-2 * _SINGULAR_RCOND)
     good = np.ones(len(idx), dtype=bool)
     if open_.any():
@@ -142,6 +149,8 @@ def _pattern_pieces(W, m, sigmas, off):
     ok = np.zeros(len(A), dtype=bool)
     ok[idx[good]] = True
     A, sigmas, lin, sat, F = A[ok], sigmas[ok], lin[ok], sat[ok], F[good]
+    if stacked:
+        W, off = W[ok], off[ok]
     # S_s m is 0 on rows without saturation, so m_i = inf never meets a 0
     f = np.linalg.solve(A, (np.where(sat, m, 0.0) + lin * off)[..., None])[..., 0]
     # regime conditions on z = W(F d + f) + off + d
@@ -356,7 +365,7 @@ def equilibrium_map(W, m) -> PiecewiseAffineMap:
         )
     pieces = []
     n_singular = 0
-    for labels in _pattern_chunks(m):
+    for labels in _chunks(itertools.product(*_regimes(m))):
         ok, *stacks = _pattern_pieces(W, m, np.array(labels), np.full(n, -0.0))
         n_singular += len(ok) - int(ok.sum())
         pieces += _affine_pieces(itertools.compress(labels, ok), *stacks)
@@ -463,25 +472,29 @@ def _max_margin_lp(G, g, owner, keep):
 def _box_empty(Gi, b, sigmas, m) -> np.ndarray:
     """Candidates (P,) that an inner row Gi x + b >= 0 rules out before any LP.
 
-    The outer patterns sigmas (P, n) pin x to a box: x_i = 0 at Zero, m_i
-    at Saturated and x_i in [0, m_i] at Linear, unbounded when m_i = inf.
+    Gi (R, n) and b (R,) are one set of rows for every candidate, or Gi
+    (P, R, n) and b (P, R) one set per candidate.  A zero row with b = 0
+    never rules a candidate out, so stacks pad with such rows.  The outer
+    patterns sigmas (P, n) pin x to a box: x_i = 0 at Zero, m_i at
+    Saturated and x_i in [0, m_i] at Linear, unbounded when m_i = inf.
     A row's maximum over the box is b plus its positive coefficients times
     the upper corner and its negative ones times the lower corner, +inf
     when a positive coefficient meets an unbounded node (0 * inf is 0).  A
     candidate is empty when some row's maximum is below
     -1e-6 (1 + |Gi_r|_1 + |b_r|): a max-margin LP that reaches -1e-9 holds
     x within about 1e-9 of the box, so it could keep such a candidate only
-    by erring far past its tolerance.
+    by erring far past its tolerance.  The maxima are elementwise products
+    summed over x, so both forms give a row the same bits.
     """
     sat = sigmas == SATURATED
-    hi = np.where(sat | (sigmas == LINEAR), m, 0.0)
-    lo = np.where(sat, m, 0.0)
+    hi = np.where(sat | (sigmas == LINEAR), m, 0.0)[:, None]
+    lo = np.where(sat, m, 0.0)[:, None]
     unbounded = np.isinf(hi)
-    top = np.maximum(Gi, 0.0) @ np.where(unbounded, 0.0, hi).T
-    top += np.minimum(Gi, 0.0) @ lo.T + b[:, None]
-    top[(Gi > 0) @ unbounded.T] = np.inf
-    tol = 1e-6 * (1.0 + np.abs(Gi).sum(axis=1) + np.abs(b))
-    return np.any(top < -tol[:, None], axis=0)
+    top = (np.maximum(Gi, 0.0) * np.where(unbounded, 0.0, hi)
+           + np.minimum(Gi, 0.0) * lo).sum(axis=-1) + b
+    top[np.any((Gi > 0) & unbounded, axis=-1)] = np.inf
+    tol = 1e-6 * (1.0 + np.abs(Gi).sum(axis=-1) + np.abs(b))
+    return np.any(top < -tol, axis=-1)
 
 
 def compose_maps(
@@ -501,11 +514,15 @@ def compose_maps(
     and offset W2 (F_lam cbar + f_lam), so every pair (lam, outer pattern)
     yields a candidate piece.  Composite regions combine the outer regime
     conditions with the inner region mapped through x, and pieces whose
-    region is empty are dropped.  A candidate whose inner rows rule out the
-    box that its outer pattern pins x to is dropped before any LP (see
-    _box_empty, computed for a whole pattern stack at once);
-    _regions_nonempty decides the others exactly, with up to _LP_CHUNK
-    candidates per block-diagonal LP.
+    region is empty are dropped.  The pairs are taken inner-piece-major in
+    stacks of up to _PATTERN_CHUNK: one _pattern_pieces call on the pairs'
+    own (W_eff, offset) and one box test per stack, with each inner
+    piece's rows zero-padded to the longest and multiplied in groups of
+    one row count (see _pattern_pieces on which products keep their bits).
+    A candidate whose inner rows rule out the box that its outer pattern
+    pins x to is dropped before any LP (see _box_empty); _regions_nonempty
+    decides the others exactly, with up to _LP_CHUNK candidates per
+    block-diagonal LP.
 
     certificate must witness uniqueness of the composite solution (object
     with a true ``passed`` attribute, e.g. from stability.ges_certificate);
@@ -522,30 +539,45 @@ def compose_maps(
     cbar = np.asarray(cbar, dtype=float)
     n = W1.shape[0]
     m = np.broadcast_to(np.asarray(m, dtype=float), (n,))
+    lams = inner.pieces
+    Fl = np.array([p.F for p in lams]).reshape(len(lams), W2.shape[1], W3.shape[0])
+    fl = np.array([p.f for p in lams]).reshape(len(lams), W2.shape[1])
+    Weff = W1 + W2 @ Fl @ W3
+    off = (W2 @ (Fl @ cbar + fl)[..., None])[..., 0]  # constant drive terms
+    # inner regions mapped through x: G_lam (W3 x + cbar) + g_lam >= 0, each
+    # piece's rows zero-padded to the longest; count (L,) says how many are real
+    count = np.array([len(p.g) for p in lams], dtype=np.intp)
+    Gi = np.zeros((len(lams), count.max(initial=0), n))
+    Gc, gl = np.zeros((2,) + Gi.shape[:2])
+    for k, p in enumerate(lams):
+        Gi[k, : count[k]], Gc[k, : count[k]], gl[k, : count[k]] = p.G @ W3, p.G @ cbar, p.g
     stacks, undecided = [], [np.zeros(0, dtype=bool)]
     # (G, g, owner) of the rows left for the LPs, owner a candidate's index
     lp_rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=np.intp))]
     n_singular = n_candidates = 0
-    for lam_piece in inner.pieces:
-        Weff = W1 + W2 @ lam_piece.F @ W3
-        off = W2 @ (lam_piece.F @ cbar + lam_piece.f)  # constant drive term
-        # inner region mapped through x: G_lam (W3 x + cbar) + g_lam >= 0
-        Gi = lam_piece.G @ W3
-        Gc = lam_piece.G @ cbar
-        for labels in _pattern_chunks(m):
-            sigmas = np.array(labels)
-            ok, F, f, G, g, keep = _pattern_pieces(Weff, m, sigmas, off)
-            n_singular += len(ok) - int(ok.sum())
-            G = np.concatenate([G, Gi @ F], axis=1)
-            g = np.concatenate([g, (Gi @ f[..., None])[..., 0] + Gc + lam_piece.g], axis=1)
-            keep = np.pad(keep, ((0, 0), (0, len(Gi))), constant_values=True)
-            labels = [lam_piece.label + s for s in itertools.compress(labels, ok)]
-            stacks.append((labels, F, f, G, g, keep))
-            to_lp = ~_box_empty(Gi, Gc + lam_piece.g, sigmas[ok], m)
-            undecided.append(to_lp)
-            rows = keep & to_lp[:, None]
-            lp_rows.append((G[rows], g[rows], n_candidates + np.nonzero(rows)[0]))
-            n_candidates += len(to_lp)
+    # (inner piece, outer pattern) pairs, inner-piece-major, in stacks
+    pairs = ((k, s) for k in range(len(lams)) for s in itertools.product(*_regimes(m)))
+    for chunk in _chunks(pairs):
+        lam, sigmas = (np.array(col) for col in zip(*chunk))
+        ok, F, f, G, g, keep = _pattern_pieces(Weff[lam], m, sigmas, off[lam])
+        n_singular += len(ok) - int(ok.sum())
+        lam = lam[ok]
+        Gl, n_rows = Gi[lam], count[lam]
+        GlF, Glf = np.zeros_like(Gl), np.zeros(Gl.shape[:2])
+        for r in np.unique(n_rows):  # one row count per product: see _pattern_pieces
+            sel = n_rows == r
+            GlF[sel, :r] = Gl[sel, :r] @ F[sel]
+            Glf[sel, :r] = (Gl[sel, :r] @ f[sel, :, None])[..., 0]
+        G = np.concatenate([G, GlF], axis=1)
+        g = np.concatenate([g, Glf + Gc[lam] + gl[lam]], axis=1)
+        keep = np.concatenate([keep, np.arange(Gi.shape[1]) < n_rows[:, None]], axis=1)
+        labels = [lams[k].label + s for k, s in itertools.compress(chunk, ok)]
+        stacks.append((labels, F, f, G, g, keep))
+        to_lp = ~_box_empty(Gl, Gc[lam] + gl[lam], sigmas[ok], m)
+        undecided.append(to_lp)
+        rows = keep & to_lp[:, None]
+        lp_rows.append((G[rows], g[rows], n_candidates + np.nonzero(rows)[0]))
+        n_candidates += len(to_lp)
     if n_singular:
         warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 

@@ -880,7 +880,7 @@ def fit(
     """
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
-    best = None
+    best = terms = None
     records = []
     with contextlib.closing(_lockstep_starts(problem, n_starts, rng, lo, hi, maxiter)) as starts:
         for s, res in starts:
@@ -888,16 +888,15 @@ def fit(
             records.append((s, f_s, "ok" if res.success else str(res.message)))
             usable = np.isfinite(f_s) and f_s < 0.5 * _PENALTY
             if usable and (best is None or f_s < best[1]):
-                best = (s, f_s, z_s)
+                best, terms = (s, f_s, z_s), None
                 if target_r2 is not None:
-                    est = predict(z_s, problem)
-                    if r_squared(problem.data, est) >= target_r2:
+                    terms = _fit_terms(z_s, problem)
+                    if terms[-1] >= target_r2:
                         break
     if best is None:
         raise AllStartsFailed("no start produced a finite objective")
-    s_best, f_best, z_best = best
-    f, f_sse, f_corr, f_var = objective(z_best, problem)
-    r2 = r_squared(problem.data, predict(z_best, problem))
+    s_best, _, z_best = best
+    f, f_sse, f_corr, f_var, r2 = terms or _fit_terms(z_best, problem)
     return FitReport(
         z=z_best,
         f=f,
@@ -910,6 +909,17 @@ def fit(
         starts=tuple(records),
         seed=seed,
     )
+
+
+def _fit_terms(z, problem: SysIdProblem):
+    """(f, f_sse, f_corr, f_var, r2) of one z from one forward pass: the
+    values objective returns, and r_squared of predict's manifest series,
+    handed over as C-contiguous (K, nm) arrays, the layout of the data."""
+    f, parts, est, diverged, _ = _objective_batch(z[None, :], problem)
+    if diverged[0]:
+        raise SimulationDiverged("candidate trajectory diverged")
+    rates = {c: np.ascontiguousarray(est[0, i].T) for i, c in enumerate(problem.conditions)}
+    return float(f[0]), *(float(v[0]) for v in parts), r_squared(problem.data, rates)
 
 
 def _lockstep_starts(problem, n_starts, rng, lo, hi, maxiter):

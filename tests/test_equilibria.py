@@ -873,16 +873,89 @@ def test_stacked_pieces_match_one_pattern_at_a_time(chunk, monkeypatch):
             comp = compose_maps(inner, W1, W2, W3, cbar, m_out,
                                 certificate=SimpleNamespace(passed=True))
         assert len(comp) > 0
-        lams = {p.label: p for p in inner.pieces}
-        for p in comp.pieces:
-            lam = lams[p.label[: len(m_in)]]
-            F, f, G, g = pattern_piece_oracle(W1 + W2 @ lam.F @ W3, m_out,
-                                              p.label[len(m_in):],
-                                              W2 @ (lam.F @ cbar + lam.f))
-            Gi = lam.G @ W3
-            _assert_same_bits(p, (F, f, np.vstack([G, Gi @ F]),
-                                  np.concatenate([g, Gi @ f + lam.G @ cbar + lam.g])))
+        _assert_composite_matches_oracle(inner, comp, W1, W2, W3, cbar, m_out)
     assert composites >= 3
+
+
+def _assert_composite_matches_oracle(inner, comp, W1, W2, W3, cbar, m_out):
+    """Each kept piece is its outer pattern's piece under the inner piece's
+    effective weights, followed by the inner region rows, bit for bit."""
+    lams = {p.label: p for p in inner.pieces}
+    k = len(inner.pieces[0].label)
+    for p in comp.pieces:
+        lam = lams[p.label[:k]]
+        F, f, G, g = pattern_piece_oracle(W1 + W2 @ lam.F @ W3, m_out, p.label[k:],
+                                          W2 @ (lam.F @ cbar + lam.f))
+        Gi = lam.G @ W3
+        _assert_same_bits(p, (F, f, np.vstack([G, Gi @ F]),
+                              np.concatenate([g, Gi @ f + lam.G @ cbar + lam.g])))
+
+
+def _ragged_composite_args():
+    """(inner, W1, W2, W3, cbar, m_out): a hand-built inner map on 2 inputs
+    whose pieces (0,) to (3,) have 0, 1, 2 and 3 region rows, and a 4-node
+    outer layer with 36 patterns.  The rows are loose, so every inner piece
+    keeps composite pieces.  A stack of these candidates that padded each
+    piece's rows to 3 would take a 1-row product through gemv instead of a
+    dot, and about half of those differ from the dot in the last bit."""
+    rng = np.random.default_rng(5)
+    inner = PiecewiseAffineMap(pieces=tuple(
+        AffinePiece(rng.normal(scale=0.3, size=(2, 2)), rng.normal(size=2),
+                    rng.normal(size=(r, 2)), rng.uniform(5.0, 9.0, size=r), (r,))
+        for r in range(4)), domain_dim=2, output_dim=2)
+    W1 = rng.normal(scale=0.15, size=(4, 4))
+    W2 = rng.normal(scale=0.3, size=(4, 2))
+    W3 = rng.normal(scale=0.3, size=(2, 4))
+    return inner, W1, W2, W3, rng.normal(size=2), np.array([1.5, np.inf, 2.0, np.inf])
+
+
+@pytest.mark.parametrize("chunk", [equilibria._PATTERN_CHUNK, 7])
+def test_composite_of_unequal_inner_row_counts_matches_one_pattern_at_a_time(chunk, monkeypatch):
+    monkeypatch.setattr(equilibria, "_PATTERN_CHUNK", chunk)
+    inner, W1, W2, W3, cbar, m_out = _ragged_composite_args()
+    cert = SimpleNamespace(passed=True)
+    comp = compose_maps(inner, W1, W2, W3, cbar, m_out, certificate=cert)
+    assert {p.label[0] for p in comp.pieces} == {0, 1, 2, 3}
+    _assert_composite_matches_oracle(inner, comp, W1, W2, W3, cbar, m_out)
+    empty = compose_maps(PiecewiseAffineMap(pieces=(), domain_dim=2, output_dim=2),
+                         W1, W2, W3, cbar, m_out, certificate=cert)
+    assert len(empty) == 0 and empty.domain_dim == empty.output_dim == 4
+
+
+@pytest.mark.parametrize("chunk", [equilibria._PATTERN_CHUNK, 7, 1])
+def test_compose_maps_builds_its_candidates_in_stacks(chunk, monkeypatch):
+    inner, W1, W2, W3, cbar, m_out = _ragged_composite_args()
+    build, sizes = equilibria._pattern_pieces, []
+
+    def counted(W, m, sigmas, off):
+        sizes.append(len(sigmas))
+        return build(W, m, sigmas, off)
+
+    monkeypatch.setattr(equilibria, "_PATTERN_CHUNK", chunk)
+    monkeypatch.setattr(equilibria, "_pattern_pieces", counted)
+    compose_maps(inner, W1, W2, W3, cbar, m_out, certificate=SimpleNamespace(passed=True))
+    # (inner piece, outer pattern) pairs, not one round per inner piece
+    candidates = len(inner) * 36
+    assert len(sizes) == -(-candidates // chunk) and sum(sizes) == candidates
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), pieces=st.integers(1, 4),
+       rows=st.integers(0, 4))
+def test_stacked_box_test_equals_one_inner_piece_at_a_time(seed, n, pieces, rows):
+    rng = np.random.default_rng(seed)
+    m = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.5, 3.0, size=n))
+    sigmas = np.array(list(_all_patterns(m)))
+    count = rng.integers(0, rows + 1, size=pieces)
+    Gi = rng.normal(size=(pieces, rows, n))
+    b = rng.normal(scale=2.0, size=(pieces, rows))
+    real = np.arange(rows) < count[:, None]
+    Gi, b = Gi * real[..., None], b * real  # rows past a piece's count are zero
+    # candidates: every (inner piece, outer pattern) pair, inner-piece-major
+    lam = np.repeat(np.arange(pieces), len(sigmas))
+    got = _box_empty(Gi[lam], b[lam], np.tile(sigmas, (pieces, 1)), m)
+    want = [_box_empty(Gi[k, : count[k]], b[k, : count[k]], sigmas, m) for k in range(pieces)]
+    np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 def test_map_and_composite_count_singular_skips():

@@ -744,6 +744,33 @@ def test_fit_matches_sequential_starts_constant_data():
     assert_fit_matches_sequential_starts(problem, n_starts=10, seed=0, maxiter=40)
 
 
+def test_fit_terms_equal_objective_and_the_r2_of_predict():
+    problem = two_channel_problem(60)
+    Z = 0.8 * true_two_channel_parameters() + 0.2 * interior_points(problem, 4, 3)
+    for z in [*Z, true_two_channel_parameters()]:
+        rates = {c: np.ascontiguousarray(v) for c, v in predict(z, problem).items()}
+        want = (*objective(z, problem), r_squared(problem.data, rates))
+        assert sysid._fit_terms(z, problem) == want  # exact float equality
+
+
+def test_fit_reports_without_extra_objective_or_predict_passes(monkeypatch):
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    runs = [dict(n_starts=3, seed=1, maxiter=8), dict(n_starts=12, seed=3, maxiter=10,
+                                                      target_r2=0.99)]
+    want = [fit(problem, **kw) for kw in runs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit ran a second forward pass for its report")
+
+    monkeypatch.setattr(sysid, "objective", forbidden)
+    monkeypatch.setattr(sysid, "predict", forbidden)
+    for kw, report in zip(runs, want):
+        got = fit(problem, **kw)
+        assert (got.f, got.f_sse, got.f_corr, got.f_var, got.r2, got.starts) == \
+            (report.f, report.f_sse, report.f_corr, report.f_var, report.r2, report.starts)
+
+
 def fit_in_a_thread(problem, **kwargs):
     """Run fit in a helper thread joined with a timeout, so that a deadlock
     fails the test instead of hanging the suite; returns what fit raised."""
