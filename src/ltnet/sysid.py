@@ -18,9 +18,11 @@ mean sample Pearson correlation over (node, condition) pairs, and f_var
 the 4-norm of the standard-deviation mismatches.  Sample statistics use
 the K-1 convention throughout.  Multi-start bounded quasi-Newton
 minimization (L-BFGS-B) searches the box with the exact gradient of this
-discretized objective: a discrete adjoint, i.e. one forward RK4 pass,
-its stages evaluated again from the stored steps, and one reverse sweep
-through the stages, the ReLU and the post-step clip.  At kinks the ReLU
+discretized objective: a discrete adjoint, i.e. one forward RK4 pass
+whose stages write their slopes in place, its stages evaluated again
+from the stored steps and its step Jacobians built from them, and one
+reverse sweep through the stages, the ReLU and the post-step clip that
+takes every candidate of a round at once.  At kinks the ReLU
 and clip derivatives are 1 where the argument is > 0, pairs with a
 zero-variance series get a zero correlation gradient, a zero standard
 deviation a zero derivative, f_var = 0 a zero variance gradient, and a
@@ -33,8 +35,11 @@ They share only queues: the calling thread evaluates every candidate
 posted on its inbox in one batched forward pass and replies to each
 start with its row's value and gradient, so each start sees, bit for
 bit, the values it would see alone, and fit returns what one start
-after another would.  SciPy is imported by fit (minimize) and by
-'pulse' inputs (ndtr), not by this module.
+after another would.  The adjoint's arrays (about 1.6 MB a candidate
+on the two-channel problem) are buffers of the window, sized to its
+starts and reused by every round, so their pages are faulted in once
+per window; they go when the window closes.  SciPy is imported by fit
+(minimize) and by 'pulse' inputs (ndtr), not by this module.
 """
 
 from __future__ import annotations
@@ -238,6 +243,10 @@ def randomization_test(a, b, n_perm: int = 1999, seed: int = 0) -> float:
 
 def _finite_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _pair_of_numbers(v):
@@ -524,13 +533,14 @@ class SysIdProblem:
     def _stage_field(self, Z):
         """The stacked field of the candidates Z, one row per (candidate,
         condition), p C + i for candidate p under condition i: (W (P C, n, n),
-        drive at every stage time (P C, S, n), tau (P C, n), X0 (P C, n))."""
+        drive at every stage time (S, P C, n), tau (P C, n), X0 (P C, n))."""
         W, U, tau, c, X0 = self.unpack(Z)
         C, n = len(self.conditions), self.n
         _, _, sig = self._stage_signals
-        # drive at every stage time: d = U sig + c, laid out (P, C, S, n)
-        drive = np.einsum("csk,pnk->pcsn", sig, U) + c[:, None, None, :]
-        return (np.repeat(W, C, axis=0), drive.reshape(-1, sig.shape[1], n),
+        # drive at every stage time: d = U sig + c, laid out (S, P, C, n)
+        drive = np.einsum("csk,pnk->spcn", sig, U)
+        drive += c[:, None, :]
+        return (np.repeat(W, C, axis=0), drive.reshape(sig.shape[1], -1, n),
                 np.repeat(tau, C, axis=0), X0.reshape(-1, n))
 
     def _simulate(self, Z):
@@ -542,7 +552,8 @@ class SysIdProblem:
         inv_half = 2.0 / dt  # stage times are multiples of dt / 2 from t0 = 0
 
         def f(t, X):
-            return _stage(W, X, drive[:, round(t * inv_half)], tau)[1]
+            k = np.empty(X.shape)
+            return _stage(W, X, drive[round(t * inv_half)], tau, k, k)
 
         with np.errstate(over="ignore", invalid="ignore"):
             traj = rk4_integrate(f, X0, 0.0, dt, n_steps, lambda Y: np.maximum(Y, 0.0))
@@ -565,12 +576,17 @@ class SysIdProblem:
         return self._simulate(Z)[1:]
 
 
-def _stage(W, X, d, tau):
-    """ReLU argument a = W X + d and slope (-X + max(a, 0)) / tau of the
-    stacked field at the states X (..., n), with W (..., n, n) broadcast
-    against them: each row is computed as it would be in a batch of one."""
-    a = np.einsum("...ij,...j->...i", W, X) + d
-    return a, (-X + np.maximum(a, 0.0)) / tau
+def _stage(W, X, d, tau, a, k):
+    """The stacked field at the states X (..., n), with W (..., n, n)
+    broadcast against them: writes the ReLU argument a = W X + d into a and
+    the slope (max(a, 0) - X) / tau into k, which may be a, and returns k.
+    Each row is computed as it would be in a batch of one."""
+    np.einsum("...ij,...j->...i", W, X, out=a)
+    a += d
+    np.maximum(a, 0.0, out=k)
+    k -= X
+    k /= tau
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -682,19 +698,23 @@ def _objective_state_grad(est, ref, problem: SysIdProblem):
     return grad
 
 
-def _values_and_grads(Z, problem: SysIdProblem):
+def _values_and_grads(Z, problem: SysIdProblem, work=None):
     """Objective values and exact gradients of the rows of Z (P, dim).
 
-    One batched forward pass integrates every row; each row's gradient is
-    then _adjoint's on its own trajectory, so row p gets the (f, g) of a
-    batch of one, bit for bit.  A penalized row (diverged or non-finite f)
-    gets a zero gradient.  Returns (F (P,), G (P, dim)).
+    One batched forward pass integrates every row, and one _adjoint call
+    takes every row that is not penalized through one reverse sweep, in
+    work (an _AdjointWork of at least P candidates; a fresh one by
+    default), so row p gets the (f, g) of a batch of one, bit for bit.  A
+    penalized row (diverged or non-finite f) gets a zero gradient.  Returns
+    (F (P,), G (P, dim)).
     """
     F, _, est, _, traj = _objective_batch(Z, problem)
     G = np.zeros(Z.shape)
-    for p in np.flatnonzero(F != _PENALTY):
-        grad_est = _objective_state_grad(est[p], problem._ref, problem)
-        G[p] = _adjoint(Z[p], problem, traj[:, p], grad_est)
+    live = np.flatnonzero(F != _PENALTY)
+    if live.size:
+        grad_est = np.stack([_objective_state_grad(est[p], problem._ref, problem)
+                             for p in live])
+        G[live] = _adjoint(Z[live], problem, traj[:, live], grad_est[:, None], work)[:, 0]
     return F, G
 
 
@@ -704,79 +724,122 @@ def _value_and_grad(z, problem: SysIdProblem):
     return float(F[0]), G[0]
 
 
-def _adjoint(z, problem: SysIdProblem, traj, grad_est):
-    """Gradient in z of a function of the sampled manifest states.
+class _AdjointWork:
+    """_adjoint's arrays for up to `candidates` candidates of one problem
+    with up to `rows` adjoint rows each: the stage states, slopes and ReLU
+    derivatives, the step Jacobians J and their factors P, PV and PD, and
+    the adjoints of every step's pre-clip update.  One set serves every
+    round of a fit window, each round taking the leading slices it needs,
+    so the pages are faulted in once per window, not once per round."""
 
-    grad_est (C, nm, K) is the function's derivative with respect to the
-    states of z, and traj (n_steps + 1, C, n) its every RK4 step's state
-    (SysIdProblem._simulate).  This is the discrete adjoint of that
-    fixed-step RK4: every step's stages are evaluated again from traj, all
-    steps at once and each row as the forward pass had it, then one
-    reverse sweep runs through the stages, the ReLU and the post-step
-    clip (derivative 1 where the argument is > 0).
+    def __init__(self, problem: SysIdProblem, candidates, rows=1):
+        C, n = len(problem.conditions), problem.n
+        _, n_steps, _ = problem._stage_signals
+        stages = (candidates, n_steps, 4, C, n)
+        self.XS, self.KS, self.V = (np.empty(stages) for _ in range(3))
+        self.P = np.empty(stages + (n,))
+        self.J = np.empty((candidates, n_steps, C, n, n))
+        self.PS, self.PV, self.PD = (np.empty((n_steps, C, n, n)) for _ in range(3))
+        self.lamY = np.empty((candidates, rows, n_steps, C, n))
+
+
+def _adjoint(Z, problem: SysIdProblem, traj, grad_est, work=None):
+    """Gradients in z of functions of the sampled manifest states.
+
+    Z (Q, dim) holds candidates and traj (n_steps + 1, Q, C, n) their every
+    RK4 step's state (SysIdProblem._simulate); grad_est (Q, R, C, nm, K)
+    holds the derivatives of R functions with respect to each candidate's
+    states.  Returns their (Q, R, dim) gradients.  This is the discrete
+    adjoint of that fixed-step RK4: each candidate's stages are evaluated
+    again from traj, all steps at once and each row as the forward pass had
+    it, and its step Jacobians are built from them; then one reverse sweep
+    takes every row of every candidate through the stages, the ReLU and the
+    post-step clip (derivative 1 where the argument is > 0), and each row's
+    sums over steps follow.  The arrays live in work, an _AdjointWork of at
+    least Q candidates and R rows (a fresh one by default).  Nothing mixes
+    rows, so each has the bits it would have alone.
     """
+    Q, R = grad_est.shape[:2]
+    if work is None:
+        work = _AdjointWork(problem, Q, R)
     C, n = len(problem.conditions), problem.n
-    G = np.zeros((C, problem.K, n))  # on the full state
-    G[:, :, problem.manifest] = np.moveaxis(grad_est, 2, 1)
     dt, n_steps, sig = problem._stage_signals
-    sub = problem.sim_substeps
     b = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)  # weights of k1..k4 in the update
     c = (0.5 * dt, 0.5 * dt, dt)  # stage s + 1 starts at X + c[s] * k_s
-    Wc, drive, tauc, _ = problem._stage_field(z)
-    W, tau = Wc[0], tauc[0]
     # drive samples: stage 1 reads 2k, stages 2 and 3 read 2k + 1, stage 4 reads 2k + 2
     reads = (slice(0, -1, 2), slice(1, None, 2), slice(1, None, 2), slice(2, None, 2))
-    # stage states, slopes and ReLU arguments (steps, 4, C, n)
-    XS, KS, AS = (np.empty((n_steps, 4, C, n)) for _ in range(3))
-    XS[:, 0] = traj[:-1]
-    drive = drive.swapaxes(0, 1)
-    for s, r in enumerate(reads):
-        AS[:, s], KS[:, s] = _stage(Wc, XS[:, s], drive[r], tauc)
-        if s < 3:
-            XS[:, s + 1] = XS[:, 0] + c[s] * KS[:, s]
-    clip = traj[1:] > 0.0  # clip derivatives: max(Y, 0) > 0 exactly where Y > 0
-    itau = 1.0 / tau
-    # Row-vector Jacobians of every step, built for all steps at once:
-    # dk_s = D_s dX_s with D_s = diag(V_s) W - diag(1 / tau), V_s = relu_s / tau,
-    # and the adjoint of the pre-clip update Y maps to the stage slopes by
-    # P_s and to the step's start by J = I + sum_s P_s D_s.
-    V = (AS > 0.0) * itau  # ReLU derivatives over tau (steps, 4, C, n)
+    Wc, drive, tauc, _ = problem._stage_field(Z)
+    itau = 1.0 / tauc[::C]  # (Q, n)
+    XS, KS, V, P, J = work.XS[:Q], work.KS[:Q], work.V[:Q], work.P[:Q], work.J[:Q]
     eye = np.eye(n)
-    P = np.empty(V.shape + (n,))
-    J = np.broadcast_to(eye, (n_steps, C, n, n)).copy()
-    PD = None
-    for s in (3, 2, 1, 0):
-        P[:, s] = b[s] * eye if PD is None else b[s] * eye + c[s] * PD
-        PV = P[:, s] * V[:, s, :, None, :]
-        PD = (PV.reshape(-1, n) @ W).reshape(PV.shape) - P[:, s] * itau
-        J += PD
-    lamY = np.empty((n_steps, C, n))  # adjoint of each step's pre-clip update
-    lam = np.zeros((C, n))  # adjoint of the state after step k
+    # b_s I and the rows of 1 / tau as (C, n, n) blocks, so that each
+    # product below runs over whole blocks rather than rows of n
+    bI = [np.tile(w * eye, (C, 1, 1)) for w in b]
+    PS, PV, PD = work.PS, work.PV, work.PD  # P_s, P_s diag(V_s) and D_s
+    for q in range(Q):
+        own = slice(q * C, (q + 1) * C)  # candidate q's rows of the field
+        # stage states, slopes and ReLU arguments (steps, 4, C, n); the
+        # arguments go to V, which then holds the ReLU derivatives over tau
+        XS[q, :, 0] = traj[:-1, q]
+        for s, r in enumerate(reads):
+            _stage(Wc[own], XS[q, :, s], drive[r, own], tauc[own], V[q, :, s], KS[q, :, s])
+            if s < 3:
+                np.multiply(KS[q, :, s], c[s], out=XS[q, :, s + 1])
+                XS[q, :, s + 1] += XS[q, :, 0]
+        np.greater(V[q], 0.0, out=V[q])
+        V[q] *= itau[q]
+        itau_rows = np.tile(itau[q], (C, n, 1))
+        # Row-vector Jacobians of every step, built for all steps at once:
+        # dk_s = D_s dX_s with D_s = diag(V_s) W - diag(1 / tau), and the
+        # adjoint of the pre-clip update Y maps to the stage slopes by P_s
+        # and to the step's start by J = I + sum_s P_s D_s.
+        J[q] = eye
+        for s in (3, 2, 1, 0):
+            if s == 3:
+                PS[:] = bI[s]
+            else:
+                np.multiply(PD, c[s], out=PS)
+                PS += bI[s]
+            P[q, :, s] = PS
+            np.multiply(PS, V[q, :, s, :, None, :], out=PV)
+            np.matmul(PV.reshape(-1, n), Wc[q * C], out=PD.reshape(-1, n))
+            np.multiply(PS, itau_rows, out=PV)
+            PD -= PV
+            J[q] += PD
+    # the reverse sweep reads step-major views: step k of every row at once
+    G = np.zeros((problem.K, Q, R, C, n))  # on the full state
+    G[..., problem.manifest] = np.moveaxis(grad_est, -1, 0)
+    clip = (traj[1:] > 0.0)[:, :, None]  # clip derivatives: max(Y, 0) > 0 exactly where Y > 0
+    lamY = work.lamY[:Q, :R]  # adjoint of each step's pre-clip update
+    lamYk, Jk = np.moveaxis(lamY, 2, 0), np.moveaxis(J, 1, 0)[:, :, None]
+    lam = np.zeros((Q, R, C, n))  # adjoint of the state after step k
+    sub = problem.sim_substeps
     for k in range(n_steps - 1, -1, -1):
         if (k + 1) % sub == 0:
-            lam = lam + G[:, (k + 1) // sub]
-        lamY[k] = lam = lam * clip[k]
-        lam = np.matmul(lam[:, None, :], J[k])[:, 0]
-    lam = lam + G[:, 0]
-    LK = np.einsum("kci,kscij->kscj", lamY, P)  # adjoints of the stage slopes
-    LA = LK * V  # adjoints of the ReLU arguments
-
-    gW = np.einsum("ksbi,ksbj->ij", LA, XS).ravel()
-    LD = np.zeros((C, 2 * n_steps + 1, n))  # adjoints of the drive samples
-    for s, r in enumerate(reads):
-        LD[:, r] += np.moveaxis(LA[:, s], 0, 1)
-    gU = np.einsum("csk,csn->nk", sig, LD).ravel()
-    g_tau = -(LK * KS).sum(axis=(0, 1, 2)) * itau
-    g = np.empty(problem.dim)
-    for zpos, flat in problem._w_slots:
-        g[zpos] = gW[flat]
-    for zpos, flat in problem._u_slots:
-        g[zpos] = gU[flat]
-    g[problem.off_tau : problem.off_c] = np.bincount(
-        problem._node_layer, weights=g_tau, minlength=problem.N
-    )
-    g[problem.off_c : problem.off_x0] = LD.sum(axis=(0, 1))
-    g[problem.off_x0 :] = lam.ravel()
+            lam = lam + G[(k + 1) // sub]
+        lamYk[k] = lam = lam * clip[k]
+        lam = np.matmul(lam[..., None, :], Jk[k])[..., 0, :]
+    lam = lam + G[0]
+    g = np.empty((Q, R, problem.dim))
+    for q, r in np.ndindex(Q, R):
+        LK = np.einsum("kci,kscij->kscj", lamY[q, r], P[q])  # adjoints of the stage slopes
+        LA = LK * V[q]  # adjoints of the ReLU arguments
+        gW = np.einsum("ksbi,ksbj->ij", LA, XS[q]).ravel()
+        LD = np.zeros((C, 2 * n_steps + 1, n))  # adjoints of the drive samples
+        for s, rd in enumerate(reads):
+            LD[:, rd] += np.moveaxis(LA[:, s], 0, 1)
+        gU = np.einsum("csk,csn->nk", sig, LD).ravel()
+        g_tau = -(LK * KS[q]).sum(axis=(0, 1, 2)) * itau[q]
+        out = g[q, r]
+        for zpos, flat in problem._w_slots:
+            out[zpos] = gW[flat]
+        for zpos, flat in problem._u_slots:
+            out[zpos] = gU[flat]
+        out[problem.off_tau : problem.off_c] = np.bincount(
+            problem._node_layer, weights=g_tau, minlength=problem.N
+        )
+        out[problem.off_c : problem.off_x0] = LD.sum(axis=(0, 1))
+        out[problem.off_x0 :] = lam[q, r].ravel()
     return g
 
 
@@ -789,7 +852,8 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     gradient sees that jump, and the standard deviation is a cone there,
     so a local search stalls just off it.  The step solves
     sd_p(z + dz) = 0 to first order for every such pair whose estimate
-    still varies (minimum-norm dz from the adjoint gradients of sd_p).
+    still varies (minimum-norm dz from the adjoint gradients of sd_p, one
+    adjoint row per pair over z's one trajectory).
     Returns (z, f), unchanged when there is no such pair.
     """
     ref = problem._ref
@@ -802,11 +866,10 @@ def _flatten_constant_pairs(z, f, problem: SysIdProblem, lo, hi):
     pairs = np.argwhere(ref_flat & (se >= _FLAT))
     if not len(pairs):
         return z, f
-    J = np.empty((len(pairs), problem.dim))
+    d_se = np.zeros((len(pairs),) + est.shape)
     for row, (cond, node) in enumerate(pairs):
-        d_se = np.zeros_like(est)
-        d_se[cond, node] = est_c[cond, node] / se[cond, node]
-        J[row] = _adjoint(z, problem, traj[:, 0], d_se)
+        d_se[row, cond, node] = est_c[cond, node] / se[cond, node]
+    J = _adjoint(z[None, :], problem, traj, d_se[None])[0]
     dz = np.linalg.lstsq(J, -se[tuple(pairs.T)], rcond=None)[0]
     z_new = np.clip(z + dz, lo, hi)
     f_new = float(_objective_batch(z_new[None, :], problem)[0][0])
@@ -876,8 +939,15 @@ def fit(
     once target_r2 (when given) is reached, and later starts are dropped.
     Every start sees the values it would see alone, so the result is that
     of one start after another.  Deterministic for fixed (problem,
-    n_starts, seed).
+    n_starts, seed).  ValueError unless n_starts is an integer >= 1,
+    maxiter an integer >= 0 and target_r2 None or a finite number.
     """
+    if not (_integer(n_starts) and n_starts >= 1):
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
+    if not (_integer(maxiter) and maxiter >= 0):
+        raise ValueError(f"maxiter must be an integer >= 0, got {maxiter!r}")
+    if not (target_r2 is None or _finite_number(target_r2)):
+        raise ValueError(f"target_r2 must be None or a finite number, got {target_r2!r}")
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
     best = terms = None
@@ -945,9 +1015,10 @@ def _minimize_window(Z0, problem: SysIdProblem, lo, hi, maxiter):
     exception it raised.  Only the calling thread reads the inbox.  Once
     every start that has not returned has posted, it yields the results
     now due in start order (re-raising an exception in its place), then
-    evaluates the posted z with one _values_and_grads call and replies to
-    each start with its row.  On close it puts None on every reply queue,
-    so a waiting objective raises _Abandoned, and joins every thread.
+    evaluates the posted z with one _values_and_grads call, in the
+    window's one _AdjointWork, and replies to each start with its row.  On
+    close it puts None on every reply queue, so a waiting objective raises
+    _Abandoned, and joins every thread.
     """
     import queue
 
@@ -977,6 +1048,7 @@ def _minimize_window(Z0, problem: SysIdProblem, lo, hi, maxiter):
             result = e
         inbox.put((s, result))
 
+    work = _AdjointWork(problem, len(Z0))  # every round's adjoint arrays
     posted = {}  # start -> z awaiting its (f, g)
     results = {}  # start -> OptimizeResult or exception, not yet yielded
     given = 0  # starts yielded so far
@@ -998,7 +1070,8 @@ def _minimize_window(Z0, problem: SysIdProblem, lo, hi, maxiter):
                 given += 1
             if posted:
                 starts = sorted(posted)
-                F, G = _values_and_grads(np.stack([posted.pop(s) for s in starts]), problem)
+                Z = np.stack([posted.pop(s) for s in starts])
+                F, G = _values_and_grads(Z, problem, work)
                 for p, s in enumerate(starts):
                     replies[s].put((float(F[p]), G[p]))
     finally:

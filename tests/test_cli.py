@@ -806,6 +806,19 @@ def test_rates_csv_rejects_malformed(tmp_path, text, match):
         ltio.rates_from_csv(path)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--starts", "0", "n_starts must be an integer >= 1, got 0"),
+    ("--starts", "-2", "n_starts must be an integer >= 1, got -2"),
+    ("--maxiter", "-1", "maxiter must be an integer >= 0, got -1"),
+])
+def test_cli_fit_rejects_a_bad_budget(tmp_path, capsys, flag, value, message):
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    args = ["fit", "--problem", str(problem_path), "--data", str(data_dir),
+            "--seed", "1", "--starts", "1", "--maxiter", "1", flag, value]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_fit_rejects_malformed_rates(tmp_path, capsys):
     problem_path, data_dir = write_fit_inputs(tmp_path)
     (data_dir / "base.csv").write_text("t,n0\n")

@@ -1,6 +1,7 @@
 """Rate preprocessing, timescales, permutation tests, structured fitting."""
 
 import hashlib
+import re
 import sys
 import threading
 
@@ -460,6 +461,32 @@ def test_fit_recovers_scalar_model():
     assert all(len(rec) == 3 for rec in report.starts)
 
 
+@pytest.mark.parametrize("budget, message", [
+    (dict(n_starts=0), "n_starts must be an integer >= 1, got 0"),
+    (dict(n_starts=-2), "n_starts must be an integer >= 1, got -2"),
+    (dict(n_starts=True), "n_starts must be an integer >= 1, got True"),
+    (dict(n_starts=2.0), "n_starts must be an integer >= 1, got 2.0"),
+    (dict(maxiter=-1), "maxiter must be an integer >= 0, got -1"),
+    (dict(maxiter=1.5), "maxiter must be an integer >= 0, got 1.5"),
+    (dict(maxiter=False), "maxiter must be an integer >= 0, got False"),
+    (dict(target_r2=float("nan")), "target_r2 must be None or a finite number, got nan"),
+    (dict(target_r2=float("inf")), "target_r2 must be None or a finite number, got inf"),
+    (dict(target_r2="0.9"), "target_r2 must be None or a finite number, got '0.9'"),
+])
+def test_fit_rejects_a_bad_budget(budget, message):
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit(problem, **{"n_starts": 1, "maxiter": 2, **budget})
+
+
+def test_fit_takes_numpy_integers_and_zero_iterations():
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    report = fit(problem, n_starts=np.int64(2), seed=0, maxiter=np.int32(0), target_r2=1)
+    assert report.n_starts <= 2
+
+
 def test_fit_is_deterministic():
     problem = SysIdProblem(
         (2,), [], [], ("flat",), (0, 1), t0=0.0, tf=3.0, T=0.1,
@@ -642,17 +669,152 @@ def test_values_and_grads_rows_equal_batches_of_one(P):
 # fixed two-channel batch (NumPy 2.4 with OpenBLAS, x86-64)
 _GRADIENT_SHA256 = {
     1: "b7750c0b3700c276dff4c766a816497ab4247b4c23ce6075fde34d030583b7dd",
+    2: "4e646514d8f9e614456a1c521148e8254fa48b6d21d41d8ca195dc667f9b500c",
+    3: "651ba93dd706e175edb81c23beda06776a924da2c0207892359af0c12f0066b1",
     8: "e5b148ad406caf779cb9e34ff9be3ef4eeaa525ffdd4561777df518e8c239efa",
+}
+# SHA-256 of SysIdProblem._simulate's trajectory (every RK4 step's state)
+# on the first P rows of the same batch
+_TRAJECTORY_SHA256 = {
+    1: "723444708d0b033ae67766b5d00f1e527c09d99d9232b443d4ce4ac558adfa8d",
+    3: "e0085f77eaafcf3c482491b6ed65ba582935c95bcea2b1c31d62bc3ae93d6ec7",
 }
 
 
-@pytest.mark.parametrize("P", [1, 8])
+def pinned_batch(problem):
+    return 0.8 * true_two_channel_parameters() + 0.2 * interior_points(problem, 64, 8)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 8])
 def test_values_and_grads_bytes_are_pinned(P):
     problem = two_channel_problem(60)
-    Z = 0.8 * true_two_channel_parameters() + 0.2 * interior_points(problem, 64, 8)
-    F, G = sysid._values_and_grads(Z[:P], problem)
+    F, G = sysid._values_and_grads(pinned_batch(problem)[:P], problem)
     assert np.all(F != sysid._PENALTY)
     assert hashlib.sha256(F.tobytes() + G.tobytes()).hexdigest() == _GRADIENT_SHA256[P]
+
+
+@pytest.mark.parametrize("P", [1, 3])
+def test_simulate_trajectory_bytes_are_pinned(P):
+    problem = two_channel_problem(60)
+    traj = problem._simulate(pinned_batch(problem)[:P])[0]
+    assert traj.shape == (281, P, 2, 8)
+    assert hashlib.sha256(traj.tobytes()).hexdigest() == _TRAJECTORY_SHA256[P]
+
+
+def flat_pairs_problem():
+    """The two-channel problem with three constant reference series."""
+    problem = two_channel_problem(60)
+    data = {c: v.copy() for c, v in problem.data.items()}
+    data["A"][:, 1] = 0.3
+    data["B"][:, 4] = 0.0
+    data["B"][:, 6] = 1.1
+    problem.attach_data(data)
+    return problem
+
+
+def test_flatten_constant_pairs_step_is_pinned(monkeypatch):
+    # the Jacobian of the three flat pairs' standard deviations, handed to
+    # lstsq, and the step taken, recorded when each pair had an adjoint
+    # pass of its own
+    problem = flat_pairs_problem()
+    z = pinned_batch(problem)[0]
+    lo, hi = problem.bounds()
+    lstsq = np.linalg.lstsq
+    seen = []
+
+    def spy(A, b, rcond=None):
+        seen.append(A.copy())
+        return lstsq(A, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    f = objective(z, problem)[0]
+    z_new, f_new = sysid._flatten_constant_pairs(z, f, problem, lo, hi)
+    (J,) = seen
+    assert J.shape == (3, problem.dim)
+    assert hashlib.sha256(J.tobytes()).hexdigest() == \
+        "cc59aa2ee330fd45d8cff325f29401db3da7d4d84304638d50af1d9b19a553db"
+    assert (f, f_new) == (42069.99265215086, 10034.424386493989)
+    assert hashlib.sha256(z_new.tobytes()).hexdigest() == \
+        "4ab1fcd55a49883eefdf20226966e48d43a8511f82ca68aff2bd7a641ee7e18a"
+
+
+def test_adjoint_rows_equal_rows_alone():
+    # several functions of one trajectory (the flat pairs' standard
+    # deviations) in one sweep, and every candidate of a batch in one sweep
+    problem = flat_pairs_problem()
+    Z = pinned_batch(problem)[:3]
+    _, _, est, _, traj = sysid._objective_batch(Z, problem)
+    grad_est = np.random.default_rng(5).normal(size=(3, 4) + est.shape[1:])
+    together = sysid._adjoint(Z, problem, traj, grad_est)
+    assert together.shape == (3, 4, problem.dim)
+    for q, r in np.ndindex(3, 4):
+        alone = sysid._adjoint(Z[q : q + 1], problem, traj[:, q : q + 1],
+                               grad_est[q : q + 1, r : r + 1])
+        assert together[q, r].tobytes() == alone[0, 0].tobytes()
+
+
+def test_a_warm_round_allocates_little():
+    import tracemalloc
+
+    problem = two_channel_problem(60)
+    Z = pinned_batch(problem)[:2]
+    work = sysid._AdjointWork(problem, 2)
+    want = sysid._values_and_grads(Z, problem, work)  # warm: pages and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = sysid._values_and_grads(Z, problem, work)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert peak <= 1.5e6  # the adjoint's P alone is 2.3 MB at P = 2
+
+
+def test_fit_calls_in_two_threads_equal_their_sequential_results():
+    problem = two_channel_problem(0)
+    runs = [dict(n_starts=2, seed=0, maxiter=4), dict(n_starts=3, seed=1, maxiter=3)]
+    want = [fit(problem, **kw) for kw in runs]
+    got = [None, None]
+
+    def run(i):
+        got[i] = fit(problem, **runs[i])
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two windows' rounds often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads), "fit deadlocked"
+    for a, b in zip(got, want):
+        assert a.z.tobytes() == b.z.tobytes()
+        assert (a.f, a.starts, a.best_start) == (b.f, b.starts, b.best_start)
+
+
+def test_fit_keeps_no_adjoint_buffers(monkeypatch):
+    import gc
+    import weakref
+
+    problem = scalar_problem()
+    problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
+    made = []
+
+    class Tracked(sysid._AdjointWork):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append([weakref.ref(self)] + [weakref.ref(a) for a in vars(self).values()])
+
+    monkeypatch.setattr(sysid, "_AdjointWork", Tracked)
+    fit(problem, n_starts=10, seed=3, maxiter=10, target_r2=0.99)  # torn down early
+    fit(problem, n_starts=9, seed=4, maxiter=2)
+    assert len(made) == 3  # one set per window: one window, then two
+    gc.collect()
+    assert not [ref for refs in made for ref in refs if ref() is not None]
 
 
 def test_values_and_grads_diverged_row_leaves_its_neighbours_alone():
@@ -795,11 +957,11 @@ def test_fit_failing_evaluation_neither_hangs_nor_leaks_threads(monkeypatch):
     evaluate = sysid._values_and_grads
     calls = []
 
-    def failing(Z, problem):
+    def failing(Z, problem, work):
         calls.append(len(Z))
         if len(calls) == 3:
             raise RuntimeError("evaluation failed")
-        return evaluate(Z, problem)
+        return evaluate(Z, problem, work)
 
     monkeypatch.setattr(sysid, "_values_and_grads", failing)
     before = threading.active_count()
