@@ -207,8 +207,12 @@ class OnlineFeedforward:
 
     ubar = [pinv min(target, 0)]_+ with target = -W_up_minus x_above -
     c_minus, so that B^- ubar <= target elementwise over the layer's
-    inhibited (first r) rows when B^- has full row rank; demands that are
-    already nonpositive are met with zero surplus.  It ignores t and is
+    inhibited (first r) rows when B^- has full row rank and pinv <= 0
+    elementwise; demands that are already nonpositive are met with zero
+    surplus.  Without the sign condition the clip can drop an entry that
+    B^- needs: B^- = [-1, 0.5] has pinv = (-0.8, 0.4)^T, and B^- ubar =
+    0.8 target > target where target < 0.  Such layers are not refused;
+    ROADMAP.md item 1 describes the fix.  It ignores t and is
     piecewise affine in x_above: pattern names and piece reports the
     AffinePiece at a given x_above, which makes it a drive term that
     network._clipped_run can block-step (see simulate_hierarchy).  Its rows

@@ -21,8 +21,8 @@ z = W (F d + f) + d; these conditions, not any rearranged closed form, are
 what the implementation evaluates.  Patterns are built in stacks of up to
 _PATTERN_CHUNK: one stacked slogdet, two stacked solves and masked
 region rows per stack, so the temporaries are O(chunk * n^2), and every
-piece has the bits it would have if built alone.  The pieces view their
-stack, marked read-only, instead of holding copies.
+piece has the bits it would have if built alone.  The map holds the
+stacks, read-only; its AffinePieces view them, built only when read.
 
 Saturated is excluded for nodes with unbounded ceilings.  Patterns whose
 linear system is singular (condition number above _SINGULAR_RCOND) are
@@ -53,7 +53,6 @@ batch and its work stops at each point's first covering tile.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import warnings
@@ -158,25 +157,6 @@ def _pattern_pieces(W, m, sigmas, off):
     return ok, F, f, *_regime_rows(W @ F + eye, Wf, sigmas, m)
 
 
-def _frozen(a):
-    """a, marked read-only with the array that owns its memory."""
-    a.setflags(write=False)
-    if a.base is not None:
-        a.base.setflags(write=False)
-    return a
-
-
-def _affine_pieces(labels, F, f, G, g, keep):
-    """AffinePieces from _pattern_pieces' stacks, each region the rows it
-    keeps, as views of one fresh stack of those rows.  The stacks are the
-    builder's own and are marked read-only, so every piece views them and
-    AffinePiece copies nothing."""
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    G, g = _frozen(G[keep]), _frozen(g[keep])
-    return [AffinePiece(Fk, fk, G[a:b], g[a:b], label) for Fk, fk, a, b, label
-            in zip(_frozen(F), _frozen(f), [0, *ends], ends, labels)]
-
-
 def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
     """Build the affine piece generated by the switching pattern sigma.
 
@@ -192,46 +172,72 @@ def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
     if np.any((np.array(sigma) == SATURATED) & np.isinf(m)):
         warnings.warn(f"pattern {sigma} saturates an unbounded node; skipped")
         return None
-    ok, *stacks = _pattern_pieces(W, m, np.array([sigma]), np.full(n, -0.0))
+    ok, F, f, G, g, keep = _pattern_pieces(W, m, np.array([sigma]), np.full(n, -0.0))
     if not ok[0]:
         warnings.warn(f"pattern {sigma} has a singular linear system; skipped")
         return None
-    return _affine_pieces([sigma], *stacks)[0]
+    return AffinePiece(F[0], f[0], G[0, keep[0]], g[0, keep[0]], sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewiseAffineMap:
-    """Piecewise-affine equilibrium map d -> x.
+    """Piecewise-affine equilibrium map d -> x: piece k is d -> F[k] d + f[k]
+    on {d : G[r] d + g[r] >= 0}, r = ends[k]:ends[k+1], held as read-only
+    stacks in label order, so evaluation resolves boundary ties by the
+    lexicographically smallest generating pattern.  The constructor sorts
+    AffinePieces by label and stacks them; one without region rows holds
+    the one row 0·d + 0 >= 0."""
 
-    pieces are sorted by label, so evaluation resolves boundary ties by
-    the lexicographically smallest generating pattern.
-    """
-
-    pieces: tuple
+    labels: tuple
+    F: np.ndarray  # (P, output_dim, domain_dim)
+    f: np.ndarray  # (P, output_dim)
+    G: np.ndarray  # (R, domain_dim)
+    g: np.ndarray  # (R,)
+    ends: np.ndarray  # (P + 1,)
     domain_dim: int
     output_dim: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pieces", tuple(sorted(self.pieces, key=lambda p: p.label))
-        )
+    def __init__(self, pieces, domain_dim, output_dim):
+        pieces = sorted(pieces, key=lambda p: p.label)
+        rows = [(p.G, p.g) if len(p.g) else (np.zeros((1, domain_dim)), np.zeros(1))
+                for p in pieces]
+        self._hold([([p.label for p in pieces],
+                     np.array([p.F for p in pieces] or np.zeros((0, output_dim, domain_dim))),
+                     np.array([p.f for p in pieces] or np.zeros((0, output_dim))),
+                     np.concatenate([G for G, _ in rows] or [np.zeros((0, domain_dim))]),
+                     np.concatenate([g for _, g in rows] or [np.zeros(0)]),
+                     [len(g) for _, g in rows])], domain_dim, output_dim)
+
+    @classmethod
+    def _of_stacks(cls, parts, n):
+        """The n -> n map of a builder's stacks (see _hold)."""
+        if not parts:
+            return cls((), n, n)
+        pa = cls.__new__(cls)
+        pa._hold(parts, n, n)
+        return pa
+
+    def _hold(self, parts, domain_dim, output_dim):
+        """Hold parts, stacks (labels, F, f, G, g, row counts) per chunk in label
+        order, joined unless one, read-only; a view of another array is copied."""
+        labels, *arrays = zip(*parts)
+        *arrays, counts = (a[0] if len(parts) == 1 else np.concatenate(a) for a in arrays)
+        arrays = [a if a.base is None else a.copy() for a in arrays]
+        arrays.append(np.concatenate(([0], np.cumsum(counts, dtype=np.intp))))
+        for a in arrays:
+            a.setflags(write=False)
+        vars(self).update(zip(("labels", "F", "f", "G", "g", "ends", "domain_dim", "output_dim"),
+                              (tuple(itertools.chain(*labels)), *arrays, domain_dim, output_dim)))
 
     def __len__(self):
-        return len(self.pieces)
+        return len(self.labels)
 
     @cached_property
-    def _rows(self):
-        """(G_all, g_all, ends, row_ends): all region rows, stacked on first
-        query (not at construction: maps built to certify or compose are
-        never read), and the row where each piece ends after a leading 0,
-        as an array and as a list.  A piece without region rows (valid
-        everywhere) reads the one row 0·d + 0 >= -_REGION_TOL."""
-        rows = [(p.G, p.g) if p.G.shape[0] else (np.zeros((1, p.G.shape[1])), np.zeros(1))
-                for p in self.pieces]
-        G_all = np.vstack([G for G, _ in rows])
-        g_all = np.concatenate([g for _, g in rows])
-        ends = np.cumsum([0] + [len(g) for _, g in rows])
-        return G_all, g_all, ends, ends.tolist()
+    def pieces(self):
+        """AffinePiece views of the stacks, in label order, built when first read."""
+        ends = self.ends.tolist()
+        return tuple(AffinePiece(F, f, self.G[a:b], self.g[a:b], label) for F, f, a, b, label
+                     in zip(self.F, self.f, ends, ends[1:], self.labels))
 
     def _scan(self, D, first=True):
         """Yield (points, pieces): index pairs of the rows of D and the pieces
@@ -252,20 +258,17 @@ class PiecewiseAffineMap:
         single point reads _QUERY_TILE rows per tile, so on maps of up to
         that many rows it is one matrix-vector product over every row.
         """
-        if not self.pieces:
-            return
-        G_all, g_all, ends, row_ends = self._rows
-        P, chunk = len(self.pieces), math.isqrt(_QUERY_TILE)
+        ends, P, chunk = self.ends, len(self), math.isqrt(_QUERY_TILE)
         for lo in range(0, len(D), chunk):
             D_live = D[lo : lo + chunk]
             live = np.arange(lo, lo + len(D_live))
             a = 0
             while a < P and live.size:
-                r0 = row_ends[a]
-                b = max(bisect.bisect_right(row_ends, r0 + _QUERY_TILE // live.size) - 1, a + 1)
-                r1 = row_ends[b]
-                rows = G_all[r0:r1] @ D_live.T
-                rows += g_all[r0:r1, None]
+                r0 = ends[a]
+                b = max(ends.searchsorted(r0 + _QUERY_TILE // live.size, "right") - 1, a + 1)
+                r1 = ends[b]
+                rows = self.G[r0:r1] @ D_live.T
+                rows += self.g[r0:r1, None]
                 starts = ends[a:b] - r0 if a else ends[:b]
                 member = np.logical_and.reduceat(rows >= -_REGION_TOL, starts, axis=0)
                 if first:
@@ -307,8 +310,8 @@ class PiecewiseAffineMap:
     def eval(self, d) -> np.ndarray:
         """Value at d, using the first covering piece in label order."""
         d = self._points(d, 1)
-        p = self.pieces[self._locate(d)]
-        return p.F @ d + p.f
+        k = self._locate(d)
+        return self.F[k] @ d + self.f[k]
 
     __call__ = eval
 
@@ -324,8 +327,7 @@ class PiecewiseAffineMap:
         out = np.empty((D.shape[0], self.output_dim))
         for idx in np.unique(first):  # label order = piece order
             sel = first == idx
-            p = self.pieces[idx]
-            out[sel] = D[sel] @ p.F.T + p.f
+            out[sel] = D[sel] @ self.F[idx].T + self.f[idx]
         return out
 
     def consistency_gap(self, d) -> float:
@@ -363,15 +365,16 @@ def equilibrium_map(W, m) -> PiecewiseAffineMap:
             f"n={n} exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}; use "
             "solve_equilibrium_iterative for pointwise equilibria"
         )
-    pieces = []
+    parts = []
     n_singular = 0
+    # product order over increasing regime codes is label order
     for labels in _chunks(itertools.product(*_regimes(m))):
-        ok, *stacks = _pattern_pieces(W, m, np.array(labels), np.full(n, -0.0))
+        ok, F, f, G, g, keep = _pattern_pieces(W, m, np.array(labels), np.full(n, -0.0))
         n_singular += len(ok) - int(ok.sum())
-        pieces += _affine_pieces(itertools.compress(labels, ok), *stacks)
+        parts.append((itertools.compress(labels, ok), F, f, G[keep], g[keep], keep.sum(axis=1)))
     if n_singular:
         warnings.warn(f"equilibrium_map: skipped {n_singular} singular pattern(s)")
-    return PiecewiseAffineMap(pieces=tuple(pieces), domain_dim=n, output_dim=n)
+    return PiecewiseAffineMap._of_stacks(parts, n)
 
 
 def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10):
@@ -539,24 +542,23 @@ def compose_maps(
     cbar = np.asarray(cbar, dtype=float)
     n = W1.shape[0]
     m = np.broadcast_to(np.asarray(m, dtype=float), (n,))
-    lams = inner.pieces
-    Fl = np.array([p.F for p in lams]).reshape(len(lams), W2.shape[1], W3.shape[0])
-    fl = np.array([p.f for p in lams]).reshape(len(lams), W2.shape[1])
-    Weff = W1 + W2 @ Fl @ W3
-    off = (W2 @ (Fl @ cbar + fl)[..., None])[..., 0]  # constant drive terms
+    Weff = W1 + W2 @ inner.F @ W3
+    off = (W2 @ (inner.F @ cbar + inner.f)[..., None])[..., 0]  # constant drive terms
     # inner regions mapped through x: G_lam (W3 x + cbar) + g_lam >= 0, each
     # piece's rows zero-padded to the longest; count (L,) says how many are real
-    count = np.array([len(p.g) for p in lams], dtype=np.intp)
-    Gi = np.zeros((len(lams), count.max(initial=0), n))
+    ends = inner.ends.tolist()
+    count = np.diff(inner.ends)
+    Gi = np.zeros((len(inner), count.max(initial=0), n))
     Gc, gl = np.zeros((2,) + Gi.shape[:2])
-    for k, p in enumerate(lams):
-        Gi[k, : count[k]], Gc[k, : count[k]], gl[k, : count[k]] = p.G @ W3, p.G @ cbar, p.g
+    for k, (a, b) in enumerate(zip(ends, ends[1:])):
+        G_lam = inner.G[a:b]
+        Gi[k, : b - a], Gc[k, : b - a], gl[k, : b - a] = G_lam @ W3, G_lam @ cbar, inner.g[a:b]
     stacks, undecided = [], [np.zeros(0, dtype=bool)]
     # (G, g, owner) of the rows left for the LPs, owner a candidate's index
     lp_rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=np.intp))]
     n_singular = n_candidates = 0
     # (inner piece, outer pattern) pairs, inner-piece-major, in stacks
-    pairs = ((k, s) for k in range(len(lams)) for s in itertools.product(*_regimes(m)))
+    pairs = ((k, s) for k in range(len(inner)) for s in itertools.product(*_regimes(m)))
     for chunk in _chunks(pairs):
         lam, sigmas = (np.array(col) for col in zip(*chunk))
         ok, F, f, G, g, keep = _pattern_pieces(Weff[lam], m, sigmas, off[lam])
@@ -571,7 +573,7 @@ def compose_maps(
         G = np.concatenate([G, GlF], axis=1)
         g = np.concatenate([g, Glf + Gc[lam] + gl[lam]], axis=1)
         keep = np.concatenate([keep, np.arange(Gi.shape[1]) < n_rows[:, None]], axis=1)
-        labels = [lams[k].label + s for k, s in itertools.compress(chunk, ok)]
+        labels = [inner.labels[k] + s for k, s in itertools.compress(chunk, ok)]
         stacks.append((labels, F, f, G, g, keep))
         to_lp = ~_box_empty(Gl, Gc[lam] + gl[lam], sigmas[ok], m)
         undecided.append(to_lp)
@@ -586,23 +588,23 @@ def compose_maps(
     kept = np.concatenate(undecided) & _regions_nonempty(G, g, owner, n_candidates)
     # the kept pieces get stacks of their own, so the composite does not
     # hold the rejected candidates' rows
-    pieces, lo = [], 0
+    parts, lo = [], 0
     for labels, F, f, G, g, keep in stacks:
         k = kept[lo : lo + len(labels)]
         lo += len(labels)
-        pieces += _affine_pieces(itertools.compress(labels, k), F[k], f[k], G[k], g[k], keep[k])
-    return PiecewiseAffineMap(pieces=tuple(pieces), domain_dim=n, output_dim=n)
+        rows = keep & k[:, None]
+        parts.append((itertools.compress(labels, k), F[k], f[k], G[rows], g[rows],
+                      keep.sum(axis=1)[k]))
+    pa = PiecewiseAffineMap._of_stacks(parts, n)
+    # inner-piece-major is label order unless inner labels repeat or differ in length
+    return pa if list(pa.labels) == sorted(pa.labels) else PiecewiseAffineMap(pa.pieces, n, n)
 
 
 def lipschitz_constant(pa_map: PiecewiseAffineMap) -> float:
-    """Global Lipschitz constant: the largest spectral norm over pieces."""
-    if not pa_map.pieces:
-        return 0.0
-    return float(np.linalg.norm(np.stack([p.F for p in pa_map.pieces]), 2, axis=(1, 2)).max())
+    """Global Lipschitz constant: the largest spectral norm over pieces (0 for none)."""
+    return float(np.linalg.norm(pa_map.F, 2, axis=(1, 2)).max(initial=0.0))
 
 
 def max_gain_matrix(pa_map: PiecewiseAffineMap) -> np.ndarray:
-    """Elementwise maximum of |F| over pieces (worst-case gain bound)."""
-    if not pa_map.pieces:
-        return np.zeros((pa_map.output_dim, pa_map.domain_dim))
-    return np.abs(np.stack([p.F for p in pa_map.pieces])).max(axis=0)
+    """Elementwise maximum of |F| over pieces (worst-case gain bound; 0 for none)."""
+    return np.abs(pa_map.F).max(axis=0, initial=0.0)

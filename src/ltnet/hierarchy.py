@@ -325,14 +325,15 @@ class _SlavedLayer:
 
     def __call__(self, t, x):
         d, k = self._at(x)
-        return self.pa_map.pieces[k].F @ d + self.pa_map.pieces[k].f
+        return self.pa_map.F[k] @ d + self.pa_map.f[k]
 
     def pattern(self, x) -> bytes:
         return self._at(x)[1].to_bytes(8, "little")
 
     def piece(self, x) -> AffinePiece:
-        p = self.pa_map.pieces[self._at(x)[1]]
-        return AffinePiece(p.F @ self.W, p.F @ self.c + p.f, p.G @ self.W, p.G @ self.c + p.g)
+        pa, k = self.pa_map, self._at(x)[1]
+        F, G, g = pa.F[k], pa.G[pa.ends[k] : pa.ends[k + 1]], pa.g[pa.ends[k] : pa.ends[k + 1]]
+        return AffinePiece(F @ self.W, F @ self.c + pa.f[k], G @ self.W, G @ self.c + g)
 
 
 def rom_simulate(

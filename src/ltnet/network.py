@@ -20,7 +20,7 @@ input, simulate with a callable input (one term, the input itself), the
 stacked hierarchy (hierarchy.simulate_hierarchy, whose terms are online
 feedforward) and the reduced-order model (hierarchy.rom_simulate, whose
 term is the slaved layer's map) run through it.  Besides _clipped_run,
-only identification (sysid.SysIdProblem.simulate_candidates) steps
+only identification (sysid.SysIdProblem._simulate) steps
 through the core, with a batch of candidate networks as one
 (candidates x conditions, n) state.
 

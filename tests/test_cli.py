@@ -162,6 +162,21 @@ def test_controls_round_trip(tmp_path):
         ltio.load_controls(path, None)
 
 
+def test_controls_without_a_hierarchy_refuse_repeats_and_non_finite_values(tmp_path):
+    path = tmp_path / "controls.json"
+    law = {"layer": 2, "mode": "combined", "K": [[1.0]], "ubar": None}
+    for entries, match in [
+        ([law, law], "layer 2: a second control entry"),
+        ([dict(law, K=[[float("nan")]])], "layer 2: K must be finite"),
+        ([dict(law, layer=3, ubar=[float("inf")])], "layer 3: ubar must be finite"),
+    ]:
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ValidationError, match=match):
+            ltio.load_controls(path, None)
+    path.write_text(json.dumps([law]))
+    assert list(ltio.load_controls(path, None)) == [2]
+
+
 def test_controls_json_refuses_user_callables():
     h = recruitment_hierarchy()
     laws = multilayer_controls(h, certify_hierarchy(h))
@@ -540,9 +555,22 @@ def _set(index, **fields):
     # a fractional or boolean layer is not truncated to layer 1
     (recruitment_hierarchy, _set(2, layer=1.7), "layer must be an integer, got 1.7"),
     (recruitment_hierarchy, _set(2, layer=True), "layer must be an integer, got True"),
+    # a second entry for a layer does not silently replace the first
+    (recruitment_hierarchy,
+     lambda entries: entries.append({"layer": 2, "mode": "feedback-only", "K": None, "ubar": None}),
+     "layer 2: a second control entry"),
+    # K or a constant ubar on a layer without B is not dropped
+    (lc_hierarchy, _set(1, K=[[1.0, 0.0]]), "layer 2: the layer has no B"),
+    (lc_hierarchy, _set(1, ubar=[1.0]), "layer 2: the layer has no B"),
+    # B is (3, 1), so K must be (1, 3) and ubar (1,)
+    (recruitment_hierarchy, _set(1, K=[[1.0, 0.0, 0.0]] * 3), "layer 2: K must have shape (1, 3)"),
+    (recruitment_hierarchy, _set(2, ubar=[0.5, 0.5]), "layer 3: ubar must have shape (1,)"),
+    (recruitment_hierarchy, _set(1, K=[[float("nan"), 0.0, 0.0]]), "layer 2: K must be finite"),
+    (recruitment_hierarchy, _set(2, ubar=[float("inf")]), "layer 3: ubar must be finite"),
 ], ids=["online-past-bottom", "online-layer-0", "constant-past-bottom",
         "online-on-layer-1", "online-without-B", "non-object-entry",
-        "fractional-layer", "boolean-layer"])
+        "fractional-layer", "boolean-layer", "second-entry", "K-without-B",
+        "ubar-without-B", "K-shape", "ubar-shape", "K-nan", "ubar-inf"])
 def test_cli_recruit_rejects_bad_controls(tmp_path, capsys, make_h, edit, match):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(make_h(), h_path)

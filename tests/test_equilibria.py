@@ -297,6 +297,70 @@ def test_builders_share_one_read_only_stack():
     assert all(stack.size == size for stack, size in held.values())
 
 
+def test_a_map_holds_read_only_stacks_and_cannot_be_reassigned():
+    for pa in _oracle_maps():
+        for name in ("F", "f", "G", "g", "ends"):
+            a = getattr(pa, name)
+            assert a.base is None and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+            with pytest.raises(AttributeError):
+                setattr(pa, name, a.copy())
+        assert pa.ends[-1] == len(pa.g) == len(pa.G)
+        assert pa.F.shape == (len(pa), pa.output_dim, pa.domain_dim)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_map_rebuilt_from_its_pieces_holds_the_same_stacks(which):
+    pa = _oracle_maps()[which]
+    again = PiecewiseAffineMap(pa.pieces, pa.domain_dim, pa.output_dim)
+    assert again.labels == pa.labels
+    for name in ("F", "f", "G", "g", "ends"):
+        a, b = getattr(pa, name), getattr(again, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    rng = np.random.default_rng(101)
+    D = _query_points(pa, rng, 200)
+    np.testing.assert_array_equal(again.eval_many(D), pa.eval_many(D))
+    for d in D[:40]:
+        np.testing.assert_array_equal(again.eval(d), pa.eval(d))
+        assert [p.label for p in again.pieces_at(d)] == [p.label for p in pa.pieces_at(d)]
+    assert again.to_jsonable() == pa.to_jsonable()
+    assert lipschitz_constant(again) == lipschitz_constant(pa)
+    np.testing.assert_array_equal(max_gain_matrix(again), max_gain_matrix(pa))
+
+
+@pytest.mark.parametrize("chunk", [equilibria._PATTERN_CHUNK, 7])
+def test_builders_hand_over_their_stacks_in_label_order(chunk, monkeypatch):
+    # product order over increasing regime codes, inner-piece-major for a
+    # composite, is label order, so neither builder sorts or goes through
+    # the constructor that does
+    monkeypatch.setattr(equilibria, "_PATTERN_CHUNK", chunk)
+    inner, W1, W2, W3, cbar, m_out = _ragged_composite_args()
+    with mock.patch.object(PiecewiseAffineMap, "__init__", side_effect=AssertionError):
+        base, comp = _oracle_maps()
+        ragged = compose_maps(inner, W1, W2, W3, cbar, m_out,
+                              certificate=SimpleNamespace(passed=True))
+    for pa in (base, comp, ragged):
+        assert len(pa) > 7
+        assert list(pa.labels) == sorted(pa.labels)
+        assert len(set(pa.labels)) == len(pa)
+
+
+def test_composite_of_unsorted_pairs_is_sorted_as_the_constructor_sorts():
+    # inner labels of two lengths: (0,) + (2,) sorts after (0, 1) + (0,),
+    # so inner-piece-major is not label order here
+    inner = PiecewiseAffineMap(tuple(
+        AffinePiece(np.array([[0.2]]), np.array([0.1]), np.array([[1.0]]), np.array([9.0]), lab)
+        for lab in ((0,), (0, 1))), 1, 1)
+    W = np.array([[0.1]])
+    comp = compose_maps(inner, W, W, W, np.array([0.3]), np.array([2.0]),
+                        certificate=SimpleNamespace(passed=True))
+    assert comp.labels == ((0, 0), (0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 2))
+    again = PiecewiseAffineMap(comp.pieces, 1, 1)
+    for name in ("F", "f", "G", "g", "ends"):
+        assert getattr(comp, name).tobytes() == getattr(again, name).tobytes()
+
+
 def test_composite_labels_carry_both_patterns():
     inner = equilibrium_map(np.array([[0.5]]), np.array([2.0]))
     W1 = np.array([[0.2]])
@@ -486,6 +550,9 @@ def test_a_piece_without_region_rows_covers_every_point():
                              np.zeros(0), (1,))
     D = np.array([[-1.0], [0.0], [3.0]])
     alone = PiecewiseAffineMap((everywhere,), 1, 1)
+    # it is held, and read back, as the one row 0·d + 0 >= 0
+    assert alone.G.tolist() == [[0.0]] and alone.g.tolist() == [0.0]
+    assert alone.pieces[0].G.tolist() == [[0.0]]
     np.testing.assert_array_equal(alone.eval_many(D), 2.0 * D + 1.0)
     for d in D:
         np.testing.assert_array_equal(alone.eval(d), 2.0 * d + 1.0)
@@ -526,6 +593,27 @@ def test_eval_many_memory_does_not_grow_with_the_batch():
     # would take 97 MB here); only the 8-byte index vector grows with k
     assert large < 4e6
     assert large - small < 45_000 * 16
+
+
+def test_a_queried_map_holds_little_beyond_its_arrays():
+    rng = np.random.default_rng(97)
+    W = rng.normal(size=(8, 8))
+    W *= 0.5 / np.max(np.abs(np.linalg.eigvals(np.abs(W))))
+    m = np.full(8, np.inf)
+    m[:4] = rng.uniform(0.5, 3.0, size=4)
+    D = rng.uniform(-8.0, 8.0, size=(256, 8))
+    tracemalloc.start()
+    try:
+        pa = equilibrium_map(W, m)
+        pa.eval_many(D)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pa) == 1296
+    arrays = sum(a.nbytes for p in pa.pieces for a in (p.F, p.f, p.G, p.g))
+    # 1.10 with one copy of each array; 2.18 when every piece was an object
+    # of its own and the first query stacked the region rows again
+    assert held <= 1.5 * arrays
 
 
 # -- stacked emptiness decision against one LP per region ---------------------

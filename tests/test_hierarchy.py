@@ -473,6 +473,22 @@ def test_rom_takes_the_block_path():
     assert len({piece(x)[0] for x in plain.samples}) >= 2
 
 
+def test_certify_control_sweep_and_rom_read_maps_through_their_stacks():
+    # none of these builds a map's AffinePiece views
+    h = recruitment_hierarchy()
+    cert = certify_hierarchy(h)
+    maps = cert.maps
+    laws = multilayer_controls(h, cert)
+    epsilon_sweep(h, laws, (0.5,), maps=maps)
+    rom_simulate(h, maps[2], t_span=(0.0, 0.5))
+    for pa in maps.values():
+        pa.eval(np.zeros(pa.domain_dim))
+        pa.eval_many(np.zeros((3, pa.domain_dim)))
+    assert len(maps) == 2
+    assert all("pieces" not in vars(pa) for pa in maps.values())
+    assert len(maps[2].pieces) == len(maps[2]) and "pieces" in vars(maps[2])
+
+
 def test_one_step_rom_builds_two_powers_and_locates_once(monkeypatch):
     builds, located = [], []
     build, locate = network._BlockStepper._build, equilibria.PiecewiseAffineMap._locate
