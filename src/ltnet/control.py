@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .network import LINEAR, ZERO, AffinePiece, LTNetwork, _regime_rows
+from .network import LINEAR, ZERO, AffinePiece, LTNetwork, _as_readonly, _regime_rows
 
 __all__ = [
     "ControlLaw",
@@ -51,7 +51,7 @@ def _clip_plus(a):
     return np.maximum(np.asarray(a, dtype=float), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlLaw:
     """Input law u(t) = K x(t) + ubar for one layer.
 
@@ -69,13 +69,9 @@ class ControlLaw:
         if self.mode not in ("feedback-only", "feedforward-only", "combined"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.K is not None:
-            K = np.array(self.K, dtype=float)
-            K.setflags(write=False)
-            object.__setattr__(self, "K", K)
+            object.__setattr__(self, "K", _as_readonly(self.K))
         if self.ubar is not None and not callable(self.ubar):
-            ub = np.array(self.ubar, dtype=float)
-            ub.setflags(write=False)
-            object.__setattr__(self, "ubar", ub)
+            object.__setattr__(self, "ubar", _as_readonly(self.ubar))
 
     def input_at(self, t, x, x_above=None) -> np.ndarray:
         """Evaluate u(t) for layer state x and upper-layer state x_above."""
@@ -226,6 +222,10 @@ class OnlineFeedforward:
     pinv: np.ndarray
     W_up_minus: np.ndarray
     c_minus: np.ndarray
+
+    def __post_init__(self):
+        for name in ("pinv", "W_up_minus", "c_minus"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
     def __call__(self, t, x_above):
         target = -self.W_up_minus @ np.asarray(x_above, dtype=float) - self.c_minus

@@ -112,7 +112,8 @@ def _pattern_pieces(W, m, sigmas, off):
     """Stacked pieces of the patterns sigmas (P, n) for x = [W x + off + d]_0^m.
 
     W is (n, n) and off (n,), shared by every pattern, or W (P, n, n) and
-    off (P, n), one per pattern (compose_maps' candidates).
+    off (P, n), one per pattern (compose_maps' candidates); shared ones
+    are broadcast to the stack, which gives every product the same bits.
     Returns (ok, F, f, G, g, keep): ok (P,) marks the patterns whose linear
     system is nonsingular, and the rest hold their K = ok.sum() pieces:
     F (K, n, n), f (K, n), and candidate region rows G (K, R, n), g (K, R)
@@ -132,13 +133,14 @@ def _pattern_pieces(W, m, sigmas, off):
     bound is at most 1e-2 _SINGULAR_RCOND.  Only the patterns the bound
     leaves open (a NaN bound included) take np.linalg.cond.
     """
-    eye = np.eye(sigmas.shape[1])
+    P, n = sigmas.shape
+    W, off = np.broadcast_to(W, (P, n, n)), np.broadcast_to(off, (P, n))
+    eye = np.eye(n)
     lin, sat = sigmas == LINEAR, sigmas == SATURATED
     A = eye - lin[:, :, None] * W  # I - S_l W
     idx = np.flatnonzero(np.linalg.slogdet(A)[0])
-    stacked = W.ndim == 3
     F = np.linalg.solve(A[idx], eye * lin[idx, None, :])
-    FW = F @ (W[idx] if stacked else W)
+    FW = F @ W[idx]
     bound = np.linalg.norm(A[idx], axis=(1, 2)) * np.linalg.norm(eye + FW, axis=(1, 2))
     open_ = ~(bound <= 1e-2 * _SINGULAR_RCOND)
     good = np.ones(len(idx), dtype=bool)
@@ -147,9 +149,7 @@ def _pattern_pieces(W, m, sigmas, off):
         good[open_] = np.isfinite(cond) & (cond <= _SINGULAR_RCOND)
     ok = np.zeros(len(A), dtype=bool)
     ok[idx[good]] = True
-    A, sigmas, lin, sat, F = A[ok], sigmas[ok], lin[ok], sat[ok], F[good]
-    if stacked:
-        W, off = W[ok], off[ok]
+    A, sigmas, lin, sat, F, W, off = A[ok], sigmas[ok], lin[ok], sat[ok], F[good], W[ok], off[ok]
     # S_s m is 0 on rows without saturation, so m_i = inf never meets a 0
     f = np.linalg.solve(A, (np.where(sat, m, 0.0) + lin * off)[..., None])[..., 0]
     # regime conditions on z = W(F d + f) + off + d
@@ -179,7 +179,7 @@ def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
     return AffinePiece(F[0], f[0], G[0, keep[0]], g[0, keep[0]], sigma)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PiecewiseAffineMap:
     """Piecewise-affine equilibrium map d -> x: piece k is d -> F[k] d + f[k]
     on {d : G[r] d + g[r] >= 0}, r = ends[k]:ends[k+1], held as read-only
@@ -239,24 +239,24 @@ class PiecewiseAffineMap:
         return tuple(AffinePiece(F, f, self.G[a:b], self.g[a:b], label) for F, f, a, b, label
                      in zip(self.F, self.f, ends, ends[1:], self.labels))
 
-    def _scan(self, D, first=True):
-        """Yield (points, pieces): index pairs of the rows of D and the pieces
-        whose region holds them, G d + g >= -_REGION_TOL, tile by tile in
-        label order.
+    def _scan(self, D):
+        """Yield (points, pieces): index pairs of the rows of D and the first
+        piece in label order whose region holds them, G d + g >= -_REGION_TOL,
+        tile by tile.
 
         Points go in chunks of isqrt(_QUERY_TILE), and a chunk's live points
         meet the pieces in tiles of at most _QUERY_TILE row x point entries
-        (at least one piece), so the scan's memory does not grow with D.
-        With first, a point leaves the scan at the first tile that covers
-        it, paired with its first covering piece only, and the tiles grow
-        as points leave.  A product of 2 to 192 columns gives each entry the
-        bits it has in any other such product (NumPy 2.4 on OpenBLAS; wider
-        ones differ in their last N mod 8 columns), so a point's pieces do
-        not depend on its batch.  But a point left alone in a tile goes
-        through a matrix-vector product, whose last bits can differ, so its
-        piece can change where a row is within an ulp of -_REGION_TOL.  A
-        single point reads _QUERY_TILE rows per tile, so on maps of up to
-        that many rows it is one matrix-vector product over every row.
+        (at least one piece), so the scan's memory does not grow with D.  A
+        point leaves the scan at the first tile that covers it, and the
+        tiles grow as points leave.  A product of 2 to 192 columns gives
+        each entry the bits it has in any other such product (NumPy 2.4 on
+        OpenBLAS; wider ones differ in their last N mod 8 columns), so a
+        point's piece does not depend on its batch.  But a point left alone
+        in a tile goes through a matrix-vector product, whose last bits can
+        differ, so its piece can change where a row is within an ulp of
+        -_REGION_TOL.  A single point reads _QUERY_TILE rows per tile, so on
+        maps of up to that many rows it is one matrix-vector product over
+        every row.
         """
         ends, P, chunk = self.ends, len(self), math.isqrt(_QUERY_TILE)
         for lo in range(0, len(D), chunk):
@@ -271,16 +271,12 @@ class PiecewiseAffineMap:
                 rows += self.g[r0:r1, None]
                 starts = ends[a:b] - r0 if a else ends[:b]
                 member = np.logical_and.reduceat(rows >= -_REGION_TOL, starts, axis=0)
-                if first:
-                    hit, pcs = member.any(axis=0), a + np.argmax(member, axis=0)
-                    if hit.all():
-                        yield live, pcs
-                        break
-                    yield live[hit], pcs[hit]
-                    live, D_live = live[~hit], D_live[~hit]
-                else:
-                    pc, pt = np.nonzero(member)
-                    yield live[pt], a + pc
+                hit, pcs = member.any(axis=0), a + np.argmax(member, axis=0)
+                if hit.all():
+                    yield live, pcs
+                    break
+                yield live[hit], pcs[hit]
+                live, D_live = live[~hit], D_live[~hit]
                 a = b
 
     def _points(self, D, ndim):
@@ -292,9 +288,11 @@ class PiecewiseAffineMap:
         return D
 
     def pieces_at(self, d):
-        """All pieces whose region contains d, in label order."""
+        """All pieces whose region contains d, in label order, read from one
+        product over every row (each piece has at least one)."""
         d = self._points(d, 1)
-        return [self.pieces[i] for _, pcs in self._scan(d[None], first=False) for i in pcs]
+        member = np.logical_and.reduceat(self.G @ d + self.g >= -_REGION_TOL, self.ends[:-1])
+        return [self.pieces[i] for i in np.flatnonzero(member)]
 
     def _locate(self, d) -> int:
         """Index of the first piece in label order whose region holds d."""

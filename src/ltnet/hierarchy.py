@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .equilibria import PiecewiseAffineMap
-from .network import AffinePiece, LTNetwork, Trajectory, _clipped_run, _initial_state, _step_count
+from .network import (AffinePiece, LTNetwork, Trajectory, _as_readonly, _clipped_run,
+                      _initial_state, _step_count)
 from .network import rk4_integrate  # noqa: F401  perfbench/tracing.py wraps the core here too
 
 __all__ = [
@@ -38,14 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hierarchy:
     """Chain of layers with inter-layer weights.
 
     W_down[i-1] is W_{i,i+1} (drive from the layer below), W_up[i-1] is
     W_{i+1,i} (drive from the layer above), for i = 1..N-1.  The top
     layer must have r = 0, every lower layer r < n, and time constants
-    must strictly decrease.
+    must strictly decrease.  The blocks are held read-only, copied unless
+    they already are (network._as_readonly).
     """
 
     layers: tuple
@@ -57,8 +59,8 @@ class Hierarchy:
         N = len(layers)
         if N < 1:
             raise ValueError("hierarchy needs at least one layer")
-        W_down = tuple(np.asarray(Wd, dtype=float) for Wd in self.W_down)
-        W_up = tuple(np.asarray(Wu, dtype=float) for Wu in self.W_up)
+        W_down = tuple(_as_readonly(Wd) for Wd in self.W_down)
+        W_up = tuple(_as_readonly(Wu) for Wu in self.W_up)
         if len(W_down) != N - 1 or len(W_up) != N - 1:
             raise ValueError("need N-1 inter-layer blocks in each direction")
         for i in range(N - 1):

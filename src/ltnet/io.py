@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -248,28 +247,28 @@ def spikes_from_csv(path):
     return {k: np.array(v) for k, v in out.items()}
 
 
-def _finite_array(value, what, shape=None):
-    """value as a finite float array, of shape unless shape is None."""
+def _finite_array(value, what, shape):
+    """value as a finite float array of shape."""
     try:
         a = np.array(value, dtype=float)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{what} malformed: {e}")
-    if shape is not None and a.shape != shape:
+    if a.shape != shape:
         raise ValidationError(f"{what} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what} must be finite")
     return a
 
 
-def load_controls(path, hierarchy: Optional[Hierarchy] = None):
-    """Control-law JSON: list of {layer, mode, K, ubar}.
+def load_controls(path, hierarchy: Hierarchy):
+    """Control-law JSON for hierarchy: list of {layer, mode, K, ubar}.
 
     ubar may be a constant vector or the string "online", in which case
     the hierarchy is used to rebuild the upper-layer tracking feedforward.
     Accepts either a bare list or a synthesize report wrapping one.  Each
-    layer takes at most one entry, and K and a constant ubar must be
-    finite.  With a hierarchy, they also need the layer's B (n, p) and
-    must be (p, n) and (p,).
+    layer of the hierarchy takes at most one entry; K and a constant ubar
+    need the layer's B (n, p) and must be finite, of shape (p, n) and (p,).
+    Returns one ControlLaw or None per layer.
     """
     obj = _load_json(path)
     if isinstance(obj, dict) and isinstance(obj.get("controls"), list):
@@ -285,32 +284,28 @@ def load_controls(path, hierarchy: Optional[Hierarchy] = None):
             raise ValidationError(f"control entry missing field {e.args[0]!r}")
         except TypeError as e:
             raise ValidationError(f"control entry malformed: {e}")
-        if layer < 1 or (hierarchy is not None and layer > hierarchy.N):
+        if not 1 <= layer <= hierarchy.N:
             raise ValidationError(f"control entry names layer {layer}; no such layer")
         if layer in laws:
             raise ValidationError(f"layer {layer}: a second control entry for the layer")
-        B = None if hierarchy is None else hierarchy.layers[layer - 1].B
+        B = hierarchy.layers[layer - 1].B
         K, ubar = entry.get("K"), entry.get("ubar")
-        if hierarchy is not None and B is None and (K is not None or ubar not in (None, "online")):
+        if B is None and (K is not None or ubar not in (None, "online")):
             raise ValidationError(f"layer {layer}: the layer has no B, so it takes no K or ubar")
         if K is not None:
-            K = _finite_array(K, f"layer {layer}: K", None if B is None else B.T.shape)
+            K = _finite_array(K, f"layer {layer}: K", B.T.shape)
         if ubar == "online":
-            if hierarchy is None:
-                raise ValidationError("online feedforward needs a hierarchy")
             if layer == 1 or B is None:
                 raise ValidationError(
                     f"layer {layer}: online feedforward needs a layer above and B"
                 )
             ubar = _online_feedforward(hierarchy, layer)
         elif ubar is not None:
-            ubar = _finite_array(ubar, f"layer {layer}: ubar", None if B is None else B.shape[1:])
+            ubar = _finite_array(ubar, f"layer {layer}: ubar", B.shape[1:])
         try:
             laws[layer] = ControlLaw(layer=layer, K=K, ubar=ubar, mode=mode)
         except ValueError as e:
             raise ValidationError(str(e))
-    if hierarchy is None:
-        return laws
     return [laws.get(i + 1) for i in range(hierarchy.N)]
 
 

@@ -90,20 +90,20 @@ def clip_box(v, m):
     return np.minimum(np.maximum(v, 0.0), m)
 
 
-def _as_readonly(a, dtype=float):
-    """a as a read-only C-contiguous array of dtype: a itself when it already
-    is one and the array owning its memory is read-only too, so nothing can
-    write to it; else a read-only copy."""
-    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.c_contiguous
-            and not a.flags.writeable
+def _as_readonly(a):
+    """a as a read-only float array: a itself when it already is a
+    C-contiguous one and the array owning its memory is read-only too, so
+    nothing can write to it; else a read-only copy in a's memory order."""
+    if (type(a) is np.ndarray and not a.flags.writeable and a.dtype == float
+            and a.flags.c_contiguous
             and (a.base is None or type(a.base) is np.ndarray and not a.base.flags.writeable)):
         return a
-    out = np.array(a, dtype=dtype)
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinePiece:
     """One affine piece y -> F y + f valid on {y : G y + g >= 0}.
 
@@ -127,7 +127,7 @@ class AffinePiece:
         return bool(np.all(self.G @ y + self.g >= -_REGION_TOL))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LTNetwork:
     """Immutable linear-threshold network.
 
@@ -201,7 +201,7 @@ class LTNetwork:
         return slice(self.r, self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled trajectory.
 

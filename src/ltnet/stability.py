@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import equilibria
-from .network import LTNetwork, simulate
+from .network import LTNetwork, _as_readonly, simulate
 from .equilibria import NotCertified, compose_maps, equilibrium_map, max_gain_matrix
 
 __all__ = [
@@ -64,7 +64,7 @@ def spectral_radius(M):
     return max(float(lam[k].real), 0.0), alpha / alpha.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GESCertificate:
     """Contraction certificate for one layer.
 
@@ -83,9 +83,7 @@ class GESCertificate:
 
     def __post_init__(self):
         for name in ("test_matrix", "alpha"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
     def to_dict(self):
         return {
@@ -146,7 +144,7 @@ def weighted_norm(alpha, v) -> float:
     return float(alpha @ np.abs(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchyCertification:
     """Bottom-up certification of a hierarchy's task-relevant blocks.
 

@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import rk4_integrate
+from .network import _as_readonly, rk4_integrate
 
 __all__ = [
     "InputSignal",
@@ -458,8 +458,9 @@ class SysIdProblem:
                     raise ValueError(f"{where}: block {e.block} skips a layer")
                 gc = self._global_row(layers[1], e.col, f"{where} col")
                 w_flat.append((len(w_flat) + len(u_flat), gr * n + gc))
-        self._w_slots = w_flat  # (z position, flat index into W)
-        self._u_slots = u_flat  # (z position, flat index into U)
+        # (z positions, flat indices into W or U), each (2, k)
+        self._w_slots, self._u_slots = (np.array(s, dtype=np.intp).reshape(-1, 2).T
+                                        for s in (w_flat, u_flat))
         self.n_weights = len(self.structure)
         self.off_tau = self.n_weights
         self.off_c = self.off_tau + self.N
@@ -502,10 +503,8 @@ class SysIdProblem:
         n, n_sig, C = self.n, len(self.inputs), len(self.conditions)
         W = np.zeros((P, n * n))
         U = np.zeros((P, n * n_sig))
-        for zpos, flat in self._w_slots:
-            W[:, flat] = Z[:, zpos]
-        for zpos, flat in self._u_slots:
-            U[:, flat] = Z[:, zpos]
+        (wz, wf), (uz, uf) = self._w_slots, self._u_slots
+        W[:, wf], U[:, uf] = Z[:, wz], Z[:, uz]
         tau_layers = Z[:, self.off_tau : self.off_tau + self.N]
         tau = tau_layers[:, self._node_layer]
         c = Z[:, self.off_c : self.off_c + n]
@@ -636,10 +635,7 @@ def objective(z, problem: SysIdProblem):
     Raises SimulationDiverged when the candidate leaves the admissible
     range.  Returns (f, f_sse, f_corr, f_var).
     """
-    f, parts, _, diverged, _ = _objective_batch(np.atleast_2d(z), problem)
-    if diverged[0]:
-        raise SimulationDiverged("candidate trajectory diverged")
-    return float(f[0]), *(float(v[0]) for v in parts)
+    return _fit_terms(np.asarray(z, dtype=float), problem)[:4]
 
 
 def _objective_batch(Z, problem: SysIdProblem):
@@ -821,6 +817,7 @@ def _adjoint(Z, problem: SysIdProblem, traj, grad_est, work=None):
         lam = np.matmul(lam[..., None, :], Jk[k])[..., 0, :]
     lam = lam + G[0]
     g = np.empty((Q, R, problem.dim))
+    (wz, wf), (uz, uf) = problem._w_slots, problem._u_slots
     for q, r in np.ndindex(Q, R):
         LK = np.einsum("kci,kscij->kscj", lamY[q, r], P[q])  # adjoints of the stage slopes
         LA = LK * V[q]  # adjoints of the ReLU arguments
@@ -831,10 +828,7 @@ def _adjoint(Z, problem: SysIdProblem, traj, grad_est, work=None):
         gU = np.einsum("csk,csn->nk", sig, LD).ravel()
         g_tau = -(LK * KS[q]).sum(axis=(0, 1, 2)) * itau[q]
         out = g[q, r]
-        for zpos, flat in problem._w_slots:
-            out[zpos] = gW[flat]
-        for zpos, flat in problem._u_slots:
-            out[zpos] = gU[flat]
+        out[wz], out[uz] = gW[wf], gU[uf]
         out[problem.off_tau : problem.off_c] = np.bincount(
             problem._node_layer, weights=g_tau, minlength=problem.N
         )
@@ -899,7 +893,7 @@ def r_squared(data, estimates) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
     """Multi-start fit outcome; starts holds (index, f, status) triples."""
 
@@ -915,9 +909,7 @@ class FitReport:
     seed: int
 
     def __post_init__(self):
-        z = np.array(self.z, dtype=float)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", _as_readonly(self.z))
 
 
 def fit(

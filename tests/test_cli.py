@@ -158,23 +158,6 @@ def test_controls_round_trip(tmp_path):
             # online feedforward is rebuilt from the hierarchy
             x_above = rng.uniform(0.0, 3.0, size=h.layers[i - 1].n)
             np.testing.assert_array_equal(b.ubar(0.0, x_above), a.ubar(0.0, x_above))
-    with pytest.raises(ValidationError, match="hierarchy"):
-        ltio.load_controls(path, None)
-
-
-def test_controls_without_a_hierarchy_refuse_repeats_and_non_finite_values(tmp_path):
-    path = tmp_path / "controls.json"
-    law = {"layer": 2, "mode": "combined", "K": [[1.0]], "ubar": None}
-    for entries, match in [
-        ([law, law], "layer 2: a second control entry"),
-        ([dict(law, K=[[float("nan")]])], "layer 2: K must be finite"),
-        ([dict(law, layer=3, ubar=[float("inf")])], "layer 3: ubar must be finite"),
-    ]:
-        path.write_text(json.dumps(entries))
-        with pytest.raises(ValidationError, match=match):
-            ltio.load_controls(path, None)
-    path.write_text(json.dumps([law]))
-    assert list(ltio.load_controls(path, None)) == [2]
 
 
 def test_controls_json_refuses_user_callables():
@@ -323,6 +306,8 @@ def _layer(index, **fields):
     (lambda blob: blob.update(W_down=None), "hierarchy field malformed"),
     (lambda blob: blob.update(W_up=None), "hierarchy field malformed"),
     (_layer(0, m=[float("nan")]), "ceiling entries must be positive"),
+    (_layer(0, m=[0]), "layer 1: ceiling entries must be positive, got 0"),
+    (lambda blob: blob.pop("W_up"), "hierarchy is missing field 'W_up'"),
     (_layer(1, W=[[1e400, 0.0], [0.76, 0.0]]), "W must be finite"),
     (_layer(1, c=[float("nan"), 0.5]), "c must be finite"),
     (_layer(2, B=[[float("-inf")]]), "B must be finite"),
@@ -341,8 +326,8 @@ def _layer(index, **fields):
      "W_down[1] must be a rectangular array of numbers"),
     (lambda blob: blob["W_up"].__setitem__(0, [[0.2], ["x"]]),
      "W_up[0] must be a rectangular array of numbers"),
-], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling",
-        "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
+], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling", "zero-ceiling",
+        "no-W_up", "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
         "fractional-r", "boolean-r", "fractional-n", "fractional-n-in-layer-2", "boolean-n",
         "tau-beyond-float",
         "bottom-layer-all-inhibited", "middle-layer-all-inhibited",
@@ -355,6 +340,34 @@ def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
     h_path.write_text(json.dumps(blob))
     assert main(["certify", "--hierarchy", str(h_path)]) == 2
     assert match in capsys.readouterr().err
+
+
+# case_study_lc.json with an unbounded top layer (m = inf) that the middle
+# layer drives (W_down[0] = [[0.5, 0]]), so layer 1 takes the composite
+# certificate of the layers below: its W, then layer 1's rho and pass, the
+# exit code of synthesize and the SHA-256 of the certify report
+_LAYER1_COMPOSITE = [
+    (0.3, 0.8896366885050624, True, 0,
+     "c2200f5a188ecf06eae6478eda07272e8afe6382341e6644bd5012ce3a2187c3"),
+    (0.9, 1.4896366885050625, False, 3,
+     "902c0480f386913f3cd074bcb126cfd4c8aa06e59fb998307002d852344780ce"),
+]
+
+
+@pytest.mark.parametrize("w, rho, passed, code, digest", _LAYER1_COMPOSITE)
+def test_cli_certify_an_unbounded_top_layer_by_its_composite(tmp_path, w, rho, passed, code,
+                                                             digest):
+    blob = json.loads(_LC_FIXTURE.read_text())
+    blob["layers"][0].update(m=["inf"], W=[[w]])
+    blob["W_down"][0] = [[0.5, 0.0]]
+    h_path, out = tmp_path / "h.json", tmp_path / "cert.json"
+    h_path.write_text(json.dumps(blob))
+    assert main(["certify", "--hierarchy", str(h_path), "--out", str(out)]) == 0
+    layer1 = json.loads(out.read_text())["layers"][0]
+    assert (layer1["check"], layer1["rho"], layer1["pass"]) == ("boundedness", rho, passed)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    controls = tmp_path / "controls.json"
+    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(controls)]) == code
 
 
 def _json_paths(obj, prefix=()):
@@ -449,6 +462,30 @@ def test_cli_refuses_nonzero_B_rows_past_r(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_reads_an_empty_B_as_no_B(tmp_path):
+    blob = json.loads((Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json")
+                      .read_text())
+    blob["layers"][1]["B"] = []
+    h_path, out = tmp_path / "h.json", tmp_path / "controls.json"
+    h_path.write_text(json.dumps(blob))
+    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 0
+    assert [law["mode"] for law in json.loads(out.read_text())["controls"]] == [
+        "feedback-only", "feedback-only"]
+
+
+def test_cli_synthesize_exits_3_without_a_dominating_gain(tmp_path, capsys):
+    # r = 2 > p = 1 takes the gain LP, and W[0, 0] + W[1, 0] > 0 makes it
+    # infeasible: B^- k = (k, -k) cannot bound both rows of column 0
+    blob = json.loads((Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json")
+                      .read_text())
+    blob["layers"][1].update(r=2, B=[[1.0], [-1.0], [0.0]])
+    h_path, out = tmp_path / "h.json", tmp_path / "controls.json"
+    h_path.write_text(json.dumps(blob))
+    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 3
+    assert "no dominating gain for column 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_recruit(tmp_path):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(recruitment_hierarchy(), h_path)
@@ -538,8 +575,16 @@ def test_cli_recruit_refuses_uncertified(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _entries(change):
+    """An edit of a synthesize report that applies change to its controls."""
+    def edit(blob):
+        change(blob["controls"])
+        return blob
+    return edit
+
+
 def _set(index, **fields):
-    return lambda entries: entries[index].update(fields)
+    return _entries(lambda entries: entries[index].update(fields))
 
 
 @pytest.mark.parametrize("make_h, edit, match", [
@@ -551,13 +596,14 @@ def _set(index, **fields):
     # online feedforward on layer 1, or on a layer without B
     (recruitment_hierarchy, _set(0, ubar="online"), "layer 1: online feedforward"),
     (lc_hierarchy, _set(1, ubar="online"), "layer 2: online feedforward"),
-    (recruitment_hierarchy, lambda entries: entries.append(7), "malformed"),
+    (recruitment_hierarchy, _entries(lambda entries: entries.append(7)), "malformed"),
     # a fractional or boolean layer is not truncated to layer 1
     (recruitment_hierarchy, _set(2, layer=1.7), "layer must be an integer, got 1.7"),
     (recruitment_hierarchy, _set(2, layer=True), "layer must be an integer, got True"),
     # a second entry for a layer does not silently replace the first
     (recruitment_hierarchy,
-     lambda entries: entries.append({"layer": 2, "mode": "feedback-only", "K": None, "ubar": None}),
+     _entries(lambda entries: entries.append({"layer": 2, "mode": "feedback-only", "K": None,
+                                              "ubar": None})),
      "layer 2: a second control entry"),
     # K or a constant ubar on a layer without B is not dropped
     (lc_hierarchy, _set(1, K=[[1.0, 0.0]]), "layer 2: the layer has no B"),
@@ -567,18 +613,23 @@ def _set(index, **fields):
     (recruitment_hierarchy, _set(2, ubar=[0.5, 0.5]), "layer 3: ubar must have shape (1,)"),
     (recruitment_hierarchy, _set(1, K=[[float("nan"), 0.0, 0.0]]), "layer 2: K must be finite"),
     (recruitment_hierarchy, _set(2, ubar=[float("inf")]), "layer 3: ubar must be finite"),
+    # a file that is not a list of entries, or an entry without a known mode
+    (recruitment_hierarchy, lambda blob: {"a": 1}, "controls file must be a JSON list"),
+    (recruitment_hierarchy, lambda blob: 3, "controls file must be a JSON list"),
+    (recruitment_hierarchy, _entries(lambda entries: entries[1].pop("mode")),
+     "control entry missing field 'mode'"),
+    (recruitment_hierarchy, _set(1, mode="banana"), "unknown mode 'banana'"),
 ], ids=["online-past-bottom", "online-layer-0", "constant-past-bottom",
         "online-on-layer-1", "online-without-B", "non-object-entry",
         "fractional-layer", "boolean-layer", "second-entry", "K-without-B",
-        "ubar-without-B", "K-shape", "ubar-shape", "K-nan", "ubar-inf"])
+        "ubar-without-B", "K-shape", "ubar-shape", "K-nan", "ubar-inf",
+        "object-file", "number-file", "no-mode", "unknown-mode"])
 def test_cli_recruit_rejects_bad_controls(tmp_path, capsys, make_h, edit, match):
     h_path = tmp_path / "h.json"
     ltio.dump_hierarchy(make_h(), h_path)
     c_path = tmp_path / "controls.json"
     assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(c_path)]) == 0
-    blob = json.loads(c_path.read_text())
-    edit(blob["controls"])
-    c_path.write_text(json.dumps(blob))
+    c_path.write_text(json.dumps(edit(json.loads(c_path.read_text()))))
     assert main(["recruit", "--hierarchy", str(h_path), "--controls", str(c_path),
                  "--eps", "0.5"]) == 2
     assert match in capsys.readouterr().err

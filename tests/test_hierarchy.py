@@ -548,3 +548,41 @@ def test_input_log_is_input_at_per_sample():
                                    zip(traj.times, traj.samples, above.samples)])
             assert traj.input_log.shape == per_sample.shape
             _assert_close(traj.input_log, per_sample)
+
+
+def test_hierarchy_and_online_feedforward_freeze_their_blocks():
+    W_up = -np.eye(3)
+    h = Hierarchy(oscillator_bilayer().layers, (np.zeros((3, 3)),), (W_up,))
+    ff = multilayer_controls(h, certify_hierarchy(h))[1].ubar
+    x = np.array([1.0, 2.0, 3.0])
+    before = ff(0.0, x)
+    W_up[0, 0] = 5.0  # the caller's array, after construction
+    for a in (*h.W_down, *h.W_up, ff.pinv, ff.W_up_minus, ff.c_minus):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 5.0
+    np.testing.assert_array_equal(h.W_up[0], -np.eye(3))
+    assert ff(0.0, x).tobytes() == before.tobytes()
+
+
+def test_block_stepper_evicts_cached_pieces_without_changing_the_run(monkeypatch):
+    h = oscillator_bilayer()
+    laws = multilayer_controls(h, certify_hierarchy(h))
+    build = network._BlockStepper._build
+
+    def run(cache):
+        builds = []
+
+        def counted(self, piece, steps):
+            builds.append(steps)
+            return build(self, piece, steps)
+
+        monkeypatch.setattr(network, "_PIECE_CACHE", cache)
+        monkeypatch.setattr(network._BlockStepper, "_build", counted)
+        trajs = simulate_hierarchy(h, laws, t_span=(0.0, 40.0))
+        logs = [None if t.input_log is None else t.input_log.tobytes() for t in trajs]
+        return len(builds), [t.samples.tobytes() for t in trajs], logs
+
+    kept, evicted = run(network._PIECE_CACHE), run(1)
+    # the run meets 4 pieces, and with one cached it builds 2 of them again
+    assert (kept[0], evicted[0]) == (4, 6)
+    assert kept[1:] == evicted[1:]

@@ -1,8 +1,10 @@
 """The package namespace re-exports each module's public names; its
 import pulls in no SciPy at import; the shipped report schema names the
-CLI's schema version and subcommands."""
+CLI's schema version and subcommands; its value types compare by
+identity."""
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -12,9 +14,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ltnet
 from ltnet import cli, control, equilibria, hierarchy, io, network, stability, sysid
+
+from helpers import lc_hierarchy
 
 
 def test_package_all_is_the_union_of_module_lists():
@@ -125,3 +130,30 @@ def test_perfbench_tracer_finds_and_restores_every_function_it_wraps():
         tracer.uninstall()
     assert [w.__wrapped__ for w in wrapped] == originals
     assert all(getattr(owner, attr) is o for (owner, attr), o in zip(sites, originals))
+
+
+_W = np.array([[0.0, 0.5], [0.25, 0.0]])
+# two calls build equal but distinct instances of each frozen dataclass
+# that holds arrays
+_VALUE_TYPES = {
+    "LTNetwork": lambda: network.LTNetwork(_W, np.ones(2), np.full(2, np.inf)),
+    "AffinePiece": lambda: network.AffinePiece(_W, np.ones(2), _W, np.ones(2), (1, 1)),
+    "Trajectory": lambda: network.Trajectory(0.0, 0.1, np.ones((3, 2))),
+    "ControlLaw": lambda: control.ControlLaw(2, _W, np.ones(2), "combined"),
+    "GESCertificate": lambda: stability.ges_certificate(_W),
+    "HierarchyCertification": lambda: stability.certify_hierarchy(lc_hierarchy()),
+    "FitReport": lambda: sysid.FitReport(np.ones(3), 1.0, 1.0, 0.0, 0.0, 1.0, 1, 0, (), 0),
+    "Hierarchy": lc_hierarchy,
+    "PiecewiseAffineMap": lambda: equilibria.equilibrium_map(_W, np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_TYPES))
+def test_value_types_compare_by_identity(name):
+    a, b = _VALUE_TYPES[name](), _VALUE_TYPES[name]()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    if name != "PiecewiseAffineMap":  # its constructor takes pieces, not its fields
+        c = dataclasses.replace(a)
+        assert type(c) is type(a) and c != a
