@@ -44,11 +44,17 @@ of every undecided candidate's rows with an owner index.  SciPy (HiGHS)
 is imported by the first such LP, not by this module.
 
 A map locates a point by the first piece in label order whose region
-holds it.  Points are scanned in chunks against the pieces in label
-order, in tiles of at most _QUERY_TILE row x point entries, and a point
-leaves the scan at the first tile that covers it (see
-PiecewiseAffineMap._scan), so the scan's memory does not grow with the
-batch and its work stops at each point's first covering tile.
+holds it.  A map that equilibrium_map built with every pattern kept for
+a W with rho(|W|) < 1, and with more rows than one point chunk's tile,
+first asks its _Locator: pattern iteration names a candidate piece, and
+a margin test on the candidate's pre-activations, widened by the
+contraction constant, proves that no other piece's rows hold the point
+(see _Locator).  Every other point, and every point of any other map,
+is scanned in chunks against the pieces in label order, in tiles of at
+most _QUERY_TILE row x point entries, and a point leaves the scan at
+the first tile that covers it (see PiecewiseAffineMap._scan), so the
+scan's memory does not grow with the batch and its work stops at each
+point's first covering tile.  Both give the piece the scan alone would.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import _REGION_TOL, LINEAR, SATURATED, ZERO, AffinePiece, _regime_rows, clip_box
+from .network import (_REGION_TOL, LINEAR, SATURATED, ZERO, AffinePiece, _as_readonly,
+                      _regime_rows, clip_box)
 
 __all__ = [
     "PiecewiseAffineMap",
@@ -256,7 +263,8 @@ class PiecewiseAffineMap:
         differ, so its piece can change where a row is within an ulp of
         -_REGION_TOL.  A single point reads _QUERY_TILE rows per tile, so on
         maps of up to that many rows it is one matrix-vector product over
-        every row.
+        every row.  Queries reach it through _first, which hands it only the
+        points that a map's _Locator could not certify.
         """
         ends, P, chunk = self.ends, len(self), math.isqrt(_QUERY_TILE)
         for lo in range(0, len(D), chunk):
@@ -294,19 +302,54 @@ class PiecewiseAffineMap:
         member = np.logical_and.reduceat(self.G @ d + self.g >= -_REGION_TOL, self.ends[:-1])
         return [self.pieces[i] for i in np.flatnonzero(member)]
 
+    @cached_property
+    def _locator(self):
+        """The _Locator of a map that equilibrium_map built with every pattern
+        for a W with rho(|W|) < 1 and ceilings m >= 0, once it has more rows
+        than one full point chunk's tile reads; else None, and queries take
+        the scan alone."""
+        net = vars(self).get("_net")
+        if net is None or len(self.G) <= math.isqrt(_QUERY_TILE) or not np.all(net[1] >= 0):
+            return None
+        v = _contraction_weights(np.abs(net[0]))
+        return None if v is None else _Locator(self, *net, v)
+
+    def _first(self, D):
+        """Index of the first piece in label order whose region holds each
+        row of D, -1 where none does.  The locator certifies what it can in
+        chunks of isqrt(_QUERY_TILE) points; the rest go to _scan in one
+        call, a lone point of a larger batch twice, as a one-column product
+        is a matrix-vector product whose last bits can differ."""
+        first = np.full(len(D), -1)
+        if (locator := self._locator) is not None:
+            chunk = math.isqrt(_QUERY_TILE)
+            for lo in range(0, len(D), chunk):
+                first[lo : lo + chunk] = locator(D[lo : lo + chunk])
+        rest = np.flatnonzero(first < 0)
+        if not rest.size:
+            return first
+        if len(rest) < len(D):
+            if len(rest) == 1:
+                rest = np.repeat(rest, 2)
+            D = D[rest]
+        for pts, pcs in self._scan(D):
+            first[rest[pts]] = pcs
+        return first
+
     def _locate(self, d) -> int:
         """Index of the first piece in label order whose region holds d."""
         d = self._points(d, 1)
-        for _, hit in self._scan(d[None]):
-            if hit.size:
-                return int(hit[0])
-        raise NoCoveringPiece(
-            f"no piece covers d={d!r}; the map may be incomplete or the "
-            "underlying equation non-contractive at this input"
-        )
+        k = int(self._first(d[None])[0])
+        if k < 0:
+            raise NoCoveringPiece(
+                f"no piece covers d={d!r}; the map may be incomplete or the "
+                "underlying equation non-contractive at this input"
+            )
+        return k
 
     def eval(self, d) -> np.ndarray:
-        """Value at d, using the first covering piece in label order."""
+        """Value at d, using the first covering piece in label order: the
+        piece a map's _Locator certifies, else the one _scan finds."""
         d = self._points(d, 1)
         k = self._locate(d)
         return self.F[k] @ d + self.f[k]
@@ -314,16 +357,16 @@ class PiecewiseAffineMap:
     __call__ = eval
 
     def eval_many(self, D) -> np.ndarray:
-        """Vectorized evaluation over the rows of D (shape (k, domain_dim))."""
+        """Vectorized evaluation over the rows of D (shape (k, domain_dim)):
+        each row's piece as eval finds it, certified by a map's _Locator or
+        found by _scan, and one product per piece over its rows."""
         D = self._points(np.atleast_2d(D), 2)
-        first = np.full(D.shape[0], -1)
-        for pts, pcs in self._scan(D):
-            first[pts] = pcs
+        first = self._first(D)
         if np.any(first < 0):
             bad = int(np.argmax(first < 0))
             raise NoCoveringPiece(f"no piece covers row {bad}: d={D[bad]!r}")
         out = np.empty((D.shape[0], self.output_dim))
-        for idx in np.unique(first):  # label order = piece order
+        for idx in np.flatnonzero(np.bincount(first, minlength=len(self))):  # label order
             sel = first == idx
             out[sel] = D[sel] @ self.F[idx].T + self.f[idx]
         return out
@@ -349,6 +392,93 @@ class PiecewiseAffineMap:
         ]
 
 
+class _Locator:
+    """Certified point location on an equilibrium_map of (W, m) with every
+    pattern kept and rho(|W|) < 1: piece k is the pattern whose regime
+    codes are k's digits in the mixed radix of _regimes(m).
+
+    A candidate comes from pattern iteration: sigma = regime(d), then
+    c = rank(sigma), x = F_c d + f_c, Z = W x + d, sigma = regime(Z), for at
+    most 2n rounds until sigma settles.  Nothing rests on the candidate;
+    the test below decides whether c is the first piece in label order
+    whose rows hold d, the piece _scan would find.
+
+    The certificate.  Let v = (I - |W|)^-1 1 >= 1 and K = max v.  Then
+    T(x) = [W x + d]_0^m contracts by 1 - 1/K in the norm max_i |x_i| / v_i,
+    so its fixed point x* and z* = W x* + d are unique, and any x has
+    |W (x - x*)| <= K^2 |x - T x|_inf at every node.  Let rho_res be the
+    largest residual of a stored piece's pattern equations, the row sums
+    of |(I - S_l W) F_j - S_l| and |(I - S_l W) f_j - S_s m|, and set
+    tau = _REGION_TOL + e(d), e(d) = rho_res (1 + |d|_inf) plus a rounding
+    allowance.  If piece j's float rows hold d, its x_j = F_j d + f_j
+    meets its regime conditions on z_j = W x_j + d to within tau, so
+    |x_j - T x_j|_inf <= tau and |z_j - z*| <= K^2 tau at every node.
+    Accept c when Z's regimes are sigma_c and every node of Z lies more
+    than tau (1 + 2 K^2) from its nearest kink (0, or a finite m_i).  Then
+    c's rows hold d, and a piece j whose rows hold d and whose regime
+    differs from c's at some node would need |z_j - Z| > 2 K^2 tau there,
+    while |z_j - z*| + |z* - z_c| <= 2 K^2 tau.  So c is the only piece
+    whose rows hold d.
+
+    The allowance.  Each float quantity here is a sum of at most n + 2
+    rounded terms, so its error is at most gamma = 2 (n + 2) u (u = 2^-53)
+    times the sum of the terms' magnitudes.  Write |.| for the largest row
+    sum of absolute values over the pieces, delta = |d|_inf, M for the
+    largest finite ceiling and s = |F| delta + |f|.  To first order the
+    error is gamma times (1 + |W|) s + delta + M for the computed
+    residuals; |W| s + delta + M for the stored rows against W F_j + I and
+    W f_j (- m); as much for evaluating them, as |G| <= |W| |F| + 1 and
+    |g| <= |W| |f| + M; and 2 |W| s + delta for Z against W x_c + d.  The
+    allowance takes one more of each term, gamma ((1 + 6 |W|) s + 5 delta
+    + 4 M), for the higher orders.  K is enlarged by the residual of the
+    solve for v, and the test's own rounding by a factor 1 + gamma.
+    """
+
+    def __init__(self, pa, W, m, v):
+        n = len(m)
+        finite = np.isfinite(m)
+        radix = np.where(finite, 3, 2)
+        self.F, self.f, self.W, self.m = pa.F, pa.f, W, m
+        self.place = np.array([math.prod(radix[i + 1 :]) for i in range(n)], dtype=np.intp)
+        self.top = np.where(finite, m, np.nan)  # no Saturated regime under m_i = inf
+        gamma = (n + 2) * np.finfo(float).eps  # 2 (n + 2) u
+        eye, norm_W = np.eye(n), np.abs(W).sum(axis=1).max(initial=0.0)
+        # v's own residual: |W| v = v - 1 - r, so T contracts by 1 - (1 - |r|) / max v
+        r = np.abs((eye - np.abs(W)) @ v - 1.0).max() + gamma * ((1 + norm_W) * v.max() + 1)
+        K = v.max() / ((1 - r) * min(1.0, v.min())) if r < 1 else np.inf
+        res = norm_F = norm_f = 0.0
+        for lo in range(0, len(pa), _PATTERN_CHUNK):
+            F, f = pa.F[lo : lo + _PATTERN_CHUNK], pa.f[lo : lo + _PATTERN_CHUNK]
+            sigmas = np.arange(lo, lo + len(F))[:, None] // self.place % radix
+            lin, sat = sigmas == LINEAR, sigmas == SATURATED
+            A = eye - lin[:, :, None] * W
+            res = max(res, np.abs(A @ F - eye * lin[:, :, None]).sum(axis=2).max(),
+                      np.abs((A @ f[..., None])[..., 0] - np.where(sat, m, 0.0)).max())
+            norm_F, norm_f = max(norm_F, np.abs(F).sum(axis=2).max()), max(norm_f, np.abs(f).max())
+        res *= 1 + gamma  # the row sums' own rounding
+        M = np.abs(m[finite]).max(initial=0.0)
+        self.slope = res + gamma * ((1 + 6 * norm_W) * norm_F + 5)  # tau = slope delta + offset
+        self.offset = _REGION_TOL + res + gamma * ((1 + 6 * norm_W) * norm_f + 4 * M)
+        self.scale = (1 + 2 * K * K) * (1 + gamma)
+
+    def _rank(self, Z):
+        """Index of the piece whose pattern is the regimes of each row of Z."""
+        return ((Z > 0).astype(np.intp) + (Z >= self.top)) @ self.place
+
+    def __call__(self, D):
+        """The certified piece of each row of D, -1 where the test fails."""
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail
+            c = self._rank(D)
+            for _ in range(2 * D.shape[1]):
+                Z = ((self.F[c] @ D[..., None])[..., 0] + self.f[c]) @ self.W.T + D
+                c, last = self._rank(Z), c
+                if np.array_equal(c, last):
+                    break
+            margin = np.minimum(np.abs(Z), np.abs(Z - self.m)).min(axis=1)
+            bound = (self.offset + self.slope * np.abs(D).max(axis=1)) * self.scale
+            return np.where((c == last) & (margin > bound), c, -1)  # Z is piece last's
+
+
 def equilibrium_map(W, m) -> PiecewiseAffineMap:
     """Enumerate all switching patterns of (W, m) into a piecewise map.
 
@@ -370,9 +500,23 @@ def equilibrium_map(W, m) -> PiecewiseAffineMap:
         ok, F, f, G, g, keep = _pattern_pieces(W, m, np.array(labels), np.full(n, -0.0))
         n_singular += len(ok) - int(ok.sum())
         parts.append((itertools.compress(labels, ok), F, f, G[keep], g[keep], keep.sum(axis=1)))
+    pa = PiecewiseAffineMap._of_stacks(parts, n)
     if n_singular:
         warnings.warn(f"equilibrium_map: skipped {n_singular} singular pattern(s)")
-    return PiecewiseAffineMap._of_stacks(parts, n)
+    else:  # piece k is the pattern of rank k, which the locator reads
+        vars(pa)["_net"] = (_as_readonly(W), _as_readonly(m))
+    return pa
+
+
+def _contraction_weights(A):
+    """The solution v of (I - A) v = 1 for a nonnegative A when it certifies
+    rho(A) < 1: v > 0 (then A v = v - 1 < v) and max(v) < 1e9; else None,
+    a singular solve (1 an eigenvalue of A) included."""
+    try:
+        v = np.linalg.solve(np.eye(A.shape[0]) - A, np.ones(A.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    return v if np.all(v > 0) and v.max() < 1e9 else None
 
 
 def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10):
@@ -389,13 +533,8 @@ def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10):
     W = np.asarray(W, dtype=float)
     m = np.broadcast_to(np.asarray(m, dtype=float), (W.shape[0],))
     d = np.asarray(d, dtype=float)
-    A = np.abs(W)
-    try:
-        alpha = np.linalg.solve(np.eye(A.shape[0]) - A.T, np.ones(A.shape[0]))
-        certified = np.all(alpha > 0) and alpha.max() < 1e9
-    except np.linalg.LinAlgError:  # singular: 1 is an eigenvalue of |W|
-        certified = False
-    if not certified:
+    alpha = _contraction_weights(np.abs(W).T)
+    if alpha is None:
         raise NotCertified("rho(|W|) >= 1: no alpha > 0 solves (I - |W|^T) alpha = 1")
     # weighted change -> error via the geometric tail factor r/(1 - r)
     gain = float(alpha.max()) - 1.0

@@ -93,12 +93,13 @@ def clip_box(v, m):
 def _as_readonly(a):
     """a as a read-only float array: a itself when it already is a
     C-contiguous one and the array owning its memory is read-only too, so
-    nothing can write to it; else a read-only copy in a's memory order."""
+    nothing can write to it; else a read-only C-ordered copy, which a
+    second call keeps."""
     if (type(a) is np.ndarray and not a.flags.writeable and a.dtype == float
             and a.flags.c_contiguous
             and (a.base is None or type(a.base) is np.ndarray and not a.base.flags.writeable)):
         return a
-    out = np.array(a, dtype=float)
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

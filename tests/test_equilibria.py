@@ -616,6 +616,173 @@ def test_a_queried_map_holds_little_beyond_its_arrays():
     assert held <= 1.5 * arrays
 
 
+# -- certified location against the scan -------------------------------------
+
+
+def _locator_maps():
+    """Base maps of contractive networks with a locator: the n = 5 oracle map
+    (rho 0.7) and two with rho(|W|) = 0.97 and 0.9, mixed ceilings."""
+    maps = [_oracle_maps()[0]]
+    for seed, n, rho, m in ((83, 4, 0.97, [2.0, np.inf, 1.0, 0.5]),
+                            (89, 5, 0.9, [np.inf, 3.0, np.inf, 1.0, np.inf])):
+        W = np.random.default_rng(seed).normal(size=(n, n))
+        W *= rho / np.max(np.abs(np.linalg.eigvals(np.abs(W))))
+        maps.append(equilibrium_map(W, np.array(m)))
+    return maps
+
+
+def _band_points(pa, rng, k):
+    """k points: random inputs, points on a face of their first piece, and
+    points off such faces by +-{0.3, 0.9, 1.1, 3, 30, 300, 3e4} _REGION_TOL
+    along the face's normal, so that the row reads about that much."""
+    offsets = np.array([0.3, 0.9, 1.1, 3.0, 30.0, 300.0, 3e4])
+    offsets = np.concatenate([[0.0], offsets, -offsets]) * 1e-9
+    D = rng.uniform(-4.0, 4.0, size=(k, pa.domain_dim))
+    band = []
+    for d in D[: k // 8]:
+        p = pa.pieces[_scan(pa, d)[0]]
+        r = rng.integers(len(p.g))
+        G_j, g_j = p.G[r], p.g[r]
+        face = d - (G_j @ d + g_j) / (G_j @ G_j) * G_j
+        band += [face + t / (G_j @ G_j) * G_j for t in offsets]
+    pool = np.vstack([D, band])
+    return pool[rng.permutation(len(pool))[:k]]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_certified_location_matches_the_scan(which):
+    pa = _locator_maps()[which]
+    assert pa._locator is not None
+    chunk = math.isqrt(_QUERY_TILE)
+    sizes = [1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 7]
+    D = _band_points(pa, np.random.default_rng(103 + which), sizes[-1])
+    first = np.array([_scan(pa, d)[0] for d in D])
+    certified = pa._locator(D[:chunk]) >= 0
+    assert 0 < certified.sum() < chunk  # both paths are taken
+    for d, i in zip(D, first):
+        assert pa._locate(d) == i
+        np.testing.assert_array_equal(pa.eval(d), pa.F[i] @ d + pa.f[i])
+    for k in sizes:
+        assert pa._first(D[:k]).tolist() == first[:k].tolist()
+        want = np.empty((k, pa.output_dim))
+        for i in np.unique(first[:k]):
+            sel = first[:k] == i
+            want[sel] = D[:k][sel] @ pa.F[i].T + pa.f[i]
+        np.testing.assert_array_equal(pa.eval_many(D[:k]), want)
+
+
+def _memory_guard_map():
+    """The n = 8, 1 944-piece map of the memory guard."""
+    rng = np.random.default_rng(97)
+    W = rng.normal(size=(8, 8))
+    W *= 0.5 / np.max(np.abs(np.linalg.eigvals(np.abs(W))))
+    m = np.full(8, np.inf)
+    m[:5] = rng.uniform(0.5, 3.0, size=5)
+    return equilibrium_map(W, m)
+
+
+def _scan_spy(monkeypatch):
+    """A list that gets every point set handed to PiecewiseAffineMap._scan."""
+    seen, scan = [], PiecewiseAffineMap._scan
+
+    def spy(self, D):
+        seen.append(D.copy())
+        return scan(self, D)
+
+    monkeypatch.setattr(PiecewiseAffineMap, "_scan", spy)
+    return seen
+
+
+def test_the_scan_sees_only_the_uncertified_points(monkeypatch):
+    pa = _memory_guard_map()
+    assert len(pa) == 1944
+    D = _band_points(pa, np.random.default_rng(107), 256)
+    chunk = math.isqrt(_QUERY_TILE)
+    certified = np.concatenate([pa._locator(D[lo : lo + chunk]) >= 0
+                                for lo in range(0, len(D), chunk)])
+    assert 0 < (~certified).sum() < len(D) // 2
+    seen = _scan_spy(monkeypatch)
+    pa.eval_many(D)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], D[~certified])
+    # a lone uncertified point of a batch is scanned as two columns
+    lone = np.vstack([D[certified][:20], D[~certified][:1]])
+    assert pa._first(lone).tolist() == [_scan(pa, d)[0] for d in lone]
+    np.testing.assert_array_equal(seen[1], np.repeat(lone[-1:], 2, axis=0))
+    # an interior point is never scanned
+    seen.clear()
+    interior = D[np.flatnonzero(certified)[0]]
+    k = pa._locate(interior)
+    np.testing.assert_array_equal(pa.eval(interior), pa.F[k] @ interior + pa.f[k])
+    assert seen == [] and k == _scan(pa, interior)[0]
+
+
+def test_an_unsettled_iteration_certifies_nothing(monkeypatch):
+    pa = _memory_guard_map()
+    D = np.random.default_rng(127).uniform(-4.0, 4.0, size=(50, 8))
+    assert (pa._locator(D) >= 0).all()
+    # each round names another piece for every point, so none settles
+    calls = itertools.count()
+    monkeypatch.setattr(equilibria._Locator, "_rank",
+                        lambda self, Z: np.full(len(Z), next(calls) % len(pa)))
+    assert (pa._locator(D) == -1).all()
+
+
+def _singular_map():
+    """A map that skips the patterns making node 0 Linear under W_00 = 1."""
+    with pytest.warns(UserWarning, match="skipped 9 singular"):
+        return equilibrium_map(np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.0], [0.0, 0.1, 0.2]]),
+                               np.array([np.inf, 1.0, 1.0]))
+
+
+def test_maps_without_a_locator_take_the_scan_alone(monkeypatch):
+    monkeypatch.setattr(equilibria, "_QUERY_TILE", 16)  # every map below has > 4 rows
+    base, comp = _oracle_maps()
+    rebuilt = PiecewiseAffineMap(base.pieces, base.domain_dim, base.output_dim)
+    mutual = equilibrium_map(np.array([[0.0, 2.0], [2.0, 0.0]]), np.ones(2))
+    singular = _singular_map()
+    negative = equilibrium_map(np.array([[0.2, 0.1], [0.0, 0.3]]), np.array([-1.0, 1.0]))
+    assert base._locator is not None and "_net" not in vars(singular)
+    seen = _scan_spy(monkeypatch)
+    rng = np.random.default_rng(109)
+    for pa in (comp, rebuilt, mutual, singular, negative):
+        D = rng.uniform(-4.0, 4.0, size=(50, pa.domain_dim))
+        if pa is singular:
+            D[:, 0] = -np.abs(D[:, 0])  # node 0 can only be Zero or Saturated
+        seen.clear()
+        pa.eval_many(D)
+        np.testing.assert_array_equal(np.vstack(seen), D)
+        assert pa._locator is None
+    # three equilibria at d = (-0.5, -0.5): the scan's first, not a guess
+    np.testing.assert_array_equal(mutual.eval(np.array([-0.5, -0.5])), [0.0, 0.0])
+
+
+def test_maps_of_one_tile_take_the_scan_alone(monkeypatch):
+    pa = equilibrium_map(np.array([[0.3, -0.2], [0.1, 0.4]]), np.array([1.5, np.inf]))
+    assert pa._locator is None  # 6 pieces, 10 rows
+    rows = len(pa.G)
+    for tile, built in ((rows * rows, False), ((rows - 1) ** 2, True)):
+        monkeypatch.setattr(equilibria, "_QUERY_TILE", tile)
+        again = equilibrium_map(np.array([[0.3, -0.2], [0.1, 0.4]]), np.array([1.5, np.inf]))
+        assert (again._locator is not None) == built
+
+
+def test_non_finite_points_raise_as_the_scan_does():
+    pa = _memory_guard_map()
+    D = np.random.default_rng(113).uniform(-4.0, 4.0, size=(600, 8))
+    D[[400, 300], 2] = np.nan
+    D[[500, 350], 1] = [np.inf, -np.inf]
+    with pytest.raises(NoCoveringPiece, match="no piece covers row 300: d="):
+        pa.eval_many(D)
+    with pytest.raises(NoCoveringPiece, match=r"no piece covers row 49: d=array\(\[.*-inf"):
+        pa.eval_many(D[301:])  # row 350
+    for d in D[[300, 350, 500]]:
+        with pytest.raises(NoCoveringPiece, match="no piece covers d="):
+            pa.eval(d)
+        with pytest.raises(NoCoveringPiece, match="no piece covers d="):
+            pa._locate(d)
+
+
 # -- stacked emptiness decision against one LP per region ---------------------
 
 

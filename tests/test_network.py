@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltnet import LTNetwork, Trajectory, clip_box, rhs, simulate
-from ltnet.network import AffinePiece, rk4_integrate
+from ltnet.network import AffinePiece, _as_readonly, rk4_integrate
 
 from helpers import clip01m, fixed_point, random_contractive, reference_rk4, rk4_calls
 
@@ -276,3 +276,12 @@ def test_piece_does_not_see_later_writes_by_its_caller():
     frozen.setflags(write=False)
     kept = AffinePiece(frozen[:2], frozen[2], frozen, frozen[:, 0].copy())
     assert kept.G is frozen and kept.F.base is frozen and kept.f.base is frozen
+
+
+def test_a_read_only_copy_is_c_ordered_and_kept_by_a_second_call():
+    a = np.random.default_rng(0).random((3, 4)).T  # F-ordered
+    once = _as_readonly(a)
+    assert once.flags.c_contiguous and not once.flags.writeable
+    np.testing.assert_array_equal(once, a)
+    assert _as_readonly(once) is once
+    assert LTNetwork(a[:3], np.zeros(3), np.ones(3)).W.flags.c_contiguous
