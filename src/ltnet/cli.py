@@ -68,22 +68,25 @@ def _add(parser, flag, **kw):
     parser.add_argument(flag, **kw)
 
 
-def _floats(text, count=None):
+def _floats(text, count=None, source=None):
     vals = [float(v) for v in str(text).replace(",", " ").split()]
     if count is not None and len(vals) != count:
-        raise ValidationError(f"expected {count} numbers, got {len(vals)} in {text!r}")
+        raise ValidationError(f"expected {count} numbers, got {len(vals)} in {source or text!r}")
     return vals
 
 
-def _parse_x0(text, n):
-    if text is None:
-        return np.zeros(n)
-    if not os.path.exists(str(text)):
-        return np.array(_floats(text, n))
-    x0 = np.loadtxt(text, ndmin=1).ravel()
-    if x0.size != n:
-        raise ValidationError(f"expected {n} numbers, got {x0.size} in {str(text)!r}")
-    return x0
+def _numbers(text, count=None):
+    """The numbers of a comma list, or of the file that text names, as an
+    array.  A file may separate them by commas or whitespace (_floats'
+    rule); one that cannot be read, holds a token that is not a number or
+    holds other than count numbers raises ValidationError naming it."""
+    if not os.path.exists(text):
+        return np.array(_floats(text, count))
+    try:
+        with open(text) as fh:
+            return np.array(_floats(fh.read(), count, text))
+    except (OSError, ValueError) as e:
+        raise ValidationError(f"{text}: {e}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,12 +248,6 @@ def _csv_numbers(path, ndmin=0):
             raise ValidationError(f"{path}: {e}")
 
 
-def _sample(text):
-    if os.path.exists(str(text)):
-        return _csv_numbers(text).ravel()
-    return np.array(_floats(text))
-
-
 def _emit(args, payload, command):
     out = getattr(args, "out", None)
     text = write_report(payload, command, out, getattr(args, "force", False))
@@ -264,7 +261,8 @@ def run(args) -> int:
         net = ltio.load_network(args.net)
         t0, t1 = _floats(args.tspan, 2)
         dt = float(args.dt) if args.dt is not None else None
-        traj = simulate(net, _parse_x0(args.x0, net.n), None, (t0, t1), dt)
+        x0 = np.zeros(net.n) if args.x0 is None else _numbers(args.x0, net.n)
+        traj = simulate(net, x0, None, (t0, t1), dt)
         ltio.trajectory_to_csv(traj, args.out, args.force)
         return 0
 
@@ -309,21 +307,13 @@ def run(args) -> int:
 
     if cmd == "synthesize":
         h = ltio.load_hierarchy(args.hierarchy)
-        cert = certify_hierarchy(h)
-        if not cert.all_passed:
-            raise NotCertified("hierarchy failed certification; no controls")
-        laws = multilayer_controls(h, cert)
-        write_report(
-            {"controls": ltio.controls_to_jsonable(laws)}, cmd, args.out, args.force
-        )
+        laws = multilayer_controls(h, certify_hierarchy(h))
+        _emit(args, {"controls": ltio.controls_to_jsonable(laws)}, cmd)
         return 0
 
     if cmd == "recruit":
         h = ltio.load_hierarchy(args.hierarchy)
         cert = certify_hierarchy(h)
-        if 2 not in cert.maps:
-            # reference trajectories need certified-unique equilibrium maps
-            raise NotCertified("lower layers failed certification; cannot sweep")
         if args.controls is not None:
             laws = ltio.load_controls(args.controls, h)
         else:
@@ -332,7 +322,7 @@ def run(args) -> int:
         window = tuple(_floats(args.window, 2)) if args.window else None
         x0 = None
         if args.x0 is not None:
-            flat = _parse_x0(args.x0, sum(la.n for la in h.layers))
+            flat = _numbers(args.x0, sum(la.n for la in h.layers))
             x0 = [flat[s] for s in h.slices()]
         report = epsilon_sweep(h, laws, eps_list, x0=x0, window=window, maps=cert.maps)
         _emit(args, report.to_dict(), cmd)
@@ -371,11 +361,9 @@ def run(args) -> int:
         return 0
 
     if cmd == "rtest":
-        a, b = _sample(args.a), _sample(args.b)
-        p = sysid.randomization_test(
-            a, b, n_perm=int(getattr(args, "n_perm")), seed=int(args.seed)
-        )
-        _emit(args, {"p_value": p, "n_perm": int(getattr(args, "n_perm"))}, cmd)
+        n_perm = int(args.n_perm)
+        p = sysid.randomization_test(_numbers(args.a), _numbers(args.b), n_perm, int(args.seed))
+        _emit(args, {"p_value": p, "n_perm": n_perm}, cmd)
         return 0
 
     if cmd == "predict":

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .equilibria import NotCertified, max_gain_matrix
 from .network import LINEAR, ZERO, AffinePiece, LTNetwork, _as_readonly, _regime_rows
 
 __all__ = [
@@ -274,10 +275,11 @@ def _online_feedforward(hierarchy, layer):
 def multilayer_controls(hierarchy, certification) -> list:
     """Synthesize per-layer control laws from a certified hierarchy.
 
-    certification is the result of stability.certify_hierarchy; its
-    composed-map gain bounds enter the gain inequalities of the layers
-    between top and bottom.  Returns one ControlLaw per layer (layer 1 is
-    uncontrolled).  Gains satisfy, elementwise,
+    certification is the result of stability.certify_hierarchy; unless
+    every layer passed (all_passed) no law is synthesized and NotCertified
+    is raised.  Its composed-map gain bounds enter the gain inequalities
+    of the layers between top and bottom.  Returns one ControlLaw per
+    layer (layer 1 is uncontrolled).  Gains satisfy, elementwise,
 
         B_N^- K_N  = -[W_NN^-- W_NN^-+]                   (bottom layer)
         B_i^- K_i <= -|W_ii^-:| - |W_i,i+1^-+| Fbar_{i+1} |W_i+1,i^+:|
@@ -285,8 +287,8 @@ def multilayer_controls(hierarchy, certification) -> list:
     with equality whenever p_i >= r_i, and the feedforward parts track
     the layer above online:  B_i^- ubar_i(t) <= -W_i,i-1^-: x_{i-1}(t) - c_i^-.
     """
-    from .equilibria import max_gain_matrix  # avoid import at module load
-
+    if not certification.all_passed:
+        raise NotCertified("hierarchy failed certification; no controls")
     N = hierarchy.N
     laws = [ControlLaw(layer=1, K=None, ubar=None, mode="feedback-only")]
     for i in range(2, N + 1):

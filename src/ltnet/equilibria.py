@@ -297,8 +297,10 @@ class PiecewiseAffineMap:
 
     def pieces_at(self, d):
         """All pieces whose region contains d, in label order, read from one
-        product over every row (each piece has at least one)."""
+        product over every row (each piece has at least one); none at a non-finite d."""
         d = self._points(d, 1)
+        if not np.isfinite(d).all():
+            return []
         member = np.logical_and.reduceat(self.G @ d + self.g >= -_REGION_TOL, self.ends[:-1])
         return [self.pieces[i] for i in np.flatnonzero(member)]
 
@@ -316,11 +318,16 @@ class PiecewiseAffineMap:
 
     def _first(self, D):
         """Index of the first piece in label order whose region holds each
-        row of D, -1 where none does.  The locator certifies what it can in
+        row of D, -1 where none does and at a non-finite row, which neither
+        the locator nor _scan sees.  The locator certifies what it can in
         chunks of isqrt(_QUERY_TILE) points; the rest go to _scan in one
         call, a lone point of a larger batch twice, as a one-column product
         is a matrix-vector product whose last bits can differ."""
         first = np.full(len(D), -1)
+        if not np.isfinite(D).all():
+            finite = np.isfinite(D).all(axis=1)
+            first[finite] = self._first(D[finite])
+            return first
         if (locator := self._locator) is not None:
             chunk = math.isqrt(_QUERY_TILE)
             for lo in range(0, len(D), chunk):

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .equilibria import PiecewiseAffineMap
+from .equilibria import NotCertified, PiecewiseAffineMap
 from .network import (AffinePiece, LTNetwork, Trajectory, _as_readonly, _clipped_run,
                       _initial_state, _step_count)
 from .network import rk4_integrate  # noqa: F401  perfbench/tracing.py wraps the core here too
@@ -125,8 +125,10 @@ def simulate_hierarchy(
 ) -> list:
     """Integrate all layers jointly with one fixed RK4 step (rk4_integrate).
 
-    controls, when given, is one ControlLaw per layer (entries may be
-    None).  x0 lists per-layer initial states in [0, m] (zeros by default).
+    controls, when given, lists ControlLaws (entries may be None); each
+    controls the layer its layer field names, and a layer outside 1..N
+    or a second law for one layer is refused with ValueError.  x0 lists
+    per-layer initial states in [0, m] (zeros by default).
     dt is as in simulate, for the smallest layer time constant.  Returns
     one Trajectory per layer; controlled layers log the applied u(t).
 
@@ -145,7 +147,13 @@ def simulate_hierarchy(
         raise ValueError(f"x0 holds {len(x0)} layer states, but the hierarchy has {N} layers")
     X0 = np.concatenate([_initial_state(x, la.m, f"x0 of layer {i}")
                          for i, (x, la) in enumerate(zip(x0, h.layers), start=1)])
-    laws = list(controls or ()) + [None] * N  # None past the given laws
+    laws = [None] * N
+    for law in filter(None, controls or ()):
+        if not 1 <= law.layer <= N:
+            raise ValueError(f"a control law names layer {law.layer}, outside 1..{N}")
+        if laws[law.layer - 1] is not None:
+            raise ValueError(f"two control laws name layer {law.layer}")
+        laws[law.layer - 1] = law
 
     # stack the layer and inter-layer blocks into one matrix; feedback
     # gains fold into the diagonal blocks and constant feedforward into
@@ -186,36 +194,24 @@ def reference_trajectory(
     h: Hierarchy,
     upper_traj: Trajectory,
     layer: int,
-    pa_map: Optional[PiecewiseAffineMap] = None,
+    pa_map: PiecewiseAffineMap,
 ) -> Trajectory:
     """Quasi-steady reference (0, h_i^+(W_up^{++} x_{i-1}(t) + c_i^+)).
 
-    pa_map is the composed task-relevant equilibrium map of the layer
-    (from stability.certify_hierarchy); built on the fly for a bottom
-    layer when omitted.  Sampled at the upper trajectory's times.
+    pa_map is the composed task-relevant equilibrium map h_i^+ of the
+    layer, as certified by stability.certify_hierarchy (its maps[layer]).
+    Sampled at the upper trajectory's times.
     """
     if not 2 <= layer <= h.N:
         raise ValueError(f"layer must be 2..{h.N}")
     net = h.layers[layer - 1]
     above = h.layers[layer - 2]
-    if pa_map is None:
-        if layer != h.N:
-            raise ValueError("pa_map required for layers above the bottom")
-        pa_map = _bottom_map(h)
     Wup_pp = h.W_up[layer - 2][net.plus, above.plus]
     drive = upper_traj.samples[:, above.plus] @ Wup_pp.T + net.c[net.plus]
     plus_vals = pa_map.eval_many(drive)
     samples = np.zeros((plus_vals.shape[0], net.n))
     samples[:, net.plus] = plus_vals
     return Trajectory(t0=upper_traj.t0, dt=upper_traj.dt, samples=samples)
-
-
-def _bottom_map(h: Hierarchy) -> PiecewiseAffineMap:
-    """h_N^+, the bottom layer's map: it reads W^{++} and m^+, not tau."""
-    from .equilibria import equilibrium_map
-
-    net = h.layers[-1]
-    return equilibrium_map(net.W[net.plus, net.plus], net.m[net.plus])
 
 
 def tracking_error(traj: Trajectory, ref: Trajectory, window) -> float:
@@ -262,7 +258,8 @@ def epsilon_sweep(
     x0=None,
     window=None,
     dt_factor: float = 50.0,
-    maps: Optional[dict] = None,
+    *,
+    maps: dict,
 ) -> TrackingReport:
     """Rescale the hierarchy over eps_list and measure slaving quality.
 
@@ -271,27 +268,28 @@ def epsilon_sweep(
     window's end and 10 tau_1, and every layer below the top
     is compared against its quasi-steady reference over the window
     (default [2 tau_1, 10 tau_1]); inhibited nodes are scored by their
-    sup norm over the same window.  maps supplies the per-layer composed
-    equilibrium maps keyed by layer index (required when N > 2; else
-    the bottom map is built once).
+    sup norm over the same window.  maps holds the composed equilibrium
+    maps h_i^+ keyed by layer index, as stability.certify_hierarchy
+    certifies them (its maps); the references read only these, and a
+    layer below the top without one is refused with NotCertified.
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list is empty: there is nothing to sweep")
+    if missing := sorted(set(range(2, h.N + 1)) - set(maps)):
+        raise NotCertified(f"layer {missing[0]} has no certified map")
     tau1 = h.layers[0].tau
     if window is None:
         window = (2.0 * tau1, 10.0 * tau1)
     t_end = max(window[1], 10.0 * tau1)
     errors = {i: [] for i in range(2, h.N + 1)}
     inhibited = {i: [] for i in range(2, h.N + 1) if h.layers[i - 1].r > 0}
-    if maps is None:
-        maps = {h.N: _bottom_map(h)} if h.N > 1 else {}
     for eps in eps_list:
         h_eps = h.with_eps(float(eps))
         dt = min(la.tau for la in h_eps.layers) / dt_factor
         trajs = simulate_hierarchy(h_eps, controls, x0, (0.0, t_end), dt)
         for i in range(2, h.N + 1):
             net = h_eps.layers[i - 1]
-            ref = reference_trajectory(h_eps, trajs[i - 2], i, maps.get(i))
+            ref = reference_trajectory(h_eps, trajs[i - 2], i, maps[i])
             errors[i].append(tracking_error(trajs[i - 1], ref, window))
             if net.r > 0:
                 mask = trajs[i - 1].window(*window)

@@ -160,6 +160,21 @@ def test_controls_round_trip(tmp_path):
             np.testing.assert_array_equal(b.ubar(0.0, x_above), a.ubar(0.0, x_above))
 
 
+def test_controls_round_trip_a_constant_feedforward(tmp_path):
+    # the constant law of acceptance test 01 travels as a list
+    h = recruitment_hierarchy()
+    laws = [ControlLaw(1, None, None, "feedback-only"),
+            ControlLaw(2, None, np.array([5.0]), "feedforward-only")]
+    entries = ltio.controls_to_jsonable(laws)
+    assert entries[1] == {"layer": 2, "mode": "feedforward-only", "K": None, "ubar": [5.0]}
+    path = tmp_path / "controls.json"
+    path.write_text(json.dumps(entries))
+    back = ltio.load_controls(path, h)
+    assert back[1].mode == "feedforward-only" and back[1].K is None
+    np.testing.assert_array_equal(back[1].ubar, [5.0])
+    assert back[2] is None
+
+
 def test_controls_json_refuses_user_callables():
     h = recruitment_hierarchy()
     laws = multilayer_controls(h, certify_hierarchy(h))
@@ -370,6 +385,40 @@ def test_cli_certify_an_unbounded_top_layer_by_its_composite(tmp_path, w, rho, p
     assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(controls)]) == code
 
 
+def _unbounded_top_layer(tmp_path, w, w_bottom=0.01):
+    """The LC fixture under an unbounded top layer of weight w that layer 2
+    drives, as a hierarchy file."""
+    blob = json.loads(_LC_FIXTURE.read_text())
+    blob["layers"][0].update(m=["inf"], W=[[w]])
+    blob["W_down"][0] = [[0.5, 0.0]]
+    blob["layers"][2]["W"] = [[w_bottom]]
+    h_path = tmp_path / "h.json"
+    h_path.write_text(json.dumps(blob))
+    return h_path
+
+
+def test_cli_recruit_refuses_what_synthesize_refuses(tmp_path, capsys):
+    # layer 1 fails its composite test (rho 1.4896) while layers 2 and 3
+    # keep their maps; before, recruit synthesized controls anyway, exited
+    # 0 and reported layer-2 tracking errors of 36.6 and 46.2
+    h_path, out = _unbounded_top_layer(tmp_path, 0.9), tmp_path / "out.json"
+    for argv in (["synthesize"], ["recruit", "--eps", "0.5,0.3"]):
+        assert main([*argv, "--hierarchy", str(h_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: hierarchy failed certification; no controls\n")
+        assert not out.exists()
+
+
+def test_cli_certify_an_unbounded_top_layer_over_a_failing_layer(tmp_path):
+    # layer 3 fails, so layer 2 has no map and layer 1 no composite test
+    h_path, out = _unbounded_top_layer(tmp_path, 0.3, w_bottom=1.5), tmp_path / "cert.json"
+    assert main(["certify", "--hierarchy", str(h_path), "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert blob["layers"][0] == {"layer": 1, "check": "boundedness", "pass": False}
+    assert [e["pass"] for e in blob["layers"]] == [False, False, False]
+    assert blob["all_pass"] is False
+
+
 def _json_paths(obj, prefix=()):
     """The key/index path of every value below obj."""
     if isinstance(obj, dict):
@@ -573,6 +622,20 @@ def test_cli_recruit_refuses_uncertified(tmp_path, capsys):
     ltio.dump_hierarchy(lc_hierarchy(w_bottom=1.5), h_path)
     assert main(["recruit", "--hierarchy", str(h_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_recruit_reads_controls_before_the_sweep_refuses(tmp_path, capsys):
+    # before: any failing lower layer exited 3 before --controls was read
+    good, h_path, c_path = tmp_path / "good.json", tmp_path / "h.json", tmp_path / "c.json"
+    ltio.dump_hierarchy(lc_hierarchy(), good)
+    assert main(["synthesize", "--hierarchy", str(good), "--out", str(c_path)]) == 0
+    ltio.dump_hierarchy(lc_hierarchy(w_bottom=1.5), h_path)
+    argv = ["recruit", "--hierarchy", str(h_path), "--controls", str(c_path), "--eps", "0.5"]
+    assert main(argv) == 3
+    assert "layer 2 has no certified map" in capsys.readouterr().err
+    c_path.write_text("{")
+    assert main(argv) == 2
+    assert str(c_path) in capsys.readouterr().err
 
 
 def _entries(change):
@@ -828,6 +891,45 @@ def test_cli_x0_file_of_the_wrong_length(tmp_path, capsys):
             assert main([*argv, "--x0", str(x0_path), "--out", str(out)]) == 2
             assert f"expected {n} numbers, got {count}" in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_cli_number_files_take_commas_or_whitespace(tmp_path, capsys):
+    # before: an x0 file of comma-separated numbers and a sample file of
+    # space-separated ones both exited 2
+    net_path, out = tmp_path / "net.json", tmp_path / "traj.csv"
+    ltio.dump_network(demo_network(), net_path)
+    x0_path = tmp_path / "x0.txt"
+    x0_path.write_text("0.5,1.5\n")
+    assert main(["simulate", "--net", str(net_path), "--x0", str(x0_path),
+                 "--tspan", "0,1", "--out", str(out)]) == 0
+    np.testing.assert_array_equal(ltio.trajectory_from_csv(out).samples[0], [0.5, 1.5])
+    a_path, b_path = tmp_path / "a.txt", tmp_path / "b.txt"
+    a_path.write_text("0.1 0.2 0.3\n")
+    b_path.write_text("5.1\n5.2, 5.3\n")
+    reports = []
+    for a, b in ((str(a_path), str(b_path)), ("0.1,0.2,0.3", "5.1,5.2,5.3")):
+        assert main(["rtest", "--a", a, "--b", b, "--n-perm", "99", "--seed", "2"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # a token that is not a number is refused, naming the file
+    for path, argv in ((x0_path, ["simulate", "--net", str(net_path), "--x0", str(x0_path),
+                                  "--out", str(out), "--force"]),
+                       (a_path, ["rtest", "--a", str(a_path), "--b", "1,2", "--seed", "0"])):
+        path.write_text("0.5,abc\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: could not convert string to float: 'abc'\n")
+
+
+def test_cli_equilibrium_at_a_non_finite_point_exits_3(tmp_path, capsys):
+    # before: exit 0 and a report holding NaN and -Infinity, not strict JSON
+    net = LTNetwork(W=np.array([[0.5]]), c=np.zeros(1), m=np.array([np.inf]), tau=1.0)
+    net_path, out = tmp_path / "net.json", tmp_path / "eq.json"
+    ltio.dump_network(net, net_path)
+    for at in ("-inf", "inf", "nan"):
+        assert main(["equilibrium", "--net", str(net_path), f"--at={at}", "--out", str(out)]) == 3
+        assert "no piece covers d=" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_simulate_x0_negative_list(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Control synthesis: exact cancellation gains and dominating feedforward."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ltnet import (
     InfeasibleExact,
     LTNetwork,
     NegativeControl,
+    NotCertified,
     certify_hierarchy,
     feedback_gain_bilayer,
     feedforward_bilayer,
@@ -16,7 +19,7 @@ from ltnet import (
     multilayer_controls,
 )
 
-from helpers import recruitment_hierarchy
+from helpers import lc_hierarchy, recruitment_hierarchy
 
 W_RECRUIT = np.array([[0.0, 0.9, 1.2], [0.7, 0.0, 1.0], [0.8, 0.2, 0.0]])
 
@@ -116,6 +119,15 @@ def test_feedforward_rejects_wrong_channel_sign():
         feedforward_bilayer(net, xbar1=np.zeros(0), nu=np.array([4.0]), W21=None)
 
 
+def test_feedforward_without_targets_or_inhibited_rows():
+    no_targets = LTNetwork(W_RECRUIT, np.zeros(3), np.full(3, np.inf), B=np.zeros((3, 2)))
+    np.testing.assert_array_equal(
+        feedforward_bilayer(no_targets, np.zeros(0), np.ones(3), None), np.zeros(2))
+    silent = LTNetwork(W_RECRUIT, np.zeros(3), np.full(3, np.inf), B=np.zeros((3, 1)), r=1)
+    with pytest.raises(InfeasibleExact, match="inhibited rows of B are zero"):
+        feedforward_bilayer(silent, np.zeros(0), np.ones(3), None)
+
+
 def test_feedforward_drive_domination():
     # with u = K x + ubar the inhibited node's total input stays nonpositive
     # whenever the states respect the bounds used in the synthesis
@@ -198,3 +210,19 @@ def test_dominating_gain_underactuated():
     slack = rhs - B_minus @ K
     assert np.all(slack >= -1e-9)
     assert np.all(slack.min(axis=0) <= 1e-9)
+
+
+def test_multilayer_controls_refuses_a_failing_certification():
+    # before: three laws for the first hierarchy, whose bottom layer fails,
+    # and a bare KeyError(3) for the second, whose middle layer needs the
+    # bottom layer's missing map
+    bottom = recruitment_hierarchy().layers[2]
+    raised = bottom.W.copy()
+    raised[bottom.plus, bottom.plus] += 3.0
+    deep = recruitment_hierarchy()
+    deep = Hierarchy((*deep.layers[:2], replace(bottom, W=raised)), deep.W_down, deep.W_up)
+    for h in (lc_hierarchy(w_bottom=1.5), deep):
+        cert = certify_hierarchy(h)
+        assert not cert.all_passed
+        with pytest.raises(NotCertified, match="hierarchy failed certification; no controls"):
+            multilayer_controls(h, cert)

@@ -767,7 +767,10 @@ def test_maps_of_one_tile_take_the_scan_alone(monkeypatch):
         assert (again._locator is not None) == built
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_points_raise_as_the_scan_does():
+    # a non-finite point lies in no region: before, the scan's 0 * inf
+    # warned first, and the one-node map below read NaN at -inf and inf at inf
     pa = _memory_guard_map()
     D = np.random.default_rng(113).uniform(-4.0, 4.0, size=(600, 8))
     D[[400, 300], 2] = np.nan
@@ -781,6 +784,14 @@ def test_non_finite_points_raise_as_the_scan_does():
             pa.eval(d)
         with pytest.raises(NoCoveringPiece, match="no piece covers d="):
             pa._locate(d)
+        assert pa.pieces_at(d) == []
+    line = equilibrium_map(np.array([[0.5]]), np.array([np.inf]))
+    for x in (-np.inf, np.inf):
+        with pytest.raises(NoCoveringPiece, match="no piece covers d="):
+            line.eval([x])
+        with pytest.raises(NoCoveringPiece, match="no piece covers row 1: d="):
+            line.eval_many([[1.0], [x]])
+        assert line.pieces_at([x]) == []
 
 
 # -- stacked emptiness decision against one LP per region ---------------------

@@ -1,6 +1,8 @@
 """Hierarchy integration, quasi-steady references, sweeps, reduced models."""
 
 import hashlib
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from ltnet import (
     ControlLaw,
     Hierarchy,
     LTNetwork,
+    NotCertified,
     OnlineFeedforward,
     certify_hierarchy,
     clip_box,
@@ -24,6 +27,7 @@ from ltnet import (
     sysid,
     tracking_error,
 )
+from ltnet import io as ltio
 from ltnet import network
 from ltnet.network import LINEAR, ZERO, rk4_integrate
 
@@ -149,11 +153,29 @@ def test_controlled_bilayer_silences_inhibited_node():
     assert np.all(trajs[1].input_log >= -1e-12)
 
 
+def test_a_law_controls_the_layer_it_names():
+    # before: [laws[1]] put layer 2's law on layer 1, which has no B, and
+    # the inhibited node peaked at 0.755 after t = 2 with no input log
+    h = ltio.load_hierarchy(Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json")
+    laws = multilayer_controls(h, certify_hierarchy(h))
+    x0 = [np.array([2.0, 6.0, 3.0]), np.array([0.5, 0.1, 0.1])]
+    full, alone = (simulate_hierarchy(h, given, x0, (0.0, 5.0), 0.01)
+                   for given in (laws, [laws[1]]))
+    for a, b in zip(full, alone):
+        assert a.samples.tobytes() == b.samples.tobytes()
+    assert alone[1].input_log.tobytes() == full[1].input_log.tobytes()
+    for given, match in (([laws[1], replace(laws[0], layer=3)], "names layer 3, outside 1..2"),
+                         ([replace(laws[0], layer=0)], "names layer 0, outside 1..2"),
+                         ([laws[1], laws[1]], "two control laws name layer 2")):
+        with pytest.raises(ValueError, match=match):
+            simulate_hierarchy(h, given, x0, (0.0, 1.0), 0.01)
+
+
 def test_reference_trajectory_bottom_layer():
     h = oscillator_bilayer()
     trajs = simulate_hierarchy(h, x0=[np.array([2.0, 6.0, 3.0]), np.zeros(3)],
                                t_span=(0.0, 10.0), dt=0.03)
-    ref = reference_trajectory(h, trajs[0], 2)
+    ref = reference_trajectory(h, trajs[0], 2, certify_hierarchy(h).maps[2])
     net = h.layers[1]
     assert np.all(ref.samples[:, 0] == 0.0)  # inhibited row pinned at zero
     # every sample solves the recruited fixed-point equation given x1(t)
@@ -172,19 +194,13 @@ def test_reference_trajectory_scalar_chain():
     )
     h = Hierarchy(layers, (np.zeros((1, 1)),), (np.array([[0.6]]),))
     trajs = simulate_hierarchy(h, t_span=(0.0, 8.0), dt=0.008)
-    ref = reference_trajectory(h, trajs[0], 2)
+    bottom = certify_hierarchy(h).maps[2]
+    ref = reference_trajectory(h, trajs[0], 2, bottom)
     # h(d) = 2 d on the active branch
     expected = 2.0 * (0.6 * trajs[0].samples[:, 0] + 0.3)
     np.testing.assert_allclose(ref.samples[:, 0], expected, atol=1e-10)
     with pytest.raises(ValueError, match="layer"):
-        reference_trajectory(h, trajs[0], 3)
-
-
-def test_reference_requires_map_above_bottom():
-    h = lc_hierarchy()
-    trajs = simulate_hierarchy(h, t_span=(0.0, 1.0), dt=0.01)
-    with pytest.raises(ValueError, match="pa_map"):
-        reference_trajectory(h, trajs[0], 2)
+        reference_trajectory(h, trajs[0], 3, bottom)
 
 
 def test_tracking_error_basics():
@@ -206,7 +222,8 @@ def test_epsilon_sweep_tightens_slaving():
                                -np.eye(3))
     law = ControlLaw(layer=2, K=K, ubar=ubar, mode="combined")
     x0 = [np.array([2.0, 6.0, 3.0]), np.array([0.02, 0.1, 0.1])]
-    report = epsilon_sweep(h, [None, law], (0.5, 0.25), x0=x0)
+    report = epsilon_sweep(h, [None, law], (0.5, 0.25), x0=x0,
+                           maps=certify_hierarchy(h).maps)
     assert report.errors_monotone[2]
     assert report.inhibited_monotone[2]
     assert report.errors[2][1] < report.errors[2][0]
@@ -216,25 +233,26 @@ def test_epsilon_sweep_tightens_slaving():
     assert blob["tracking_monotone"]["2"] is True
 
 
-def test_epsilon_sweep_builds_the_bottom_map_once(monkeypatch):
-    h = oscillator_bilayer()
-    net2 = h.layers[1]
-    bottom = equilibria.equilibrium_map(net2.W[net2.plus, net2.plus], net2.m[net2.plus])
-    built = []
-    build = equilibria.equilibrium_map
-    monkeypatch.setattr(equilibria, "equilibrium_map",
-                        lambda *args: built.append(args) or build(*args))
-    eps = (0.5, 0.25, 0.1)
-    report = epsilon_sweep(h, None, eps)
-    assert len(built) == 1
-    assert report == epsilon_sweep(h, None, eps, maps={2: bottom})
-
-
 def test_epsilon_sweep_refuses_an_empty_eps_list():
     # before: a report of empty error lists with every layer "monotone"
     h = oscillator_bilayer()
     with pytest.raises(ValueError, match="eps_list is empty"):
-        epsilon_sweep(h, None, [])
+        epsilon_sweep(h, None, [], maps=certify_hierarchy(h).maps)
+
+
+def test_epsilon_sweep_reads_only_certified_maps():
+    # layer 2 fails (rho 2), so certification gives it no map; before, the
+    # sweep built one and reported sqrt(2) at each eps, "monotone", for a
+    # layer that sits at (1, 1) against a reference on the (0, 0) branch
+    layers = (
+        LTNetwork(np.zeros((1, 1)), np.ones(1), np.array([2.0]), tau=1.0),
+        LTNetwork(np.array([[0.0, 2.0], [2.0, 0.0]]), np.full(2, -0.5), np.ones(2), tau=0.5),
+    )
+    h = Hierarchy(layers, (np.zeros((1, 2)),), (np.full((2, 1), 0.1),))
+    cert = certify_hierarchy(h)
+    assert cert.maps == {}
+    with pytest.raises(NotCertified, match="layer 2 has no certified map"):
+        epsilon_sweep(h, None, [0.5, 0.1], x0=[[1.0], [1.0, 1.0]], maps=cert.maps)
 
 
 def test_epsilon_sweep_stationary_at_equilibrium():
