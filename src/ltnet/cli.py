@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import warnings
 
@@ -287,44 +286,28 @@ def run(args) -> int:
 
     if cmd == "certify":
         h = ltio.load_hierarchy(args.hierarchy)
-        cert = certify_hierarchy(h)
-        layers = [
-            {
-                "layer": 1,
-                "check": "boundedness",
-                "pass": cert.layer1_bounded,
-                **(
-                    cert.layer1_certificate.to_dict()
-                    if cert.layer1_certificate is not None
-                    else {}
-                ),
-            }
-        ]
-        for i, c in enumerate(cert.certificates, start=2):
-            layers.append({"layer": i, **c.to_dict()})
-        _emit(args, {"layers": layers, "all_pass": cert.all_passed}, cmd)
+        _emit(args, certify_hierarchy(h).to_dict(), cmd)
         return 0
 
     if cmd == "synthesize":
         h = ltio.load_hierarchy(args.hierarchy)
-        laws = multilayer_controls(h, certify_hierarchy(h))
+        laws = multilayer_controls(h)
         _emit(args, {"controls": ltio.controls_to_jsonable(laws)}, cmd)
         return 0
 
     if cmd == "recruit":
         h = ltio.load_hierarchy(args.hierarchy)
-        cert = certify_hierarchy(h)
         if args.controls is not None:
             laws = ltio.load_controls(args.controls, h)
         else:
-            laws = multilayer_controls(h, cert)
+            laws = multilayer_controls(h)
         eps_list = _floats(args.eps)
         window = tuple(_floats(args.window, 2)) if args.window else None
         x0 = None
         if args.x0 is not None:
             flat = _numbers(args.x0, sum(la.n for la in h.layers))
             x0 = [flat[s] for s in h.slices()]
-        report = epsilon_sweep(h, laws, eps_list, x0=x0, window=window, maps=cert.maps)
+        report = epsilon_sweep(h, laws, eps_list, x0=x0, window=window)
         _emit(args, report.to_dict(), cmd)
         return 0
 
@@ -391,15 +374,25 @@ def run(args) -> int:
 _LIST_FLAGS = ("--at", "--x0", "--tspan", "--eps", "--window", "--a", "--b")
 
 
+def _reads_as_numbers(tok):
+    try:
+        _floats(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _attach_negative_lists(argv):
     """Write `--at -1,-1` as `--at=-1,-1`.
 
     argparse reads a value that starts with '-' and is not a plain
-    negative number as the next flag.
+    negative number (`-1,-1`, `-inf`) as the next flag, so a token after
+    a list flag is attached to it whenever _floats reads it.  A flag such
+    as `--out` does not read as numbers, so argparse refuses `--at --out x`.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _LIST_FLAGS and re.match(r"-\.?\d", tok):
+        if out and out[-1] in _LIST_FLAGS and _reads_as_numbers(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

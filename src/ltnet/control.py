@@ -272,14 +272,14 @@ def _online_feedforward(hierarchy, layer):
     )
 
 
-def multilayer_controls(hierarchy, certification) -> list:
+def multilayer_controls(hierarchy) -> list:
     """Synthesize per-layer control laws from a certified hierarchy.
 
-    certification is the result of stability.certify_hierarchy; unless
-    every layer passed (all_passed) no law is synthesized and NotCertified
-    is raised.  Its composed-map gain bounds enter the gain inequalities
-    of the layers between top and bottom.  Returns one ControlLaw per
-    layer (layer 1 is uncontrolled).  Gains satisfy, elementwise,
+    Unless every layer of hierarchy.certification passed (all_passed) no
+    law is synthesized and NotCertified is raised.  Its composed-map gain
+    bounds enter the gain inequalities of the layers between top and
+    bottom.  Returns one ControlLaw per layer (layer 1 is uncontrolled).
+    Gains satisfy, elementwise,
 
         B_N^- K_N  = -[W_NN^-- W_NN^-+]                   (bottom layer)
         B_i^- K_i <= -|W_ii^-:| - |W_i,i+1^-+| Fbar_{i+1} |W_i+1,i^+:|
@@ -287,7 +287,7 @@ def multilayer_controls(hierarchy, certification) -> list:
     with equality whenever p_i >= r_i, and the feedforward parts track
     the layer above online:  B_i^- ubar_i(t) <= -W_i,i-1^-: x_{i-1}(t) - c_i^-.
     """
-    if not certification.all_passed:
+    if not hierarchy.certification.all_passed:
         raise NotCertified("hierarchy failed certification; no controls")
     N = hierarchy.N
     laws = [ControlLaw(layer=1, K=None, ubar=None, mode="feedback-only")]
@@ -304,7 +304,7 @@ def multilayer_controls(hierarchy, certification) -> list:
             below = hierarchy.layers[i]
             Wdn_mp = hierarchy.W_down[i - 1][:r, below.plus]
             Wup_p = hierarchy.W_up[i - 1][below.plus, :]
-            Fbar = max_gain_matrix(certification.maps[i + 1])
+            Fbar = max_gain_matrix(hierarchy.certification.maps[i + 1])
             rhs = -np.abs(net.W[:r, :]) - np.abs(Wdn_mp) @ Fbar @ np.abs(Wup_p)
         K = _dominating_gain(B_minus, rhs)
         ubar = _online_feedforward(hierarchy, i)

@@ -89,7 +89,7 @@ _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
 _QUERY_TILE = 1 << 15  # row x point entries per point-location tile; isqrt = 181 points per chunk
 _LP_CHUNK = 64  # regions per stacked emptiness LP
 _PATTERN_CHUNK = 256  # patterns per stacked piece build: memory O(chunk * n^2)
-DEFAULT_ENUMERATION_LIMIT = 12
+_PATTERN_LIMIT = 3**11  # switching patterns an enumeration may build: n = 11, every m finite
 
 
 class NoCoveringPiece(Exception):
@@ -489,21 +489,24 @@ class _Locator:
 def equilibrium_map(W, m) -> PiecewiseAffineMap:
     """Enumerate all switching patterns of (W, m) into a piecewise map.
 
-    Raises ValueError beyond the enumeration limit (3^n growth); use
-    solve_equilibrium_iterative for pointwise queries on larger networks.
+    There are 3 patterns per finite ceiling and 2 per unbounded one; a
+    network with more than _PATTERN_LIMIT = 3^11 patterns is refused with
+    ValueError before anything is built; use solve_equilibrium_iterative
+    for pointwise queries on it.
     """
     W = np.asarray(W, dtype=float)
     m = np.broadcast_to(np.asarray(m, dtype=float), (W.shape[0],))
     n = W.shape[0]
-    if n > DEFAULT_ENUMERATION_LIMIT:
+    regimes = _regimes(m)
+    if (count := math.prod(map(len, regimes))) > _PATTERN_LIMIT:
         raise ValueError(
-            f"n={n} exceeds the enumeration limit {DEFAULT_ENUMERATION_LIMIT}; use "
-            "solve_equilibrium_iterative for pointwise equilibria"
+            f"n={n} has {count} switching patterns, beyond the enumeration limit "
+            f"{_PATTERN_LIMIT}; use solve_equilibrium_iterative for pointwise equilibria"
         )
     parts = []
     n_singular = 0
     # product order over increasing regime codes is label order
-    for labels in _chunks(itertools.product(*_regimes(m))):
+    for labels in _chunks(itertools.product(*regimes)):
         ok, F, f, G, g, keep = _pattern_pieces(W, m, np.array(labels), np.full(n, -0.0))
         n_singular += len(ok) - int(ok.sum())
         parts.append((itertools.compress(labels, ok), F, f, G[keep], g[keep], keep.sum(axis=1)))

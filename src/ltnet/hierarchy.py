@@ -19,10 +19,12 @@ feedforward or the slaved map as its drive terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import stability
 from .equilibria import NotCertified, PiecewiseAffineMap
 from .network import (AffinePiece, LTNetwork, Trajectory, _as_readonly, _clipped_run,
                       _initial_state, _step_count)
@@ -47,7 +49,9 @@ class Hierarchy:
     W_{i+1,i} (drive from the layer above), for i = 1..N-1.  The top
     layer must have r = 0, every lower layer r < n, and time constants
     must strictly decrease.  The blocks are held read-only, copied unless
-    they already are (network._as_readonly).
+    they already are (network._as_readonly), so certification, the
+    hierarchy's stability.certify_hierarchy, is computed on first read and
+    kept; synthesis and the epsilon sweep read it.
     """
 
     layers: tuple
@@ -89,6 +93,10 @@ class Hierarchy:
     @property
     def N(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def certification(self):
+        return stability.certify_hierarchy(self)
 
     @property
     def eps(self) -> tuple:
@@ -258,8 +266,6 @@ def epsilon_sweep(
     x0=None,
     window=None,
     dt_factor: float = 50.0,
-    *,
-    maps: dict,
 ) -> TrackingReport:
     """Rescale the hierarchy over eps_list and measure slaving quality.
 
@@ -268,15 +274,18 @@ def epsilon_sweep(
     window's end and 10 tau_1, and every layer below the top
     is compared against its quasi-steady reference over the window
     (default [2 tau_1, 10 tau_1]); inhibited nodes are scored by their
-    sup norm over the same window.  maps holds the composed equilibrium
-    maps h_i^+ keyed by layer index, as stability.certify_hierarchy
-    certifies them (its maps); the references read only these, and a
-    layer below the top without one is refused with NotCertified.
+    sup norm over the same window.  The references read the maps h_i^+ of
+    h.certification (the maps do not depend on tau), and a hierarchy that
+    fails it is refused with NotCertified, as multilayer_controls refuses
+    it, naming the first layer below the top without a map, or else layer 1.
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list is empty: there is nothing to sweep")
-    if missing := sorted(set(range(2, h.N + 1)) - set(maps)):
+    cert = h.certification
+    if missing := sorted(set(range(2, h.N + 1)) - set(cert.maps)):
         raise NotCertified(f"layer {missing[0]} has no certified map")
+    if not cert.all_passed:
+        raise NotCertified("layer 1 is not certified bounded")
     tau1 = h.layers[0].tau
     if window is None:
         window = (2.0 * tau1, 10.0 * tau1)
@@ -289,7 +298,7 @@ def epsilon_sweep(
         trajs = simulate_hierarchy(h_eps, controls, x0, (0.0, t_end), dt)
         for i in range(2, h.N + 1):
             net = h_eps.layers[i - 1]
-            ref = reference_trajectory(h_eps, trajs[i - 2], i, maps[i])
+            ref = reference_trajectory(h_eps, trajs[i - 2], i, cert.maps[i])
             errors[i].append(tracking_error(trajs[i - 1], ref, window))
             if net.r > 0:
                 mask = trajs[i - 1].window(*window)

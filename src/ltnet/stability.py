@@ -168,6 +168,13 @@ class HierarchyCertification:
     def certificate_for(self, layer: int) -> GESCertificate:
         return self.certificates[layer - 2]
 
+    def to_dict(self):
+        """The certify report: layer 1's boundedness entry, layers 2..N, all_pass."""
+        top = self.layer1_certificate.to_dict() if self.layer1_certificate is not None else {}
+        layers = [{"layer": 1, "check": "boundedness", "pass": self.layer1_bounded, **top}]
+        layers += [{"layer": i, **c.to_dict()} for i, c in enumerate(self.certificates, start=2)]
+        return {"layers": layers, "all_pass": self.all_passed}
+
 
 def certify_hierarchy(hierarchy) -> HierarchyCertification:
     """Certify every layer of a hierarchy, composing maps bottom-up.

@@ -19,13 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltnet import Hierarchy, LTNetwork, simulate
+from ltnet import Hierarchy, LTNetwork, NotCertified, epsilon_sweep, simulate
 from ltnet import io as ltio
-from ltnet import sysid
+from ltnet import stability, sysid
 from ltnet.cli import _load_problem, main
 from ltnet.control import ControlLaw, multilayer_controls
 from ltnet.io import ValidationError
-from ltnet.stability import certify_hierarchy
 
 from helpers import lc_hierarchy, recruitment_hierarchy
 
@@ -142,10 +141,42 @@ def test_spikes_csv(tmp_path):
         ltio.spikes_from_csv(bad)
 
 
+def test_csv_readers_refuse_a_path_they_cannot_open(tmp_path):
+    for read in (ltio.rates_from_csv, ltio.spikes_from_csv):
+        with pytest.raises(ValidationError) as exc:
+            read(tmp_path)  # a directory
+        assert str(exc.value).startswith(f"{tmp_path}: ")
+
+
+def test_spikes_csv_skips_blank_lines_and_names_a_bad_time(tmp_path):
+    path = tmp_path / "spikes.csv"
+    path.write_text("neuron_id,spike_time\nn1,0.5\n\nn1,1.5\n")
+    np.testing.assert_array_equal(ltio.spikes_from_csv(path)["n1"], [0.5, 1.5])
+    path.write_text("neuron_id,spike_time\nn1,0.5\n\nn1,soon\n")
+    with pytest.raises(ValidationError, match="line 4: could not convert string to float"):
+        ltio.spikes_from_csv(path)
+
+
+def test_load_controls_refuses_a_non_numeric_gain(tmp_path):
+    path = tmp_path / "controls.json"
+    path.write_text(json.dumps([{"layer": 2, "mode": "feedback-only",
+                                 "K": [["a", 0.0, 0.0]], "ubar": None}]))
+    with pytest.raises(ValidationError, match="layer 2: K malformed"):
+        ltio.load_controls(path, recruitment_hierarchy())
+
+
+def test_controls_to_jsonable_skips_the_layers_load_controls_leaves_empty(tmp_path):
+    entries = [{"layer": 2, "mode": "feedforward-only", "K": None, "ubar": [5.0]}]
+    path = tmp_path / "controls.json"
+    path.write_text(json.dumps(entries))
+    back = ltio.load_controls(path, recruitment_hierarchy())
+    assert back[0] is None and back[2] is None
+    assert ltio.controls_to_jsonable(back) == entries
+
+
 def test_controls_round_trip(tmp_path):
     h = recruitment_hierarchy()
-    cert = certify_hierarchy(h)
-    laws = multilayer_controls(h, cert)
+    laws = multilayer_controls(h)
     path = tmp_path / "controls.json"
     path.write_text(json.dumps(ltio.controls_to_jsonable(laws)))
     back = ltio.load_controls(path, h)
@@ -177,7 +208,7 @@ def test_controls_round_trip_a_constant_feedforward(tmp_path):
 
 def test_controls_json_refuses_user_callables():
     h = recruitment_hierarchy()
-    laws = multilayer_controls(h, certify_hierarchy(h))
+    laws = multilayer_controls(h)
     assert [e["ubar"] for e in ltio.controls_to_jsonable(laws)] == [None, "online", "online"]
     ff = laws[2].ubar
     laws[2] = ControlLaw(3, laws[2].K, lambda t, x_above: ff(t, x_above) + t, "combined")
@@ -409,6 +440,46 @@ def test_cli_recruit_refuses_what_synthesize_refuses(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_certification_needs_two_layers(tmp_path, capsys):
+    top = lc_hierarchy().layers[0]
+    h = Hierarchy((top,), (), ())
+    with pytest.raises(ValueError, match="needs at least two layers"):
+        stability.certify_hierarchy(h)
+    h_path = tmp_path / "h.json"
+    ltio.dump_hierarchy(h, h_path)
+    assert main(["certify", "--hierarchy", str(h_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: hierarchy certification needs at least two layers\n")
+    with pytest.raises(ValueError, match="hierarchy needs at least one layer"):
+        Hierarchy((), (), ())
+
+
+def test_cli_recruit_with_controls_refuses_what_synthesize_refuses(tmp_path, capsys):
+    # before: controls synthesized from the unedited fixture swept the
+    # hierarchy whose layer 1 fails, exited 0 and reported layer-2
+    # tracking errors of 36.6 and 46.2
+    controls, out = tmp_path / "controls.json", tmp_path / "out.json"
+    assert main(["synthesize", "--hierarchy", str(_LC_FIXTURE), "--out", str(controls)]) == 0
+    h_path = _unbounded_top_layer(tmp_path, 0.9)
+    assert main(["recruit", "--hierarchy", str(h_path), "--controls", str(controls),
+                 "--eps", "0.5,0.3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: layer 1 is not certified bounded\n"
+    assert not out.exists()
+    h = ltio.load_hierarchy(h_path)
+    with pytest.raises(NotCertified, match="layer 1 is not certified bounded"):
+        epsilon_sweep(h, ltio.load_controls(controls, h), [0.5, 0.3])
+
+
+@pytest.mark.parametrize("argv", [["synthesize"], ["recruit", "--eps", "0.5"]])
+def test_cli_synthesize_and_recruit_certify_once(tmp_path, monkeypatch, argv):
+    calls = []
+    certify = stability.certify_hierarchy
+    monkeypatch.setattr(stability, "certify_hierarchy", lambda h: calls.append(h) or certify(h))
+    out = tmp_path / "out.json"
+    assert main([*argv, "--hierarchy", str(_LC_FIXTURE), "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_certify_an_unbounded_top_layer_over_a_failing_layer(tmp_path):
     # layer 3 fails, so layer 2 has no map and layer 1 no composite test
     h_path, out = _unbounded_top_layer(tmp_path, 0.3, w_bottom=1.5), tmp_path / "cert.json"
@@ -474,7 +545,7 @@ def test_cli_synthesize_online_feedforward_reloads_bit_for_bit(tmp_path):
     ltio.dump_hierarchy(h, h_path)
     out = tmp_path / "controls.json"
     assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 0
-    synthesized = multilayer_controls(h, certify_hierarchy(h))
+    synthesized = multilayer_controls(h)
     loaded = ltio.load_controls(out, h)
     rng = np.random.default_rng(12)
     online = [i for i, law in enumerate(synthesized) if callable(law.ubar)]
@@ -877,6 +948,22 @@ def test_cli_equilibrium_at_negative_list(tmp_path):
                  "--out", str(ref)]) == 0
     assert json.loads(out.read_text())["at"] == [-1.0, -1.0]
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_cli_list_flags_take_non_finite_negative_numbers(tmp_path, capsys):
+    # before: argparse read -inf,... as a flag, and both runs exited 2 with
+    # "argument --at: expected one argument" / "argument --x0: ..."
+    net_path, out = tmp_path / "net.json", tmp_path / "out"
+    ltio.dump_network(ltio.load_hierarchy(_LC_FIXTURE).layers[1], net_path)
+    assert main(["equilibrium", "--net", str(net_path), "--at", "-inf,0", "--out", str(out)]) == 3
+    assert "no piece covers d=" in capsys.readouterr().err
+    assert main(["simulate", "--net", str(net_path), "--x0", "-inf,1", "--out", str(out)]) == 2
+    assert "x0 lies outside the box" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:  # a flag is not a value
+        main(["equilibrium", "--net", str(net_path), "--at", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --at: expected one argument" in capsys.readouterr().err
 
 
 def test_cli_x0_file_of_the_wrong_length(tmp_path, capsys):

@@ -155,8 +155,7 @@ def test_multilayer_reduces_to_bilayer():
         recruited_layer(),
     )
     h_ = Hierarchy(layers, (np.zeros((3, 3)),), (-np.eye(3),))
-    cert = certify_hierarchy(h_)
-    laws = multilayer_controls(h_, cert)
+    laws = multilayer_controls(h_)
     assert laws[0].layer == 1 and laws[0].K is None and laws[0].ubar is None
     np.testing.assert_allclose(laws[1].K, feedback_gain_bilayer(layers[1]),
                                atol=1e-14)
@@ -174,7 +173,7 @@ def test_multilayer_middle_layer_inequality():
     h = recruitment_hierarchy()
     cert = certify_hierarchy(h)
     assert cert.all_passed
-    laws = multilayer_controls(h, cert)
+    laws = multilayer_controls(h)
 
     mid = h.layers[1]
     Fbar = max_gain_matrix(cert.maps[3])
@@ -202,7 +201,7 @@ def test_dominating_gain_underactuated():
     )
     cert = certify_hierarchy(h)
     assert cert.all_passed
-    laws = multilayer_controls(h, cert)
+    laws = multilayer_controls(h)
     K = laws[1].K
     assert K.shape == (1, 3)
     B_minus = layers[1].B[:2, :]
@@ -225,4 +224,4 @@ def test_multilayer_controls_refuses_a_failing_certification():
         cert = certify_hierarchy(h)
         assert not cert.all_passed
         with pytest.raises(NotCertified, match="hierarchy failed certification; no controls"):
-            multilayer_controls(h, cert)
+            multilayer_controls(h)

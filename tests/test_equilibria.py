@@ -181,10 +181,33 @@ def test_iterative_matches_enumeration():
         )
 
 
-def test_enumeration_limit():
-    n = 13
-    with pytest.raises(ValueError, match="solve_equilibrium_iterative"):
-        equilibrium_map(np.zeros((n, n)), np.full(n, np.inf))
+def test_enumeration_limit(monkeypatch):
+    # the limit counts patterns, 3 per finite ceiling and 2 per unbounded
+    # one: n = 12 all finite (3^12) is refused before a piece is built,
+    # and n = 13 all unbounded (2^13) builds; before, the other way round
+    n = 12
+    with monkeypatch.context() as mp:
+        mp.setattr(equilibria, "_pattern_pieces", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="solve_equilibrium_iterative"):
+            equilibrium_map(np.zeros((n, n)), np.full(n, 2.0))
+    assert len(equilibrium_map(np.zeros((13, 13)), np.full(13, np.inf))) == 2**13
+
+
+def test_piece_for_pattern_refuses_a_pattern_of_the_wrong_length():
+    with pytest.raises(ValueError, match="pattern length 1 != n = 2"):
+        piece_for_pattern(np.zeros((2, 2)), np.ones(2), (LINEAR,))
+
+
+def test_consistency_gap_is_zero_inside_one_piece():
+    pa = equilibrium_map(np.zeros((1, 1)), np.array([1.0]))
+    assert len(pa.pieces_at(np.array([0.5]))) == 1
+    assert pa.consistency_gap(np.array([0.5])) == 0.0
+
+
+def test_iterative_solver_refuses_a_singular_contraction_test():
+    # I - |W| is singular at W = [[1]], so no alpha solves the test
+    with pytest.raises(NotCertified, match="no alpha > 0 solves"):
+        solve_equilibrium_iterative(np.array([[1.0]]), np.array([np.inf]), np.array([1.0]))
 
 
 def test_compose_requires_certificate():

@@ -157,7 +157,7 @@ def test_a_law_controls_the_layer_it_names():
     # before: [laws[1]] put layer 2's law on layer 1, which has no B, and
     # the inhibited node peaked at 0.755 after t = 2 with no input log
     h = ltio.load_hierarchy(Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json")
-    laws = multilayer_controls(h, certify_hierarchy(h))
+    laws = multilayer_controls(h)
     x0 = [np.array([2.0, 6.0, 3.0]), np.array([0.5, 0.1, 0.1])]
     full, alone = (simulate_hierarchy(h, given, x0, (0.0, 5.0), 0.01)
                    for given in (laws, [laws[1]]))
@@ -222,8 +222,7 @@ def test_epsilon_sweep_tightens_slaving():
                                -np.eye(3))
     law = ControlLaw(layer=2, K=K, ubar=ubar, mode="combined")
     x0 = [np.array([2.0, 6.0, 3.0]), np.array([0.02, 0.1, 0.1])]
-    report = epsilon_sweep(h, [None, law], (0.5, 0.25), x0=x0,
-                           maps=certify_hierarchy(h).maps)
+    report = epsilon_sweep(h, [None, law], (0.5, 0.25), x0=x0)
     assert report.errors_monotone[2]
     assert report.inhibited_monotone[2]
     assert report.errors[2][1] < report.errors[2][0]
@@ -237,7 +236,7 @@ def test_epsilon_sweep_refuses_an_empty_eps_list():
     # before: a report of empty error lists with every layer "monotone"
     h = oscillator_bilayer()
     with pytest.raises(ValueError, match="eps_list is empty"):
-        epsilon_sweep(h, None, [], maps=certify_hierarchy(h).maps)
+        epsilon_sweep(h, None, [])
 
 
 def test_epsilon_sweep_reads_only_certified_maps():
@@ -252,7 +251,7 @@ def test_epsilon_sweep_reads_only_certified_maps():
     cert = certify_hierarchy(h)
     assert cert.maps == {}
     with pytest.raises(NotCertified, match="layer 2 has no certified map"):
-        epsilon_sweep(h, None, [0.5, 0.1], x0=[[1.0], [1.0, 1.0]], maps=cert.maps)
+        epsilon_sweep(h, None, [0.5, 0.1], x0=[[1.0], [1.0, 1.0]])
 
 
 def test_epsilon_sweep_stationary_at_equilibrium():
@@ -265,9 +264,7 @@ def test_epsilon_sweep_stationary_at_equilibrium():
         np.full(2, np.inf), h.layers[2].W, np.array([np.inf]),
         h.W_up[0] @ x1 + h.layers[1].c,
     )
-    cert = certify_hierarchy(h)
-    report = epsilon_sweep(h, None, (0.5, 0.2), x0=[x1, x2, x3],
-                           maps=cert.maps)
+    report = epsilon_sweep(h, None, (0.5, 0.2), x0=[x1, x2, x3])
     for i in (2, 3):
         assert max(report.errors[i]) < 1e-6
     assert report.inhibited == {}
@@ -444,7 +441,7 @@ def test_simulate_hierarchy_outputs_are_pinned(case):
         trajs = simulate_hierarchy(h, laws, None, (0.0, 3000 * dt), dt)
     else:
         h = recruitment_hierarchy()
-        laws = multilayer_controls(h, certify_hierarchy(h)) if case == "recruitment" else None
+        laws = multilayer_controls(h) if case == "recruitment" else None
         x0 = [np.array([1.0, 2.0]), np.array([0.5, 1.0, 0.2]), np.array([0.3, 0.1, 0.4])]
         trajs = simulate_hierarchy(h, laws, x0, (0.0, 10.0))
     digest = hashlib.sha256()
@@ -494,10 +491,9 @@ def test_rom_takes_the_block_path():
 def test_certify_control_sweep_and_rom_read_maps_through_their_stacks():
     # none of these builds a map's AffinePiece views
     h = recruitment_hierarchy()
-    cert = certify_hierarchy(h)
-    maps = cert.maps
-    laws = multilayer_controls(h, cert)
-    epsilon_sweep(h, laws, (0.5,), maps=maps)
+    maps = h.certification.maps
+    laws = multilayer_controls(h)
+    epsilon_sweep(h, laws, (0.5,))
     rom_simulate(h, maps[2], t_span=(0.0, 0.5))
     for pa in maps.values():
         pa.eval(np.zeros(pa.domain_dim))
@@ -548,7 +544,7 @@ def test_plain_core_is_the_reference_loop():
 
 def test_input_log_is_input_at_per_sample():
     h = recruitment_hierarchy()
-    laws = multilayer_controls(h, certify_hierarchy(h))
+    laws = multilayer_controls(h)
     K, ff = laws[1].K, laws[1].ubar
     assert isinstance(ff, OnlineFeedforward)
     variants = [
@@ -571,7 +567,7 @@ def test_input_log_is_input_at_per_sample():
 def test_hierarchy_and_online_feedforward_freeze_their_blocks():
     W_up = -np.eye(3)
     h = Hierarchy(oscillator_bilayer().layers, (np.zeros((3, 3)),), (W_up,))
-    ff = multilayer_controls(h, certify_hierarchy(h))[1].ubar
+    ff = multilayer_controls(h)[1].ubar
     x = np.array([1.0, 2.0, 3.0])
     before = ff(0.0, x)
     W_up[0, 0] = 5.0  # the caller's array, after construction
@@ -584,7 +580,7 @@ def test_hierarchy_and_online_feedforward_freeze_their_blocks():
 
 def test_block_stepper_evicts_cached_pieces_without_changing_the_run(monkeypatch):
     h = oscillator_bilayer()
-    laws = multilayer_controls(h, certify_hierarchy(h))
+    laws = multilayer_controls(h)
     build = network._BlockStepper._build
 
     def run(cache):

@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,15 @@ def test_report_schema_matches_the_cli():
     assert schema["properties"]["schema"]["const"] == io.REPORT_SCHEMA
     sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert schema["properties"]["command"]["enum"] == list(sub.choices)
+
+
+def test_readme_python_blocks_run():
+    # each quick-start block runs as written, in a namespace of its own
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
 
 
 def test_import_loads_no_csgraph():

@@ -337,6 +337,38 @@ def test_objective_divergence():
         objective(z, problem)
 
 
+def test_predict_refuses_a_diverging_candidate():
+    problem = SysIdProblem(
+        (1,), [WeightEntry("W11", 0, 0, "free", 3.0)], [],
+        ("base",), (0,), t0=0.0, tf=5.0, T=0.1,
+    )
+    with pytest.raises(SimulationDiverged, match="diverged"):
+        predict(np.array([3.0, 0.3, 2.0, 1.0]), problem)  # the z of test_objective_divergence
+
+
+def test_problem_refuses_missing_bounds_and_data():
+    with pytest.raises(ValueError, match="need one tau bound pair per layer"):
+        SysIdProblem((1, 1), [WeightEntry("W11", 0, 0)], [], ("a",), (0,),
+                     tau_bounds=[(0.3, 10.0)])
+    problem = SysIdProblem((1,), [WeightEntry("W11", 0, 0)], [], ("a", "b"), (0,),
+                           tf=1.0, T=0.1)
+    with pytest.raises(ValueError, match="missing data for condition 'b'"):
+        problem.attach_data({"a": np.zeros((problem.K, 1))})
+    with pytest.raises(ValueError, match="problem has no attached data"):
+        objective(np.mean(problem.bounds(), axis=0), problem)
+
+
+def test_fit_refuses_when_every_start_diverges():
+    problem = SysIdProblem(
+        (1,), [WeightEntry("W11", 0, 0, "+", 30.0)], [],
+        ("base",), (0,), t0=0.0, tf=5.0, T=0.1,
+        tau_bounds=[(0.3, 0.3)], c_bounds=(2.0, 5.0),
+        data={"base": np.zeros((51, 1))},
+    )
+    with pytest.raises(sysid.AllStartsFailed, match="no start produced a finite objective"):
+        fit(problem, n_starts=2, seed=0, maxiter=0)
+
+
 def test_divergence_is_flagged_per_candidate():
     problem = SysIdProblem(
         (1,), [WeightEntry("W11", 0, 0, "free", 3.0)], [],
