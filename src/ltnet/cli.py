@@ -170,14 +170,6 @@ _STRUCTURE_KEYS = ("block", "row", "col", "sign", "bound")
 _INPUT_KEYS = ("name", "kind", "params")
 
 
-def _known_keys(path, where, entry, known):
-    """Reject a key outside known, so that a misspelled optional key does
-    not silently take its default."""
-    unknown = sorted(set(entry) - set(known)) if isinstance(entry, dict) else []
-    if unknown:
-        raise ValidationError(f"{path}: {where} has unknown key {unknown[0]!r}")
-
-
 def _input_signal(path, k, entry):
     try:
         return sysid.InputSignal(entry["name"], entry["kind"], entry.get("params", {}))
@@ -189,12 +181,12 @@ def _input_signal(path, k, entry):
 
 def _load_problem(path, data_dir):
     obj = ltio._load_json(path)
-    _known_keys(path, "problem", obj, _PROBLEM_KEYS + _PROBLEM_OPTIONAL)
+    ltio._known_keys(f"{path}: problem", obj, _PROBLEM_KEYS + _PROBLEM_OPTIONAL)
     try:
         for k, e in enumerate(obj["structure"]):
-            _known_keys(path, f"structure entry {k}", e, _STRUCTURE_KEYS)
+            ltio._known_keys(f"{path}: structure entry {k}", e, _STRUCTURE_KEYS)
         for k, s in enumerate(obj.get("inputs", [])):
-            _known_keys(path, f"inputs entry {k}", s, _INPUT_KEYS)
+            ltio._known_keys(f"{path}: inputs entry {k}", s, _INPUT_KEYS)
         structure = [
             sysid.WeightEntry(
                 e["block"],

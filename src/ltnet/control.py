@@ -278,7 +278,10 @@ def multilayer_controls(hierarchy) -> list:
     Unless every layer of hierarchy.certification passed (all_passed) no
     law is synthesized and NotCertified is raised.  Its composed-map gain
     bounds enter the gain inequalities of the layers between top and
-    bottom.  Returns one ControlLaw per layer (layer 1 is uncontrolled).
+    bottom.  A lower layer with r > 0 inhibition targets but no B is
+    refused with InfeasibleExact, as feedback_gain_bilayer refuses it.
+    Returns one ControlLaw per layer (layer 1 and layers with r = 0 are
+    uncontrolled).
     Gains satisfy, elementwise,
 
         B_N^- K_N  = -[W_NN^-- W_NN^-+]                   (bottom layer)
@@ -294,9 +297,12 @@ def multilayer_controls(hierarchy) -> list:
     for i in range(2, N + 1):
         net = hierarchy.layers[i - 1]
         r = net.r
-        if r == 0 or net.B is None:
+        if r == 0:
             laws.append(ControlLaw(layer=i, K=None, ubar=None, mode="feedback-only"))
             continue
+        if net.B is None:
+            raise InfeasibleExact(f"layer {i} has r = {r} inhibition targets but no B; "
+                                  "exact cancellation needs p >= r")
         B_minus = net.B[:r, :]
         if i == N:
             rhs = -net.W[:r, :]

@@ -89,7 +89,7 @@ _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
 _QUERY_TILE = 1 << 15  # row x point entries per point-location tile; isqrt = 181 points per chunk
 _LP_CHUNK = 64  # regions per stacked emptiness LP
 _PATTERN_CHUNK = 256  # patterns per stacked piece build: memory O(chunk * n^2)
-_PATTERN_LIMIT = 3**11  # switching patterns an enumeration may build: n = 11, every m finite
+_STACK_LIMIT = 3**11 * 11**2  # patterns x n^2 an enumeration may build: n = 11, every m finite
 
 
 class NoCoveringPiece(Exception):
@@ -489,19 +489,21 @@ class _Locator:
 def equilibrium_map(W, m) -> PiecewiseAffineMap:
     """Enumerate all switching patterns of (W, m) into a piecewise map.
 
-    There are 3 patterns per finite ceiling and 2 per unbounded one; a
-    network with more than _PATTERN_LIMIT = 3^11 patterns is refused with
-    ValueError before anything is built; use solve_equilibrium_iterative
-    for pointwise queries on it.
+    There are 3 patterns per finite ceiling and 2 per unbounded one, and
+    each piece's stacks grow with n^2.  A network whose patterns x n^2
+    exceed _STACK_LIMIT = 3^11 * 11^2 (the n = 11 all-finite map) is
+    refused with ValueError before anything is built; use
+    solve_equilibrium_iterative for pointwise queries on it.
     """
     W = np.asarray(W, dtype=float)
     m = np.broadcast_to(np.asarray(m, dtype=float), (W.shape[0],))
     n = W.shape[0]
     regimes = _regimes(m)
-    if (count := math.prod(map(len, regimes))) > _PATTERN_LIMIT:
+    if (count := math.prod(map(len, regimes))) * n * n > _STACK_LIMIT:
         raise ValueError(
-            f"n={n} has {count} switching patterns, beyond the enumeration limit "
-            f"{_PATTERN_LIMIT}; use solve_equilibrium_iterative for pointwise equilibria"
+            f"n={n} has {count} switching patterns, whose stacks (patterns x n^2) exceed "
+            f"the enumeration limit {_STACK_LIMIT}; use solve_equilibrium_iterative for "
+            "pointwise equilibria"
         )
     parts = []
     n_singular = 0

@@ -45,13 +45,13 @@ __all__ = [
 class Hierarchy:
     """Chain of layers with inter-layer weights.
 
-    W_down[i-1] is W_{i,i+1} (drive from the layer below), W_up[i-1] is
-    W_{i+1,i} (drive from the layer above), for i = 1..N-1.  The top
-    layer must have r = 0, every lower layer r < n, and time constants
-    must strictly decrease.  The blocks are held read-only, copied unless
-    they already are (network._as_readonly), so certification, the
-    hierarchy's stability.certify_hierarchy, is computed on first read and
-    kept; synthesis and the epsilon sweep read it.
+    W_down[i-1] and W_up[i-1] are the blocks between layers i and i+1, for
+    i = 1..N-1, in the order coupling documents; coupling(i) hands out
+    their task-relevant parts.  The top layer must have r = 0, every lower
+    layer r < n, and time constants must strictly decrease.  The blocks are
+    held read-only, copied unless they already are (network._as_readonly),
+    so certification, the hierarchy's stability.certify_hierarchy, is
+    computed on first read and kept; synthesis and the epsilon sweep read it.
     """
 
     layers: tuple
@@ -93,6 +93,24 @@ class Hierarchy:
     @property
     def N(self) -> int:
         return len(self.layers)
+
+    def coupling(self, i: int) -> tuple:
+        """Layer i's task-relevant blocks against the layer below, 1-based:
+        (W_ii^{++}, W_i,i+1^{++}, W_i+1,i^{++}, c_{i+1}^+) as views, the
+        last three None for the bottom layer.  W_down[i-1] is W_{i,i+1}
+        (layer i's drive from layer i+1), W_up[i-1] is W_{i+1,i} (layer
+        i+1's drive from layer i).  Control synthesis reads their inhibited
+        rows ([:r, ...]), not these ++ blocks, so it indexes them itself."""
+        N = len(self.layers)
+        if not 1 <= i <= N:
+            raise ValueError(f"layer must be 1..{N}, got {i}")
+        p = self.layers[i - 1].plus
+        Wii = self.layers[i - 1].W[p, p]
+        if i == N:
+            return Wii, None, None, None
+        below = self.layers[i]
+        q = below.plus
+        return Wii, self.W_down[i - 1][p, q], self.W_up[i - 1][q, p], below.c[q]
 
     @cached_property
     def certification(self):
@@ -214,8 +232,8 @@ def reference_trajectory(
         raise ValueError(f"layer must be 2..{h.N}")
     net = h.layers[layer - 1]
     above = h.layers[layer - 2]
-    Wup_pp = h.W_up[layer - 2][net.plus, above.plus]
-    drive = upper_traj.samples[:, above.plus] @ Wup_pp.T + net.c[net.plus]
+    _, _, Wup_pp, c_plus = h.coupling(layer - 1)
+    drive = upper_traj.samples[:, above.plus] @ Wup_pp.T + c_plus
     plus_vals = pa_map.eval_many(drive)
     samples = np.zeros((plus_vals.shape[0], net.n))
     samples[:, net.plus] = plus_vals
@@ -365,11 +383,10 @@ def rom_simulate(
     """
     if h.N < 2:
         raise ValueError("reduced model needs a layer below the top")
-    top, below = h.layers[0], h.layers[1]  # the top layer has r = 0: x is all of it
+    top = h.layers[0]  # the top layer has r = 0: x is all of it
     t0, dt, n_steps = _step_count(t_span, dt, top.tau)
     x0 = _initial_state(np.zeros(top.n) if x0 is None else x0, top.m, "x0 of layer 1")
-    p = below.plus
-    slaved = _SlavedLayer(pa_map, h.W_up[0][p], below.c[p])
+    _, Wdn, Wup, c_below = h.coupling(1)
     samples = _clipped_run(top.W, top.c, top.m, top.tau, x0, t0, dt, n_steps,
-                           [(slice(None), slice(None), h.W_down[0][:, p], slaved)])
+                           [(slice(None), slice(None), Wdn, _SlavedLayer(pa_map, Wup, c_below))])
     return Trajectory(t0=t0, dt=dt, samples=samples)

@@ -47,6 +47,19 @@ def _integer(value, what):
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+_NETWORK_KEYS = ("n", "W", "c", "m", "tau", "B", "r")
+_HIERARCHY_KEYS = ("layers", "W_down", "W_up", "comment")
+_CONTROL_KEYS = ("layer", "mode", "K", "ubar")
+
+
+def _known_keys(where, entry, known):
+    """Reject a key outside known, so that a misspelled optional key does
+    not silently take its default."""
+    unknown = sorted(set(entry) - set(known)) if isinstance(entry, dict) else []
+    if unknown:
+        raise ValidationError(f"{where} has unknown key {unknown[0]!r}")
+
+
 def _ceiling_in(v):
     if v == "inf":
         return np.inf
@@ -72,6 +85,7 @@ def _load_json(path):
 
 
 def network_from_dict(obj) -> LTNetwork:
+    _known_keys("network", obj, _NETWORK_KEYS)
     try:
         n = _integer(obj["n"], "n")
         W = np.array(obj["W"], dtype=float)
@@ -152,6 +166,7 @@ def _blocks(obj, name):
 
 
 def hierarchy_from_dict(obj) -> Hierarchy:
+    _known_keys("hierarchy", obj, _HIERARCHY_KEYS)
     try:
         layers = tuple(_layer_from_dict(k, la) for k, la in enumerate(obj["layers"], start=1))
         W_down, W_up = _blocks(obj, "W_down"), _blocks(obj, "W_up")
@@ -261,7 +276,8 @@ def _finite_array(value, what, shape):
 
 
 def load_controls(path, hierarchy: Hierarchy):
-    """Control-law JSON for hierarchy: list of {layer, mode, K, ubar}.
+    """Control-law JSON for hierarchy: list of {layer, mode, K, ubar}, an
+    entry with any other key refused.
 
     ubar may be a constant vector or the string "online", in which case
     the hierarchy is used to rebuild the upper-layer tracking feedforward.
@@ -276,7 +292,8 @@ def load_controls(path, hierarchy: Hierarchy):
     if not isinstance(obj, list):
         raise ValidationError("controls file must be a JSON list")
     laws = {}
-    for entry in obj:
+    for k, entry in enumerate(obj):
+        _known_keys(f"control entry {k}", entry, _CONTROL_KEYS)
         try:
             layer = _integer(entry["layer"], "control entry layer")
             mode = entry["mode"]

@@ -177,73 +177,50 @@ class HierarchyCertification:
 
 
 def certify_hierarchy(hierarchy) -> HierarchyCertification:
-    """Certify every layer of a hierarchy, composing maps bottom-up.
+    """Certify every layer of a hierarchy in one bottom-up walk, i = N..1.
 
-    Layer N is checked through rho(|W_NN^{++}|) < 1; each layer above it
-    through rho(|W_ii^{++}| + |W_i,i+1^{++}| Fbar_{i+1} |W_i+1,i^{++}|) < 1
-    with Fbar_{i+1} the gain bound of the composed map below.  Composition
-    stops at the first failing layer (maps above it cannot be certified
-    unique); the returned object still reports every computed certificate.
+    Layer N is checked through rho(|W_NN^{++}|) < 1; each layer above it,
+    layer 1's boundedness test included, through
+    rho(|W_ii^{++}| + |W_i,i+1^{++}| Fbar_{i+1} |W_i+1,i^{++}|) < 1 with
+    Fbar_{i+1} the gain bound of the composed map below, on the blocks of
+    hierarchy.coupling(i).  Composition stops at the first failing layer
+    (maps above it cannot be certified unique); the returned object still
+    reports every computed certificate.
     """
     N = hierarchy.N
     if N < 2:
         raise ValueError("hierarchy certification needs at least two layers")
+    top = hierarchy.layers[0]
+    # layer 1 needs no test under finite ceilings, nor when it is purely
+    # inhibitory: the drive never exceeds [c]_+, so the box
+    # [0, max(x(0), [c]_+)] is forward invariant
+    top_bounded = np.all(np.isfinite(top.m[top.plus])) or (
+        np.all(top.W <= 0) and np.all(hierarchy.W_down[0] <= 0))
     certs: dict[int, GESCertificate] = {}
     maps: dict[int, equilibria.PiecewiseAffineMap] = {}
-
-    bot = hierarchy.layers[-1]
-    Wpp = bot.W[bot.plus, bot.plus]
-    certs[N] = ges_certificate(Wpp, tau=bot.tau)
-    if certs[N].passed:
-        maps[N] = equilibrium_map(Wpp, bot.m[bot.plus])
-
-    for i in range(N - 1, 1, -1):
+    for i in range(N, 1 if top_bounded else 0, -1):
         net = hierarchy.layers[i - 1]
-        below = hierarchy.layers[i]
-        Wii = net.W[net.plus, net.plus]
-        Wdn = hierarchy.W_down[i - 1][net.plus, below.plus]
-        Wup = hierarchy.W_up[i - 1][below.plus, net.plus]
-        if i + 1 not in maps:
-            # layer below failed: the composite test matrix is unavailable,
-            # so this layer cannot be certified either
-            certs[i] = replace(ges_certificate(Wii, tau=net.tau), passed=False)
-            continue
-        Fbar = max_gain_matrix(maps[i + 1])
-        certs[i] = ges_certificate(Wii, Wdn, Wup, Fbar, tau=net.tau)
-        if certs[i].passed:
-            maps[i] = compose_maps(
-                maps[i + 1],
-                Wii,
-                Wdn,
-                Wup,
-                below.c[below.plus],
-                net.m[net.plus],
-                certificate=certs[i],
-            )
-
-    top = hierarchy.layers[0]
-    layer1_cert = None
-    if np.all(np.isfinite(top.m[top.plus])):
-        layer1_bounded = True
-    elif np.all(top.W <= 0) and np.all(hierarchy.W_down[0] <= 0):
-        # purely inhibitory top layer: the drive never exceeds [c]_+, so
-        # the box [0, max(x(0), [c]_+)] is forward invariant
-        layer1_bounded = True
-    else:
-        Wii = top.W[top.plus, top.plus]
-        Wdn = hierarchy.W_down[0][top.plus, hierarchy.layers[1].plus]
-        Wup = hierarchy.W_up[0][hierarchy.layers[1].plus, top.plus]
-        if 2 in maps:
-            layer1_cert = ges_certificate(
-                Wii, Wdn, Wup, max_gain_matrix(maps[2]), tau=top.tau
-            )
-            layer1_bounded = layer1_cert.passed
+        Wii, Wdn, Wup, c_below = hierarchy.coupling(i)
+        if i + 1 in maps:
+            cert = ges_certificate(Wii, Wdn, Wup, max_gain_matrix(maps[i + 1]), tau=net.tau)
+        elif i == 1:
+            break  # layer 2 has no map, so layer 1 has no composite test
         else:
-            layer1_bounded = False
+            cert = ges_certificate(Wii, tau=net.tau)
+            if i < N:
+                # layer below failed: the composite test matrix is
+                # unavailable, so this layer cannot be certified either
+                cert = replace(cert, passed=False)
+        certs[i] = cert
+        if i > 1 and cert.passed:
+            maps[i] = (equilibrium_map(Wii, net.m[net.plus]) if i == N else
+                       compose_maps(maps[i + 1], Wii, Wdn, Wup, c_below, net.m[net.plus],
+                                    certificate=cert))
+    layer1_cert = certs.pop(1, None)
     return HierarchyCertification(
         certificates=tuple(certs[i] for i in range(2, N + 1)),
         maps=maps,
-        layer1_bounded=layer1_bounded,
+        layer1_bounded=bool(top_bounded or (layer1_cert is not None and layer1_cert.passed)),
         layer1_certificate=layer1_cert,
     )
 

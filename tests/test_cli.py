@@ -582,15 +582,58 @@ def test_cli_refuses_nonzero_B_rows_past_r(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_reads_an_empty_B_as_no_B(tmp_path):
+def test_cli_reads_an_empty_B_as_no_B(tmp_path, capsys):
     blob = json.loads((Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json")
                       .read_text())
     blob["layers"][1]["B"] = []
     h_path, out = tmp_path / "h.json", tmp_path / "controls.json"
     h_path.write_text(json.dumps(blob))
-    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 0
-    assert [law["mode"] for law in json.loads(out.read_text())["controls"]] == [
-        "feedback-only", "feedback-only"]
+    assert ltio.load_hierarchy(h_path).layers[1].B is None
+    # layer 2 has r = 1 inhibition target and now no B: before, synthesize
+    # exited 0 with an empty feedback-only law for it
+    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 3
+    assert "layer 2 has r = 1 inhibition targets but no B" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_OSC_FIXTURE = Path(ltio.__file__).parent / "fixtures" / "example_oscillator.json"
+
+
+def test_cli_refuses_a_misspelled_network_key(tmp_path, capsys):
+    # before, layer 2's B spelled b was read as no B: synthesize exited 0
+    # with two null laws, and recruit --eps 0.5,0.2 exited 0 reporting
+    # inhibited norms 2.77e4 and 9.86e11
+    blob = json.loads(_OSC_FIXTURE.read_text())
+    blob["layers"][1]["b"] = blob["layers"][1].pop("B")
+    h_path, out = tmp_path / "h.json", tmp_path / "out.json"
+    h_path.write_text(json.dumps(blob))
+    for argv in (["synthesize"], ["recruit", "--eps", "0.5,0.2"]):
+        assert main([*argv, "--hierarchy", str(h_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: layer 2: network has unknown key 'b'\n"
+        assert not out.exists()
+
+
+def test_cli_refuses_a_misspelled_control_key(tmp_path, capsys):
+    # before, layer 2's ubar spelled Ubar was read as no feedforward:
+    # recruit exited 0 reporting inhibited norms 0.0103 and 8.6e-5, where
+    # the correct file gives 0.0 and 0.0
+    controls, out = tmp_path / "controls.json", tmp_path / "out.json"
+    assert main(["synthesize", "--hierarchy", str(_OSC_FIXTURE), "--out", str(controls)]) == 0
+    blob = json.loads(controls.read_text())
+    blob["controls"][1]["Ubar"] = blob["controls"][1].pop("ubar")
+    controls.write_text(json.dumps(blob))
+    assert main(["recruit", "--hierarchy", str(_OSC_FIXTURE), "--controls", str(controls),
+                 "--eps", "0.5,0.2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: control entry 1 has unknown key 'Ubar'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*(Path(ltio.__file__).parent / "fixtures").glob("*.json"),
+     Path(__file__).parents[1] / "perfbench" / "inputs" / "recruitment_hierarchy.json"]),
+    ids=lambda p: p.stem)
+def test_bundled_hierarchies_hold_only_known_keys(path):
+    assert ltio.load_hierarchy(path).N >= 2
 
 
 def test_cli_synthesize_exits_3_without_a_dominating_gain(tmp_path, capsys):

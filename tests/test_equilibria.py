@@ -182,14 +182,16 @@ def test_iterative_matches_enumeration():
 
 
 def test_enumeration_limit(monkeypatch):
-    # the limit counts patterns, 3 per finite ceiling and 2 per unbounded
-    # one: n = 12 all finite (3^12) is refused before a piece is built,
-    # and n = 13 all unbounded (2^13) builds; before, the other way round
-    n = 12
+    # the limit bounds stack size, patterns x n^2 with 3 patterns per finite
+    # ceiling and 2 per unbounded one: n = 12 all finite (3^12 x 144) and
+    # n = 17 all unbounded (2^17 x 289, which peaked at 1 297 MB under a
+    # pattern cap) are refused before a piece is built, and n = 13 all
+    # unbounded (2^13 x 169) builds
     with monkeypatch.context() as mp:
         mp.setattr(equilibria, "_pattern_pieces", mock.Mock(side_effect=AssertionError))
-        with pytest.raises(ValueError, match="solve_equilibrium_iterative"):
-            equilibrium_map(np.zeros((n, n)), np.full(n, 2.0))
+        for n, m in ((12, 2.0), (17, np.inf)):
+            with pytest.raises(ValueError, match="solve_equilibrium_iterative"):
+                equilibrium_map(np.zeros((n, n)), np.full(n, m))
     assert len(equilibrium_map(np.zeros((13, 13)), np.full(13, np.inf))) == 2**13
 
 

@@ -1,5 +1,8 @@
 """Spectral certificates: Perron pairs, layer tests, hierarchy walks."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from ltnet import (
     weighted_norm,
 )
 
-from helpers import lc_hierarchy, rho_oracle
+from helpers import lc_hierarchy, recruitment_hierarchy, rho_oracle
 
 
 def test_spectral_radius_against_eigensolver():
@@ -247,3 +250,74 @@ def test_empirical_decay_refuses_failed_certificate():
     cert = ges_certificate(net.W)
     with pytest.raises(NotCertified):
         empirical_decay_check(net, cert)
+
+
+def _unbounded_top(h, w, down):
+    """h under an unbounded top layer: every weight of its W set to w, its
+    ceilings lifted, and every entry of W_down[0] set to down."""
+    top = h.layers[0]
+    top = LTNetwork(np.full_like(top.W, w), top.c, np.full(top.n, np.inf), tau=top.tau)
+    W_down = (np.full_like(h.W_down[0], down),) + h.W_down[1:]
+    return Hierarchy((top,) + h.layers[1:], W_down, h.W_up)
+
+
+def _scalar_chain(weights, couplings):
+    """A chain of unbounded scalar layers with self-weights weights and
+    equal down/up couplings between neighbours."""
+    layers = tuple(LTNetwork(np.array([[w]]), np.array([1.0]), np.array([np.inf]),
+                             tau=4.0 / 2**k) for k, w in enumerate(weights))
+    blocks = tuple(np.array([[v]]) for v in couplings)
+    return Hierarchy(layers, blocks, blocks)
+
+
+def _certify_walk_cases():
+    W1 = np.array([[0.0, -0.8, -1.7], [-1.0, 0.0, -0.5], [-0.7, -1.8, 0.0]])
+    inhibitory = Hierarchy(
+        (LTNetwork(W1, np.array([11.0, 10.0, 10.0]), np.full(3, np.inf), tau=3.3),
+         LTNetwork(np.array([[0.0, 0.9, 1.2], [0.7, 0.0, 1.0], [0.8, 0.2, 0.0]]),
+                   np.array([2.0, 3.5, 2.5]), np.full(3, np.inf), tau=1.65,
+                   B=np.array([[-1.0], [0.0], [0.0]]), r=1)),
+        (np.zeros((3, 3)),), (-np.eye(3),))
+    return {
+        "finite-top": recruitment_hierarchy(),
+        "inhibitory-top": inhibitory,
+        "composite-pass": _unbounded_top(recruitment_hierarchy(), 0.1, 0.05),
+        "composite-fail": _unbounded_top(lc_hierarchy(), 0.9, 0.5),
+        "no-map-2": _unbounded_top(lc_hierarchy(w_bottom=1.5), 0.3, 0.5),
+        "failing-middle": _scalar_chain([0.2, 0.3, 0.5, 0.5], [0.2, 0.3, 1.0]),
+    }
+
+
+# each case's layer passes, top first, and the SHA-256 of its certify
+# report's JSON bytes followed by every map's labels, F, f, G, g and ends
+# in layer order (NumPy 2.4 with OpenBLAS, x86-64): one hierarchy per
+# outcome of the layer-1 test, and one with a middle layer above a failure
+_CERTIFY_WALK = {
+    "composite-fail": ([False, True, True],
+                       "54c66f9a467c4e060e9637fb5859c05f87376bcaff01c5d46d6f6ab920625ade"),
+    "composite-pass": ([True, True, True],
+                       "c780b0e5f30676b22c48b09772393cc8a3b1bb42726843fc97cdb8a7ccb69019"),
+    "failing-middle": ([False, False, False, True],
+                       "2a9902b3718ffb016623de9b5cfefd012e53587cd02929b50abcc2a17856af89"),
+    "finite-top": ([True, True, True],
+                   "6b23734da87ec5a3da6d5e799112793bfc43de4bec462c5ce6b9bb6c3209d91c"),
+    "inhibitory-top": ([True, True],
+                       "204e64d4224a84b3f2b4c73e2de26417368d671bc4f5438d3077c230582ab2bb"),
+    "no-map-2": ([False, False, False],
+                 "31570202546759183dcf3fedd17b21bec23ca51401a02ca2407aec6b3c7becb1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFY_WALK))
+def test_certify_walk_outputs_are_pinned(case):
+    passes, sha = _CERTIFY_WALK[case]
+    cert = certify_hierarchy(_certify_walk_cases()[case])
+    report = cert.to_dict()
+    assert [e["pass"] for e in report["layers"]] == passes
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    for i in sorted(cert.maps):
+        pa = cert.maps[i]
+        digest.update(repr(pa.labels).encode())
+        for a in (pa.F, pa.f, pa.G, pa.g, pa.ends):
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == sha
