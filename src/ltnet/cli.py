@@ -88,78 +88,90 @@ def _numbers(text, count=None):
         raise ValidationError(f"{text}: {e}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REPORT_OUT = ("--out", dict(help="report JSON path (stdout when omitted)"))
+
+# subcommand -> (its help, its flags as (flag, _add keywords)); each also takes --force
+_COMMANDS = {
+    "simulate": ("integrate a single network", [
+        ("--net", dict(required=True, help="network JSON")),
+        ("--x0", dict(help="initial state (comma list or file)")),
+        ("--tspan", dict(default="0,10", help="t0,t1")),
+        ("--dt", dict(help="fixed step (default tau/50)")),
+        ("--out", dict(required=True, help="trajectory CSV path")),
+    ]),
+    "equilibrium": ("equilibrium map of a network", [
+        ("--net", dict(required=True)),
+        ("--at", dict(help="evaluate at this input instead of dumping the map")),
+        ("--out", dict(required=True, help="JSON output path")),
+    ]),
+    "certify": ("layerwise stability certificates", [
+        ("--hierarchy", dict(required=True, help="hierarchy JSON")),
+        _REPORT_OUT,
+    ]),
+    "synthesize": ("inhibition/recruitment controls", [
+        ("--hierarchy", dict(required=True)),
+        ("--out", dict(required=True, help="controls JSON path")),
+    ]),
+    "recruit": ("epsilon sweep with controls", [
+        ("--hierarchy", dict(required=True)),
+        ("--controls", dict(help="controls JSON (default: synthesize)")),
+        ("--eps", dict(default="0.5,0.25,0.1", help="comma list of ratios")),
+        ("--x0", dict(help="stacked initial state (comma list or file)")),
+        ("--window", dict(help="t_lo,t_hi (default 2 tau1, 10 tau1)")),
+        _REPORT_OUT,
+    ]),
+    "fit": ("fit a structured model to rate data", [
+        ("--problem", dict(required=True, help="problem JSON")),
+        ("--data", dict(help="directory with per-condition rate CSVs")),
+        ("--seed", dict(required=True, help="RNG seed (stochastic step)")),
+        ("--starts", dict(default="32")),
+        ("--maxiter", dict(default="300")),
+        _REPORT_OUT,
+    ]),
+    "timescale": ("autocorrelation timescale of trials", [
+        ("--data", dict(required=True, help="CSV, one trial per row")),
+        ("--binwidth", dict(default="0.2")),
+        ("--lags", dict(default="1:10", help="lag range lo:hi")),
+        _REPORT_OUT,
+    ]),
+    "rtest": ("two-sided permutation test", [
+        ("--a", dict(required=True, help="first sample (CSV or comma list)")),
+        ("--b", dict(required=True, help="second sample")),
+        ("--n-perm", dict(default="1999")),
+        ("--seed", dict(required=True)),
+        _REPORT_OUT,
+    ]),
+    "predict": ("rates of a fitted parameter vector", [
+        ("--problem", dict(required=True)),
+        ("--data", dict(help="directory with per-condition rate CSVs")),
+        ("--params", dict(required=True, help="fit report JSON (for its z)")),
+        _REPORT_OUT,
+    ]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ltnet parser: only command's subparser when command names a
+    subcommand, every subcommand's otherwise (no command, --help, an
+    unknown one).  LTNET_* defaults are read here.  For an argv that
+    starts with command, both parsers print the same bytes.
+    """
     ap = argparse.ArgumentParser(
         prog="ltnet",
         description="linear-threshold network hierarchies: simulation, "
         "equilibria, certification, recruitment control and identification",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate a single network")
-    _add(p, "--net", required=True, help="network JSON")
-    _add(p, "--x0", help="initial state (comma list or file)")
-    _add(p, "--tspan", default="0,10", help="t0,t1")
-    _add(p, "--dt", help="fixed step (default tau/50)")
-    _add(p, "--out", required=True, help="trajectory CSV path")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("equilibrium", help="equilibrium map of a network")
-    _add(p, "--net", required=True)
-    _add(p, "--at", help="evaluate at this input instead of dumping the map")
-    _add(p, "--out", required=True, help="JSON output path")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("certify", help="layerwise stability certificates")
-    _add(p, "--hierarchy", required=True, help="hierarchy JSON")
-    _add(p, "--out", help="report JSON path (stdout when omitted)")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("synthesize", help="inhibition/recruitment controls")
-    _add(p, "--hierarchy", required=True)
-    _add(p, "--out", required=True, help="controls JSON path")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("recruit", help="epsilon sweep with controls")
-    _add(p, "--hierarchy", required=True)
-    _add(p, "--controls", help="controls JSON (default: synthesize)")
-    _add(p, "--eps", default="0.5,0.25,0.1", help="comma list of ratios")
-    _add(p, "--x0", help="stacked initial state (comma list or file)")
-    _add(p, "--window", help="t_lo,t_hi (default 2 tau1, 10 tau1)")
-    _add(p, "--out", help="report JSON path (stdout when omitted)")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("fit", help="fit a structured model to rate data")
-    _add(p, "--problem", required=True, help="problem JSON")
-    _add(p, "--data", help="directory with per-condition rate CSVs")
-    _add(p, "--seed", required=True, help="RNG seed (stochastic step)")
-    _add(p, "--starts", default="32")
-    _add(p, "--maxiter", default="300")
-    _add(p, "--out", help="report JSON path (stdout when omitted)")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("timescale", help="autocorrelation timescale of trials")
-    _add(p, "--data", required=True, help="CSV, one trial per row")
-    _add(p, "--binwidth", default="0.2")
-    _add(p, "--lags", default="1:10", help="lag range lo:hi")
-    _add(p, "--out", help="report JSON path (stdout when omitted)")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("rtest", help="two-sided permutation test")
-    _add(p, "--a", required=True, help="first sample (CSV or comma list)")
-    _add(p, "--b", required=True, help="second sample")
-    _add(p, "--n-perm", default="1999")
-    _add(p, "--seed", required=True)
-    _add(p, "--out", help="report JSON path (stdout when omitted)")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("predict", help="rates of a fitted parameter vector")
-    _add(p, "--problem", required=True)
-    _add(p, "--data", help="directory with per-condition rate CSVs")
-    _add(p, "--params", required=True, help="fit report JSON (for its z)")
-    _add(p, "--out", help="report JSON path (stdout when omitted)")
-    p.add_argument("--force", action="store_true")
-
+    lean = command in _COMMANDS
+    # the lean usage line lists every subcommand too; the full parser keeps
+    # no metavar, which its missing- and unknown-command errors would name
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if lean else None)
+    for name, (help_text, flags) in _COMMANDS.items():
+        if name == command or not lean:
+            p = sub.add_parser(name, help=help_text)
+            for flag, kw in flags:
+                _add(p, flag, **kw)
+            p.add_argument("--force", action="store_true")
     return ap
 
 
@@ -392,8 +404,8 @@ def _attach_negative_lists(argv):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_lists(argv))
+    argv = _attach_negative_lists(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return run(args)
     except _NUMERICAL_ERRORS as e:

@@ -13,7 +13,9 @@ input channels as inhibited nodes (p >= r); the gain then solves
 B^- K = -[W^-- W^-+] exactly.  In a deeper hierarchy the layers between
 top and bottom must also dominate the worst-case drive routed through the
 slaved layer below, which the gain inequalities express through the
-composed map's gain bound.  Only the gain LP of _dominating_gain loads SciPy.
+composed map's gain bound.  Only the gain LP of _dominating_gain loads SciPy:
+it goes through equilibria.linprog, ltnet's one LP entry, looked up there at
+each call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import equilibria
 from .equilibria import NotCertified, max_gain_matrix
 from .network import LINEAR, ZERO, AffinePiece, LTNetwork, _as_readonly, _regime_rows
 
@@ -181,17 +184,11 @@ def _dominating_gain(B_minus, rhs) -> np.ndarray:
     if p >= r:
         with contextlib.suppress(InfeasibleExact):
             return _exact_solve(B_minus, rhs, "gain")
-    from scipy.optimize import linprog
     K = np.empty((p, n))
+    free = np.full((p, 2), [-np.inf, np.inf])
     for j in range(n):
         # minimize sum of surplus (rhs_j - B^- k), i.e. maximize sum B^- k
-        res = linprog(
-            c=-np.sum(B_minus, axis=0),
-            A_ub=B_minus,
-            b_ub=rhs[:, j],
-            bounds=[(None, None)] * p,
-            method="highs",
-        )
+        res = equilibria.linprog(-np.sum(B_minus, axis=0), B_minus, rhs[:, j], free)
         if res.status != 0:
             raise InfeasibleExact(f"no dominating gain for column {j}")
         K[:, j] = res.x

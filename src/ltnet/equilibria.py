@@ -40,8 +40,9 @@ candidate is first dropped without an LP when one inner row is negative
 over the whole box its outer pattern allows the outer state (see
 _box_empty); the rest are decided by max-margin LPs, _LP_CHUNK
 candidates stacked into one block-diagonal LP, assembled from one stack
-of every undecided candidate's rows with an owner index.  SciPy (HiGHS)
-is imported by the first such LP, not by this module.
+of every undecided candidate's rows with an owner index.  Every LP in
+ltnet goes through linprog here, HiGHS through scipy.optimize.milp;
+SciPy is imported by the first LP, not by this module.
 
 A map locates a point by the first piece in label order whose region
 holds it.  A map that equilibrium_map built with every pattern kept for
@@ -580,10 +581,29 @@ def _regions_nonempty(G, g, owner, count) -> np.ndarray:
     return keep
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported when called; a patch of this global takes effect."""
-    from scipy.optimize import linprog
-    return linprog(*args, **kwargs)
+def linprog(c, A_ub, b_ub, bounds):
+    """min c x subject to A_ub x <= b_ub and bounds[:, 0] <= x <= bounds[:, 1]:
+    ltnet's one LP entry.  control looks it up here as well, so a patch of
+    this global reaches every LP.
+
+    HiGHS solves it through scipy.optimize.milp with no integer variables.
+    That is the solve scipy.optimize.linprog(method="highs") runs, on the
+    same CSC matrix, so the status (0 optimal, 2 infeasible, ...) and the
+    bits of x are linprog's; only linprog's input parsing and result
+    post-processing are skipped.  milp would solve a NaN entry of A_ub and
+    call NaN in b_ub infeasible, so NaN or +-inf in c, in the entries of
+    A_ub (dense or sparse) or in b_ub raise ValueError first, as they do in
+    linprog, and so does a NaN bound, which linprog reads as no bound.
+    SciPy is imported by the first call.
+    """
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    entries = A_ub.data if sparse.issparse(A_ub) else A_ub
+    if not (np.isfinite(c).all() and np.isfinite(entries).all()
+            and np.isfinite(b_ub).all()) or np.isnan(bounds).any():
+        raise ValueError("LP data must be finite and bounds not NaN")
+    return milp(c, constraints=LinearConstraint(A_ub, -np.inf, b_ub),
+                bounds=Bounds(bounds[:, 0], bounds[:, 1]))
 
 
 def _max_margin_lp(G, g, owner, keep):
@@ -593,10 +613,11 @@ def _max_margin_lp(G, g, owner, keep):
 
     Block k holds the rows [-G_k, 1] over the variables (d_k, s_k), every
     entry written, zeros too, as sparse.block_diag of the dense blocks
-    writes them.  The blocks share no variable, so each s_k reaches its
-    own block's maximal margin.  Each block is feasible and bounded, so a
-    nonzero status is a solver failure: the blocks are split in half and
-    solved again, and a single block that fails counts as empty.
+    writes them, and linprog hands HiGHS that matrix as CSC.  The blocks
+    share no variable, so each s_k reaches its own block's maximal margin.
+    Each block is feasible and bounded, so a nonzero status is a solver
+    failure: the blocks are split in half and solved again, and a single
+    block that fails counts as empty.
     """
     from scipy import sparse
     regions, firsts, block = np.unique(owner, return_index=True, return_inverse=True)
@@ -610,7 +631,7 @@ def _max_margin_lp(G, g, owner, keep):
     c[s_idx] = -1.0
     bounds = np.full((A.shape[1], 2), [-np.inf, np.inf])
     bounds[s_idx, 1] = 1.0
-    res = linprog(c, A_ub=A, b_ub=g, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A, b_ub=g, bounds=bounds)
     if res.status == 0:
         keep[regions] = res.x[s_idx] >= -1e-9
     elif len(regions) == 1:

@@ -215,6 +215,39 @@ def rk4_calls(drop_hint=False):
         yield calls
 
 
+@contextmanager
+def captured_lps():
+    """A list that gets (c, A_ub, b_ub, bounds) of every LP that ltnet
+    solves through its one LP entry, equilibria.linprog, while open."""
+    from ltnet import equilibria
+
+    entry = equilibria.linprog
+    lps = []
+
+    def capture(c, A_ub, b_ub, bounds):
+        lps.append((c, A_ub, b_ub, bounds))
+        return entry(c, A_ub, b_ub, bounds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibria, "linprog", capture)
+        yield lps
+
+
+def assert_solved_as_linprog_solves(lps):
+    """equilibria.linprog is optimal on each LP exactly where
+    scipy.optimize.linprog(method="highs") is, with the same bytes of x."""
+    from scipy.optimize import linprog
+
+    from ltnet import equilibria
+
+    for c, A_ub, b_ub, bounds in lps:
+        want = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        got = equilibria.linprog(c, A_ub, b_ub, bounds)
+        assert (got.status == 0) == (want.status == 0)
+        if want.status == 0:
+            assert got.x.tobytes() == want.x.tobytes()
+
+
 W_OSC = np.array([
     [0.0, -0.8, -1.7],
     [-1.0, 0.0, -0.5],

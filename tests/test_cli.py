@@ -6,6 +6,7 @@ success (including failing certificates), 2 on validation errors, 3 on
 numerical failures.
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 
 from ltnet import Hierarchy, LTNetwork, NotCertified, epsilon_sweep, simulate
 from ltnet import io as ltio
-from ltnet import stability, sysid
+from ltnet import cli, stability, sysid
 from ltnet.cli import _load_problem, main
 from ltnet.control import ControlLaw, multilayer_controls
 from ltnet.io import ValidationError
 
-from helpers import lc_hierarchy, recruitment_hierarchy
+from helpers import (assert_solved_as_linprog_solves, captured_lps, lc_hierarchy,
+                     recruitment_hierarchy)
 
 
 def demo_network():
@@ -644,9 +646,13 @@ def test_cli_synthesize_exits_3_without_a_dominating_gain(tmp_path, capsys):
     blob["layers"][1].update(r=2, B=[[1.0], [-1.0], [0.0]])
     h_path, out = tmp_path / "h.json", tmp_path / "controls.json"
     h_path.write_text(json.dumps(blob))
-    assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 3
+    with captured_lps() as lps:
+        assert main(["synthesize", "--hierarchy", str(h_path), "--out", str(out)]) == 3
     assert "no dominating gain for column 0" in capsys.readouterr().err
     assert not out.exists()
+    # linprog finds the same LP infeasible
+    assert len(lps) == 1
+    assert_solved_as_linprog_solves(lps)
 
 
 def test_cli_recruit(tmp_path):
@@ -976,6 +982,51 @@ def test_cli_env_overrides(tmp_path, monkeypatch, capsys):
     # explicit flags win over the environment
     assert main(["rtest", "--a", "1,2,3", "--b", "1,2,3", "--n-perm", "25"]) == 0
     assert json.loads(capsys.readouterr().out)["n_perm"] == 25
+
+
+# -- the parser main builds: only the named subcommand's ----------------------
+
+# subcommand -> (the rest of a sample argv, one LTNET_ variable, its value)
+_SAMPLE_ARGV = {
+    "simulate": (["--net", "n.json", "--out", "t.csv", "--tspan", "0,5"], "DT", "0.01"),
+    "equilibrium": (["--net", "n.json", "--at=-1,-1"], "OUT", "e.json"),
+    "certify": (["--hierarchy", "h.json"], "OUT", "c.json"),
+    "synthesize": (["--out", "k.json", "--force"], "HIERARCHY", "h.json"),
+    "recruit": (["--hierarchy", "h.json", "--eps", "0.5"], "WINDOW", "1,2"),
+    "fit": (["--problem", "p.json", "--starts", "2"], "SEED", "7"),
+    "timescale": (["--data", "d.csv"], "LAGS", "2:4"),
+    "rtest": (["--a", "1,2", "--b", "3,4", "--seed", "1"], "N_PERM", "99"),
+    "predict": (["--problem", "p.json", "--params", "f.json"], "DATA", "rates"),
+}
+
+
+def test_sample_argv_covers_every_subcommand():
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_SAMPLE_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(_SAMPLE_ARGV))
+def test_lean_parser_reads_what_the_full_parser_reads(command, monkeypatch):
+    rest, var, value = _SAMPLE_ARGV[command]
+    monkeypatch.setenv("LTNET_" + var, value)
+    argv = [command, *rest]
+    lean = vars(cli.build_parser(command).parse_args(argv))
+    assert lean == vars(cli.build_parser().parse_args(argv))
+    assert lean[var.lower()] == value
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus", "--net", "n.json"], ["certify", "--help"], ["recruit", "-h"],
+    ["fit", "--problem", "p.json"], ["simulate", "--net"],
+    ["certify", "--hierarchy", "h.json", "--bogus"],
+])
+def test_cli_prints_what_the_full_parser_prints(argv, capsys):
+    with pytest.raises(SystemExit) as lean:
+        main(argv)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    assert (lean.value.code, printed) == (full.value.code, capsys.readouterr())
 
 
 # -- comma lists that start with a negative number ----------------------------

@@ -19,7 +19,8 @@ from ltnet import (
     multilayer_controls,
 )
 
-from helpers import lc_hierarchy, recruitment_hierarchy
+from helpers import (assert_solved_as_linprog_solves, captured_lps, lc_hierarchy,
+                     recruitment_hierarchy)
 
 W_RECRUIT = np.array([[0.0, 0.9, 1.2], [0.7, 0.0, 1.0], [0.8, 0.2, 0.0]])
 
@@ -201,7 +202,11 @@ def test_dominating_gain_underactuated():
     )
     cert = certify_hierarchy(h)
     assert cert.all_passed
-    laws = multilayer_controls(h)
+    with captured_lps() as lps:
+        laws = multilayer_controls(h)
+    # one gain LP per column, through the patched entry, solved as linprog solves it
+    assert len(lps) == 3
+    assert_solved_as_linprog_solves(lps)
     K = laws[1].K
     assert K.shape == (1, 3)
     B_minus = layers[1].B[:2, :]

@@ -39,6 +39,8 @@ from ltnet.equilibria import _LP_CHUNK, _QUERY_TILE, _box_empty, _regions_nonemp
 from ltnet.network import _regime_rows
 
 from helpers import (
+    assert_solved_as_linprog_solves,
+    captured_lps,
     clip01m,
     fixed_point,
     joint_fixed_point,
@@ -893,16 +895,13 @@ def test_stacked_emptiness_matches_one_lp_per_region(chunk, monkeypatch):
     regions, truth = _hand_regions()
     reference = np.array([_one_lp(G, g) for G, g in regions])
     np.testing.assert_array_equal(reference, truth)
-    calls = []
-
-    def counted(c, **kwargs):
-        calls.append(np.count_nonzero(c))  # one -1 per block's margin variable
-        return linprog(c, **kwargs)
-
     monkeypatch.setattr(equilibria, "_LP_CHUNK", chunk)
-    monkeypatch.setattr(equilibria, "linprog", counted)
-    np.testing.assert_array_equal(_regions_nonempty(*_row_stack(regions)), truth)
+    with captured_lps() as lps:
+        np.testing.assert_array_equal(_regions_nonempty(*_row_stack(regions)), truth)
+    calls = [np.count_nonzero(c) for c, *_ in lps]  # one -1 per block's margin variable
     assert sum(calls) == _LP_REGIONS and len(calls) == -(-_LP_REGIONS // chunk)
+    # the entry solves each stacked LP as scipy.optimize.linprog does, bit for bit
+    assert_solved_as_linprog_solves(lps)
 
 
 def _composite():
@@ -939,18 +938,46 @@ def test_stacked_lp_failure_bisects_to_single_blocks(monkeypatch):
     regions, truth = _hand_regions()
     want = _piece_bytes(_composite())
     sizes = []
+    entry = equilibria.linprog
 
     def fails_when_stacked(c, **kwargs):
         blocks = np.count_nonzero(c)  # one -1 per block's margin variable
         sizes.append(blocks)
         if blocks > 1:
             return SimpleNamespace(status=4, x=None)
-        return linprog(c, **kwargs)
+        return entry(c, **kwargs)
 
     monkeypatch.setattr(equilibria, "linprog", fails_when_stacked)
     np.testing.assert_array_equal(_regions_nonempty(*_row_stack(regions)), truth)
     assert max(sizes) == _LP_CHUNK and 1 in sizes
     assert _piece_bytes(_composite()) == want
+
+
+_LP_C, _LP_A, _LP_B = np.array([0.0, -1.0]), np.array([[1.0, 1.0], [-1.0, 1.0]]), np.ones(2)
+_LP_BOUNDS = np.array([[-np.inf, np.inf], [-np.inf, 1.0]])
+
+
+@pytest.mark.parametrize("where, bad", [
+    *itertools.product(["c", "A_ub", "sparse A_ub", "b_ub"], [np.nan, np.inf, -np.inf]),
+    ("bounds", np.nan),
+])
+def test_lp_entry_refuses_non_finite_data(where, bad):
+    # milp alone would solve a NaN entry of A_ub or +inf in b_ub (status 0)
+    # and call NaN in b_ub infeasible, which _max_margin_lp reads as empty
+    from scipy import sparse
+
+    lp = {"c": _LP_C.copy(), "A_ub": _LP_A.copy(), "b_ub": _LP_B.copy(),
+          "bounds": _LP_BOUNDS.copy()}
+    key = where.split()[-1]
+    lp[key].flat[-1] = bad
+    if where == "sparse A_ub":
+        lp[key] = sparse.coo_matrix(lp[key])
+    assert equilibria.linprog(_LP_C, _LP_A, _LP_B, _LP_BOUNDS).status == 0
+    with pytest.raises(ValueError, match="finite"):
+        equilibria.linprog(**lp)
+    if key != "bounds":  # scipy.optimize.linprog reads a NaN bound as no bound
+        with pytest.raises(ValueError):
+            linprog(**lp, method="highs")
 
 
 def test_single_block_failure_counts_as_empty(monkeypatch):
@@ -972,10 +999,11 @@ def _decides_nothing(Gi, b, sigmas, m):
 def _lp_blocks(monkeypatch):
     """A list that gets the block count of every stacked LP solved from now on."""
     blocks = []
+    entry = equilibria.linprog
 
     def counted(c, **kwargs):
         blocks.append(np.count_nonzero(c))  # one -1 per block's margin variable
-        return linprog(c, **kwargs)
+        return entry(c, **kwargs)
 
     monkeypatch.setattr(equilibria, "linprog", counted)
     return blocks
