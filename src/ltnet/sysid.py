@@ -38,8 +38,9 @@ bit, the values it would see alone, and fit returns what one start
 after another would.  The adjoint's arrays (about 1.6 MB a candidate
 on the two-channel problem) are buffers of the window, sized to its
 starts and reused by every round, so their pages are faulted in once
-per window; they go when the window closes.  SciPy is imported by fit
-(minimize) and by 'pulse' inputs (ndtr), not by this module.
+per window; they go when the window closes.  SciPy is imported only by
+fit (minimize), not by this module: 'pulse' inputs evaluate Cephes's
+ndtr here, with the bits of SciPy's ndtr.
 """
 
 from __future__ import annotations
@@ -257,6 +258,79 @@ def _pair_of_numbers(v):
         return False
 
 
+# Cephes ndtr, erf and erfc (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), the code behind SciPy's ndtr: the same
+# coefficients, branches and operation order, with math.exp for the C
+# library's exp, give SciPy's bits for every non-NaN argument (np.exp may take
+# a SIMD path that differs from it in the last bit).  Q, S and U
+# hold Cephes's implied leading 1 (its p1evl): 1 * x is x exactly.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest degree first."""
+    a = coef[0]
+    for c in coef[1:]:
+        a = a * x + c
+    return a
+
+
+def _erf(x):
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(a):
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        y = z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+    else:
+        y = z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
+    if a < 0.0:
+        y = 2.0 - y
+    return y if y != 0.0 else (2.0 if a < 0.0 else 0.0)
+
+
+def _ndtr1(a):
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal CDF of each element of a, as SciPy's ndtr gives it."""
+    a = np.asarray(a, dtype=float)
+    return np.array([_ndtr1(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
 @dataclass(frozen=True)
 class InputSignal:
     """One known exogenous signal.
@@ -291,6 +365,8 @@ class InputSignal:
             window, sigma = p.get("window"), p.get("sigma", 1.0)
             if not _pair_of_numbers(window):
                 raise ValueError(f"pulse window must be two finite numbers, got {window!r}")
+            if window[0] > window[1]:
+                raise ValueError(f"pulse window must not end before it starts, got {window!r}")
             if not (_finite_number(sigma) and sigma > 0):
                 raise ValueError(f"pulse sigma must be finite and > 0, got {sigma!r}")
         elif self.kind == "const":
@@ -309,10 +385,9 @@ class InputSignal:
             # literal ramp: |t0| - t before the reference time, 0 after
             return np.where(t < 0.0, abs(t0) - t, 0.0)
         if self.kind == "pulse":
-            from scipy.special import ndtr
             a, b = self.params["window"]
             s = float(self.params.get("sigma", 1.0))
-            return ndtr((t - a) / s) - ndtr((t - b) / s)
+            return _ndtr((t - a) / s) - _ndtr((t - b) / s)
         return np.full_like(t, float(self.params.get("value", 1.0)))  # const
 
 
@@ -712,12 +787,6 @@ def _values_and_grads(Z, problem: SysIdProblem, work=None):
                              for p in live])
         G[live] = _adjoint(Z[live], problem, traj[:, live], grad_est[:, None], work)[:, 0]
     return F, G
-
-
-def _value_and_grad(z, problem: SysIdProblem):
-    """_values_and_grads of one parameter vector: (f, g)."""
-    F, G = _values_and_grads(z[None, :], problem)
-    return float(F[0]), G[0]
 
 
 class _AdjointWork:

@@ -295,14 +295,22 @@ def random_controlled_hierarchy(rng, n_layers):
     return h, laws
 
 
+def value_and_grad(z, problem):
+    """sysid._values_and_grads of one parameter vector: (f, g)."""
+    from ltnet.sysid import _values_and_grads
+
+    F, G = _values_and_grads(z[None, :], problem)
+    return float(F[0]), G[0]
+
+
 def sequential_fit(problem, n_starts=32, seed=0, maxiter=300, target_r2=None):
-    """Multi-start fit one start after another, each on _value_and_grad alone:
+    """Multi-start fit one start after another, each on value_and_grad alone:
     the loop sysid.fit ran before its starts moved in lock-step.  Returns
     (z, f, starts, best_start, n_starts); fit must match it exactly."""
     from scipy.optimize import minimize
 
-    from ltnet.sysid import (_PENALTY, AllStartsFailed, _flatten_constant_pairs,
-                             _value_and_grad, objective, predict, r_squared)
+    from ltnet.sysid import (_PENALTY, AllStartsFailed, _flatten_constant_pairs, objective,
+                             predict, r_squared)
 
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
@@ -311,7 +319,7 @@ def sequential_fit(problem, n_starts=32, seed=0, maxiter=300, target_r2=None):
     for s in range(n_starts):
         z0 = rng.uniform(lo, hi)
         res = minimize(
-            _value_and_grad,
+            value_and_grad,
             z0,
             args=(problem,),
             jac=True,

@@ -1340,6 +1340,8 @@ def _drive(**params):
     (_drive(window=[0.0], sigma=1.0), "pulse window must be two finite numbers, got [0.0]"),
     (_drive(window=[0.0, "2"], sigma=1.0), "pulse window must be two finite numbers"),
     (_drive(window=[0.0, float("inf")], sigma=1.0), "pulse window must be two finite numbers"),
+    (_drive(window=[2.0, 0.0], sigma=1.0),
+     "inputs entry 0: pulse window must not end before it starts, got [2.0, 0.0]"),
     (_drive(window=[0.0, 2.0], sigma=0), "inputs entry 0: pulse sigma must be finite and > 0, got 0"),
     (_drive(window=[0.0, 2.0], sigma=float("nan")), "pulse sigma must be finite and > 0"),
     (lambda obj: obj["inputs"][0].update(kind="time_cell", params={"t0": "late"}),
@@ -1350,7 +1352,7 @@ def _drive(**params):
      "inputs entry 0: rule 'on' must be a collection of conditions, got None"),
     (lambda obj: obj["inputs"][0].update(params=None), "inputs entry 0: params must be an object"),
 ], ids=["unknown-kind", "missing-kind", "pulse-without-window", "short-window",
-        "string-in-window", "infinite-window", "zero-sigma", "nan-sigma",
+        "string-in-window", "infinite-window", "reversed-window", "zero-sigma", "nan-sigma",
         "non-numeric-t0", "non-numeric-value", "rule-without-on", "null-params"])
 def test_cli_problem_rejects_malformed_inputs(tmp_path, capsys, edit, match):
     problem_path, data_dir = write_fit_inputs(tmp_path)

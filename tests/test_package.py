@@ -109,6 +109,29 @@ print([k for k in sys.modules if k.startswith("scipy.optimize")])
     assert (tmp_path / "eq.json").exists() and (tmp_path / "x.csv").exists()
 
 
+def test_pulse_problems_build_simulate_and_predict_without_scipy(tmp_path):
+    # pulse inputs evaluate ndtr in-package: only fit's minimize needs SciPy
+    code = """
+import json, sys
+from pathlib import Path
+from ltnet import cli, sysid
+from test_acceptance import true_two_channel_parameters
+from test_cli import write_fit_inputs
+layer_sizes, structure, inputs, manifest = sysid.two_channel_hierarchy_structure()
+problem = sysid.SysIdProblem(layer_sizes, structure, inputs, ("A", "B"), manifest)
+est = sysid.predict(true_two_channel_parameters(), problem)
+assert est["A"].shape == (problem.K, 8)
+out = Path(sys.argv[1])
+problem_path, data_dir = write_fit_inputs(out)
+(out / "z.json").write_text(json.dumps({"z": [0.6, 3.0, 1.2, 0.4, 0.0]}))
+assert cli.main(["predict", "--problem", str(problem_path), "--data", str(data_dir),
+                 "--params", str(out / "z.json"), "--out", str(out / "pred.json")]) == 0
+print([k for k in sys.modules if k.split(".")[0] == "scipy"])
+"""
+    assert _fresh(code, tmp_path).strip() == "[]"
+    assert json.loads((tmp_path / "pred.json").read_text())["r2"] == 1.0
+
+
 def test_first_compose_maps_loads_scipy_optimize_and_gives_the_same_pieces():
     code = """
 import sys

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import sequential_fit
+from helpers import sequential_fit, value_and_grad
 from scipy.special import ndtr
 from test_acceptance import true_two_channel_parameters
 
@@ -166,7 +166,7 @@ def test_input_signal_values():
 
     pulse = InputSignal("stim", "pulse", {"window": (0.0, 1.5), "sigma": 1.0})
     got = pulse.values("A", t)
-    np.testing.assert_allclose(got, ndtr(t) - ndtr(t - 1.5), atol=1e-12)
+    assert got.tobytes() == (ndtr(t) - ndtr(t - 1.5)).tobytes()
 
     const = InputSignal("bias", "const", {"value": 2.5})
     np.testing.assert_array_equal(const.values("A", t), np.full(3, 2.5))
@@ -184,12 +184,66 @@ def test_input_signal_values():
         InputSignal("stim", "pulse", {"window": [[0.0, 1.0], 1.5]})
     with pytest.raises(ValueError, match="'on'"):
         InputSignal("rule-A", "rule", {"on": "A"})
+    with pytest.raises(ValueError, match="pulse window must not end before it starts"):
+        InputSignal("stim", "pulse", {"window": (2.0, 0.0)})
+    # a zero-width window is a pulse of height 0
+    np.testing.assert_array_equal(
+        InputSignal("stim", "pulse", {"window": (1.0, 1.0)}).values("A", t), np.zeros(3))
     # any two-number sequence is a window, any collection an 'on' list
     array_pulse = InputSignal("stim", "pulse", {"window": np.array([0.0, 1.5]), "sigma": 1.0})
     np.testing.assert_array_equal(array_pulse.values("A", t), got)
     set_rule = InputSignal("rule-A", "rule", {"on": frozenset({"A"})})
     np.testing.assert_array_equal(set_rule.values("A", t), np.ones(3))
     np.testing.assert_array_equal(set_rule.values("B", t), np.zeros(3))
+
+
+def _ndtr_branch_points():
+    """Cephes's branch boundaries in a, |a| = 1, sqrt(2), 8 sqrt(2) and
+    sqrt(2 MAXLOG), both as written and as a * SQRT1_2 rounds them, each
+    with its neighbours 1 ulp away, both signs."""
+    out = []
+    x_edges = (sysid._SQRT1_2, 1.0, 8.0, np.sqrt(sysid._MAXLOG))
+    for b in (1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * sysid._MAXLOG),
+              *(x / sysid._SQRT1_2 for x in x_edges)):
+        for v in (b, -b):
+            out += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    return out
+
+
+def test_ndtr_gives_scipy_bits():
+    tiny = np.finfo(float).smallest_subnormal
+    a = np.concatenate([
+        _ndtr_branch_points(),
+        [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny, 1e-310, -1e-310,
+         np.finfo(float).max, -np.finfo(float).max],
+        np.linspace(-45.0, 45.0, 90_001),
+        np.random.default_rng(3).normal(scale=[[0.3], [3.0], [40.0]], size=(3, 20_000)).ravel(),
+    ])
+    assert sysid._ndtr(a).tobytes() == ndtr(a).tobytes()
+    assert sysid._ndtr(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+    assert np.isnan(sysid._ndtr(np.array([np.nan, -np.nan]))).all()
+    # the shape is kept, a 0-d argument included
+    assert sysid._ndtr(np.zeros((2, 0, 3))).shape == (2, 0, 3)
+    assert sysid._ndtr(1.0).shape == () and sysid._ndtr(1.0) == ndtr(1.0)
+
+
+# SHA-256 of _stage_signals' pulse-bearing input arrays, as SciPy's ndtr made
+# them: the in-package ndtr must not move a bit of any input.
+_STAGE_SIGNALS_SHA256 = {
+    "two-channel": "855d056f7ca963a18da1040dc69fa2b75d72e92e80f633231d442d6413d83899",
+    "scalar": "bdca715ea86f65e2d62314dff24c11fdfd782193f9865ad191127189438b78fa",
+}
+
+
+def test_stage_signals_keep_their_bits():
+    layer_sizes, structure, inputs, manifest = two_channel_hierarchy_structure()
+    problems = {
+        "two-channel": SysIdProblem(layer_sizes, structure, inputs, ("A", "B"), manifest),
+        "scalar": scalar_problem(),
+    }
+    for name, problem in problems.items():
+        sig = problem._stage_signals[2]
+        assert hashlib.sha256(sig.tobytes()).hexdigest() == _STAGE_SIGNALS_SHA256[name], name
 
 
 def test_weight_entry_intervals():
@@ -570,7 +624,7 @@ def interior_points(problem, seed, count):
 
 
 def assert_gradient_matches(problem, z):
-    f, g = sysid._value_and_grad(z, problem)
+    f, g = value_and_grad(z, problem)
     assert f == objective(z, problem)[0]  # the same f, bit for bit
     fd = central_differences(z, problem)
     assert np.all(np.isfinite(fd))
@@ -620,7 +674,7 @@ def test_gradient_of_diverged_candidate_is_zero():
         ("base",), (0,), t0=0.0, tf=5.0, T=0.1,
         data={"base": np.zeros((51, 1))},
     )
-    f, g = sysid._value_and_grad(np.array([3.0, 0.3, 2.0, 1.0]), problem)
+    f, g = value_and_grad(np.array([3.0, 0.3, 2.0, 1.0]), problem)
     assert f == sysid._PENALTY
     np.testing.assert_array_equal(g, np.zeros(4))
 
@@ -633,12 +687,12 @@ def test_gradient_flat_series_is_finite():
     # tau, c, x0: the first node sits at its background (a flat estimate of a
     # flat reference), the second decays towards it
     z = np.array([2.0, 1.25, 0.5, 1.25, 1.5])
-    f, g = sysid._value_and_grad(z, problem)
+    f, g = value_and_grad(z, problem)
     assert f == objective(z, problem)[0]
     assert np.all(np.isfinite(g)) and np.any(g != 0.0)
     # both estimates flat at the data: f = 0, f_var = 0, zero-variance pairs
     z = np.array([2.0, 1.25, 0.5, 1.25, 0.5])
-    f, g = sysid._value_and_grad(z, problem)
+    f, g = value_and_grad(z, problem)
     assert objective(z, problem) == (0.0, 0.0, 0.0, 0.0)
     np.testing.assert_array_equal(g, np.zeros(5))
 
@@ -685,7 +739,7 @@ def assert_rows_match_batches_of_one(problem, Z):
     F, G = sysid._values_and_grads(Z, problem)
     assert F.shape == (len(Z),) and G.shape == Z.shape
     for z, f, g in zip(Z, F, G):
-        f1, g1 = sysid._value_and_grad(z, problem)
+        f1, g1 = value_and_grad(z, problem)
         assert f == f1
         assert np.array_equal(g, g1)
     return F, G
