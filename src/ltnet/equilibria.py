@@ -63,7 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -194,14 +194,19 @@ class PiecewiseAffineMap:
     stacks in label order, so evaluation resolves boundary ties by the
     lexicographically smallest generating pattern.  The constructor sorts
     AffinePieces by label and stacks them; one without region rows holds
-    the one row 0·d + 0 >= 0."""
+    the one row 0·d + 0 >= 0.  So dataclasses.replace(pa, ...) builds a
+    map from pa's pieces (or the pieces given) and dims; the stacks are
+    not arguments."""
 
-    labels: tuple
-    F: np.ndarray  # (P, output_dim, domain_dim)
-    f: np.ndarray  # (P, output_dim)
-    G: np.ndarray  # (R, domain_dim)
-    g: np.ndarray  # (R,)
-    ends: np.ndarray  # (P + 1,)
+    # the constructor's argument, which replace reads back from the pieces
+    # property below (its class attribute is this field's default)
+    pieces: InitVar[tuple]
+    labels: tuple = field(init=False)
+    F: np.ndarray = field(init=False)  # (P, output_dim, domain_dim)
+    f: np.ndarray = field(init=False)  # (P, output_dim)
+    G: np.ndarray = field(init=False)  # (R, domain_dim)
+    g: np.ndarray = field(init=False)  # (R,)
+    ends: np.ndarray = field(init=False)  # (P + 1,)
     domain_dim: int
     output_dim: int
 

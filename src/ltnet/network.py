@@ -361,12 +361,23 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None, piece=None):
     advances runs of one piece BLOCK_STEPS steps per stacked product and
     takes the step that leaves a piece with the plain code below;
     project must then be given and accept a (steps, n) stack of states.
+
+    The plain code steps in place: every stage state, and then the
+    step's update x + dt/6 (k1 + 2 (k2 + k3) + k4), is built in one
+    reused buffer with the operations of that expression in its order
+    (the bits of the expression).  So f's result must not be (a view
+    of) its argument, and neither f nor project may keep the argument
+    past the call.
     """
     x = np.array(x0, dtype=float)
     out = np.empty((n_steps + 1,) + x.shape)
     out[0] = x
+    y = np.empty(x.shape)  # each stage state, then the step's update
     half = 0.5 * dt
     sixth = dt / 6.0
+    # the same scalars as 0-d arrays for the in-place operations: NumPy
+    # takes them faster than floats, with the same bits
+    a_half, a_dt, a_two, a_sixth = map(np.array, (half, dt, 2.0, sixth))
     blocks = None if piece is None else _BlockStepper(dt, project)
     k = 0
     while k < n_steps:
@@ -374,19 +385,29 @@ def rk4_integrate(f, x0, t0, dt, n_steps, project=None, piece=None):
             size = min(BLOCK_STEPS, n_steps - k)
             taken = blocks.advance(*piece(x), x, out[k + 1 : k + 1 + size])
             k += taken
-            x = out[k].copy()
+            x = out[k]
             if taken == size:
                 continue
         t = t0 + k * dt
         k1 = f(t, x)
-        k2 = f(t + half, x + half * k1)
-        k3 = f(t + half, x + half * k2)
-        k4 = f(t + dt, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if project is not None:
-            x = project(x)
+        np.multiply(k1, a_half, out=y)
+        y += x
+        k2 = f(t + half, y)
+        np.multiply(k2, a_half, out=y)
+        y += x
+        k3 = f(t + half, y)
+        np.multiply(k3, a_dt, out=y)
+        y += x
+        k4 = f(t + dt, y)
+        np.add(k2, k3, out=y)
+        y *= a_two
+        y += k1
+        y += k4
+        y *= a_sixth
+        y += x
         k += 1
-        out[k] = x
+        out[k] = y if project is None else project(y)
+        x = out[k]
     return out
 
 

@@ -632,7 +632,10 @@ class SysIdProblem:
         with np.errstate(over="ignore", invalid="ignore"):
             traj = rk4_integrate(f, X0, 0.0, dt, n_steps, lambda Y: np.maximum(Y, 0.0))
         traj = traj.reshape(n_steps + 1, -1, len(self.conditions), self.n)
-        diverged = ~(np.abs(traj) <= _DIVERGENCE_LIMIT).all(axis=(0, 2, 3))  # NaN fails <=
+        # each candidate's extremes, reduced without a trajectory-sized
+        # temporary; a NaN propagates to both and fails both tests
+        top, bottom = traj.max(axis=(0, 2, 3)), traj.min(axis=(0, 2, 3))
+        diverged = ~((top <= _DIVERGENCE_LIMIT) & (bottom >= -_DIVERGENCE_LIMIT))
         # a contiguous copy, as the objective's reductions expect (a strided
         # view changes their summation order)
         states = np.ascontiguousarray(np.moveaxis(traj[:: self.sim_substeps], 0, 2))
@@ -654,8 +657,9 @@ def _stage(W, X, d, tau, a, k):
     """The stacked field at the states X (..., n), with W (..., n, n)
     broadcast against them: writes the ReLU argument a = W X + d into a and
     the slope (max(a, 0) - X) / tau into k, which may be a, and returns k.
-    Each row is computed as it would be in a batch of one."""
-    np.einsum("...ij,...j->...i", W, X, out=a)
+    W X is one BLAS matrix-vector product per row, so each row is computed
+    as it would be in a batch of one."""
+    np.matmul(W, X[..., None], out=a[..., None])
     a += d
     np.maximum(a, 0.0, out=k)
     k -= X
@@ -887,14 +891,19 @@ def _adjoint(Z, problem: SysIdProblem, traj, grad_est, work=None):
     lam = lam + G[0]
     g = np.empty((Q, R, problem.dim))
     (wz, wf), (uz, uf) = problem._w_slots, problem._u_slots
+    # each row's sums over steps, stages and conditions are BLAS products
+    # over stacked rows: (steps 4 C, n) stage rows and (C S, .) drive rows
+    S = sig.shape[1]  # stage times, 2 n_steps + 1
+    sig_rows = sig.reshape(C * S, sig.shape[2])  # no -1: sig has 0 columns without inputs
     for q, r in np.ndindex(Q, R):
-        LK = np.einsum("kci,kscij->kscj", lamY[q, r], P[q])  # adjoints of the stage slopes
+        # adjoints of the stage slopes, lamY_k P_s row by row
+        LK = np.matmul(lamY[q, r][:, None, :, None, :], P[q])[..., 0, :]
         LA = LK * V[q]  # adjoints of the ReLU arguments
-        gW = np.einsum("ksbi,ksbj->ij", LA, XS[q]).ravel()
-        LD = np.zeros((C, 2 * n_steps + 1, n))  # adjoints of the drive samples
+        gW = (LA.reshape(-1, n).T @ XS[q].reshape(-1, n)).ravel()
+        LD = np.zeros((C, S, n))  # adjoints of the drive samples
         for s, rd in enumerate(reads):
             LD[:, rd] += np.moveaxis(LA[:, s], 0, 1)
-        gU = np.einsum("csk,csn->nk", sig, LD).ravel()
+        gU = (LD.reshape(-1, n).T @ sig_rows).ravel()
         g_tau = -(LK * KS[q]).sum(axis=(0, 1, 2)) * itau[q]
         out = g[q, r]
         out[wz], out[uz] = gW[wf], gU[uf]

@@ -167,8 +167,10 @@ def recruitment_hierarchy():
 
 
 def reference_rk4(f, x0, t0, dt, n_steps, project=None):
-    """Step-by-step classic RK4 with a per-step projection: the arithmetic
-    of rk4_integrate without a hint, operation for operation."""
+    """Textbook classic RK4 with a per-step projection, one new array per
+    operation in the expression form x + dt/6 (k1 + 2 (k2 + k3) + k4): the
+    arithmetic that rk4_integrate without a hint does in place, operation
+    for operation."""
     x = np.array(x0, dtype=float)
     out = [x]
     half, sixth = 0.5 * dt, dt / 6.0

@@ -1,5 +1,6 @@
 """Equilibrium maps: pieces, regions, coverage, iteration, composition."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -340,20 +341,26 @@ def test_a_map_holds_read_only_stacks_and_cannot_be_reassigned():
 @pytest.mark.parametrize("which", [0, 1])
 def test_a_map_rebuilt_from_its_pieces_holds_the_same_stacks(which):
     pa = _oracle_maps()[which]
-    again = PiecewiseAffineMap(pa.pieces, pa.domain_dim, pa.output_dim)
-    assert again.labels == pa.labels
-    for name in ("F", "f", "G", "g", "ends"):
-        a, b = getattr(pa, name), getattr(again, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
     rng = np.random.default_rng(101)
     D = _query_points(pa, rng, 200)
-    np.testing.assert_array_equal(again.eval_many(D), pa.eval_many(D))
-    for d in D[:40]:
-        np.testing.assert_array_equal(again.eval(d), pa.eval(d))
-        assert [p.label for p in again.pieces_at(d)] == [p.label for p in pa.pieces_at(d)]
-    assert again.to_jsonable() == pa.to_jsonable()
-    assert lipschitz_constant(again) == lipschitz_constant(pa)
-    np.testing.assert_array_equal(max_gain_matrix(again), max_gain_matrix(pa))
+    # by the constructor, and by dataclasses.replace with no changes
+    for again in (PiecewiseAffineMap(pa.pieces, pa.domain_dim, pa.output_dim),
+                  dataclasses.replace(pa)):
+        assert type(again) is PiecewiseAffineMap and again is not pa
+        assert again.labels == pa.labels
+        assert (again.domain_dim, again.output_dim) == (pa.domain_dim, pa.output_dim)
+        for name in ("F", "f", "G", "g", "ends"):
+            a, b = getattr(pa, name), getattr(again, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(again.eval_many(D), pa.eval_many(D))
+        for d in D[:40]:
+            np.testing.assert_array_equal(again.eval(d), pa.eval(d))
+            assert [p.label for p in again.pieces_at(d)] == [p.label for p in pa.pieces_at(d)]
+        assert again.to_jsonable() == pa.to_jsonable()
+        assert lipschitz_constant(again) == lipschitz_constant(pa)
+        np.testing.assert_array_equal(max_gain_matrix(again), max_gain_matrix(pa))
+    with pytest.raises(ValueError, match="init=False"):  # the stacks are not arguments
+        dataclasses.replace(pa, F=pa.F)
 
 
 @pytest.mark.parametrize("chunk", [equilibria._PATTERN_CHUNK, 7])

@@ -156,6 +156,28 @@ def test_rk4_integrate_exponential():
         np.testing.assert_array_equal(batch[:, b], rk4_integrate(f, x0, 0.0, 0.05, 40, project))
 
 
+_A = np.array([[0.3, -1.2, 0.5], [0.8, 0.1, -0.4], [-0.6, 0.9, 0.2]])
+# (field, x0, project) of a 1-D state with project, an (R, n) stack without
+# it, and a 0-d state
+_TEXTBOOK_RUNS = {
+    "1-D, project": (lambda t, x: np.tanh(_A @ x) * np.cos(t) - x,
+                     np.array([0.4, -0.2, 1.3]), lambda x: np.clip(x, -0.3, 1.0)),
+    "(R, n), no project": (lambda t, X: np.sin(X @ _A.T + t) - 0.5 * X,
+                           np.linspace(-1.0, 1.0, 12).reshape(4, 3), None),
+    "0-d": (lambda t, x: np.cos(t) - x * np.abs(x), np.array(0.7), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TEXTBOOK_RUNS))
+def test_plain_core_equals_textbook_rk4(case):
+    # the in-place plain path keeps the textbook expression's bits
+    f, x0, project = _TEXTBOOK_RUNS[case]
+    run = (f, x0, 0.1, 0.037, 200, project)
+    got = rk4_integrate(*run)
+    assert got.shape == (201,) + x0.shape
+    assert got.tobytes() == reference_rk4(*run).tobytes()
+
+
 def test_network_validation():
     W = np.zeros((2, 2))
     with pytest.raises(ValueError, match="square"):

@@ -752,18 +752,21 @@ def test_values_and_grads_rows_equal_batches_of_one(P):
 
 
 # SHA-256 of the (F, G) bytes of _values_and_grads on the first P rows of a
-# fixed two-channel batch (NumPy 2.4 with OpenBLAS, x86-64)
+# fixed two-channel batch (NumPy 2.4 with OpenBLAS, x86-64).  The RK4 stages
+# are np.matmul products, one matrix-vector product per row, and the
+# adjoint's sums are matrix products, so these bits, and those below, come
+# from the platform's BLAS (its gemv and gemm kernels)
 _GRADIENT_SHA256 = {
-    1: "b7750c0b3700c276dff4c766a816497ab4247b4c23ce6075fde34d030583b7dd",
-    2: "4e646514d8f9e614456a1c521148e8254fa48b6d21d41d8ca195dc667f9b500c",
-    3: "651ba93dd706e175edb81c23beda06776a924da2c0207892359af0c12f0066b1",
-    8: "e5b148ad406caf779cb9e34ff9be3ef4eeaa525ffdd4561777df518e8c239efa",
+    1: "524c7c2d63dae85111c595a63acc6b99bf40095de35aaf4832fa635b136d3832",
+    2: "7f4e986dc4476af91420464286349c7903a1a67e0db884862b58bc368aa22d03",
+    3: "99794123c7698311553ffb96a836e4d55895ed95af5bfada11a4bb3d9a5ce64d",
+    8: "60a06d05eab8b585cc3d476f6a66ef52109f38e33e0ae8e52384518d6506c764",
 }
 # SHA-256 of SysIdProblem._simulate's trajectory (every RK4 step's state)
 # on the first P rows of the same batch
 _TRAJECTORY_SHA256 = {
-    1: "723444708d0b033ae67766b5d00f1e527c09d99d9232b443d4ce4ac558adfa8d",
-    3: "e0085f77eaafcf3c482491b6ed65ba582935c95bcea2b1c31d62bc3ae93d6ec7",
+    1: "c1c580c93a82ddb83297e9e65152209ed7339c67ee204168dcb677720acec098",
+    3: "3ab44bfd8a7d902d922432ec3e14b7d6d8e56ff6665e052850d72545541a992f",
 }
 
 
@@ -818,10 +821,10 @@ def test_flatten_constant_pairs_step_is_pinned(monkeypatch):
     (J,) = seen
     assert J.shape == (3, problem.dim)
     assert hashlib.sha256(J.tobytes()).hexdigest() == \
-        "cc59aa2ee330fd45d8cff325f29401db3da7d4d84304638d50af1d9b19a553db"
-    assert (f, f_new) == (42069.99265215086, 10034.424386493989)
+        "247889bf5de438cccd2f2c2a1c57b3b709e0d7cbc8676845d05c8d31c60c6a17"
+    assert (f, f_new) == (42069.99265215086, 10034.424386493976)
     assert hashlib.sha256(z_new.tobytes()).hexdigest() == \
-        "4ab1fcd55a49883eefdf20226966e48d43a8511f82ca68aff2bd7a641ee7e18a"
+        "6d0f71123b6c3a2f76bcc28723ac04ce21773d988b211d7664ea580e2ca5dc4f"
 
 
 def test_adjoint_rows_equal_rows_alone():
@@ -855,6 +858,37 @@ def test_a_warm_round_allocates_little():
         tracemalloc.stop()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
     assert peak <= 1.5e6  # the adjoint's P alone is 2.3 MB at P = 2
+
+
+def test_warm_simulate_allocates_only_its_results_and_field():
+    # Beyond what _simulate returns (traj, states) and what _stage_field
+    # builds, an RK4 step holds its 4 stage slopes of R n floats (R = P C
+    # rows) and at most 3 more R n arrays: the stage buffer, the
+    # projection's result and the copy of X0 -- under 8 R n floats.  Array
+    # headers and NumPy's indexing machinery add a few hundred bytes each,
+    # whatever the step count.  The bound is 4 times one step's arrays, 8
+    # steps' worth of slopes: 8 x 4 R n floats (8 KiB here).  Any temporary
+    # the size of traj (281 R n floats) or of states (141 R n floats) breaks it.
+    import tracemalloc
+
+    problem = two_channel_problem(60)
+    Z = pinned_batch(problem)[:2]
+    R, n = 2 * len(problem.conditions), problem.n
+    problem._simulate(Z)  # warm: the stage signals are cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field = problem._stage_field(Z)
+        field_bytes = tracemalloc.get_traced_memory()[0] - before
+        del field
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj, states, _ = problem._simulate(Z)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.shape == (281, 2, 2, 8) and states.shape == (2, 2, problem.K, 8)
+    assert peak - traj.nbytes - states.nbytes - field_bytes < 8 * 4 * R * n * 8
 
 
 def test_fit_calls_in_two_threads_equal_their_sequential_results():
