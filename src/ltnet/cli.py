@@ -88,15 +88,25 @@ def _numbers(text, count=None):
         raise ValidationError(f"{text}: {e}")
 
 
+def _lags(text):
+    """The lag range lo:hi, both ends included."""
+    try:
+        lo, hi = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
+    return range(lo, hi + 1)
+
+
 _REPORT_OUT = ("--out", dict(help="report JSON path (stdout when omitted)"))
 
-# subcommand -> (its help, its flags as (flag, _add keywords)); each also takes --force
+# subcommand -> (its help, its flags as (flag, _add keywords)); each also takes
+# --force.  A flag's type also converts its LTNET_* default.
 _COMMANDS = {
     "simulate": ("integrate a single network", [
         ("--net", dict(required=True, help="network JSON")),
         ("--x0", dict(help="initial state (comma list or file)")),
         ("--tspan", dict(default="0,10", help="t0,t1")),
-        ("--dt", dict(help="fixed step (default tau/50)")),
+        ("--dt", dict(type=float, help="fixed step (default tau/50)")),
         ("--out", dict(required=True, help="trajectory CSV path")),
     ]),
     "equilibrium": ("equilibrium map of a network", [
@@ -123,22 +133,22 @@ _COMMANDS = {
     "fit": ("fit a structured model to rate data", [
         ("--problem", dict(required=True, help="problem JSON")),
         ("--data", dict(help="directory with per-condition rate CSVs")),
-        ("--seed", dict(required=True, help="RNG seed (stochastic step)")),
-        ("--starts", dict(default="32")),
-        ("--maxiter", dict(default="300")),
+        ("--seed", dict(required=True, type=int, help="RNG seed (stochastic step)")),
+        ("--starts", dict(default=32, type=int)),
+        ("--maxiter", dict(default=300, type=int)),
         _REPORT_OUT,
     ]),
     "timescale": ("autocorrelation timescale of trials", [
         ("--data", dict(required=True, help="CSV, one trial per row")),
-        ("--binwidth", dict(default="0.2")),
-        ("--lags", dict(default="1:10", help="lag range lo:hi")),
+        ("--binwidth", dict(default=0.2, type=float)),
+        ("--lags", dict(default="1:10", type=_lags, help="lag range lo:hi")),
         _REPORT_OUT,
     ]),
     "rtest": ("two-sided permutation test", [
         ("--a", dict(required=True, help="first sample (CSV or comma list)")),
         ("--b", dict(required=True, help="second sample")),
-        ("--n-perm", dict(default="1999")),
-        ("--seed", dict(required=True)),
+        ("--n-perm", dict(default=1999, type=int)),
+        ("--seed", dict(required=True, type=int)),
         _REPORT_OUT,
     ]),
     "predict": ("rates of a fitted parameter vector", [
@@ -263,9 +273,8 @@ def run(args) -> int:
     if cmd == "simulate":
         net = ltio.load_network(args.net)
         t0, t1 = _floats(args.tspan, 2)
-        dt = float(args.dt) if args.dt is not None else None
         x0 = np.zeros(net.n) if args.x0 is None else _numbers(args.x0, net.n)
-        traj = simulate(net, x0, None, (t0, t1), dt)
+        traj = simulate(net, x0, None, (t0, t1), args.dt)
         ltio.trajectory_to_csv(traj, args.out, args.force)
         return 0
 
@@ -317,12 +326,7 @@ def run(args) -> int:
 
     if cmd == "fit":
         problem = _load_problem(args.problem, args.data)
-        report = sysid.fit(
-            problem,
-            n_starts=int(args.starts),
-            seed=int(args.seed),
-            maxiter=int(args.maxiter),
-        )
+        report = sysid.fit(problem, n_starts=args.starts, seed=args.seed, maxiter=args.maxiter)
         payload = {
             "z": report.z.tolist(),
             "names": problem.param_names(),
@@ -340,17 +344,13 @@ def run(args) -> int:
 
     if cmd == "timescale":
         trials = _csv_numbers(args.data, ndmin=2)
-        lo, hi = (int(v) for v in str(args.lags).split(":"))
-        A, tau = sysid.autocorr_timescale(
-            trials, float(args.binwidth), range(lo, hi + 1)
-        )
+        A, tau = sysid.autocorr_timescale(trials, args.binwidth, args.lags)
         _emit(args, {"amplitude": A, "tau": tau}, cmd)
         return 0
 
     if cmd == "rtest":
-        n_perm = int(args.n_perm)
-        p = sysid.randomization_test(_numbers(args.a), _numbers(args.b), n_perm, int(args.seed))
-        _emit(args, {"p_value": p, "n_perm": n_perm}, cmd)
+        p = sysid.randomization_test(_numbers(args.a), _numbers(args.b), args.n_perm, args.seed)
+        _emit(args, {"p_value": p, "n_perm": args.n_perm}, cmd)
         return 0
 
     if cmd == "predict":

@@ -384,14 +384,6 @@ class PiecewiseAffineMap:
             out[sel] = D[sel] @ self.F[idx].T + self.f[idx]
         return out
 
-    def consistency_gap(self, d) -> float:
-        """Largest disagreement among covering pieces at d (0 if unique)."""
-        vals = [p.F @ np.asarray(d, float) + p.f for p in self.pieces_at(d)]
-        if len(vals) <= 1:
-            return 0.0
-        vals = np.array(vals)
-        return float(np.max(np.abs(vals - vals[0])))
-
     def to_jsonable(self):
         return [
             {

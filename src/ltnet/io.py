@@ -1,9 +1,10 @@
 """File formats: network/hierarchy JSON, trajectory CSV, report emission.
 
 Ceilings serialize as numbers or the string "inf".  Trajectory CSV uses
-the header t,x1,...,xn with 17 significant digits so values round-trip
-exactly.  Reports are JSON with sorted keys and a schema version string,
-which makes repeated runs byte-identical for identical inputs.
+the header t,x1,...,xn with 17 significant digits, so rates_from_csv
+reads the values back exactly.  Reports are JSON with sorted keys and a
+schema version string, which makes repeated runs byte-identical for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "load_hierarchy",
     "dump_hierarchy",
     "trajectory_to_csv",
-    "trajectory_from_csv",
     "write_report",
     "load_controls",
 ]
@@ -202,16 +202,6 @@ def trajectory_to_csv(traj: Trajectory, path, force=False):
             w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
 
 
-def trajectory_from_csv(path) -> Trajectory:
-    _, times, samples = rates_from_csv(path)
-    if times.size < 2:
-        raise ValidationError(f"{path}: need at least two samples")
-    dts = np.diff(times)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * max(1.0, abs(dts[0])):
-        raise ValidationError(f"{path}: time grid is not uniform")
-    return Trajectory(t0=times[0], dt=float(dts[0]), samples=samples)
-
-
 def rates_from_csv(path):
     """Rate CSV with header t,<id>,...; returns (ids, times, values)."""
     try:
@@ -240,26 +230,6 @@ def rates_from_csv(path):
         raise ValidationError(f"{path}: line 2: no data rows after the header")
     arr = np.array(data)
     return ids, arr[:, 0], arr[:, 1:]
-
-
-def spikes_from_csv(path):
-    """Spike CSV with header neuron_id,spike_time; returns {id: times}."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as e:
-        raise ValidationError(f"{path}: {e}")
-    if not rows or [v.strip() for v in rows[0][:2]] != ["neuron_id", "spike_time"]:
-        raise ValidationError(f"{path}: line 1: expected header neuron_id,spike_time")
-    out = {}
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            out.setdefault(row[0], []).append(float(row[1]))
-        except (IndexError, ValueError) as e:
-            raise ValidationError(f"{path}: line {ln}: {e}")
-    return {k: np.array(v) for k, v in out.items()}
 
 
 def _finite_array(value, what, shape):

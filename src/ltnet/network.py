@@ -51,7 +51,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 __all__ = [
-    "UNBOUNDED",
     "ZERO",
     "LINEAR",
     "SATURATED",
@@ -63,9 +62,6 @@ __all__ = [
     "rk4_integrate",
     "simulate",
 ]
-
-# marker for unbounded ceilings; kept as a module name so intent is explicit
-UNBOUNDED = np.inf
 
 # clip regimes of a node's drive; the integer order defines the
 # lexicographic tie-break between equilibrium pieces

@@ -165,9 +165,6 @@ class HierarchyCertification:
     def all_passed(self) -> bool:
         return self.layer1_bounded and all(c.passed for c in self.certificates)
 
-    def certificate_for(self, layer: int) -> GESCertificate:
-        return self.certificates[layer - 2]
-
     def to_dict(self):
         """The certify report: layer 1's boundedness entry, layers 2..N, all_pass."""
         top = self.layer1_certificate.to_dict() if self.layer1_certificate is not None else {}

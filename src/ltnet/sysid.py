@@ -1,8 +1,8 @@
 """Identification of layered linear-threshold models from firing rates.
 
-The pipeline covers rate preprocessing (binning and Gaussian smoothing),
-autocorrelation timescale estimation, permutation tests, and fitting the
-free parameters of a structured hierarchy to trial-averaged rates.
+The pipeline covers autocorrelation timescale estimation, permutation
+tests, and fitting the free parameters of a structured hierarchy to
+trial-averaged rates.
 
 The unknown vector z stacks, in order: the free weights (recurrent and
 input-gain entries listed in the structure), the layer time constants,
@@ -68,8 +68,6 @@ __all__ = [
     "NonPositiveCorrelations",
     "SimulationDiverged",
     "AllStartsFailed",
-    "bin_rates",
-    "gaussian_smooth",
     "fit_exponential_decay",
     "autocorr_timescale",
     "randomization_test",
@@ -98,48 +96,6 @@ class SimulationDiverged(Exception):
 
 class AllStartsFailed(Exception):
     """Every optimization start failed to produce a finite objective."""
-
-
-# ---------------------------------------------------------------------------
-# rate preprocessing
-# ---------------------------------------------------------------------------
-
-
-def bin_rates(spike_times, window, bin_width):
-    """Bin spike times into firing rates.
-
-    Returns (centers, rates) where rates are counts / bin_width and
-    centers are the bin midpoints covering [window[0], window[1]].
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if hi <= lo:
-        raise ValueError(f"empty window {window}")
-    n_bins = int(round((hi - lo) / bin_width))
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    counts, _ = np.histogram(np.asarray(spike_times, dtype=float), bins=edges)
-    centers = edges[:-1] + 0.5 * bin_width
-    return centers, counts / bin_width
-
-
-def gaussian_smooth(values, sigma, dt=1.0):
-    """Smooth each series along the last axis with a normalized Gaussian kernel.
-
-    sigma is in time units (samples when dt is 1).  The kernel is
-    truncated at +-4 sigma and renormalized; boundaries are handled by
-    reflection, so constant signals pass through unchanged.
-    """
-    values = np.asarray(values, dtype=float)
-    s = sigma / dt
-    if s <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    radius = int(math.ceil(4.0 * s))
-    x = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (x / s) ** 2)
-    kernel /= kernel.sum()
-    out = np.empty_like(values)
-    for i in np.ndindex(values.shape[:-1]):
-        out[i] = np.convolve(np.pad(values[i], radius, mode="reflect"), kernel, mode="valid")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +376,12 @@ class SysIdProblem:
     structure : free WeightEntry list; everything not listed is zero.
     inputs : known exogenous InputSignal list (columns of the gain blocks).
     conditions : experimental condition labels.
-    manifest : global state indices with measurements.
+    manifest : global state indices (0..n-1) with measurements.
     data : condition -> (K, len(manifest)) rate array on the grid
         t0 + k*T; may be None until attached.
-    t0, tf, T : data window and sampling step.
-    tau_bounds : per-layer (lo, hi) for the time constants.
-    c_bounds, x0_max : bounds for backgrounds and initial states.
+    t0, tf, T : data window and sampling step (finite, t0 < tf, T > 0).
+    tau_bounds : per-layer (lo, hi) for the time constants, 0 < lo <= hi < inf.
+    c_bounds, x0_max : bounds for backgrounds (finite lo <= hi) and initial states.
     gamma1, gamma2 : objective weights (correlation and variance terms).
     sim_substeps : integration steps per data sample (dt = T / substeps).
     """
@@ -458,7 +414,13 @@ class SysIdProblem:
         self.inputs = tuple(inputs)
         self.conditions = tuple(conditions)
         self.manifest = tuple(int(i) for i in manifest)
+        if not all(0 <= i < self.n for i in self.manifest):
+            raise ValueError(f"manifest indices must be in 0..{self.n - 1}, got {manifest!r}")
         self.t0, self.tf, self.T = float(t0), float(tf), float(T)
+        if not -math.inf < self.t0 < self.tf < math.inf:
+            raise ValueError(f"t0 and tf must be finite with t0 < tf, got {t0!r} and {tf!r}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {T!r}")
         self.K = int(round((self.tf - self.t0) / self.T)) + 1
         self.gamma1, self.gamma2 = float(gamma1), float(gamma2)
         self.sim_substeps = int(sim_substeps)
@@ -473,7 +435,12 @@ class SysIdProblem:
         self.tau_bounds = [tuple(map(float, tb)) for tb in tau_bounds]
         if len(self.tau_bounds) != self.N:
             raise ValueError("need one tau bound pair per layer")
+        for tb in self.tau_bounds:
+            if not (_pair_of_numbers(tb) and 0.0 < tb[0] <= tb[1]):
+                raise ValueError(f"tau_bounds pairs must hold 0 < lo <= hi < inf, got {tb}")
         self.c_bounds = tuple(map(float, c_bounds))
+        if not (_pair_of_numbers(self.c_bounds) and self.c_bounds[0] <= self.c_bounds[1]):
+            raise ValueError(f"c_bounds must be finite with lo <= hi, got {self.c_bounds}")
         self._x0_max = x0_max
         if data is not None:
             self.attach_data(data)
@@ -1156,16 +1123,10 @@ def predict(z, problem: SysIdProblem):
 
     Returns {condition: (K, n_manifest)} on the data grid.
     """
-    states = simulate_candidate(z, problem)
-    return {c: x[:, problem.manifest] for c, x in states.items()}
-
-
-def simulate_candidate(z, problem: SysIdProblem):
-    """Full-state trajectories of one candidate: {condition: (K, n)}."""
     states, diverged = problem.simulate_candidates(np.atleast_2d(z))
     if diverged[0]:
         raise SimulationDiverged("candidate trajectory diverged")
-    return {c: states[0][i] for i, c in enumerate(problem.conditions)}
+    return {c: states[0, i][:, problem.manifest] for i, c in enumerate(problem.conditions)}
 
 
 # ---------------------------------------------------------------------------

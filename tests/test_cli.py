@@ -93,34 +93,28 @@ def test_trajectory_csv_round_trip(tmp_path):
     traj = simulate(net, [1.0, 0.25], None, (0.0, 2.0))
     path = tmp_path / "traj.csv"
     ltio.trajectory_to_csv(traj, path)
-    back = ltio.trajectory_from_csv(path)
+    ids, times, samples = ltio.rates_from_csv(path)
     # %.17g preserves doubles exactly
-    np.testing.assert_array_equal(back.samples, traj.samples)
-    np.testing.assert_array_equal(back.times, traj.times)
+    assert ids == ["x1", "x2"]
+    np.testing.assert_array_equal(samples, traj.samples)
+    np.testing.assert_array_equal(times, traj.times)
 
 
 def test_trajectory_csv_errors(tmp_path):
+    # rates_from_csv reads trajectory CSVs back
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("x1,x2\n0,1\n")
     with pytest.raises(ValidationError, match="header"):
-        ltio.trajectory_from_csv(bad_header)
-    short = tmp_path / "b.csv"
-    short.write_text("t,x1\n0,1\n")
-    with pytest.raises(ValidationError, match="two samples"):
-        ltio.trajectory_from_csv(short)
-    ragged = tmp_path / "c.csv"
-    ragged.write_text("t,x1\n0,1\n0.1,1\n0.3,1\n")
-    with pytest.raises(ValidationError, match="not uniform"):
-        ltio.trajectory_from_csv(ragged)
+        ltio.rates_from_csv(bad_header)
     missing_field = tmp_path / "d.csv"
     missing_field.write_text("t,x1,x2\n0,1,2\n0.1,1\n")
     with pytest.raises(ValidationError, match="line 3: expected 3 fields, got 2"):
-        ltio.trajectory_from_csv(missing_field)
+        ltio.rates_from_csv(missing_field)
 
 
 def test_rates_csv(tmp_path):
     path = tmp_path / "rates.csv"
-    path.write_text("t,a,b\n0,1,2\n0.1,3,4\n")
+    path.write_text("t,a,b\n0,1,2\n\n0.1,3,4\n")  # a blank line is skipped
     ids, times, vals = ltio.rates_from_csv(path)
     assert ids == ["a", "b"]
     np.testing.assert_array_equal(times, [0.0, 0.1])
@@ -131,32 +125,10 @@ def test_rates_csv(tmp_path):
         ltio.rates_from_csv(bad)
 
 
-def test_spikes_csv(tmp_path):
-    path = tmp_path / "spikes.csv"
-    path.write_text("neuron_id,spike_time\nn1,0.5\nn2,0.1\nn1,1.5\n")
-    out = ltio.spikes_from_csv(path)
-    np.testing.assert_array_equal(out["n1"], [0.5, 1.5])
-    np.testing.assert_array_equal(out["n2"], [0.1])
-    bad = tmp_path / "bad.csv"
-    bad.write_text("id,t\nn1,0.5\n")
-    with pytest.raises(ValidationError, match="neuron_id"):
-        ltio.spikes_from_csv(bad)
-
-
 def test_csv_readers_refuse_a_path_they_cannot_open(tmp_path):
-    for read in (ltio.rates_from_csv, ltio.spikes_from_csv):
-        with pytest.raises(ValidationError) as exc:
-            read(tmp_path)  # a directory
-        assert str(exc.value).startswith(f"{tmp_path}: ")
-
-
-def test_spikes_csv_skips_blank_lines_and_names_a_bad_time(tmp_path):
-    path = tmp_path / "spikes.csv"
-    path.write_text("neuron_id,spike_time\nn1,0.5\n\nn1,1.5\n")
-    np.testing.assert_array_equal(ltio.spikes_from_csv(path)["n1"], [0.5, 1.5])
-    path.write_text("neuron_id,spike_time\nn1,0.5\n\nn1,soon\n")
-    with pytest.raises(ValidationError, match="line 4: could not convert string to float"):
-        ltio.spikes_from_csv(path)
+    with pytest.raises(ValidationError) as exc:
+        ltio.rates_from_csv(tmp_path)  # a directory
+    assert str(exc.value).startswith(f"{tmp_path}: ")
 
 
 def test_load_controls_refuses_a_non_numeric_gain(tmp_path):
@@ -255,9 +227,9 @@ def test_cli_simulate(tmp_path):
     rc = main(["simulate", "--net", str(net_path), "--x0", "1,0.25",
                "--tspan", "0,3", "--out", str(out)])
     assert rc == 0
-    back = ltio.trajectory_from_csv(out)
+    _, _, samples = ltio.rates_from_csv(out)
     ref = simulate(net, [1.0, 0.25], None, (0.0, 3.0))
-    np.testing.assert_array_equal(back.samples, ref.samples)
+    np.testing.assert_array_equal(samples, ref.samples)
     # existing outputs are refused without --force
     assert main(["simulate", "--net", str(net_path), "--tspan", "0,1",
                  "--out", str(out)]) == 2
@@ -274,8 +246,7 @@ def test_cli_simulate_x0_file(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--net", str(net_path), "--x0", str(x0_path),
                  "--tspan", "0,1", "--out", str(out)]) == 0
-    back = ltio.trajectory_from_csv(out)
-    np.testing.assert_array_equal(back.samples[0], [0.5, 1.5])
+    np.testing.assert_array_equal(ltio.rates_from_csv(out)[2][0], [0.5, 1.5])
 
 
 def test_cli_simulate_bad_inputs(tmp_path, capsys):
@@ -986,17 +957,18 @@ def test_cli_env_overrides(tmp_path, monkeypatch, capsys):
 
 # -- the parser main builds: only the named subcommand's ----------------------
 
-# subcommand -> (the rest of a sample argv, one LTNET_ variable, its value)
+# subcommand -> (the rest of a sample argv, one LTNET_ variable, its value,
+# the value as the flag's type reads it)
 _SAMPLE_ARGV = {
-    "simulate": (["--net", "n.json", "--out", "t.csv", "--tspan", "0,5"], "DT", "0.01"),
-    "equilibrium": (["--net", "n.json", "--at=-1,-1"], "OUT", "e.json"),
-    "certify": (["--hierarchy", "h.json"], "OUT", "c.json"),
-    "synthesize": (["--out", "k.json", "--force"], "HIERARCHY", "h.json"),
-    "recruit": (["--hierarchy", "h.json", "--eps", "0.5"], "WINDOW", "1,2"),
-    "fit": (["--problem", "p.json", "--starts", "2"], "SEED", "7"),
-    "timescale": (["--data", "d.csv"], "LAGS", "2:4"),
-    "rtest": (["--a", "1,2", "--b", "3,4", "--seed", "1"], "N_PERM", "99"),
-    "predict": (["--problem", "p.json", "--params", "f.json"], "DATA", "rates"),
+    "simulate": (["--net", "n.json", "--out", "t.csv", "--tspan", "0,5"], "DT", "0.01", 0.01),
+    "equilibrium": (["--net", "n.json", "--at=-1,-1"], "OUT", "e.json", "e.json"),
+    "certify": (["--hierarchy", "h.json"], "OUT", "c.json", "c.json"),
+    "synthesize": (["--out", "k.json", "--force"], "HIERARCHY", "h.json", "h.json"),
+    "recruit": (["--hierarchy", "h.json", "--eps", "0.5"], "WINDOW", "1,2", "1,2"),
+    "fit": (["--problem", "p.json", "--starts", "2"], "SEED", "7", 7),
+    "timescale": (["--data", "d.csv"], "LAGS", "2:4", range(2, 5)),
+    "rtest": (["--a", "1,2", "--b", "3,4", "--seed", "1"], "N_PERM", "99", 99),
+    "predict": (["--problem", "p.json", "--params", "f.json"], "DATA", "rates", "rates"),
 }
 
 
@@ -1007,12 +979,41 @@ def test_sample_argv_covers_every_subcommand():
 
 @pytest.mark.parametrize("command", sorted(_SAMPLE_ARGV))
 def test_lean_parser_reads_what_the_full_parser_reads(command, monkeypatch):
-    rest, var, value = _SAMPLE_ARGV[command]
+    rest, var, value, parsed = _SAMPLE_ARGV[command]
     monkeypatch.setenv("LTNET_" + var, value)
     argv = [command, *rest]
     lean = vars(cli.build_parser(command).parse_args(argv))
     assert lean == vars(cli.build_parser().parse_args(argv))
-    assert lean[var.lower()] == value
+    assert lean[var.lower()] == parsed
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["fit", "--problem", "p.json", "--seed", "0", "--starts", "1.5"], {},
+     "argument --starts: invalid int value: '1.5'"),
+    (["fit", "--problem", "p.json", "--seed", "1e3"], {},
+     "argument --seed: invalid int value: '1e3'"),
+    (["fit", "--problem", "p.json", "--seed", "0"], {"LTNET_MAXITER": "x"},
+     "argument --maxiter: invalid int value: 'x'"),
+    (["rtest", "--a", "1,2", "--b", "3,4", "--seed", "1", "--n-perm", "x"], {},
+     "argument --n-perm: invalid int value: 'x'"),
+    (["timescale", "--data", "d.csv", "--binwidth", "x"], {},
+     "argument --binwidth: invalid float value: 'x'"),
+    (["timescale", "--data", "d.csv", "--lags", "5"], {},
+     "argument --lags: expected lo:hi, got '5'"),
+    (["timescale", "--data", "d.csv"], {"LTNET_LAGS": "1:x"},
+     "argument --lags: expected lo:hi, got '1:x'"),
+    (["simulate", "--net", "n.json", "--out", "t.csv", "--dt", "x"], {},
+     "argument --dt: invalid float value: 'x'"),
+], ids=["starts", "seed", "maxiter-env", "n-perm", "binwidth", "lags", "lags-env", "dt"])
+def test_cli_numeric_flags_name_themselves(argv, env, message, monkeypatch, capsys):
+    # before: exit 2 with a bare "invalid literal for int()" or, for --lags,
+    # "not enough values to unpack"
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1083,7 +1084,7 @@ def test_cli_number_files_take_commas_or_whitespace(tmp_path, capsys):
     x0_path.write_text("0.5,1.5\n")
     assert main(["simulate", "--net", str(net_path), "--x0", str(x0_path),
                  "--tspan", "0,1", "--out", str(out)]) == 0
-    np.testing.assert_array_equal(ltio.trajectory_from_csv(out).samples[0], [0.5, 1.5])
+    np.testing.assert_array_equal(ltio.rates_from_csv(out)[2][0], [0.5, 1.5])
     a_path, b_path = tmp_path / "a.txt", tmp_path / "b.txt"
     a_path.write_text("0.1 0.2 0.3\n")
     b_path.write_text("5.1\n5.2, 5.3\n")
@@ -1124,10 +1125,10 @@ def test_cli_simulate_x0_negative_list(tmp_path, capsys):
     assert "x0 lies outside the box" in capsys.readouterr().err
     assert main(["simulate", "--net", str(net_path), "--x0", "1,0.25",
                  "--tspan", "-1,1", "--out", str(out)]) == 0
-    back = ltio.trajectory_from_csv(out)
+    _, times, samples = ltio.rates_from_csv(out)
     ref = simulate(net, [1.0, 0.25], None, (-1.0, 1.0))
-    np.testing.assert_array_equal(back.samples, ref.samples)
-    assert back.t0 == -1.0
+    np.testing.assert_array_equal(samples, ref.samples)
+    assert times[0] == -1.0
 
 
 def test_cli_recruit_x0_negative_list(tmp_path, capsys):
@@ -1351,9 +1352,26 @@ def _drive(**params):
     (lambda obj: obj["inputs"][0].update(kind="rule", params={}),
      "inputs entry 0: rule 'on' must be a collection of conditions, got None"),
     (lambda obj: obj["inputs"][0].update(params=None), "inputs entry 0: params must be an object"),
+    # before: ZeroDivisionError or IndexError (exit 1), or exit 2 naming no field
+    (lambda obj: obj.update(T=0), "T must be finite and > 0, got 0"),
+    (lambda obj: obj.update(T=-0.1), "T must be finite and > 0, got -0.1"),
+    (lambda obj: obj.update(tf=-1.0),
+     "t0 and tf must be finite with t0 < tf, got 0.0 and -1.0"),
+    (lambda obj: obj.update(manifest=[3]), "manifest indices must be in 0..0, got [3]"),
+    # before: fit exited 0 with tau <= 0 allowed
+    (lambda obj: obj.update(tau_bounds=[[-1, 2]]),
+     "tau_bounds pairs must hold 0 < lo <= hi < inf, got (-1.0, 2.0)"),
+    (lambda obj: obj.update(tau_bounds=[[0, 2]]), "tau_bounds pairs must hold 0 < lo"),
+    (lambda obj: obj.update(tau_bounds=[[2, 1]]), "tau_bounds pairs must hold 0 < lo"),
+    (lambda obj: obj.update(tau_bounds=[[1.0]]),
+     "tau_bounds pairs must hold 0 < lo <= hi < inf, got (1.0,)"),
+    (lambda obj: obj.update(c_bounds=[5, -3]),
+     "c_bounds must be finite with lo <= hi, got (5.0, -3.0)"),
 ], ids=["unknown-kind", "missing-kind", "pulse-without-window", "short-window",
         "string-in-window", "infinite-window", "reversed-window", "zero-sigma", "nan-sigma",
-        "non-numeric-t0", "non-numeric-value", "rule-without-on", "null-params"])
+        "non-numeric-t0", "non-numeric-value", "rule-without-on", "null-params",
+        "zero-T", "negative-T", "tf-before-t0", "manifest-out-of-range", "negative-tau",
+        "zero-tau", "reversed-tau-bounds", "one-tau-bound", "reversed-c-bounds"])
 def test_cli_problem_rejects_malformed_inputs(tmp_path, capsys, edit, match):
     problem_path, data_dir = write_fit_inputs(tmp_path)
     obj = json.loads(problem_path.read_text())

@@ -116,8 +116,9 @@ def test_pieces_sorted_and_serializable():
 def test_boundary_consistency():
     pa = equilibrium_map(np.zeros((1, 1)), np.array([1.0]))
     for d in (np.array([0.0]), np.array([1.0])):
-        assert len(pa.pieces_at(d)) == 2
-        assert pa.consistency_gap(d) < 1e-12
+        a, b = (p.F @ d + p.f for p in pa.pieces_at(d))
+        assert np.max(np.abs(a - b)) < 1e-12
+    assert len(pa.pieces_at(np.array([0.5]))) == 1
     assert pa(np.array([1.0]))[0] == 1.0
     assert pa(np.array([0.0]))[0] == 0.0
 
@@ -201,12 +202,6 @@ def test_enumeration_limit(monkeypatch):
 def test_piece_for_pattern_refuses_a_pattern_of_the_wrong_length():
     with pytest.raises(ValueError, match="pattern length 1 != n = 2"):
         piece_for_pattern(np.zeros((2, 2)), np.ones(2), (LINEAR,))
-
-
-def test_consistency_gap_is_zero_inside_one_piece():
-    pa = equilibrium_map(np.zeros((1, 1)), np.array([1.0]))
-    assert len(pa.pieces_at(np.array([0.5]))) == 1
-    assert pa.consistency_gap(np.array([0.5])) == 0.0
 
 
 def test_iterative_solver_refuses_a_singular_contraction_test():

@@ -32,6 +32,9 @@ def test_package_all_is_the_union_of_module_lists():
         for name in m.__all__:
             assert getattr(ltnet, name) is getattr(m, name), name
     assert ltnet.io is io and ltnet.sysid is sysid
+    for m in (io, sysid):  # each listed name resolves, so `import *` works
+        for name in m.__all__:
+            assert hasattr(m, name), f"{m.__name__}.{name}"
     assert isinstance(ltnet.__version__, str)
 
 

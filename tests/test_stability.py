@@ -201,15 +201,15 @@ def test_certify_hierarchy_chain():
     cert = certify_hierarchy(lc_hierarchy())
     assert cert.all_passed
     assert sorted(cert.maps) == [2, 3]
-    assert abs(cert.certificate_for(3).rho - 0.01) <= 0.005
-    assert abs(cert.certificate_for(2).rho - 0.83) <= 0.005
+    assert abs(cert.certificates[1].rho - 0.01) <= 0.005
+    assert abs(cert.certificates[0].rho - 0.83) <= 0.005
     assert cert.layer1_bounded and cert.layer1_certificate is None
 
 
 def test_certify_hierarchy_stops_at_failure():
     cert = certify_hierarchy(lc_hierarchy(w_bottom=1.5))
-    assert not cert.certificate_for(3).passed
-    assert not cert.certificate_for(2).passed
+    assert not cert.certificates[1].passed
+    assert not cert.certificates[0].passed
     assert cert.maps == {}
     assert not cert.all_passed
 
@@ -225,7 +225,7 @@ def test_certify_hierarchy_inhibitory_top():
     h = Hierarchy(layers, (np.zeros((3, 3)),), (-np.eye(3),))
     cert = certify_hierarchy(h)
     # recruited block of the lower layer: rho = sqrt(0.2)
-    assert abs(cert.certificate_for(2).rho - np.sqrt(0.2)) < 1e-6
+    assert abs(cert.certificates[0].rho - np.sqrt(0.2)) < 1e-6
     assert cert.layer1_bounded  # ceilings are infinite but the layer only inhibits
     assert cert.all_passed
 

@@ -1,4 +1,4 @@
-"""Rate preprocessing, timescales, permutation tests, structured fitting."""
+"""Timescales, permutation tests, structured fitting."""
 
 import hashlib
 import re
@@ -19,72 +19,15 @@ from ltnet.sysid import (
     SysIdProblem,
     WeightEntry,
     autocorr_timescale,
-    bin_rates,
     fit,
     fit_exponential_decay,
-    gaussian_smooth,
     objective,
     objective_terms,
     predict,
     r_squared,
     randomization_test,
-    simulate_candidate,
     two_channel_hierarchy_structure,
 )
-
-
-def test_bin_rates_empty_and_regular():
-    centers, rates = bin_rates([], (0.0, 1.0), 0.1)
-    np.testing.assert_allclose(centers, 0.05 + 0.1 * np.arange(10))
-    np.testing.assert_array_equal(rates, np.zeros(10))
-
-    spikes = 0.05 + 0.1 * np.arange(10)  # one spike in every bin
-    _, rates = bin_rates(spikes, (0.0, 1.0), 0.1)
-    np.testing.assert_array_equal(rates, np.full(10, 10.0))
-
-    with pytest.raises(ValueError, match="window"):
-        bin_rates([0.5], (1.0, 0.0), 0.1)
-
-
-def test_bin_rates_poisson_mean():
-    rng = np.random.default_rng(101)
-    rate = 20.0
-    spikes = np.sort(rng.uniform(0.0, 10.0, size=rng.poisson(rate * 10.0)))
-    _, rates = bin_rates(spikes, (0.0, 10.0), 0.5)
-    stderr = np.sqrt(rate / 10.0)  # Poisson count noise on the global mean
-    assert abs(rates.mean() - rate) < 3.0 * stderr
-
-
-def test_gaussian_smooth_constant_and_mass():
-    const = np.full(200, 3.7)
-    np.testing.assert_allclose(gaussian_smooth(const, sigma=5.0), const,
-                               atol=1e-10)
-    impulse = np.zeros(201)
-    impulse[100] = 1.0
-    out = gaussian_smooth(impulse, sigma=3.0)
-    np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
-    assert out[100] == out.max()
-    with pytest.raises(ValueError, match="sigma"):
-        gaussian_smooth(const, sigma=0.0)
-
-
-def test_gaussian_smooth_sinusoid_attenuation():
-    omega, sigma = 0.2, 2.0
-    t = np.arange(3000, dtype=float)
-    y = np.sin(omega * t)
-    smoothed = gaussian_smooth(y, sigma)
-    factor = np.exp(-0.5 * (sigma * omega) ** 2)
-    interior = slice(50, -50)
-    err = np.max(np.abs(smoothed[interior] - factor * y[interior]))
-    assert err < 0.01  # matches the analytic attenuation within 1%
-
-
-def test_gaussian_smooth_rows():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(3, 120))
-    out = gaussian_smooth(X, sigma=2.5)
-    for i in range(3):
-        np.testing.assert_allclose(out[i], gaussian_smooth(X[i], sigma=2.5))
 
 
 def test_fit_exponential_decay_exact():
@@ -305,12 +248,11 @@ def test_simulate_candidate_scalar_analytic():
         ("base",), (0,), t0=0.0, tf=5.0, T=0.1,
     )
     z = np.array([2.0, 1.0, 0.0, 0.0])  # gain, tau, c, x0
-    states = simulate_candidate(z, problem)
+    states, diverged = problem.simulate_candidates(z[None])
     t = problem.t0 + problem.T * np.arange(problem.K)
     exact = 2.0 * (1.0 - np.exp(-t))
-    assert set(states) == {"base"}
-    assert states["base"].shape == (problem.K, 1)
-    assert np.max(np.abs(states["base"][:, 0] - exact)) < 1e-6
+    assert states.shape == (1, 1, problem.K, 1) and not diverged[0]
+    assert np.max(np.abs(states[0, 0, :, 0] - exact)) < 1e-6
 
 
 def test_objective_perfect_offset_and_decomposition():
