@@ -38,9 +38,14 @@ the (inner piece, outer pattern) pairs, are built in stacks of up to
 _PATTERN_CHUNK pairs, each pair with its own effective weights.  A
 candidate is first dropped without an LP when one inner row is negative
 over the whole box its outer pattern allows the outer state (see
-_box_empty); the rest are decided by max-margin LPs, _LP_CHUNK
-candidates stacked into one block-diagonal LP, assembled from one stack
-of every undecided candidate's rows with an owner index.  Every LP in
+_box_empty).  Of the rest, a candidate is kept without an LP when a
+point of its region is exhibited, as for the base map: the first of a
+fixed table of outer states in that box at which every inner row is
+positive gives the d whose equilibrium it is, and the candidate's own
+rows must hold at d with a margin (see _witness and _witnessed).  The
+others are decided by max-margin LPs, _LP_CHUNK candidates stacked into
+one block-diagonal LP, assembled from one stack of every undecided
+candidate's rows with an owner index.  Every LP in
 ltnet goes through linprog here, HiGHS through scipy.optimize.milp;
 SciPy is imported by the first LP, not by this module.
 
@@ -89,6 +94,7 @@ __all__ = [
 _SINGULAR_RCOND = 1e12  # condition-number cutoff for a usable linear solve
 _QUERY_TILE = 1 << 15  # row x point entries per point-location tile; isqrt = 181 points per chunk
 _LP_CHUNK = 64  # regions per stacked emptiness LP
+_WITNESS_SAMPLES = 64  # outer states a composite candidate's witness search tries
 _PATTERN_CHUNK = 256  # patterns per stacked piece build: memory O(chunk * n^2)
 _STACK_LIMIT = 3**11 * 11**2  # patterns x n^2 an enumeration may build: n = 11, every m finite
 
@@ -667,6 +673,63 @@ def _box_empty(Gi, b, sigmas, m) -> np.ndarray:
     return np.any(top < -tol, axis=-1)
 
 
+def _samples(m):
+    """(_WITNESS_SAMPLES, n) values of Linear nodes under the ceilings m (n,)
+    for the witness search: u_ji m_i at a finite m_i, 10^(5 u_ji - 2) at an
+    unbounded one.  u_j = frac(1/2 + j a) is the additive recurrence of
+    Roberts' R_n sequence, a_i = phi^-i with phi the root of phi^(n+1) =
+    phi + 1 in (1, 2), so u_0 is the centre of the unit cube and the rows
+    spread evenly over it."""
+    n = len(m)
+    phi = 2.0
+    for _ in range(64):  # a contraction by at most 1 / (n + 1) per step
+        phi = (1.0 + phi) ** (1.0 / (n + 1))
+    u = (0.5 + np.arange(_WITNESS_SAMPLES)[:, None] * phi ** -np.arange(1.0, n + 1)) % 1.0
+    unbounded = np.isinf(m)
+    return np.where(unbounded, 10.0 ** (5.0 * u - 2.0), u * np.where(unbounded, 0.0, m))
+
+
+def _witness(Gi, b, real, W, off, sigmas, m, linear):
+    """A point d (P, n) of each candidate's region, NaN where none was found.
+
+    Candidate k has the inner rows Gi[k] x + b[k] >= 0 (Gi (P, R, n), b (P, R),
+    real (P, R) false on padding) and the outer equation x = [W[k] x + off[k]
+    + d]_0^m under the outer pattern sigmas[k].  Sample j puts x_i at 0 at
+    Zero, m_i at Saturated and linear[j, i] at Linear (see _samples), in the
+    box of _box_empty; the inner rows at every sample come from one matrix
+    product with the shared (S, n) table.  The first sample whose real
+    inner rows are all positive gives d = x - (W x + off) - 1 at Zero, + 1
+    at Saturated: then z = W x + off + d is -1, x_i or m_i + 1, so the
+    pattern holds strictly wherever x_i is inside (0, m_i), and x is the
+    candidate's equilibrium at d.  Nothing rests on that: _witnessed checks
+    d against the candidate's own rows.
+    """
+    P, R, n = Gi.shape
+    zero, sat, lin = sigmas == ZERO, sigmas == SATURATED, sigmas == LINEAR
+    pinned = np.where(sat, m, 0.0)  # x off the Linear nodes
+    inner = ((Gi * lin[:, None, :]).reshape(-1, n) @ linear.T).reshape(P, R, len(linear))
+    inner += ((Gi @ pinned[..., None])[..., 0] + b)[..., None]  # (P, R, S)
+    fits = np.all((inner > 0.0) | ~real[..., None], axis=1)  # (P, S)
+    x = np.where(lin, linear[fits.argmax(axis=1)], pinned)
+    d = x - (W @ x[..., None])[..., 0] - off + sat - zero
+    d[~fits.any(axis=1)] = np.nan
+    return d
+
+
+def _witnessed(G, g, keep, D):
+    """Candidates (P,) whose rows G (P, R, n), g (P, R) where keep (P, R) hold
+    at the point D[k] (P, n) with a margin: G_r d + g_r > 1e-6 (1 + |G_r| |d|
+    + |g_r|), the sum of the terms' magnitudes standing in for the row's
+    size at d.  The max-margin LP of such a region reaches at least that
+    margin, far above its -1e-9 threshold, so it would keep the candidate.
+    A NaN row of D fails every row, and a candidate has at least its outer
+    regime rows, so it witnesses nothing."""
+    d = D[..., None]
+    margin = (G @ d)[..., 0] + g
+    tol = 1e-6 * (1.0 + (np.abs(G) @ np.abs(d))[..., 0] + np.abs(g))
+    return np.all((margin > tol) | ~keep, axis=1)
+
+
 def compose_maps(
     inner: PiecewiseAffineMap,
     W1,
@@ -690,9 +753,11 @@ def compose_maps(
     piece's rows zero-padded to the longest and multiplied in groups of
     one row count (see _pattern_pieces on which products keep their bits).
     A candidate whose inner rows rule out the box that its outer pattern
-    pins x to is dropped before any LP (see _box_empty); _regions_nonempty
-    decides the others exactly, with up to _LP_CHUNK candidates per
-    block-diagonal LP.
+    pins x to is dropped before any LP (see _box_empty).  Of the others,
+    one whose rows hold with a margin at a point d that _witness builds
+    from a sample state of that box is kept without an LP (see
+    _witnessed); _regions_nonempty decides the rest exactly, with up to
+    _LP_CHUNK candidates per block-diagonal LP.
 
     certificate must witness uniqueness of the composite solution (object
     with a true ``passed`` attribute, e.g. from stability.ges_certificate);
@@ -724,6 +789,7 @@ def compose_maps(
     # (G, g, owner) of the rows left for the LPs, owner a candidate's index
     lp_rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=np.intp))]
     n_singular = n_candidates = 0
+    linear = _samples(m)
     # (inner piece, outer pattern) pairs, inner-piece-major, in stacks
     pairs = ((k, s) for k in range(len(inner)) for s in itertools.product(*_regimes(m)))
     for chunk in _chunks(pairs):
@@ -739,11 +805,18 @@ def compose_maps(
             Glf[sel, :r] = (Gl[sel, :r] @ f[sel, :, None])[..., 0]
         G = np.concatenate([G, GlF], axis=1)
         g = np.concatenate([g, Glf + Gc[lam] + gl[lam]], axis=1)
-        keep = np.concatenate([keep, np.arange(Gi.shape[1]) < n_rows[:, None]], axis=1)
+        b = Gc[lam] + gl[lam]
+        real = np.arange(Gi.shape[1]) < n_rows[:, None]
+        keep = np.concatenate([keep, real], axis=1)
         labels = [inner.labels[k] + s for k, s in itertools.compress(chunk, ok)]
         stacks.append((labels, F, f, G, g, keep))
-        to_lp = ~_box_empty(Gl, Gc[lam] + gl[lam], sigmas[ok], m)
-        undecided.append(to_lp)
+        sigmas = sigmas[ok]
+        undecided.append(~_box_empty(Gl, b, sigmas, m))
+        to_lp = undecided[-1].copy()  # the box mask stays as it is
+        idx = np.flatnonzero(to_lp)
+        D = _witness(Gl[idx], b[idx], real[idx], Weff[lam[idx]], off[lam[idx]], sigmas[idx],
+                     m, linear)
+        to_lp[idx] = ~_witnessed(G[idx], g[idx], keep[idx], D)
         rows = keep & to_lp[:, None]
         lp_rows.append((G[rows], g[rows], n_candidates + np.nonzero(rows)[0]))
         n_candidates += len(to_lp)

@@ -375,14 +375,14 @@ class SysIdProblem:
     layer_sizes : sizes of the stacked layers (top first).
     structure : free WeightEntry list; everything not listed is zero.
     inputs : known exogenous InputSignal list (columns of the gain blocks).
-    conditions : experimental condition labels.
+    conditions : experimental condition labels, at least one.
     manifest : global state indices (0..n-1) with measurements.
     data : condition -> (K, len(manifest)) rate array on the grid
         t0 + k*T; may be None until attached.
     t0, tf, T : data window and sampling step (finite, t0 < tf, T > 0).
     tau_bounds : per-layer (lo, hi) for the time constants, 0 < lo <= hi < inf.
     c_bounds, x0_max : bounds for backgrounds (finite lo <= hi) and initial states.
-    gamma1, gamma2 : objective weights (correlation and variance terms).
+    gamma1, gamma2 : objective weights (correlation and variance terms), finite, >= 0.
     sim_substeps : integration steps per data sample (dt = T / substeps).
     """
 
@@ -413,6 +413,8 @@ class SysIdProblem:
         self.structure = tuple(structure)
         self.inputs = tuple(inputs)
         self.conditions = tuple(conditions)
+        if not self.conditions:
+            raise ValueError("conditions must name at least one condition, got none")
         self.manifest = tuple(int(i) for i in manifest)
         if not all(0 <= i < self.n for i in self.manifest):
             raise ValueError(f"manifest indices must be in 0..{self.n - 1}, got {manifest!r}")
@@ -423,6 +425,9 @@ class SysIdProblem:
             raise ValueError(f"T must be finite and > 0, got {T!r}")
         self.K = int(round((self.tf - self.t0) / self.T)) + 1
         self.gamma1, self.gamma2 = float(gamma1), float(gamma2)
+        for name, value in (("gamma1", self.gamma1), ("gamma2", self.gamma2)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         self.sim_substeps = int(sim_substeps)
         if self.sim_substeps < 1 or self.sim_substeps != sim_substeps:
             raise ValueError(f"sim_substeps must be a positive integer, got {sim_substeps!r}")

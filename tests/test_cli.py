@@ -1367,11 +1367,19 @@ def _drive(**params):
      "tau_bounds pairs must hold 0 < lo <= hi < inf, got (1.0,)"),
     (lambda obj: obj.update(c_bounds=[5, -3]),
      "c_bounds must be finite with lo <= hi, got (5.0, -3.0)"),
+    # before: numpy's bare "need at least one array to stack"
+    (lambda obj: obj.update(conditions=[]),
+     "conditions must name at least one condition, got none"),
+    # before: exit 3, "numerical failure: no start produced a finite objective"
+    (lambda obj: obj.update(gamma1=float("nan")), "gamma1 must be finite and >= 0, got nan"),
+    (lambda obj: obj.update(gamma2=-1.0), "gamma2 must be finite and >= 0, got -1.0"),
+    (lambda obj: obj.update(gamma2=float("inf")), "gamma2 must be finite and >= 0, got inf"),
 ], ids=["unknown-kind", "missing-kind", "pulse-without-window", "short-window",
         "string-in-window", "infinite-window", "reversed-window", "zero-sigma", "nan-sigma",
         "non-numeric-t0", "non-numeric-value", "rule-without-on", "null-params",
         "zero-T", "negative-T", "tf-before-t0", "manifest-out-of-range", "negative-tau",
-        "zero-tau", "reversed-tau-bounds", "one-tau-bound", "reversed-c-bounds"])
+        "zero-tau", "reversed-tau-bounds", "one-tau-bound", "reversed-c-bounds",
+        "no-conditions", "nan-gamma1", "negative-gamma2", "infinite-gamma2"])
 def test_cli_problem_rejects_malformed_inputs(tmp_path, capsys, edit, match):
     problem_path, data_dir = write_fit_inputs(tmp_path)
     obj = json.loads(problem_path.read_text())

@@ -991,45 +991,79 @@ def test_single_block_failure_counts_as_empty(monkeypatch):
     np.testing.assert_array_equal(_regions_nonempty(*_row_stack(regions)), truth & no_rows)
 
 
-# -- the box test that settles composite candidates before any LP ---------------
+# -- the box test and the witness that settle composite candidates before any LP
 
 
 def _decides_nothing(Gi, b, sigmas, m):
     return np.zeros(len(sigmas), dtype=bool)
 
 
-def _lp_blocks(monkeypatch):
-    """A list that gets the block count of every stacked LP solved from now on."""
+def _witnesses_nothing(G, g, keep, D):
+    return np.zeros(len(G), dtype=bool)
+
+
+_BOX_EMPTY, _WITNESSED, _LINPROG = equilibria._box_empty, equilibria._witnessed, equilibria.linprog
+
+
+def _settle(monkeypatch, box=True, witness=True):
+    """Switch compose_maps' box test and witness on or off."""
+    monkeypatch.setattr(equilibria, "_box_empty", _BOX_EMPTY if box else _decides_nothing)
+    monkeypatch.setattr(equilibria, "_witnessed", _WITNESSED if witness else _witnesses_nothing)
+
+
+def _blocks_and_bytes(monkeypatch, build, box, witness):
+    """(LP blocks, LP calls, piece bytes) of build() with the box test and
+    the witness switched as given."""
+    _settle(monkeypatch, box, witness)
     blocks = []
-    entry = equilibria.linprog
 
     def counted(c, **kwargs):
         blocks.append(np.count_nonzero(c))  # one -1 per block's margin variable
-        return entry(c, **kwargs)
+        return _LINPROG(c, **kwargs)
 
     monkeypatch.setattr(equilibria, "linprog", counted)
-    return blocks
+    pieces = _piece_bytes(build())
+    return sum(blocks), len(blocks), pieces
 
 
 def test_box_test_keeps_the_composite_bytes_and_saves_lp_blocks(monkeypatch):
-    blocks = _lp_blocks(monkeypatch)
-    boxed = _piece_bytes(_composite())
-    boxed_blocks = sum(blocks)
-    blocks.clear()
-    monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
-    assert _piece_bytes(_composite()) == boxed
-    assert hashlib.sha256(repr(boxed).encode()).hexdigest() == _COMPOSITE_SHA256
-    assert sum(blocks) == 222 and len(blocks) == 4
-    assert boxed_blocks <= 92
+    runs = {(box, witness): _blocks_and_bytes(monkeypatch, _composite, box, witness)
+            for box in (True, False) for witness in (True, False)}
+    for _, _, pieces in runs.values():
+        assert pieces == runs[True, True][2]
+    assert hashlib.sha256(repr(runs[True, True][2]).encode()).hexdigest() == _COMPOSITE_SHA256
+    # without the witness
+    assert runs[False, False][:2] == (222, 4)
+    assert runs[True, False][0] <= 92
+    # with it: 46 blocks in one LP after the box test, 176 in three without
+    assert runs[True, True][:2] == (46, 1)
+    assert runs[False, True][:2] == (176, 3)
 
 
 def _one_node_composite(a, c, m_out):
     """x = [0.5 [a x + c]_+ + c']_0^m_out.  The inner piece (ZERO,) has the
-    row -(a x + c) >= 0, and (LINEAR,) the row a x + c >= 0."""
+    row -(a x + c) >= 0, and (LINEAR,) the row a x + c >= 0.  Its
+    candidates are (ZERO,) x (Zero, Linear, Saturated), then (LINEAR,) x
+    the same, indexed 0 to 5."""
     inner = equilibrium_map(np.zeros((1, 1)), np.array([np.inf]))
     W1, W2, W3 = np.zeros((1, 1)), np.array([[0.5]]), np.array([[a]])
     cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
     return compose_maps(inner, W1, W2, W3, np.array([c]), np.array([m_out]), certificate=cert)
+
+
+def _lp_candidates(monkeypatch):
+    """A list that gets, for each _regions_nonempty call from now on, the
+    candidates that reach the LP stage and the ones it keeps."""
+    calls = []
+    entry = equilibria._regions_nonempty
+
+    def recorded(G, g, owner, count):
+        keep = entry(G, g, owner, count)
+        calls.append((np.unique(owner).tolist(), np.flatnonzero(keep).tolist()))
+        return keep
+
+    monkeypatch.setattr(equilibria, "_regions_nonempty", recorded)
+    return calls
 
 
 def test_box_maximum_of_exactly_zero_reaches_the_lp_and_is_kept(monkeypatch):
@@ -1037,38 +1071,52 @@ def test_box_maximum_of_exactly_zero_reaches_the_lp_and_is_kept(monkeypatch):
     # point c' = 0, whose maximal margin is exactly 0
     assert not _box_empty(np.array([[-1.0]]), np.array([0.0]), np.array([[LINEAR]]),
                           np.array([1.0])).any()
-    blocks = _lp_blocks(monkeypatch)
-    comp = _one_node_composite(1.0, 0.0, 1.0)
-    assert (ZERO, LINEAR) in [p.label for p in comp.pieces]
+    build = lambda: _one_node_composite(1.0, 0.0, 1.0)  # noqa: E731
+    candidates = _lp_candidates(monkeypatch)
+    runs = {(box, witness): _blocks_and_bytes(monkeypatch, build, box, witness)
+            for box in (True, False) for witness in (True, False)}
+    assert (ZERO, LINEAR) in [label for label, *_ in runs[True, True][2]]
+    for _, _, pieces in runs.values():
+        assert pieces == runs[True, True][2]
     # in one dimension an outer ZERO or SATURATED pins x, so inner rows on
     # those candidates have no coefficients and the zero-row rule settles
     # them in any case: only (ZERO, SATURATED) is left out of the LP
-    assert sum(blocks) == 5
-    blocks.clear()
-    monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
-    assert _piece_bytes(_one_node_composite(1.0, 0.0, 1.0)) == _piece_bytes(comp)
-    assert sum(blocks) == 5
+    assert runs[True, False][0] == runs[False, False][0] == 5
+    # the witness needs a positive margin, so the point region (ZERO,
+    # LINEAR), candidate 1, still reaches the LP, which keeps it; so do the
+    # candidates whose inner row is 0 at their pinned x
+    assert runs[True, True][0] == runs[False, True][0] == 3
+    reached, kept = candidates[0]
+    assert reached == [0, 1, 3] and 1 in kept
 
 
 def test_box_maximum_below_zero_rejects_without_an_lp_block(monkeypatch):
     # inner ZERO needs x <= -1e-3, but every outer pattern has x >= 0
-    blocks = _lp_blocks(monkeypatch)
-    comp = _one_node_composite(1.0, 1e-3, 1.0)
-    assert [p.label[0] for p in comp.pieces] == [LINEAR] * 3
-    assert sum(blocks) == 3  # only the inner LINEAR candidates
-    blocks.clear()
-    monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
-    assert _piece_bytes(_one_node_composite(1.0, 1e-3, 1.0)) == _piece_bytes(comp)
-    assert sum(blocks) == 4  # (ZERO, LINEAR) went to the LP to be rejected there
+    build = lambda: _one_node_composite(1.0, 1e-3, 1.0)  # noqa: E731
+    runs = {(box, witness): _blocks_and_bytes(monkeypatch, build, box, witness)
+            for box in (True, False) for witness in (True, False)}
+    assert [label[0] for label, *_ in runs[True, True][2]] == [LINEAR] * 3
+    for _, _, pieces in runs.values():
+        assert pieces == runs[True, True][2]
+    assert runs[True, False][0] == 3  # only the inner LINEAR candidates
+    assert runs[False, False][0] == 4  # (ZERO, LINEAR) went to the LP to be rejected there
+    # the witness settles the inner LINEAR candidates: no LP at all
+    assert runs[True, True][:2] == (0, 0)
+    assert runs[False, True][0] == 1  # (ZERO, LINEAR) alone, without the box test
 
 
 def test_positive_coefficient_on_an_unbounded_linear_node_never_rejects(monkeypatch):
     # inner ZERO needs x >= 5: outer ZERO is settled by its box, but outer
-    # LINEAR under m = inf reaches the LP, which keeps it
-    blocks = _lp_blocks(monkeypatch)
-    labels = [p.label for p in _one_node_composite(-1.0, 5.0, np.inf).pieces]
+    # LINEAR under m = inf is kept, by the LP without the witness
+    build = lambda: _one_node_composite(-1.0, 5.0, np.inf)  # noqa: E731
+    runs = {witness: _blocks_and_bytes(monkeypatch, build, True, witness)
+            for witness in (True, False)}
+    labels = [label for label, *_ in runs[True][2]]
     assert (ZERO, LINEAR) in labels and (ZERO, ZERO) not in labels
-    assert sum(blocks) == 3
+    assert runs[True][2] == runs[False][2]
+    assert runs[False][0] == 3
+    # the witness finds x = 10^(5u - 2) >= 5 on the unbounded node
+    assert runs[True][:2] == (0, 0)
     sigmas = np.array([[LINEAR, LINEAR], [LINEAR, ZERO], [ZERO, SATURATED]])
     m = np.array([np.inf, 2.0])
     # a positive coefficient on the unbounded node: no finite box maximum
@@ -1078,6 +1126,57 @@ def test_positive_coefficient_on_an_unbounded_linear_node_never_rejects(monkeypa
     # a zero coefficient on it counts 0 * inf as 0: the maximum is -1 - 0 or -1 - 2
     np.testing.assert_array_equal(
         _box_empty(np.array([[0.0, -1.0]]), np.array([-1.0]), sigmas, m), [True, True, True])
+
+
+def _witness_composites():
+    """Seeded certified composites, inner n <= 3 and outer n <= 4 with mixed
+    ceilings (unbounded Linear nodes included), then the one-node
+    composite whose (ZERO, LINEAR) region is the single point c' = 0."""
+    rng = np.random.default_rng(131)
+    out = []
+    while len(out) < 12:
+        W_in, m_in = random_contractive(rng, n_max=3)
+        W1, m_out = random_contractive(rng, n_max=4, rho_hi=0.6)
+        W2 = rng.uniform(-0.5, 0.5, size=(len(m_out), len(m_in)))
+        W3 = rng.uniform(-0.5, 0.5, size=(len(m_in), len(m_out)))
+        inner = equilibrium_map(W_in, m_in)
+        cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
+        if cert.passed:
+            out.append((W_in, m_in, W1, W2, W3, rng.uniform(-1.0, 2.0, size=len(m_in)), m_out))
+    return out + [(np.zeros((1, 1)), np.array([np.inf]), np.zeros((1, 1)), np.array([[0.5]]),
+                   np.array([[1.0]]), np.array([0.0]), np.array([1.0]))]
+
+
+def test_witness_keeps_what_the_lp_keeps_on_points_of_the_region(monkeypatch):
+    seen = []
+
+    def recorded(G, g, keep, D):
+        found = _WITNESSED(G, g, keep, D)
+        seen.append((G[found], g[found], keep[found], D[found]))
+        return found
+
+    witnessed = unbounded = 0
+    for W_in, m_in, W1, W2, W3, cbar, m_out in _witness_composites():
+        inner = equilibrium_map(W_in, m_in)
+        cert = ges_certificate(W1, W2, W3, max_gain_matrix(inner))
+        seen.clear()
+        monkeypatch.setattr(equilibria, "_witnessed", recorded)
+        comp = compose_maps(inner, W1, W2, W3, cbar, m_out, certificate=cert)
+        monkeypatch.setattr(equilibria, "_witnessed", _witnesses_nothing)
+        # the same kept candidates, so the same pieces, bit for bit
+        assert _piece_bytes(compose_maps(inner, W1, W2, W3, cbar, m_out,
+                                         certificate=cert)) == _piece_bytes(comp)
+        points = np.concatenate([D for *_, D in seen])
+        witnessed += len(points)
+        unbounded += len(points) if np.isinf(m_out).any() else 0
+        for G, g, keep, D in seen:
+            for Gk, gk, kk, d in zip(G, g, keep, D):
+                assert np.all(Gk[kk] @ d + gk[kk] > 0)  # d lies in the candidate's region
+        # and the composite's value there is the joint equilibrium
+        for d in points[:: max(1, len(points) // 4)]:
+            x, _ = joint_fixed_point(W1, W2, W3, cbar, m_out, W_in, m_in, d)
+            np.testing.assert_allclose(comp.eval(d), x, atol=1e-8)
+    assert witnessed > 0 and unbounded > 0
 
 
 def test_box_threshold_scales_with_the_row():
@@ -1092,6 +1191,21 @@ def test_box_threshold_scales_with_the_row():
     # the rows' own sizes set the tolerance: 1e-6 (1 + 1e6 + |b|) at |Gi| = 1e6
     assert not _box_empty(np.array([[-1e6]]), np.array([-0.5]), sigmas[:1], m).any()
     assert _box_empty(np.array([[-1e6]]), np.array([-1.5]), sigmas[:1], m).all()
+
+
+def test_witness_threshold_scales_with_the_row():
+    keep = np.array([[True, False]])
+    # the row x + b at d = 0 has margin b and tolerance 1e-6 (1 + |b|); the
+    # second row is padding, so its -1 counts for nothing
+    for b, want in [(0.9e-6, False), (1.1e-6, True)]:
+        G, g = np.array([[[1.0], [0.0]]]), np.array([[b, -1.0]])
+        assert _WITNESSED(G, g, keep, np.zeros((1, 1)))[0] == want
+    # the terms' sizes at d set it: 1e-6 (1 + 1e6 + |g|) with |G_r| |d| = 1e6
+    G = np.array([[[1e6], [0.0]]])
+    for margin, want in [(1.5, False), (2.5, True)]:
+        assert _WITNESSED(G, np.array([[margin - 1e6, 0.0]]), keep, np.ones((1, 1)))[0] == want
+    # no point found: nothing is witnessed
+    assert not _WITNESSED(G, np.array([[1.0, 0.0]]), keep, np.full((1, 1), np.nan))[0]
 
 
 def _perfbench_map_build():
@@ -1109,10 +1223,10 @@ def _perfbench_map_build():
 _MAP_BUILD_SHA256 = "d112f50f8f168e1410ef3bb09a70508f1be17ed1b08de7377a8d787daa23cf2c"
 
 
-@pytest.mark.parametrize("box", ["box", "lp only"])
-def test_perfbench_map_build_composites_are_pinned(box, monkeypatch):
-    if box == "lp only":
-        monkeypatch.setattr(equilibria, "_box_empty", _decides_nothing)
+@pytest.mark.parametrize("settle", ["box", "lp only", "no witness", "witness only"])
+def test_perfbench_map_build_composites_are_pinned(settle, monkeypatch):
+    _settle(monkeypatch, box=settle in ("box", "no witness"),
+            witness=settle in ("box", "witness only"))
     MapBuild = _perfbench_map_build()
     blob = []
     for seed in (1, 2, 3):

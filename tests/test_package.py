@@ -1,5 +1,6 @@
 """The package namespace re-exports each module's public names; its
-import pulls in no SciPy at import; the shipped report schema names the
+import pulls in no SciPy and no numpy.random, and a composite that needs
+no LP none of scipy.optimize; the shipped report schema names the
 CLI's schema version and subcommands; its value types compare by
 identity."""
 
@@ -74,16 +75,23 @@ def _fresh(code, *argv):
                           capture_output=True, text=True, check=True).stdout
 
 
-def _compose_digest():
-    """SHA-256 of the piece bytes of a small composite map."""
-    inner = equilibria.equilibrium_map(np.array([[0.2, -0.3], [0.4, 0.1]]),
-                                       np.array([1.5, np.inf]))
-    W1 = np.array([[0.1, -0.2], [0.3, 0.2]])
-    W2 = np.array([[0.3, 0.1], [-0.2, 0.2]])
-    W3 = np.array([[0.2, 0.1], [0.0, -0.3]])
+def _compose_digest(which):
+    """SHA-256 of the piece bytes of a small composite map: "settled", whose
+    candidates the box test and the witness all decide, or "lp", whose
+    point region c' = 0 only an LP can keep."""
+    if which == "settled":
+        inner = equilibria.equilibrium_map(np.array([[0.2, -0.3], [0.4, 0.1]]),
+                                           np.array([1.5, np.inf]))
+        W1 = np.array([[0.1, -0.2], [0.3, 0.2]])
+        W2 = np.array([[0.3, 0.1], [-0.2, 0.2]])
+        W3 = np.array([[0.2, 0.1], [0.0, -0.3]])
+        cbar, m = np.array([0.3, -0.2]), np.array([2.0, 1.0])
+    else:
+        inner = equilibria.equilibrium_map(np.zeros((1, 1)), np.array([np.inf]))
+        W1, W2, W3 = np.zeros((1, 1)), np.array([[0.5]]), np.array([[1.0]])
+        cbar, m = np.array([0.0]), np.array([1.0])
     cert = stability.ges_certificate(W1, W2, W3, equilibria.max_gain_matrix(inner))
-    comp = equilibria.compose_maps(inner, W1, W2, W3, np.array([0.3, -0.2]),
-                                   np.array([2.0, 1.0]), certificate=cert)
+    comp = equilibria.compose_maps(inner, W1, W2, W3, cbar, m, certificate=cert)
     blob = [(p.label,) + tuple(a.tobytes() for a in (p.F, p.f, p.G, p.g)) for p in comp.pieces]
     return hashlib.sha256(repr(blob).encode()).hexdigest()
 
@@ -91,6 +99,14 @@ def _compose_digest():
 def test_import_loads_no_scipy():
     code = ("import sys, ltnet, ltnet.cli; "
             "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])")
+    assert _fresh(code).strip() == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random costs milliseconds of every CLI start; the library draws
+    # nothing at import
+    code = ("import sys, ltnet, ltnet.cli; "
+            "print([k for k in sys.modules if k.startswith('numpy.random')])")
     assert _fresh(code).strip() == "[]"
 
 
@@ -140,11 +156,22 @@ def test_first_compose_maps_loads_scipy_optimize_and_gives_the_same_pieces():
 import sys
 import test_package
 before = "scipy.optimize" in sys.modules
-print(before, test_package._compose_digest(), "scipy.optimize" in sys.modules)
+print(before, test_package._compose_digest("lp"), "scipy.optimize" in sys.modules)
 """
     before, digest, after = _fresh(code).split()
     assert (before, after) == ("False", "True")
-    assert digest == _compose_digest()
+    assert digest == _compose_digest("lp")
+
+
+def test_compose_maps_settled_without_an_lp_loads_no_scipy_optimize():
+    code = """
+import sys
+import test_package
+print(test_package._compose_digest("settled"), "scipy.optimize" in sys.modules)
+"""
+    digest, loaded = _fresh(code).split()
+    assert loaded == "False"
+    assert digest == _compose_digest("settled")
 
 
 def test_perfbench_tracer_finds_and_restores_every_function_it_wraps():
