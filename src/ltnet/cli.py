@@ -2,12 +2,18 @@
 
 Subcommands map onto the library one-to-one: simulate, equilibrium,
 certify, synthesize, recruit (epsilon sweeps), fit, timescale, rtest and
-predict.  Exit codes: 0 on success (a failing stability certificate is
-still a successful run and reports pass: false), 2 on validation errors
-(malformed files or flags), 3 on numerical failures.  Every flag has an
+predict.  _COMMANDS lists each with its help, its handler and its flags.
+main parses the flags and run dispatches: it checks --out, calls the
+handler, which reads its files through ltnet.io and returns its report
+(simulate writes its CSV itself), and writes the report once, to --out
+or to stdout.  Exit codes: 0 on success (a failing stability certificate
+is still a successful run and reports pass: false), 2 on validation
+errors (malformed files or flags, or an --out that exists without
+--force, is a directory or lies in a missing directory, refused before
+any work), 3 on numerical failures.  Every flag has an
 environment-variable override with the LTNET_ prefix (e.g. LTNET_SEED);
 explicit flags win.  Reports are deterministic for identical inputs and
-seeds, and existing output files are never overwritten without --force.
+seeds.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .equilibria import (
     lipschitz_constant,
     max_gain_matrix,
 )
-from .hierarchy import epsilon_sweep, simulate_hierarchy
+from .hierarchy import epsilon_sweep
 from .io import ValidationError, write_report
 from .network import simulate
 from .stability import certify_hierarchy
@@ -97,32 +103,113 @@ def _lags(text):
     return range(lo, hi + 1)
 
 
+def _csv_numbers(path, ndmin=0):
+    """The numbers of a comma-separated file; an unreadable, malformed or
+    empty file raises ValidationError naming it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt only warns on an empty file
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+        except (OSError, ValueError, UserWarning) as e:
+            raise ValidationError(f"{path}: {e}")
+
+
+def _simulate(args):
+    net = ltio.load_network(args.net)
+    t0, t1 = _floats(args.tspan, 2)
+    x0 = np.zeros(net.n) if args.x0 is None else _numbers(args.x0, net.n)
+    traj = simulate(net, x0, None, (t0, t1), args.dt)
+    ltio.trajectory_to_csv(traj, args.out, args.force)
+
+
+def _equilibrium(args):
+    net = ltio.load_network(args.net)
+    pa_map = equilibrium_map(net.W, net.m)
+    if args.at is None:
+        return {"pieces": pa_map.to_jsonable(), "lipschitz": lipschitz_constant(pa_map),
+                "max_gain": max_gain_matrix(pa_map).tolist()}
+    d = np.array(_floats(args.at, net.n))
+    return {"at": d.tolist(), "value": pa_map.eval(d).tolist(),
+            "lipschitz": lipschitz_constant(pa_map)}
+
+
+def _certify(args):
+    return certify_hierarchy(ltio.load_hierarchy(args.hierarchy)).to_dict()
+
+
+def _synthesize(args):
+    laws = multilayer_controls(ltio.load_hierarchy(args.hierarchy))
+    return {"controls": ltio.controls_to_jsonable(laws)}
+
+
+def _recruit(args):
+    h = ltio.load_hierarchy(args.hierarchy)
+    laws = (multilayer_controls(h) if args.controls is None
+            else ltio.load_controls(args.controls, h))
+    eps_list = _floats(args.eps)
+    window = tuple(_floats(args.window, 2)) if args.window else None
+    x0 = None
+    if args.x0 is not None:
+        flat = _numbers(args.x0, sum(la.n for la in h.layers))
+        x0 = [flat[s] for s in h.slices()]
+    return epsilon_sweep(h, laws, eps_list, x0=x0, window=window).to_dict()
+
+
+def _fit(args):
+    problem = ltio.load_problem(args.problem, args.data)
+    report = sysid.fit(problem, n_starts=args.starts, seed=args.seed, maxiter=args.maxiter)
+    fields = ("f", "f_sse", "f_corr", "f_var", "r2", "n_starts", "best_start", "seed")
+    return {"z": report.z.tolist(), "names": problem.param_names(),
+            **{k: getattr(report, k) for k in fields}}
+
+
+def _timescale(args):
+    trials = _csv_numbers(args.data, ndmin=2)
+    A, tau = sysid.autocorr_timescale(trials, args.binwidth, args.lags)
+    return {"amplitude": A, "tau": tau}
+
+
+def _rtest(args):
+    p = sysid.randomization_test(_numbers(args.a), _numbers(args.b), args.n_perm, args.seed)
+    return {"p_value": p, "n_perm": args.n_perm}
+
+
+def _predict(args):
+    problem = ltio.load_problem(args.problem, args.data)
+    z = ltio.load_fit_z(args.params, len(problem.param_names()))
+    est = sysid.predict(z, problem)
+    report = {"estimates": {c: v.tolist() for c, v in est.items()}}
+    if problem.data is not None:
+        report["r2"] = sysid.r_squared(problem.data, est)
+    return report
+
+
 _REPORT_OUT = ("--out", dict(help="report JSON path (stdout when omitted)"))
 
-# subcommand -> (its help, its flags as (flag, _add keywords)); each also takes
-# --force.  A flag's type also converts its LTNET_* default.
+# subcommand -> (its help, its handler, its flags as (flag, _add keywords));
+# each also takes --force.  A flag's type also converts its LTNET_* default.
 _COMMANDS = {
-    "simulate": ("integrate a single network", [
+    "simulate": ("integrate a single network", _simulate, [
         ("--net", dict(required=True, help="network JSON")),
         ("--x0", dict(help="initial state (comma list or file)")),
         ("--tspan", dict(default="0,10", help="t0,t1")),
         ("--dt", dict(type=float, help="fixed step (default tau/50)")),
         ("--out", dict(required=True, help="trajectory CSV path")),
     ]),
-    "equilibrium": ("equilibrium map of a network", [
+    "equilibrium": ("equilibrium map of a network", _equilibrium, [
         ("--net", dict(required=True)),
         ("--at", dict(help="evaluate at this input instead of dumping the map")),
         ("--out", dict(required=True, help="JSON output path")),
     ]),
-    "certify": ("layerwise stability certificates", [
+    "certify": ("layerwise stability certificates", _certify, [
         ("--hierarchy", dict(required=True, help="hierarchy JSON")),
         _REPORT_OUT,
     ]),
-    "synthesize": ("inhibition/recruitment controls", [
+    "synthesize": ("inhibition/recruitment controls", _synthesize, [
         ("--hierarchy", dict(required=True)),
         ("--out", dict(required=True, help="controls JSON path")),
     ]),
-    "recruit": ("epsilon sweep with controls", [
+    "recruit": ("epsilon sweep with controls", _recruit, [
         ("--hierarchy", dict(required=True)),
         ("--controls", dict(help="controls JSON (default: synthesize)")),
         ("--eps", dict(default="0.5,0.25,0.1", help="comma list of ratios")),
@@ -130,7 +217,7 @@ _COMMANDS = {
         ("--window", dict(help="t_lo,t_hi (default 2 tau1, 10 tau1)")),
         _REPORT_OUT,
     ]),
-    "fit": ("fit a structured model to rate data", [
+    "fit": ("fit a structured model to rate data", _fit, [
         ("--problem", dict(required=True, help="problem JSON")),
         ("--data", dict(help="directory with per-condition rate CSVs")),
         ("--seed", dict(required=True, type=int, help="RNG seed (stochastic step)")),
@@ -138,20 +225,20 @@ _COMMANDS = {
         ("--maxiter", dict(default=300, type=int)),
         _REPORT_OUT,
     ]),
-    "timescale": ("autocorrelation timescale of trials", [
+    "timescale": ("autocorrelation timescale of trials", _timescale, [
         ("--data", dict(required=True, help="CSV, one trial per row")),
         ("--binwidth", dict(default=0.2, type=float)),
         ("--lags", dict(default="1:10", type=_lags, help="lag range lo:hi")),
         _REPORT_OUT,
     ]),
-    "rtest": ("two-sided permutation test", [
+    "rtest": ("two-sided permutation test", _rtest, [
         ("--a", dict(required=True, help="first sample (CSV or comma list)")),
         ("--b", dict(required=True, help="second sample")),
         ("--n-perm", dict(default=1999, type=int)),
         ("--seed", dict(required=True, type=int)),
         _REPORT_OUT,
     ]),
-    "predict": ("rates of a fitted parameter vector", [
+    "predict": ("rates of a fitted parameter vector", _predict, [
         ("--problem", dict(required=True)),
         ("--data", dict(help="directory with per-condition rate CSVs")),
         ("--params", dict(required=True, help="fit report JSON (for its z)")),
@@ -176,7 +263,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     # no metavar, which its missing- and unknown-command errors would name
     sub = ap.add_subparsers(dest="command", required=True,
                             metavar="{" + ",".join(_COMMANDS) + "}" if lean else None)
-    for name, (help_text, flags) in _COMMANDS.items():
+    for name, (help_text, _, flags) in _COMMANDS.items():
         if name == command or not lean:
             p = sub.add_parser(name, help=help_text)
             for flag, kw in flags:
@@ -185,193 +272,17 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return ap
 
 
-_PROBLEM_KEYS = ("layer_sizes", "structure", "inputs", "conditions", "manifest")
-_PROBLEM_OPTIONAL = ("t0", "tf", "T", "tau_bounds", "c_bounds", "x0_max",
-                     "gamma1", "gamma2", "sim_substeps")
-_STRUCTURE_KEYS = ("block", "row", "col", "sign", "bound")
-_INPUT_KEYS = ("name", "kind", "params")
-
-
-def _input_signal(path, k, entry):
-    try:
-        return sysid.InputSignal(entry["name"], entry["kind"], entry.get("params", {}))
-    except KeyError as e:
-        raise ValidationError(f"{path}: inputs entry {k} is missing key {e}")
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: inputs entry {k}: {e}")
-
-
-def _load_problem(path, data_dir):
-    obj = ltio._load_json(path)
-    ltio._known_keys(f"{path}: problem", obj, _PROBLEM_KEYS + _PROBLEM_OPTIONAL)
-    try:
-        for k, e in enumerate(obj["structure"]):
-            ltio._known_keys(f"{path}: structure entry {k}", e, _STRUCTURE_KEYS)
-        for k, s in enumerate(obj.get("inputs", [])):
-            ltio._known_keys(f"{path}: inputs entry {k}", s, _INPUT_KEYS)
-        structure = [
-            sysid.WeightEntry(
-                e["block"],
-                ltio._integer(e["row"], f"{path}: structure entry {j} row"),
-                ltio._integer(e["col"], f"{path}: structure entry {j} col"),
-                **{k: e[k] for k in ("sign", "bound") if k in e},
-            )
-            for j, e in enumerate(obj["structure"])
-        ]
-        inputs = [_input_signal(path, k, s) for k, s in enumerate(obj.get("inputs", []))]
-        problem = sysid.SysIdProblem(
-            layer_sizes=obj["layer_sizes"],
-            structure=structure,
-            inputs=inputs,
-            conditions=obj["conditions"],
-            manifest=obj["manifest"],
-            **{k: obj[k] for k in _PROBLEM_OPTIONAL if k in obj},
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: bad problem definition: {e}")
-    if data_dir is not None:
-        data = {}
-        for cond in problem.conditions:
-            csv_path = os.path.join(data_dir, f"{cond}.csv")
-            _, times, vals = ltio.rates_from_csv(csv_path)
-            grid = problem.t0 + problem.T * np.arange(len(times))
-            off = np.flatnonzero(~(np.abs(times - grid) <= 1e-9 * problem.T))
-            if off.size:
-                k = int(off[0])
-                raise ValidationError(
-                    f"{csv_path}: data row {k + 1}: t = {float(times[k])!r} is off the "
-                    f"grid t0 + k*T (expected {float(grid[k])!r})"
-                )
-            data[cond] = vals
-        try:
-            problem.attach_data(data)
-        except ValueError as e:
-            raise ValidationError(str(e))
-    return problem
-
-
-def _csv_numbers(path, ndmin=0):
-    """The numbers of a comma-separated file; an unreadable, malformed or
-    empty file raises ValidationError naming it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # loadtxt only warns on an empty file
-        try:
-            return np.loadtxt(path, delimiter=",", ndmin=ndmin)
-        except (OSError, ValueError, UserWarning) as e:
-            raise ValidationError(f"{path}: {e}")
-
-
-def _emit(args, payload, command):
-    out = getattr(args, "out", None)
-    text = write_report(payload, command, out, getattr(args, "force", False))
-    if out is None:
-        print(text)
-
-
 def run(args) -> int:
-    cmd = args.command
-    if cmd == "simulate":
-        net = ltio.load_network(args.net)
-        t0, t1 = _floats(args.tspan, 2)
-        x0 = np.zeros(net.n) if args.x0 is None else _numbers(args.x0, net.n)
-        traj = simulate(net, x0, None, (t0, t1), args.dt)
-        ltio.trajectory_to_csv(traj, args.out, args.force)
-        return 0
-
-    if cmd == "equilibrium":
-        net = ltio.load_network(args.net)
-        pa_map = equilibrium_map(net.W, net.m)
-        if args.at is not None:
-            d = np.array(_floats(args.at, net.n))
-            payload = {
-                "at": d.tolist(),
-                "value": pa_map.eval(d).tolist(),
-                "lipschitz": lipschitz_constant(pa_map),
-            }
-        else:
-            payload = {
-                "pieces": pa_map.to_jsonable(),
-                "lipschitz": lipschitz_constant(pa_map),
-                "max_gain": max_gain_matrix(pa_map).tolist(),
-            }
-        _emit(args, payload, cmd)
-        return 0
-
-    if cmd == "certify":
-        h = ltio.load_hierarchy(args.hierarchy)
-        _emit(args, certify_hierarchy(h).to_dict(), cmd)
-        return 0
-
-    if cmd == "synthesize":
-        h = ltio.load_hierarchy(args.hierarchy)
-        laws = multilayer_controls(h)
-        _emit(args, {"controls": ltio.controls_to_jsonable(laws)}, cmd)
-        return 0
-
-    if cmd == "recruit":
-        h = ltio.load_hierarchy(args.hierarchy)
-        if args.controls is not None:
-            laws = ltio.load_controls(args.controls, h)
-        else:
-            laws = multilayer_controls(h)
-        eps_list = _floats(args.eps)
-        window = tuple(_floats(args.window, 2)) if args.window else None
-        x0 = None
-        if args.x0 is not None:
-            flat = _numbers(args.x0, sum(la.n for la in h.layers))
-            x0 = [flat[s] for s in h.slices()]
-        report = epsilon_sweep(h, laws, eps_list, x0=x0, window=window)
-        _emit(args, report.to_dict(), cmd)
-        return 0
-
-    if cmd == "fit":
-        problem = _load_problem(args.problem, args.data)
-        report = sysid.fit(problem, n_starts=args.starts, seed=args.seed, maxiter=args.maxiter)
-        payload = {
-            "z": report.z.tolist(),
-            "names": problem.param_names(),
-            "f": report.f,
-            "f_sse": report.f_sse,
-            "f_corr": report.f_corr,
-            "f_var": report.f_var,
-            "r2": report.r2,
-            "n_starts": report.n_starts,
-            "best_start": report.best_start,
-            "seed": report.seed,
-        }
-        _emit(args, payload, cmd)
-        return 0
-
-    if cmd == "timescale":
-        trials = _csv_numbers(args.data, ndmin=2)
-        A, tau = sysid.autocorr_timescale(trials, args.binwidth, args.lags)
-        _emit(args, {"amplitude": A, "tau": tau}, cmd)
-        return 0
-
-    if cmd == "rtest":
-        p = sysid.randomization_test(_numbers(args.a), _numbers(args.b), args.n_perm, args.seed)
-        _emit(args, {"p_value": p, "n_perm": args.n_perm}, cmd)
-        return 0
-
-    if cmd == "predict":
-        problem = _load_problem(args.problem, args.data)
-        params = ltio._load_json(args.params)
-        z = params.get("z") if isinstance(params, dict) else params
-        try:
-            z = np.array(z, dtype=float)
-        except (TypeError, ValueError):
-            z = None
-        n = len(problem.param_names())
-        if z is None or z.shape != (n,) or not np.all(np.isfinite(z)):
-            raise ValidationError(f"{args.params}: z must be a list of {n} numbers")
-        est = sysid.predict(z, problem)
-        payload = {"estimates": {c: v.tolist() for c, v in est.items()}}
-        if problem.data is not None:
-            payload["r2"] = sysid.r_squared(problem.data, est)
-        _emit(args, payload, cmd)
-        return 0
-
-    raise ValidationError(f"unknown command {cmd!r}")
+    """Refuse --out before any work, run the subcommand's handler and
+    write its report once: to --out, or to stdout without one."""
+    if args.out is not None:
+        ltio.check_output(args.out, args.force)
+    report = _COMMANDS[args.command][1](args)
+    if report is not None:
+        text = write_report(report, args.command, args.out, args.force)
+        if args.out is None:
+            print(text)
+    return 0
 
 
 # flags whose value is a comma list of numbers

@@ -1,20 +1,25 @@
-"""File formats: network/hierarchy JSON, trajectory CSV, report emission.
+"""File formats: network, hierarchy and controls JSON, the fit problem
+JSON, the rate CSV, the fit report's z, trajectory CSV, report emission.
 
-Ceilings serialize as numbers or the string "inf".  Trajectory CSV uses
-the header t,x1,...,xn with 17 significant digits, so rates_from_csv
-reads the values back exactly.  Reports are JSON with sorted keys and a
-schema version string, which makes repeated runs byte-identical for
-identical inputs.
+Ceilings serialize as numbers or the string "inf"; every other number
+must be a JSON number, not a bool or a string.  Trajectory CSV uses the
+header t,x1,...,xn with 17 significant digits, so rates_from_csv reads
+the values back exactly.  Reports are JSON with sorted keys and a schema
+version string, which makes repeated runs byte-identical for identical
+inputs.  Every malformed file, and every output path that cannot be
+written, raises ValidationError naming it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 
 import numpy as np
 
+from . import sysid
 from .control import ControlLaw, OnlineFeedforward, _online_feedforward
 from .network import LTNetwork, Trajectory
 from .hierarchy import Hierarchy
@@ -28,7 +33,10 @@ __all__ = [
     "dump_hierarchy",
     "trajectory_to_csv",
     "write_report",
+    "check_output",
     "load_controls",
+    "load_problem",
+    "load_fit_z",
 ]
 
 REPORT_SCHEMA = "ltnet-report/1"
@@ -60,10 +68,29 @@ def _known_keys(where, entry, known):
         raise ValidationError(f"{where} has unknown key {unknown[0]!r}")
 
 
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _number_array(value, what, shape=None):
+    """value as a float array, of shape unless it is None.  Each leaf must
+    be a number: np.array reads true as 1.0 and "0.5" as 0.5, so a bool, a
+    string, null or a ragged nesting raises ValidationError naming what."""
+    try:
+        leaves = np.array(value, dtype=object)
+    except ValueError:  # a nesting too ragged even for an object array
+        leaves = np.array(None)
+    if all(isinstance(v, _REALS) and not isinstance(v, bool) for v in leaves.flat):
+        a = leaves.astype(float)
+        if shape is None or a.shape == shape:
+            return a
+    kind = f"a number, got {value!r}" if shape == () else "a rectangular array of numbers"
+    raise ValidationError(f"{what} must be {kind}")
+
+
 def _ceiling_in(v):
     if v == "inf":
         return np.inf
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         if v <= 0:
             raise ValidationError(f"ceiling entries must be positive, got {v}")
         return float(v)
@@ -88,17 +115,16 @@ def network_from_dict(obj) -> LTNetwork:
     _known_keys("network", obj, _NETWORK_KEYS)
     try:
         n = _integer(obj["n"], "n")
-        W = np.array(obj["W"], dtype=float)
-        c = np.array(obj["c"], dtype=float)
+        W, c = (_number_array(obj[k], f"network field malformed: {k}") for k in ("W", "c"))
         m = np.array([_ceiling_in(v) for v in obj["m"]])
-        tau = float(obj["tau"])
+        tau = float(_number_array(obj["tau"], "network field malformed: tau", ()))
     except KeyError as e:
         raise ValidationError(f"network is missing field {e.args[0]!r}")
     except (TypeError, ValueError) as e:
         raise ValidationError(f"network field malformed: {e}")
     B = obj.get("B")
     if B is not None:
-        B = np.array(B, dtype=float)
+        B = _number_array(B, "network field malformed: B")
         if B.size == 0:
             B = None
     if W.shape != (n, n):
@@ -152,17 +178,10 @@ def _layer_from_dict(k, obj) -> LTNetwork:
 
 
 def _blocks(obj, name):
-    """obj[name] as a tuple of float arrays; a ragged or non-numeric block
-    is refused by name and index."""
-    out = []
-    for k, w in enumerate(obj[name]):
-        try:
-            out.append(np.array(w, dtype=float))
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"hierarchy field malformed: {name}[{k}] must be a rectangular array of numbers"
-            ) from None
-    return tuple(out)
+    """obj[name] as a tuple of float arrays, a malformed block refused by
+    name and index."""
+    return tuple(_number_array(w, f"hierarchy field malformed: {name}[{k}]")
+                 for k, w in enumerate(obj[name]))
 
 
 def hierarchy_from_dict(obj) -> Hierarchy:
@@ -193,9 +212,8 @@ def dump_hierarchy(h: Hierarchy, path, force=False):
 
 
 def trajectory_to_csv(traj: Trajectory, path, force=False):
-    _check_overwrite(path, force)
     n = traj.samples.shape[1]
-    with open(path, "w", newline="") as fh:
+    with _writing(path, force, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"x{i + 1}" for i in range(n)])
         for t, row in zip(traj.times, traj.samples):
@@ -232,12 +250,91 @@ def rates_from_csv(path):
     return ids, arr[:, 0], arr[:, 1:]
 
 
+_PROBLEM_KEYS = ("layer_sizes", "structure", "inputs", "conditions", "manifest")
+_PROBLEM_OPTIONAL = ("t0", "tf", "T", "tau_bounds", "c_bounds", "x0_max",
+                     "gamma1", "gamma2", "sim_substeps")
+_STRUCTURE_KEYS = ("block", "row", "col", "sign", "bound")
+_INPUT_KEYS = ("name", "kind", "params")
+
+
+def _input_signal(path, k, entry):
+    try:
+        return sysid.InputSignal(entry["name"], entry["kind"], entry.get("params", {}))
+    except KeyError as e:
+        raise ValidationError(f"{path}: inputs entry {k} is missing key {e}")
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: inputs entry {k}: {e}")
+
+
+def load_problem(path, data_dir=None) -> sysid.SysIdProblem:
+    """Fit problem JSON as a SysIdProblem.  With data_dir, the rate CSV
+    <data_dir>/<condition>.csv of each condition is attached; its times
+    must lie on the grid t0 + k*T."""
+    obj = _load_json(path)
+    _known_keys(f"{path}: problem", obj, _PROBLEM_KEYS + _PROBLEM_OPTIONAL)
+    try:
+        for k, e in enumerate(obj["structure"]):
+            _known_keys(f"{path}: structure entry {k}", e, _STRUCTURE_KEYS)
+        for k, s in enumerate(obj.get("inputs", [])):
+            _known_keys(f"{path}: inputs entry {k}", s, _INPUT_KEYS)
+        structure = [
+            sysid.WeightEntry(
+                e["block"],
+                _integer(e["row"], f"{path}: structure entry {j} row"),
+                _integer(e["col"], f"{path}: structure entry {j} col"),
+                **{k: e[k] for k in ("sign", "bound") if k in e},
+            )
+            for j, e in enumerate(obj["structure"])
+        ]
+        inputs = [_input_signal(path, k, s) for k, s in enumerate(obj.get("inputs", []))]
+        problem = sysid.SysIdProblem(
+            layer_sizes=obj["layer_sizes"],
+            structure=structure,
+            inputs=inputs,
+            conditions=obj["conditions"],
+            manifest=obj["manifest"],
+            **{k: obj[k] for k in _PROBLEM_OPTIONAL if k in obj},
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: bad problem definition: {e}")
+    if data_dir is not None:
+        data = {}
+        for cond in problem.conditions:
+            csv_path = os.path.join(data_dir, f"{cond}.csv")
+            _, times, vals = rates_from_csv(csv_path)
+            grid = problem.t0 + problem.T * np.arange(len(times))
+            off = np.flatnonzero(~(np.abs(times - grid) <= 1e-9 * problem.T))
+            if off.size:
+                k = int(off[0])
+                raise ValidationError(
+                    f"{csv_path}: data row {k + 1}: t = {float(times[k])!r} is off the "
+                    f"grid t0 + k*T (expected {float(grid[k])!r})"
+                )
+            data[cond] = vals
+        try:
+            problem.attach_data(data)
+        except ValueError as e:
+            raise ValidationError(str(e))
+    return problem
+
+
+def load_fit_z(path, n):
+    """The parameter vector z of a fit report (or a bare list) as n
+    finite numbers."""
+    obj = _load_json(path)
+    z = obj.get("z") if isinstance(obj, dict) else obj
+    try:
+        z = _number_array(z, "z")
+    except ValidationError:
+        z = None
+    if z is None or z.shape != (n,) or not np.all(np.isfinite(z)):
+        raise ValidationError(f"{path}: z must be a list of {n} numbers")
+    return z
+
+
 def _finite_array(value, what, shape):
     """value as a finite float array of shape."""
-    try:
-        a = np.array(value, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{what} malformed: {e}")
+    a = _number_array(value, f"{what} malformed:")
     if a.shape != shape:
         raise ValidationError(f"{what} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -324,14 +421,31 @@ def controls_to_jsonable(laws) -> list:
     return out
 
 
-def _check_overwrite(path, force):
+def check_output(path, force=False):
+    """Refuse an output path that cannot take a new file: an existing file
+    without force, a directory, or a path whose directory does not exist."""
+    if os.path.isdir(path):
+        raise ValidationError(f"{path} is a directory")
     if os.path.exists(path) and not force:
         raise ValidationError(f"{path} exists; pass --force to overwrite")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"{path}: no such directory")
+
+
+@contextlib.contextmanager
+def _writing(path, force, newline=None):
+    """path opened for writing after check_output; an OSError on the way
+    (no permission, a full disk) raises ValidationError naming path."""
+    check_output(path, force)
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as e:
+        raise ValidationError(f"{path}: cannot write: {e.strerror or e}")
 
 
 def _write_text(path, text, force=False):
-    _check_overwrite(path, force)
-    with open(path, "w") as fh:
+    with _writing(path, force) as fh:
         fh.write(text)
         fh.write("\n")
 

@@ -407,6 +407,8 @@ class SysIdProblem:
         gamma2=150.0,
         sim_substeps=2,
     ):
+        if not all(_integer(s) and s >= 1 for s in layer_sizes):
+            raise ValueError(f"layer_sizes must be integers >= 1, got {layer_sizes!r}")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.N = len(self.layer_sizes)
         self.n = sum(self.layer_sizes)
@@ -415,36 +417,36 @@ class SysIdProblem:
         self.conditions = tuple(conditions)
         if not self.conditions:
             raise ValueError("conditions must name at least one condition, got none")
-        self.manifest = tuple(int(i) for i in manifest)
-        if not all(0 <= i < self.n for i in self.manifest):
+        if not all(_integer(i) and 0 <= i < self.n for i in manifest):
             raise ValueError(f"manifest indices must be in 0..{self.n - 1}, got {manifest!r}")
-        self.t0, self.tf, self.T = float(t0), float(tf), float(T)
-        if not -math.inf < self.t0 < self.tf < math.inf:
+        self.manifest = tuple(int(i) for i in manifest)
+        if not (_finite_number(t0) and _finite_number(tf) and t0 < tf):
             raise ValueError(f"t0 and tf must be finite with t0 < tf, got {t0!r} and {tf!r}")
-        if not 0.0 < self.T < math.inf:
+        if not (_finite_number(T) and T > 0.0):
             raise ValueError(f"T must be finite and > 0, got {T!r}")
+        self.t0, self.tf, self.T = float(t0), float(tf), float(T)
         self.K = int(round((self.tf - self.t0) / self.T)) + 1
-        self.gamma1, self.gamma2 = float(gamma1), float(gamma2)
-        for name, value in (("gamma1", self.gamma1), ("gamma2", self.gamma2)):
-            if not 0.0 <= value < math.inf:
+        for name, value in (("gamma1", gamma1), ("gamma2", gamma2)):
+            if not (_finite_number(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        self.sim_substeps = int(sim_substeps)
-        if self.sim_substeps < 1 or self.sim_substeps != sim_substeps:
+        self.gamma1, self.gamma2 = float(gamma1), float(gamma2)
+        if not (_integer(sim_substeps) and sim_substeps >= 1):
             raise ValueError(f"sim_substeps must be a positive integer, got {sim_substeps!r}")
+        self.sim_substeps = int(sim_substeps)
         if x0_max is not None:
-            x0_max = float(x0_max)
-            if not 0.0 < x0_max < math.inf:
+            if not (_finite_number(x0_max) and x0_max > 0.0):
                 raise ValueError(f"x0_max must be positive and finite, got {x0_max!r}")
+            x0_max = float(x0_max)
         if tau_bounds is None:
             tau_bounds = [(0.3, 10.0)] * self.N
         self.tau_bounds = [tuple(map(float, tb)) for tb in tau_bounds]
         if len(self.tau_bounds) != self.N:
             raise ValueError("need one tau bound pair per layer")
-        for tb in self.tau_bounds:
-            if not (_pair_of_numbers(tb) and 0.0 < tb[0] <= tb[1]):
+        for raw, tb in zip(tau_bounds, self.tau_bounds):
+            if not (_pair_of_numbers(raw) and 0.0 < tb[0] <= tb[1]):
                 raise ValueError(f"tau_bounds pairs must hold 0 < lo <= hi < inf, got {tb}")
         self.c_bounds = tuple(map(float, c_bounds))
-        if not (_pair_of_numbers(self.c_bounds) and self.c_bounds[0] <= self.c_bounds[1]):
+        if not (_pair_of_numbers(c_bounds) and self.c_bounds[0] <= self.c_bounds[1]):
             raise ValueError(f"c_bounds must be finite with lo <= hi, got {self.c_bounds}")
         self._x0_max = x0_max
         if data is not None:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from ltnet import Hierarchy, LTNetwork, NotCertified, epsilon_sweep, simulate
 from ltnet import io as ltio
 from ltnet import cli, stability, sysid
-from ltnet.cli import _load_problem, main
+from ltnet.cli import main
 from ltnet.control import ControlLaw, multilayer_controls
 from ltnet.io import ValidationError
 
@@ -345,12 +345,19 @@ def _layer(index, **fields):
      "W_down[1] must be a rectangular array of numbers"),
     (lambda blob: blob["W_up"].__setitem__(0, [[0.2], ["x"]]),
      "W_up[0] must be a rectangular array of numbers"),
+    # before: read as 1.0, 0.5 and 0.0 by np.array and float()
+    (lambda blob: blob["W_down"][1][0].__setitem__(0, True),
+     "W_down[1] must be a rectangular array of numbers"),
+    (_layer(1, m=[True, True]), "layer 2: ceiling entries must be numbers or 'inf', got True"),
+    (_layer(1, tau="0.5"), "layer 2: network field malformed: tau must be a number, got '0.5'"),
+    (_layer(1, c=[False, 0.5]), "layer 2: network field malformed: c must be a rectangular"),
 ], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling", "zero-ceiling",
         "no-W_up", "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
         "fractional-r", "boolean-r", "fractional-n", "fractional-n-in-layer-2", "boolean-n",
         "tau-beyond-float",
         "bottom-layer-all-inhibited", "middle-layer-all-inhibited",
-        "ragged-W_down", "non-numeric-W_up"])
+        "ragged-W_down", "non-numeric-W_up", "boolean-W_down", "boolean-ceilings",
+        "string-tau", "boolean-c"])
 def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
     fixture = Path(ltio.__file__).parent / "fixtures" / "case_study_lc.json"
     blob = json.loads(fixture.read_text())
@@ -767,6 +774,8 @@ def _set(index, **fields):
     (recruitment_hierarchy, _set(2, ubar=[0.5, 0.5]), "layer 3: ubar must have shape (1,)"),
     (recruitment_hierarchy, _set(1, K=[[float("nan"), 0.0, 0.0]]), "layer 2: K must be finite"),
     (recruitment_hierarchy, _set(2, ubar=[float("inf")]), "layer 3: ubar must be finite"),
+    (recruitment_hierarchy, _set(1, K=[[True, 0.0, 0.0]]), "layer 2: K malformed"),
+    (recruitment_hierarchy, _set(2, ubar=["0.5"]), "layer 3: ubar malformed"),
     # a file that is not a list of entries, or an entry without a known mode
     (recruitment_hierarchy, lambda blob: {"a": 1}, "controls file must be a JSON list"),
     (recruitment_hierarchy, lambda blob: 3, "controls file must be a JSON list"),
@@ -776,7 +785,8 @@ def _set(index, **fields):
 ], ids=["online-past-bottom", "online-layer-0", "constant-past-bottom",
         "online-on-layer-1", "online-without-B", "non-object-entry",
         "fractional-layer", "boolean-layer", "second-entry", "K-without-B",
-        "ubar-without-B", "K-shape", "ubar-shape", "K-nan", "ubar-inf",
+        "ubar-without-B", "K-shape", "ubar-shape", "K-nan", "ubar-inf", "K-boolean",
+        "ubar-string",
         "object-file", "number-file", "no-mode", "unknown-mode"])
 def test_cli_recruit_rejects_bad_controls(tmp_path, capsys, make_h, edit, match):
     h_path = tmp_path / "h.json"
@@ -1282,11 +1292,11 @@ def test_cli_survives_one_mutated_csv(command, kind, k, j):
 def test_cli_problem_reads_x0_max_and_sim_substeps(tmp_path, capsys):
     problem_path, data_dir = write_fit_inputs(tmp_path)
     obj = json.loads(problem_path.read_text())
-    problem = _load_problem(problem_path, data_dir)
+    problem = ltio.load_problem(problem_path, data_dir)
     assert problem.sim_substeps == 2 and problem.bounds()[1][-1] != 0.75
     obj.update(x0_max=0.75, sim_substeps=3)
     problem_path.write_text(json.dumps(obj))
-    problem = _load_problem(problem_path, data_dir)
+    problem = ltio.load_problem(problem_path, data_dir)
     assert problem.sim_substeps == 3
     assert problem.x0_max == 0.75 and problem.bounds()[1][-1] == 0.75
     for bad in ({"sim_substeps": 0}, {"sim_substeps": 1.5}, {"x0_max": -1.0},
@@ -1303,7 +1313,7 @@ def test_cli_problem_defaults_are_sysid_defaults(tmp_path):
            "structure": [{"block": "W11", "row": 0, "col": 1}]}
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(obj))
-    loaded = _load_problem(path, None)
+    loaded = ltio.load_problem(path, None)
     direct = sysid.SysIdProblem((2,), [sysid.WeightEntry("W11", 0, 1)], [], ("base",), (0, 1))
     for name in ("t0", "tf", "T", "K", "c_bounds", "tau_bounds", "x0_max",
                  "gamma1", "gamma2", "sim_substeps", "structure"):
@@ -1374,12 +1384,22 @@ def _drive(**params):
     (lambda obj: obj.update(gamma1=float("nan")), "gamma1 must be finite and >= 0, got nan"),
     (lambda obj: obj.update(gamma2=-1.0), "gamma2 must be finite and >= 0, got -1.0"),
     (lambda obj: obj.update(gamma2=float("inf")), "gamma2 must be finite and >= 0, got inf"),
+    # before: read as 2, 0 and 1.0 by int() and float()
+    (lambda obj: obj.update(layer_sizes=[2.7]), "layer_sizes must be integers >= 1, got [2.7]"),
+    (lambda obj: obj.update(manifest=[0.5]), "manifest indices must be in 0..0, got [0.5]"),
+    (lambda obj: obj.update(T=True), "T must be finite and > 0, got True"),
+    (lambda obj: obj.update(layer_sizes=[True]), "layer_sizes must be integers >= 1, got [True]"),
+    (lambda obj: obj.update(sim_substeps=True), "sim_substeps must be a positive integer, got True"),
+    (lambda obj: obj.update(gamma1="5"), "gamma1 must be finite and >= 0, got '5'"),
+    (lambda obj: obj.update(c_bounds=[False, 5]), "c_bounds must be finite with lo <= hi"),
 ], ids=["unknown-kind", "missing-kind", "pulse-without-window", "short-window",
         "string-in-window", "infinite-window", "reversed-window", "zero-sigma", "nan-sigma",
         "non-numeric-t0", "non-numeric-value", "rule-without-on", "null-params",
         "zero-T", "negative-T", "tf-before-t0", "manifest-out-of-range", "negative-tau",
         "zero-tau", "reversed-tau-bounds", "one-tau-bound", "reversed-c-bounds",
-        "no-conditions", "nan-gamma1", "negative-gamma2", "infinite-gamma2"])
+        "no-conditions", "nan-gamma1", "negative-gamma2", "infinite-gamma2",
+        "fractional-layer-size", "fractional-manifest", "boolean-T", "boolean-layer-size",
+        "boolean-sim-substeps", "string-gamma1", "boolean-c-bound"])
 def test_cli_problem_rejects_malformed_inputs(tmp_path, capsys, edit, match):
     problem_path, data_dir = write_fit_inputs(tmp_path)
     obj = json.loads(problem_path.read_text())
@@ -1466,3 +1486,115 @@ def test_network_from_dict_reads_n_as_an_integer():
             ltio.network_from_dict({"n": n, "W": [[0.0]], "c": [0.0], "m": ["inf"], "tau": 1.0})
     assert ltio.network_from_dict({"n": 1.0, "W": [[0.0]], "c": [0.0], "m": ["inf"],
                                    "tau": 1.0}).n == 1
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("m", [True, True], "ceiling entries must be numbers or 'inf', got True"),
+    ("tau", True, "tau must be a number, got True"),
+    ("tau", "0.5", "tau must be a number, got '0.5'"),
+    ("W", [["0.83", "0.0"], ["0.76", "0.0"]], "W must be a rectangular array of numbers"),
+    ("B", [[True], [False]], "B must be a rectangular array of numbers"),
+], ids=["boolean-ceilings", "boolean-tau", "string-tau", "string-W", "boolean-B"])
+def test_cli_network_refuses_booleans_and_strings_for_numbers(tmp_path, capsys, field, value,
+                                                              match):
+    # before: each exited 0, reading true as 1.0 and "0.5" as 0.5
+    blob = {"n": 2, "W": [[0.83, 0.0], [0.76, 0.0]], "c": [0.5, 0.5], "m": ["inf", "inf"],
+            "tau": 1.68, field: value}
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(blob))
+    assert main(["equilibrium", "--net", str(net_path), "--at", "0.1,0.1",
+                 "--out", str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert match in err and "Traceback" not in err
+
+
+# -- the output path: checked before the work, written once --------------------
+
+
+def _lc_certify(out):
+    return ["certify", "--hierarchy", str(_LC_FIXTURE), "--out", str(out)]
+
+
+def _osc_simulate(tmp_path, out):
+    net_path = tmp_path / "net.json"
+    ltio.dump_network(ltio.load_hierarchy(_OSC_FIXTURE).layers[0], net_path, force=True)
+    return ["simulate", "--net", str(net_path), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_cli_unwritable_out_exits_2_naming_it(tmp_path, capsys, command, where):
+    # before: FileNotFoundError or IsADirectoryError out of main (exit 1)
+    out = tmp_path / "missing" / "x.out" if where == "missing-directory" else tmp_path
+    argv = _lc_certify(out) if command == "certify" else _osc_simulate(tmp_path, out)
+    assert main(argv + ["--force"]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+
+
+def test_writers_refuse_a_file_they_cannot_open(tmp_path, monkeypatch):
+    # an OSError past check_output (here: no permission) names the path
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(ltio, "open", refuse, raising=False)
+    out = tmp_path / "r.json"
+    with pytest.raises(ValidationError, match=f"{out}: cannot write: Permission denied"):
+        ltio.write_report({}, "certify", out)
+    traj = simulate(demo_network(), np.zeros(2), None, (0.0, 1.0))
+    with pytest.raises(ValidationError, match="x.csv: cannot write"):
+        ltio.trajectory_to_csv(traj, tmp_path / "x.csv")
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the work ran before --out was checked")
+
+
+def test_cli_existing_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "epsilon_sweep", _refuse_to_run)
+    monkeypatch.setattr(sysid, "fit", _refuse_to_run)
+    out = tmp_path / "report.json"
+    out.write_text("{}\n")
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    for argv in (["recruit", "--hierarchy", str(_LC_FIXTURE), "--eps", "0.5"],
+                 ["fit", "--problem", str(problem_path), "--data", str(data_dir), "--seed", "0"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out} exists; pass --force to overwrite\n"
+        assert out.read_text() == "{}\n"
+
+
+def _report_argvs(tmp_path):
+    """A runnable argv for each report subcommand whose --out is optional."""
+    problem_path, data_dir = write_fit_inputs(tmp_path)
+    fit_out = tmp_path / "fit.json"
+    assert main(["fit", "--problem", str(problem_path), "--data", str(data_dir), "--seed", "0",
+                 "--starts", "1", "--maxiter", "2", "--out", str(fit_out)]) == 0
+    trials = tmp_path / "trials.csv"
+    np.savetxt(trials, np.random.default_rng(3).normal(size=(6, 40)), delimiter=",")
+    return {
+        "certify": ["--hierarchy", str(_LC_FIXTURE)],
+        "recruit": ["--hierarchy", str(_LC_FIXTURE), "--eps", "0.5"],
+        "fit": ["--problem", str(problem_path), "--data", str(data_dir), "--seed", "0",
+                "--starts", "1", "--maxiter", "2"],
+        "timescale": ["--data", str(trials), "--lags", "1:4"],
+        "rtest": ["--a", "1,2,3", "--b", "2,3,4", "--n-perm", "19", "--seed", "1"],
+        "predict": ["--problem", str(problem_path), "--data", str(data_dir),
+                    "--params", str(fit_out)],
+    }
+
+
+def test_cli_stdout_is_the_bytes_of_the_out_file(tmp_path, capsys):
+    argvs = _report_argvs(tmp_path)
+    # simulate writes a CSV, and equilibrium and synthesize require --out,
+    # so every other subcommand has both paths
+    required = {name for name, (_, _, flags) in cli._COMMANDS.items()
+                if dict(flags)["--out"].get("required")}
+    assert required == {"simulate", "equilibrium", "synthesize"}
+    assert sorted(argvs) == sorted(set(_SAMPLE_ARGV) - required)
+    capsys.readouterr()
+    for command, rest in argvs.items():
+        out = tmp_path / f"{command}.out.json"
+        assert main([command, *rest]) == 0
+        printed = capsys.readouterr().out
+        assert main([command, *rest, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed == out.read_text(), command

@@ -47,6 +47,13 @@ def test_report_schema_matches_the_cli():
     assert schema["properties"]["command"]["enum"] == list(sub.choices)
 
 
+def test_cli_only_parses_and_dispatches():
+    # the file formats live in io: the CLI calls none of its private names
+    assert not re.findall(r"\bltio\._", Path(cli.__file__).read_text())
+    for name, (help_text, handler, flags) in cli._COMMANDS.items():
+        assert callable(handler), name
+
+
 def test_readme_python_blocks_run():
     # each quick-start block runs as written, in a namespace of its own
     readme = (Path(__file__).parents[1] / "README.md").read_text()
