@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -103,17 +102,6 @@ def _lags(text):
     return range(lo, hi + 1)
 
 
-def _csv_numbers(path, ndmin=0):
-    """The numbers of a comma-separated file; an unreadable, malformed or
-    empty file raises ValidationError naming it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # loadtxt only warns on an empty file
-        try:
-            return np.loadtxt(path, delimiter=",", ndmin=ndmin)
-        except (OSError, ValueError, UserWarning) as e:
-            raise ValidationError(f"{path}: {e}")
-
-
 def _simulate(args):
     net = ltio.load_network(args.net)
     t0, t1 = _floats(args.tspan, 2)
@@ -164,7 +152,7 @@ def _fit(args):
 
 
 def _timescale(args):
-    trials = _csv_numbers(args.data, ndmin=2)
+    trials = ltio.trials_from_csv(args.data)
     A, tau = sysid.autocorr_timescale(trials, args.binwidth, args.lags)
     return {"amplitude": A, "tau": tau}
 
@@ -199,7 +187,7 @@ _COMMANDS = {
     "equilibrium": ("equilibrium map of a network", _equilibrium, [
         ("--net", dict(required=True)),
         ("--at", dict(help="evaluate at this input instead of dumping the map")),
-        ("--out", dict(required=True, help="JSON output path")),
+        _REPORT_OUT,
     ]),
     "certify": ("layerwise stability certificates", _certify, [
         ("--hierarchy", dict(required=True, help="hierarchy JSON")),
@@ -207,7 +195,7 @@ _COMMANDS = {
     ]),
     "synthesize": ("inhibition/recruitment controls", _synthesize, [
         ("--hierarchy", dict(required=True)),
-        ("--out", dict(required=True, help="controls JSON path")),
+        _REPORT_OUT,
     ]),
     "recruit": ("epsilon sweep with controls", _recruit, [
         ("--hierarchy", dict(required=True)),

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import equilibria
 from .equilibria import NotCertified, max_gain_matrix
-from .network import LINEAR, ZERO, AffinePiece, LTNetwork, _as_readonly, _regime_rows
+from .network import LINEAR, ZERO, AffinePiece, LTNetwork, _as_readonly, _integer, _regime_rows
 
 __all__ = [
     "ControlLaw",
@@ -70,6 +70,9 @@ class ControlLaw:
     mode: str
 
     def __post_init__(self):
+        if not _integer(self.layer):
+            raise ValueError(f"layer must be an integer, got {self.layer!r}")
+        object.__setattr__(self, "layer", int(self.layer))  # JSON writes no NumPy integer
         if self.mode not in ("feedback-only", "feedforward-only", "combined"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.K is not None:
@@ -207,9 +210,10 @@ class OnlineFeedforward:
     B^- needs: B^- = [-1, 0.5] has pinv = (-0.8, 0.4)^T, and B^- ubar =
     0.8 target > target where target < 0.  Such layers are not refused;
     ROADMAP.md item 1 describes the fix.  It ignores t and is
-    piecewise affine in x_above: pattern names and piece reports the
-    AffinePiece at a given x_above, which makes it a drive term that
-    network._clipped_run can block-step (see simulate_hierarchy).  Its rows
+    piecewise affine in x_above: piece(x_above) answers rk4_integrate's
+    hint, (key, build) of the AffinePiece holding x_above, which makes it
+    a drive term that network._clipped_run can block-step (see
+    simulate_hierarchy).  Its rows
     G x_above + g >= 0, built by network._regime_rows, hold the target
     rows and the rows of pinv min(target, 0) at their signs: each is a
     clip argument under an unbounded ceiling, LINEAR where it is
@@ -234,28 +238,25 @@ class OnlineFeedforward:
         target = -np.asarray(X_above, dtype=float) @ self.W_up_minus.T - self.c_minus
         return _clip_plus(np.minimum(target, 0.0) @ self.pinv.T)
 
-    def _signs(self, x_above):
+    def piece(self, x_above):
+        """(key, build) of the affine piece x_above -> F x_above + f of
+        ubar holding x_above: key names it, build() returns it."""
+        target = -self.W_up_minus @ np.asarray(x_above, dtype=float) - self.c_minus
         # target < 0 selects the rows that pinv min(target, 0) reads, and
         # then ubar's rows are its positive entries
-        target = -self.W_up_minus @ np.asarray(x_above, dtype=float) - self.c_minus
         neg = target < 0
-        return neg, self.pinv @ np.minimum(target, 0.0) > 0
+        pos = self.pinv @ np.minimum(target, 0.0) > 0
 
-    def pattern(self, x_above) -> bytes:
-        """Name of the affine piece holding x_above."""
-        neg, pos = self._signs(x_above)
-        return neg.tobytes() + pos.tobytes()
+        def build():
+            P = self.pinv * neg  # pinv min(target, 0) = P target on the piece
+            PW, Pc = -P @ self.W_up_minus, -P @ self.c_minus
+            # sign kinks are clip regimes under an unbounded ceiling
+            regime = np.where(np.concatenate([~neg, pos]), LINEAR, ZERO)
+            G, g, keep = _regime_rows(np.vstack([-self.W_up_minus, PW]),
+                                      np.concatenate([-self.c_minus, Pc]), regime, np.inf)
+            return AffinePiece(PW * pos[:, None], Pc * pos, G[keep], g[keep])
 
-    def piece(self, x_above) -> AffinePiece:
-        """Affine piece x_above -> F x_above + f of ubar holding x_above."""
-        neg, pos = self._signs(x_above)
-        P = self.pinv * neg  # pinv min(target, 0) = P target on the piece
-        PW, Pc = -P @ self.W_up_minus, -P @ self.c_minus
-        # sign kinks are clip regimes under an unbounded ceiling
-        regime = np.where(np.concatenate([~neg, pos]), LINEAR, ZERO)
-        G, g, keep = _regime_rows(np.vstack([-self.W_up_minus, PW]),
-                                  np.concatenate([-self.c_minus, Pc]), regime, np.inf)
-        return AffinePiece(PW * pos[:, None], Pc * pos, G[keep], g[keep])
+        return neg.tobytes() + pos.tobytes(), build
 
 
 def _online_feedforward(hierarchy, layer):

@@ -337,9 +337,10 @@ def epsilon_sweep(
 
 class _SlavedLayer:
     """The reduced model's drive term x -> h(W x + c), h the composed
-    map below: pattern names h's first piece covering d = W x + c, and
-    piece pulls it back through x.  _last holds the last state located,
-    as (its bytes, d, the piece's index), so a state is located once."""
+    map below: piece(x), the core's hint, names h's first piece covering
+    d = W x + c by its index and builds it pulled back through x.  _last
+    holds the last state located, as (its bytes, d, the piece's index),
+    so a state that the drive and the hint both read is located once."""
 
     def __init__(self, pa_map, W, c):
         self.pa_map, self.W, self.c, self._last = pa_map, W, c, (None,)
@@ -354,13 +355,11 @@ class _SlavedLayer:
         d, k = self._at(x)
         return self.pa_map.F[k] @ d + self.pa_map.f[k]
 
-    def pattern(self, x) -> bytes:
-        return self._at(x)[1].to_bytes(8, "little")
-
-    def piece(self, x) -> AffinePiece:
+    def piece(self, x):
         pa, k = self.pa_map, self._at(x)[1]
         F, G, g = pa.F[k], pa.G[pa.ends[k] : pa.ends[k + 1]], pa.g[pa.ends[k] : pa.ends[k + 1]]
-        return AffinePiece(F @ self.W, F @ self.c + pa.f[k], G @ self.W, G @ self.c + g)
+        return k.to_bytes(8, "little"), lambda: AffinePiece(
+            F @ self.W, F @ self.c + pa.f[k], G @ self.W, G @ self.c + g)
 
 
 def rom_simulate(

@@ -1,10 +1,12 @@
 """File formats: network, hierarchy and controls JSON, the fit problem
-JSON, the rate CSV, the fit report's z, trajectory CSV, report emission.
+JSON, the rate and trials CSVs (one row reader, _number_rows), the fit
+report's z, trajectory CSV, report emission.
 
 Ceilings serialize as numbers or the string "inf"; every other number
-must be a JSON number, not a bool or a string.  Trajectory CSV uses the
-header t,x1,...,xn with 17 significant digits, so rates_from_csv reads
-the values back exactly.  Reports are JSON with sorted keys and a schema
+must be a JSON number, not a bool or a string, and an integer field
+holds what network._integer accepts.  Trajectory CSV uses the header
+t,x1,...,xn with 17 significant digits, so rates_from_csv reads the
+values back exactly.  Reports are JSON with sorted keys and a schema
 version string, which makes repeated runs byte-identical for identical
 inputs.  Every malformed file, and every output path that cannot be
 written, raises ValidationError naming it.
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import sysid
 from .control import ControlLaw, OnlineFeedforward, _online_feedforward
-from .network import LTNetwork, Trajectory
+from .network import LTNetwork, Trajectory, _integer
 from .hierarchy import Hierarchy
 
 __all__ = [
@@ -44,15 +46,6 @@ REPORT_SCHEMA = "ltnet-report/1"
 
 class ValidationError(Exception):
     """Malformed or inconsistent input file."""
-
-
-def _integer(value, what):
-    """value as an int; a bool, a non-integral number or a non-number raises."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 _NETWORK_KEYS = ("n", "W", "c", "m", "tau", "B", "r")
@@ -114,7 +107,8 @@ def _load_json(path):
 def network_from_dict(obj) -> LTNetwork:
     _known_keys("network", obj, _NETWORK_KEYS)
     try:
-        n = _integer(obj["n"], "n")
+        if not _integer(n := obj["n"]):
+            raise ValidationError(f"n must be an integer, got {n!r}")
         W, c = (_number_array(obj[k], f"network field malformed: {k}") for k in ("W", "c"))
         m = np.array([_ceiling_in(v) for v in obj["m"]])
         tau = float(_number_array(obj["tau"], "network field malformed: tau", ()))
@@ -132,7 +126,7 @@ def network_from_dict(obj) -> LTNetwork:
     if c.shape != (n,) or m.shape != (n,):
         raise ValidationError("c and m must have length n")
     try:
-        net = LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=_integer(obj.get("r", 0), "r"))
+        net = LTNetwork(W=W, c=c, m=m, tau=tau, B=B, r=obj.get("r", 0))
     except ValueError as e:
         raise ValidationError(str(e))
     # controls act on the r inhibition targets only
@@ -220,24 +214,25 @@ def trajectory_to_csv(traj: Trajectory, path, force=False):
             w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
 
 
-def rates_from_csv(path):
-    """Rate CSV with header t,<id>,...; returns (ids, times, values)."""
+def _csv_rows(path):
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            return list(csv.reader(fh))
     except OSError as e:
         raise ValidationError(f"{path}: {e}")
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise ValidationError(f"{path}: line 1: expected header starting with 't'")
-    ids = rows[0][1:]
+
+
+def _number_rows(path, rows, first, width=None):
+    """rows, the lines of path from line first on, as a float array.
+    Blank lines are skipped; every other line holds width fields (the
+    first such line's count when width is None), each a finite number."""
     data = []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in enumerate(rows, start=first):
         if not row:
             continue
-        if len(row) != len(rows[0]):
-            raise ValidationError(
-                f"{path}: line {ln}: expected {len(rows[0])} fields, got {len(row)}"
-            )
+        width = width or len(row)
+        if len(row) != width:
+            raise ValidationError(f"{path}: line {ln}: expected {width} fields, got {len(row)}")
         try:
             data.append([float(v) for v in row])
         except ValueError as e:
@@ -245,9 +240,23 @@ def rates_from_csv(path):
         if not np.all(np.isfinite(data[-1])):
             raise ValidationError(f"{path}: line {ln}: values must be finite, got {row}")
     if not data:
-        raise ValidationError(f"{path}: line 2: no data rows after the header")
-    arr = np.array(data)
-    return ids, arr[:, 0], arr[:, 1:]
+        raise ValidationError(f"{path}: line {first}: no data rows")
+    return np.array(data)
+
+
+def rates_from_csv(path):
+    """Rate CSV with header t,<id>,...; returns (ids, times, values)."""
+    rows = _csv_rows(path)
+    if not rows or not rows[0] or rows[0][0] != "t":
+        raise ValidationError(f"{path}: line 1: expected header starting with 't'")
+    arr = _number_rows(path, rows[1:], 2, len(rows[0]))
+    return rows[0][1:], arr[:, 0], arr[:, 1:]
+
+
+def trials_from_csv(path):
+    """Trials CSV without a header, one trial's binned rates per line, as
+    a (trials, bins) array, by the rate CSV's row rules."""
+    return _number_rows(path, _csv_rows(path), 1)
 
 
 _PROBLEM_KEYS = ("layer_sizes", "structure", "inputs", "conditions", "manifest")
@@ -278,13 +287,9 @@ def load_problem(path, data_dir=None) -> sysid.SysIdProblem:
         for k, s in enumerate(obj.get("inputs", [])):
             _known_keys(f"{path}: inputs entry {k}", s, _INPUT_KEYS)
         structure = [
-            sysid.WeightEntry(
-                e["block"],
-                _integer(e["row"], f"{path}: structure entry {j} row"),
-                _integer(e["col"], f"{path}: structure entry {j} col"),
-                **{k: e[k] for k in ("sign", "bound") if k in e},
-            )
-            for j, e in enumerate(obj["structure"])
+            sysid.WeightEntry(e["block"], e["row"], e["col"],
+                              **{k: e[k] for k in ("sign", "bound") if k in e})
+            for e in obj["structure"]
         ]
         inputs = [_input_signal(path, k, s) for k, s in enumerate(obj.get("inputs", []))]
         problem = sysid.SysIdProblem(
@@ -362,7 +367,8 @@ def load_controls(path, hierarchy: Hierarchy):
     for k, entry in enumerate(obj):
         _known_keys(f"control entry {k}", entry, _CONTROL_KEYS)
         try:
-            layer = _integer(entry["layer"], "control entry layer")
+            if not _integer(layer := entry["layer"]):
+                raise ValidationError(f"control entry layer must be an integer, got {layer!r}")
             mode = entry["mode"]
         except KeyError as e:
             raise ValidationError(f"control entry missing field {e.args[0]!r}")

@@ -39,8 +39,8 @@ plain RK4 code.  The checks allow a slack of _KINK_SLACK = 1e-12 times
 the size of the terms: a node inhibited to exactly zero drive sees
 +-1e-16 in floats, and both pieces agree at a kink.  Each call caches
 the block maps of up to _PIECE_CACHE = 16 pieces.  _clipped_run passes
-the hint when every term is piecewise affine too, with a pattern and a
-piece; block results agree with plain stepping to about 1e-13.
+the hint when every term answers it too, u.piece(x_src) -> (key, build);
+block results agree with plain stepping to about 1e-13.
 """
 
 from __future__ import annotations
@@ -98,6 +98,11 @@ def _as_readonly(a):
     out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
+
+
+def _integer(v) -> bool:
+    """ltnet's one integer rule: a Python or NumPy integer, no bool or float."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +177,15 @@ class LTNetwork:
         for name, a in (("W", W), ("c", c), ("B", B)):
             if a is not None and not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
+        if not _integer(self.r):
+            raise ValueError(f"r must be an integer, got {self.r!r}")
         if not 0 <= self.r <= n:
             raise ValueError(f"r must lie in [0, {n}], got {self.r}")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "r", int(self.r))  # JSON writes no NumPy integer
 
     @property
     def n(self) -> int:
@@ -443,10 +451,10 @@ def _clipped_run(W, c, m, tau, x0, t0, dt, n_steps, terms=()):
 
     A term (dst, src, B, u) adds B @ u(t, x[src]) to the drive's rows dst
     (u(t, None) when src is None, and u itself when B is None); tau is a
-    scalar or one per node.  When every u reads x[src] and has
-    pattern(x_src), naming its affine piece, and piece(x_src), returning
-    it, the run takes the block path on the pieces that fold those into W
-    and c and add their rows.
+    scalar or one per node.  When every u reads x[src] and answers the
+    core's hint, u.piece(x_src) -> (key, build), so does the run: its key
+    joins the regime's and the terms' keys, and its build folds the
+    terms' pieces into W and c and adds their rows.
     """
 
     def drive(t, x):
@@ -460,17 +468,17 @@ def _clipped_run(W, c, m, tau, x0, t0, dt, n_steps, terms=()):
         return (-x + clip_box(drive(t, x), m)) / tau
 
     piece = None
-    if all(src is not None and hasattr(u, "pattern") and hasattr(u, "piece")
-           for _, src, _, u in terms):
+    if all(src is not None and hasattr(u, "piece") for _, src, _, u in terms):
 
         def piece(x):
             regime = _clip_regime(drive(t0, x), m)
-            key = regime.tobytes() + b"".join(u.pattern(x[src]) for _, src, _, u in terms)
+            hints = [u.piece(x[src]) for _, src, _, u in terms]
+            key = regime.tobytes() + b"".join(k for k, _ in hints)
 
             def build():
                 Wd, cd, kinks = W.copy(), c.copy(), []
-                for dst, src, B, u in terms:
-                    p = u.piece(x[src])
+                for (dst, src, B, _), (_, build_term) in zip(terms, hints):
+                    p = build_term()
                     Wd[dst, src] += B @ p.F
                     cd[dst] += B @ p.f
                     G = np.zeros((p.g.size, x.size))

@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _as_readonly, rk4_integrate
+from .network import _as_readonly, _integer, rk4_integrate
 
 __all__ = [
     "InputSignal",
@@ -202,10 +202,6 @@ def _finite_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _integer(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _pair_of_numbers(v):
     """True for any two-element sequence (list, tuple, array) of finite numbers."""
     try:
@@ -216,9 +212,10 @@ def _pair_of_numbers(v):
 
 # Cephes ndtr, erf and erfc (S. L. Moshier, Methods and Programs for
 # Mathematical Functions, 1989), the code behind SciPy's ndtr: the same
-# coefficients, branches and operation order, with math.exp for the C
-# library's exp, give SciPy's bits for every non-NaN argument (np.exp may take
-# a SIMD path that differs from it in the last bit).  Q, S and U
+# coefficients, operation order and the branches _ndtr reaches, with math.exp
+# for the C library's exp, give SciPy's bits for every non-NaN argument (np.exp
+# may take a SIMD path that differs from it in the last bit).  _ndtr1 calls
+# _erf only with |x| < 1/sqrt(2) and _erfc only with x >= 1/sqrt(2).  Q, S and U
 # hold Cephes's implied leading 1 (its p1evl): 1 * x is x exactly.
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
@@ -249,27 +246,20 @@ def _polevl(x, coef):
 def _erf(x):
     if x < 0.0:
         return -_erf(-x)
-    if abs(x) > 1.0:
-        return 1.0 - _erfc(x)
     z = x * x
     return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 
 
-def _erfc(a):
-    x = abs(a)
+def _erfc(x):
     if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
+        return 1.0 - _erf(x)
+    z = -x * x
     if z < -_MAXLOG:
-        return 2.0 if a < 0.0 else 0.0
+        return 0.0
     z = math.exp(z)
     if x < 8.0:
-        y = z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
-    else:
-        y = z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
-    if a < 0.0:
-        y = 2.0 - y
-    return y if y != 0.0 else (2.0 if a < 0.0 else 0.0)
+        return z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+    return z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
 
 
 def _ndtr1(a):
@@ -488,6 +478,9 @@ class SysIdProblem:
         w_flat, u_flat = [], []
         for k, e in enumerate(self.structure):
             where = f"structure entry {k}"
+            for name in ("row", "col"):
+                if not _integer(v := getattr(e, name)):
+                    raise ValueError(f"{where} {name} must be an integer, got {v!r}")
             block = _BLOCK.fullmatch(e.block) if isinstance(e.block, str) else None
             layers = [int(v) - 1 for v in block.groups() if v] if block else []
             if not (block and all(0 <= i < self.N for i in layers)):

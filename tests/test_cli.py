@@ -351,13 +351,15 @@ def _layer(index, **fields):
     (_layer(1, m=[True, True]), "layer 2: ceiling entries must be numbers or 'inf', got True"),
     (_layer(1, tau="0.5"), "layer 2: network field malformed: tau must be a number, got '0.5'"),
     (_layer(1, c=[False, 0.5]), "layer 2: network field malformed: c must be a rectangular"),
+    (_layer(1, W=[[0.5]]), "layer 2: W must be 2x2, got (1, 1)"),
+    (_layer(1, c=[0.5]), "layer 2: c and m must have length n"),
 ], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling", "zero-ceiling",
         "no-W_up", "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
         "fractional-r", "boolean-r", "fractional-n", "fractional-n-in-layer-2", "boolean-n",
         "tau-beyond-float",
         "bottom-layer-all-inhibited", "middle-layer-all-inhibited",
         "ragged-W_down", "non-numeric-W_up", "boolean-W_down", "boolean-ceilings",
-        "string-tau", "boolean-c"])
+        "string-tau", "boolean-c", "W-not-n-by-n", "c-not-of-length-n"])
 def test_cli_certify_rejects_malformed_hierarchy(tmp_path, capsys, edit, match):
     fixture = Path(ltio.__file__).parent / "fixtures" / "case_study_lc.json"
     blob = json.loads(fixture.read_text())
@@ -1481,10 +1483,12 @@ def test_cli_problem_accepts_every_adjacent_block(tmp_path, capsys):
 
 
 def test_network_from_dict_reads_n_as_an_integer():
-    for n in ("1", None, [1]):
+    # 1.0 too: n follows the library's one integer rule, which refuses
+    # every float (before: 1.0 was read as 1)
+    for n in ("1", None, [1], 1.0):
         with pytest.raises(ValidationError, match="n must be an integer"):
             ltio.network_from_dict({"n": n, "W": [[0.0]], "c": [0.0], "m": ["inf"], "tau": 1.0})
-    assert ltio.network_from_dict({"n": 1.0, "W": [[0.0]], "c": [0.0], "m": ["inf"],
+    assert ltio.network_from_dict({"n": 1, "W": [[0.0]], "c": [0.0], "m": ["inf"],
                                    "tau": 1.0}).n == 1
 
 
@@ -1570,8 +1574,12 @@ def _report_argvs(tmp_path):
                  "--starts", "1", "--maxiter", "2", "--out", str(fit_out)]) == 0
     trials = tmp_path / "trials.csv"
     np.savetxt(trials, np.random.default_rng(3).normal(size=(6, 40)), delimiter=",")
+    net_path = tmp_path / "net.json"
+    ltio.dump_network(demo_network(), net_path)
     return {
+        "equilibrium": ["--net", str(net_path)],
         "certify": ["--hierarchy", str(_LC_FIXTURE)],
+        "synthesize": ["--hierarchy", str(_LC_FIXTURE)],
         "recruit": ["--hierarchy", str(_LC_FIXTURE), "--eps", "0.5"],
         "fit": ["--problem", str(problem_path), "--data", str(data_dir), "--seed", "0",
                 "--starts", "1", "--maxiter", "2"],
@@ -1584,11 +1592,10 @@ def _report_argvs(tmp_path):
 
 def test_cli_stdout_is_the_bytes_of_the_out_file(tmp_path, capsys):
     argvs = _report_argvs(tmp_path)
-    # simulate writes a CSV, and equilibrium and synthesize require --out,
-    # so every other subcommand has both paths
+    # simulate writes a CSV, so every other subcommand has both paths
     required = {name for name, (_, _, flags) in cli._COMMANDS.items()
                 if dict(flags)["--out"].get("required")}
-    assert required == {"simulate", "equilibrium", "synthesize"}
+    assert required == {"simulate"}
     assert sorted(argvs) == sorted(set(_SAMPLE_ARGV) - required)
     capsys.readouterr()
     for command, rest in argvs.items():

@@ -230,3 +230,14 @@ def test_multilayer_controls_refuses_a_failing_certification():
         assert not cert.all_passed
         with pytest.raises(NotCertified, match="hierarchy failed certification; no controls"):
             multilayer_controls(h)
+
+
+@pytest.mark.parametrize("layer", [2.0, 1.5, True])
+def test_control_law_refuses_a_non_integer_layer(layer):
+    # before: ControlLaw(layer=2.0) built, and simulate_hierarchy then
+    # indexed its laws with it and raised TypeError
+    with pytest.raises(ValueError, match=f"^layer must be an integer, got {layer!r}$"):
+        ControlLaw(layer=layer, K=None, ubar=None, mode="feedback-only")
+    # a NumPy integer is taken, and held as the int that JSON writes
+    law = ControlLaw(layer=np.int64(2), K=None, ubar=None, mode="feedback-only")
+    assert type(law.layer) is int and law.layer == 2

@@ -194,6 +194,17 @@ def test_network_validation():
     assert net.p == 2 and net.minus == slice(0, 1) and net.plus == slice(1, 2)
 
 
+@pytest.mark.parametrize("r", [1.5, 1.0, True])
+def test_network_refuses_a_non_integer_r(r):
+    # before: r = 1.5 built a network whose plus, slice(1.5, 2), raised
+    # TypeError on first use
+    with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+        LTNetwork(np.zeros((2, 2)), 0.0, np.inf, r=r)
+    # a NumPy integer is taken, and held as the int that JSON writes
+    net = LTNetwork(np.zeros((2, 2)), 0.0, np.inf, r=np.int64(1))
+    assert net.plus == slice(1, 2) and type(net.r) is int
+
+
 def test_simulate_validation():
     net = LTNetwork(np.zeros((2, 2)), np.zeros(2), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="box"):

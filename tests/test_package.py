@@ -54,6 +54,19 @@ def test_cli_only_parses_and_dispatches():
         assert callable(handler), name
 
 
+def test_one_copy_of_each_rule():
+    # network holds the one integer rule, every drive term answers the
+    # core's one hint, piece(x) -> (key, build), and the trials CSV is
+    # read in io
+    src = {p.name: p.read_text() for p in Path(network.__file__).parent.glob("*.py")}
+    rule = re.compile(r"def _integer\b|numbers\.Integral|\.is_integer\(")
+    assert {name for name, text in src.items() if rule.search(text)} == {"network.py"}
+    assert not re.search(r"def (pattern|_signs)\b", "".join(src.values()))
+    for term in (control.OnlineFeedforward, hierarchy._SlavedLayer):
+        assert callable(term.piece) and not hasattr(term, "pattern"), term
+    assert "loadtxt" not in src["cli.py"]
+
+
 def test_readme_python_blocks_run():
     # each quick-start block runs as written, in a namespace of its own
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -134,7 +134,7 @@ def feedforwards(draw):
 @given(feedforwards())
 def test_feedforward_piece_holds_the_state_and_equals_ubar(case):
     ff, x_above = case
-    piece = ff.piece(x_above)
+    piece = ff.piece(x_above)[1]()
     assert piece.contains(x_above)
     np.testing.assert_allclose(piece.F @ x_above + piece.f, ff(0.0, x_above),
                                rtol=0, atol=1e-12)

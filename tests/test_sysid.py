@@ -508,6 +508,20 @@ def test_fit_rejects_a_bad_budget(budget, message):
         fit(problem, **{"n_starts": 1, "maxiter": 2, **budget})
 
 
+@pytest.mark.parametrize("row, col, message", [
+    (0.5, True, "structure entry 0 row must be an integer, got 0.5"),
+    (0, 1.0, "structure entry 0 col must be an integer, got 1.0"),
+    (True, 0, "structure entry 0 row must be an integer, got True"),
+])
+def test_problem_refuses_a_non_integer_structure_row_or_col(row, col, message):
+    # before: WeightEntry("W11", 0.5, True) built, its weight on W[0, 1]
+    # under the name W11[0.5,True]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SysIdProblem([2], [WeightEntry("W11", row, col)], [], ["a"], [0, 1])
+    problem = SysIdProblem([2], [WeightEntry("W11", np.int64(0), np.int32(1))], [], ["a"], [0, 1])
+    assert problem.param_names()[0] == "W11[0,1]"
+
+
 def test_fit_takes_numpy_integers_and_zero_iterations():
     problem = scalar_problem()
     problem.attach_data(predict(np.array([0.5, 2.0, 1.0, 0.3, 0.2]), problem))
