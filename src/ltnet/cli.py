@@ -19,6 +19,7 @@ seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -56,41 +57,23 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _env(name, default=None):
-    return os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"), default)
-
-
 def _add(parser, flag, **kw):
     """Flag with an LTNET_* environment fallback."""
-    name = flag.lstrip("-")
-    env_val = _env(name)
-    if env_val is not None:
+    env = _ENV_PREFIX + flag.lstrip("-").upper().replace("-", "_")
+    if (env_val := os.environ.get(env)) is not None:
         kw["default"] = env_val
         kw.pop("required", None)
     kw.setdefault("help", "")
-    kw["help"] += f" [env {_ENV_PREFIX}{name.upper().replace('-', '_')}]"
+    kw["help"] += f" [env {env}]"
     parser.add_argument(flag, **kw)
 
 
-def _floats(text, count=None, source=None):
-    vals = [float(v) for v in str(text).replace(",", " ").split()]
-    if count is not None and len(vals) != count:
-        raise ValidationError(f"expected {count} numbers, got {len(vals)} in {source or text!r}")
-    return vals
-
-
 def _numbers(text, count=None):
-    """The numbers of a comma list, or of the file that text names, as an
-    array.  A file may separate them by commas or whitespace (_floats'
-    rule); one that cannot be read, holds a token that is not a number or
-    holds other than count numbers raises ValidationError naming it."""
-    if not os.path.exists(text):
-        return np.array(_floats(text, count))
-    try:
-        with open(text) as fh:
-            return np.array(_floats(fh.read(), count, text))
-    except (OSError, ValueError) as e:
-        raise ValidationError(f"{text}: {e}")
+    """ltio.read_numbers(text), refused unless it holds count numbers."""
+    vals = ltio.read_numbers(text)
+    if count is not None and len(vals) != count:
+        raise ValidationError(f"expected {count} numbers, got {len(vals)} in {text!r}")
+    return vals
 
 
 def _lags(text):
@@ -104,7 +87,7 @@ def _lags(text):
 
 def _simulate(args):
     net = ltio.load_network(args.net)
-    t0, t1 = _floats(args.tspan, 2)
+    t0, t1 = _numbers(args.tspan, 2).tolist()
     x0 = np.zeros(net.n) if args.x0 is None else _numbers(args.x0, net.n)
     traj = simulate(net, x0, None, (t0, t1), args.dt)
     ltio.trajectory_to_csv(traj, args.out, args.force)
@@ -116,7 +99,7 @@ def _equilibrium(args):
     if args.at is None:
         return {"pieces": pa_map.to_jsonable(), "lipschitz": lipschitz_constant(pa_map),
                 "max_gain": max_gain_matrix(pa_map).tolist()}
-    d = np.array(_floats(args.at, net.n))
+    d = _numbers(args.at, net.n)
     return {"at": d.tolist(), "value": pa_map.eval(d).tolist(),
             "lipschitz": lipschitz_constant(pa_map)}
 
@@ -134,8 +117,8 @@ def _recruit(args):
     h = ltio.load_hierarchy(args.hierarchy)
     laws = (multilayer_controls(h) if args.controls is None
             else ltio.load_controls(args.controls, h))
-    eps_list = _floats(args.eps)
-    window = tuple(_floats(args.window, 2)) if args.window else None
+    eps_list = _numbers(args.eps)
+    window = tuple(_numbers(args.window, 2).tolist()) if args.window else None
     x0 = None
     if args.x0 is not None:
         flat = _numbers(args.x0, sum(la.n for la in h.layers))
@@ -273,16 +256,8 @@ def run(args) -> int:
     return 0
 
 
-# flags whose value is a comma list of numbers
+# flags whose value is a list of numbers, written out or in a file
 _LIST_FLAGS = ("--at", "--x0", "--tspan", "--eps", "--window", "--a", "--b")
-
-
-def _reads_as_numbers(tok):
-    try:
-        _floats(tok)
-    except ValueError:
-        return False
-    return True
 
 
 def _attach_negative_lists(argv):
@@ -290,15 +265,18 @@ def _attach_negative_lists(argv):
 
     argparse reads a value that starts with '-' and is not a plain
     negative number (`-1,-1`, `-inf`) as the next flag, so a token after
-    a list flag is attached to it whenever _floats reads it.  A flag such
-    as `--out` does not read as numbers, so argparse refuses `--at --out x`.
+    a list flag is attached to it whenever ltio.read_numbers reads it.  A
+    flag such as `--out` does not read as numbers, so argparse refuses
+    `--at --out x`.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _LIST_FLAGS and _reads_as_numbers(tok):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
+        if out and out[-1] in _LIST_FLAGS:
+            with contextlib.suppress(ValidationError):
+                ltio.read_numbers(tok)
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
     return out
 
 

@@ -61,7 +61,9 @@ class ControlLaw:
 
     ubar is None, a constant vector, or a callable (t, x_above) -> vector
     evaluated online from the live state of the layer above.  mode is one
-    of 'feedback-only', 'feedforward-only', 'combined'.
+    of 'feedback-only', 'feedforward-only', 'combined'.  layer is an integer
+    and K and a constant ubar are finite; Hierarchy.laws checks them
+    against the layer's B.  A law with neither K nor ubar applies no input.
     """
 
     layer: int
@@ -75,10 +77,12 @@ class ControlLaw:
         object.__setattr__(self, "layer", int(self.layer))  # JSON writes no NumPy integer
         if self.mode not in ("feedback-only", "feedforward-only", "combined"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.K is not None:
-            object.__setattr__(self, "K", _as_readonly(self.K))
-        if self.ubar is not None and not callable(self.ubar):
-            object.__setattr__(self, "ubar", _as_readonly(self.ubar))
+        for name in ("K", "ubar"):
+            if (a := getattr(self, name)) is None or (name == "ubar" and callable(a)):
+                continue
+            object.__setattr__(self, name, a := _as_readonly(a))
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"layer {self.layer}: {name} must be finite")
 
     def input_at(self, t, x, x_above=None) -> np.ndarray:
         """Evaluate u(t) for layer state x and upper-layer state x_above."""
@@ -105,8 +109,6 @@ class ControlLaw:
             parts.append(self.ubar.many(x_above))
         elif self.ubar is not None:
             parts.append(np.broadcast_to(self.ubar, (len(times), self.ubar.size)))
-        if not parts:
-            return np.zeros((len(times), 0))
         return sum(parts)
 
 

@@ -112,6 +112,28 @@ class Hierarchy:
         q = below.plus
         return Wii, self.W_down[i - 1][p, q], self.W_up[i - 1][q, p], below.c[q]
 
+    def laws(self, controls) -> list:
+        """One law or None per layer, each of controls (ControlLaws or None)
+        on the layer it names.  ValueError refuses a layer outside 1..N, a
+        second law for a layer, K or ubar without B, and for B (n, p) a K
+        other than (p, n) or a constant ubar other than (p,)."""
+        laws = [None] * self.N
+        for law in filter(None, controls or ()):
+            k, K, ubar = law.layer, law.K, law.ubar
+            if not 1 <= k <= self.N:
+                raise ValueError(f"a control law names layer {k}; no such layer in 1..{self.N}")
+            if laws[k - 1] is not None:
+                raise ValueError(f"layer {k}: a second control entry for the layer")
+            B = self.layers[k - 1].B
+            if B is None and (K is not None or ubar is not None):
+                raise ValueError(f"layer {k}: the layer has no B, so it takes no K or ubar")
+            if K is not None and K.shape != B.T.shape:
+                raise ValueError(f"layer {k}: K must have shape {B.T.shape}, got {K.shape}")
+            if isinstance(ubar, np.ndarray) and ubar.shape != (p := B.shape[1:]):
+                raise ValueError(f"layer {k}: ubar must have shape {p}, got {ubar.shape}")
+            laws[k - 1] = law
+        return laws
+
     @cached_property
     def certification(self):
         return stability.certify_hierarchy(self)
@@ -151,12 +173,11 @@ def simulate_hierarchy(
 ) -> list:
     """Integrate all layers jointly with one fixed RK4 step (rk4_integrate).
 
-    controls, when given, lists ControlLaws (entries may be None); each
-    controls the layer its layer field names, and a layer outside 1..N
-    or a second law for one layer is refused with ValueError.  x0 lists
-    per-layer initial states in [0, m] (zeros by default).
-    dt is as in simulate, for the smallest layer time constant.  Returns
-    one Trajectory per layer; controlled layers log the applied u(t).
+    controls, when given, lists ControlLaws (entries may be None), which
+    h.laws places and checks.  x0 lists per-layer initial states in
+    [0, m] (zeros by default).  dt is as in simulate, for the smallest
+    layer time constant.  Returns one Trajectory per layer; a layer with
+    B and a law logs the applied u(t), zeros for a law without K or ubar.
 
     When every callable ubar is an OnlineFeedforward, the closed loop is
     piecewise affine, and the run takes rk4_integrate's block path on
@@ -173,13 +194,7 @@ def simulate_hierarchy(
         raise ValueError(f"x0 holds {len(x0)} layer states, but the hierarchy has {N} layers")
     X0 = np.concatenate([_initial_state(x, la.m, f"x0 of layer {i}")
                          for i, (x, la) in enumerate(zip(x0, h.layers), start=1)])
-    laws = [None] * N
-    for law in filter(None, controls or ()):
-        if not 1 <= law.layer <= N:
-            raise ValueError(f"a control law names layer {law.layer}, outside 1..{N}")
-        if laws[law.layer - 1] is not None:
-            raise ValueError(f"two control laws name layer {law.layer}")
-        laws[law.layer - 1] = law
+    laws = h.laws(controls)
 
     # stack the layer and inter-layer blocks into one matrix; feedback
     # gains fold into the diagonal blocks and constant feedforward into
@@ -194,24 +209,23 @@ def simulate_hierarchy(
             Wtot[sl[i], sl[i - 1]] = h.W_up[i - 1]
         if i < N - 1:
             Wtot[sl[i], sl[i + 1]] = h.W_down[i]
-        law = laws[i]
-        if law is None or la.B is None:
-            continue
-        if law.K is not None:
-            Wtot[sl[i], sl[i]] += la.B @ law.K
-        if law.ubar is None:
-            continue
-        if callable(law.ubar):
-            online.append((sl[i], sl[i - 1] if i > 0 else None, la.B, law.ubar))
-        else:
-            ctot[sl[i]] += la.B @ law.ubar
+        K, ubar = (None, None) if laws[i] is None else (laws[i].K, laws[i].ubar)
+        if K is not None:
+            Wtot[sl[i], sl[i]] += la.B @ K
+        if callable(ubar):
+            online.append((sl[i], sl[i - 1] if i > 0 else None, la.B, ubar))
+        elif ubar is not None:
+            ctot[sl[i]] += la.B @ ubar
 
     samples = _clipped_run(Wtot, ctot, ms, taus, X0, t0, dt, n_steps, online)
     times = t0 + dt * np.arange(n_steps + 1)
     out = []
     for i, (la, law) in enumerate(zip(h.layers, laws)):
         x, above = samples[:, sl[i]], samples[:, sl[i - 1]] if i > 0 else None
-        log = law.input_log(times, x, above) if law is not None and la.B is not None else None
+        log = None
+        if law is not None and la.B is not None:
+            empty = law.K is None and law.ubar is None
+            log = np.zeros((times.size, la.p)) if empty else law.input_log(times, x, above)
         out.append(Trajectory(t0=t0, dt=dt, samples=x, input_log=log))
     return out
 

@@ -1,10 +1,12 @@
 """File formats: network, hierarchy and controls JSON, the fit problem
-JSON, the rate and trials CSVs (one row reader, _number_rows), the fit
-report's z, trajectory CSV, report emission.
+JSON, the rate and trials CSVs (one row reader, _number_rows), number
+lists and files (read_numbers), the fit report's z, trajectory CSV,
+report emission.
 
 Ceilings serialize as numbers or the string "inf"; every other number
-must be a JSON number, not a bool or a string, and an integer field
-holds what network._integer accepts.  Trajectory CSV uses the header
+holds what network._real accepts, and an integer what network._integer
+does.  Number text, CSV fields and lists alike, is read by _number
+alone.  Control laws pass Hierarchy.laws.  Trajectory CSV uses the header
 t,x1,...,xn with 17 significant digits, so rates_from_csv reads the
 values back exactly.  Reports are JSON with sorted keys and a schema
 version string, which makes repeated runs byte-identical for identical
@@ -18,12 +20,13 @@ import contextlib
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from . import sysid
 from .control import ControlLaw, OnlineFeedforward, _online_feedforward
-from .network import LTNetwork, Trajectory, _integer
+from .network import LTNetwork, Trajectory, _integer, _real
 from .hierarchy import Hierarchy
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
     "load_controls",
     "load_problem",
     "load_fit_z",
+    "read_numbers",
 ]
 
 REPORT_SCHEMA = "ltnet-report/1"
@@ -61,29 +65,23 @@ def _known_keys(where, entry, known):
         raise ValidationError(f"{where} has unknown key {unknown[0]!r}")
 
 
-_REALS = (int, float, np.integer, np.floating)
-
-
-def _number_array(value, what, shape=None):
-    """value as a float array, of shape unless it is None.  Each leaf must
-    be a number: np.array reads true as 1.0 and "0.5" as 0.5, so a bool, a
-    string, null or a ragged nesting raises ValidationError naming what."""
+def _number_array(value, what):
+    """value as a float array.  Each leaf must be a number: np.array reads
+    true as 1.0 and "0.5" as 0.5, so a bool, a string, null or a ragged
+    nesting raises ValidationError naming what."""
     try:
         leaves = np.array(value, dtype=object)
     except ValueError:  # a nesting too ragged even for an object array
         leaves = np.array(None)
-    if all(isinstance(v, _REALS) and not isinstance(v, bool) for v in leaves.flat):
-        a = leaves.astype(float)
-        if shape is None or a.shape == shape:
-            return a
-    kind = f"a number, got {value!r}" if shape == () else "a rectangular array of numbers"
-    raise ValidationError(f"{what} must be {kind}")
+    if all(map(_real, leaves.flat)):
+        return leaves.astype(float)
+    raise ValidationError(f"{what} must be a rectangular array of numbers")
 
 
 def _ceiling_in(v):
     if v == "inf":
         return np.inf
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _real(v):
         if v <= 0:
             raise ValidationError(f"ceiling entries must be positive, got {v}")
         return float(v)
@@ -111,7 +109,7 @@ def network_from_dict(obj) -> LTNetwork:
             raise ValidationError(f"n must be an integer, got {n!r}")
         W, c = (_number_array(obj[k], f"network field malformed: {k}") for k in ("W", "c"))
         m = np.array([_ceiling_in(v) for v in obj["m"]])
-        tau = float(_number_array(obj["tau"], "network field malformed: tau", ()))
+        tau = obj["tau"]
     except KeyError as e:
         raise ValidationError(f"network is missing field {e.args[0]!r}")
     except (TypeError, ValueError) as e:
@@ -222,6 +220,27 @@ def _csv_rows(path):
         raise ValidationError(f"{path}: {e}")
 
 
+def _number(text):
+    """float(text), without the digit separators float reads (1_5 as 15)."""
+    if "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+def read_numbers(text):
+    """The numbers of text, or of the file it names, separated by commas or
+    whitespace, as a float array.  A file that cannot be read or a token
+    that is not a number raises ValidationError, naming the file."""
+    where = f"{text}: " if os.path.exists(text) else ""
+    try:
+        if where:
+            with open(text) as fh:
+                text = fh.read()
+        return np.array([_number(v) for v in text.replace(",", " ").split()])
+    except (OSError, ValueError) as e:
+        raise ValidationError(f"{where}{e}")
+
+
 def _number_rows(path, rows, first, width=None):
     """rows, the lines of path from line first on, as a float array.
     Blank lines are skipped; every other line holds width fields (the
@@ -234,7 +253,7 @@ def _number_rows(path, rows, first, width=None):
         if len(row) != width:
             raise ValidationError(f"{path}: line {ln}: expected {width} fields, got {len(row)}")
         try:
-            data.append([float(v) for v in row])
+            data.append([_number(v) for v in row])
         except ValueError as e:
             raise ValidationError(f"{path}: line {ln}: {e}")
         if not np.all(np.isfinite(data[-1])):
@@ -337,66 +356,44 @@ def load_fit_z(path, n):
     return z
 
 
-def _finite_array(value, what, shape):
-    """value as a finite float array of shape."""
-    a = _number_array(value, f"{what} malformed:")
-    if a.shape != shape:
-        raise ValidationError(f"{what} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{what} must be finite")
-    return a
-
-
 def load_controls(path, hierarchy: Hierarchy):
-    """Control-law JSON for hierarchy: list of {layer, mode, K, ubar}, an
-    entry with any other key refused.
-
-    ubar may be a constant vector or the string "online", in which case
-    the hierarchy is used to rebuild the upper-layer tracking feedforward.
-    Accepts either a bare list or a synthesize report wrapping one.  Each
-    layer of the hierarchy takes at most one entry; K and a constant ubar
-    need the layer's B (n, p) and must be finite, of shape (p, n) and (p,).
-    Returns one ControlLaw or None per layer.
+    """Control-law JSON for hierarchy: a list of {layer, mode, K, ubar},
+    or a synthesize report holding one; an entry with any other key is
+    refused.  ubar is null, a constant vector or "online", which rebuilds
+    the tracking feedforward of a layer with a layer above and B.  The
+    entries' laws pass ControlLaw's and Hierarchy.laws' rules; returns one
+    ControlLaw or None per layer.
     """
     obj = _load_json(path)
     if isinstance(obj, dict) and isinstance(obj.get("controls"), list):
         obj = obj["controls"]
     if not isinstance(obj, list):
         raise ValidationError("controls file must be a JSON list")
-    laws = {}
-    for k, entry in enumerate(obj):
-        _known_keys(f"control entry {k}", entry, _CONTROL_KEYS)
-        try:
-            if not _integer(layer := entry["layer"]):
-                raise ValidationError(f"control entry layer must be an integer, got {layer!r}")
-            mode = entry["mode"]
-        except KeyError as e:
-            raise ValidationError(f"control entry missing field {e.args[0]!r}")
-        except TypeError as e:
-            raise ValidationError(f"control entry malformed: {e}")
-        if not 1 <= layer <= hierarchy.N:
-            raise ValidationError(f"control entry names layer {layer}; no such layer")
-        if layer in laws:
-            raise ValidationError(f"layer {layer}: a second control entry for the layer")
-        B = hierarchy.layers[layer - 1].B
-        K, ubar = entry.get("K"), entry.get("ubar")
-        if B is None and (K is not None or ubar not in (None, "online")):
-            raise ValidationError(f"layer {layer}: the layer has no B, so it takes no K or ubar")
-        if K is not None:
-            K = _finite_array(K, f"layer {layer}: K", B.T.shape)
-        if ubar == "online":
-            if layer == 1 or B is None:
-                raise ValidationError(
-                    f"layer {layer}: online feedforward needs a layer above and B"
-                )
-            ubar = _online_feedforward(hierarchy, layer)
-        elif ubar is not None:
-            ubar = _finite_array(ubar, f"layer {layer}: ubar", B.shape[1:])
-        try:
-            laws[layer] = ControlLaw(layer=layer, K=K, ubar=ubar, mode=mode)
-        except ValueError as e:
-            raise ValidationError(str(e))
-    return [laws.get(i + 1) for i in range(hierarchy.N)]
+    laws, online = [], []
+    try:
+        for k, entry in enumerate(obj):
+            _known_keys(f"control entry {k}", entry, _CONTROL_KEYS)
+            try:
+                layer, mode, K, ubar = (entry["layer"], entry["mode"], entry.get("K"),
+                                        entry.get("ubar"))
+            except KeyError as e:
+                raise ValidationError(f"control entry missing field {e.args[0]!r}")
+            except TypeError as e:
+                raise ValidationError(f"control entry malformed: {e}")
+            if ubar == "online":  # built once the layer is known to exist
+                online.append(layer)
+                ubar = None
+            K, ubar = (None if a is None else _number_array(a, f"layer {layer}: {n} malformed:")
+                       for n, a in (("K", K), ("ubar", ubar)))
+            laws.append(ControlLaw(layer=layer, K=K, ubar=ubar, mode=mode))
+        laws = hierarchy.laws(laws)
+    except ValueError as e:
+        raise ValidationError(str(e))
+    for layer in online:
+        if layer == 1 or hierarchy.layers[layer - 1].B is None:
+            raise ValidationError(f"layer {layer}: online feedforward needs a layer above and B")
+        laws[layer - 1] = replace(laws[layer - 1], ubar=_online_feedforward(hierarchy, layer))
+    return laws
 
 
 def controls_to_jsonable(laws) -> list:

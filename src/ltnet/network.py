@@ -105,6 +105,11 @@ def _integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _real(v) -> bool:
+    """ltnet's one real-number rule: a Python or NumPy int or float, no bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class AffinePiece:
     """One affine piece y -> F y + f valid on {y : G y + g >= 0}.
@@ -142,7 +147,7 @@ class LTNetwork:
     m : (n,) array
         Activation ceilings; entries are positive or np.inf.
     tau : float
-        Time constant (positive).
+        Time constant, a positive finite number; held as a Python float.
     B : (n, p) array, optional
         Input matrix for external controls.  Only the first ``r`` rows may
         be nonzero when the node set is partitioned.
@@ -167,6 +172,8 @@ class LTNetwork:
         m = _as_readonly(np.broadcast_to(np.asarray(self.m, dtype=float), (n,)))
         if not np.all(m > 0):
             raise ValueError("ceiling entries must be positive (or np.inf)")
+        if not _real(self.tau):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
         if not 0 < self.tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         B = self.B
@@ -184,6 +191,7 @@ class LTNetwork:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "r", int(self.r))  # JSON writes no NumPy integer
 

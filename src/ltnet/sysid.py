@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import re
 import threading
 import warnings
@@ -58,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _as_readonly, _integer, rk4_integrate
+from .network import _as_readonly, _integer, _real, rk4_integrate
 
 __all__ = [
     "InputSignal",
@@ -199,7 +198,7 @@ def randomization_test(a, b, n_perm: int = 1999, seed: int = 0) -> float:
 
 
 def _finite_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    return _real(v) and math.isfinite(v)
 
 
 def _pair_of_numbers(v):

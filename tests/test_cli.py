@@ -349,7 +349,7 @@ def _layer(index, **fields):
     (lambda blob: blob["W_down"][1][0].__setitem__(0, True),
      "W_down[1] must be a rectangular array of numbers"),
     (_layer(1, m=[True, True]), "layer 2: ceiling entries must be numbers or 'inf', got True"),
-    (_layer(1, tau="0.5"), "layer 2: network field malformed: tau must be a number, got '0.5'"),
+    (_layer(1, tau="0.5"), "layer 2: tau must be a number, got '0.5'"),
     (_layer(1, c=[False, 0.5]), "layer 2: network field malformed: c must be a rectangular"),
     (_layer(1, W=[[0.5]]), "layer 2: W must be 2x2, got (1, 1)"),
     (_layer(1, c=[0.5]), "layer 2: c and m must have length n"),
@@ -1113,6 +1113,39 @@ def test_cli_number_files_take_commas_or_whitespace(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: could not convert string to float: 'abc'\n")
+
+
+def test_number_text_refuses_digit_separators(tmp_path, capsys):
+    # before: float() read 1_5 as 15 in a rate CSV, a trials CSV and a
+    # number file, and --tspan 0,1_0 ran to t = 10
+    rates, trials, a_path = tmp_path / "rates.csv", tmp_path / "trials.csv", tmp_path / "a.txt"
+    rates.write_text("t,a\n0,1_5\n")
+    trials.write_text("1,2,3\n4,1_5,6\n")
+    for reader, path in ((ltio.rates_from_csv, rates), (ltio.trials_from_csv, trials)):
+        with pytest.raises(ValidationError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}: line 2: could not convert string to float: '1_5'"
+    a_path.write_text("1_5 2 3\n")
+    assert main(["rtest", "--a", str(a_path), "--b", "1,2,3", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {a_path}: could not convert string to float: '1_5'\n"
+    net_path, out = tmp_path / "net.json", tmp_path / "traj.csv"
+    ltio.dump_network(demo_network(), net_path)
+    assert main(["simulate", "--net", str(net_path), "--tspan", "0,1_0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: could not convert string to float: '1_0'\n"
+    assert not out.exists()
+
+
+def test_ceilings_take_numpy_floats():
+    # before: an np.float32 ceiling was refused where an np.float32 weight was read
+    obj = {"n": 1, "W": [[np.float32(0.5)]], "c": [0.0], "m": [np.float32(2.0)], "tau": 1.0}
+    assert ltio.network_from_dict(obj).m.tolist() == [2.0]
+
+
+def test_network_refuses_blocks_numpy_cannot_stack():
+    obj = ltio.network_to_dict(demo_network())
+    obj["W"] = [np.zeros((2, 2)), np.zeros((2, 3))]
+    with pytest.raises(ValidationError, match="W must be a rectangular array of numbers"):
+        ltio.network_from_dict(obj)
 
 
 def test_cli_equilibrium_at_a_non_finite_point_exits_3(tmp_path, capsys):

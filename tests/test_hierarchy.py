@@ -1,6 +1,7 @@
 """Hierarchy integration, quasi-steady references, sweeps, reduced models."""
 
 import hashlib
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,11 +165,47 @@ def test_a_law_controls_the_layer_it_names():
     for a, b in zip(full, alone):
         assert a.samples.tobytes() == b.samples.tobytes()
     assert alone[1].input_log.tobytes() == full[1].input_log.tobytes()
-    for given, match in (([laws[1], replace(laws[0], layer=3)], "names layer 3, outside 1..2"),
-                         ([replace(laws[0], layer=0)], "names layer 0, outside 1..2"),
-                         ([laws[1], laws[1]], "two control laws name layer 2")):
+    for given, match in (([laws[1], replace(laws[0], layer=3)], "names layer 3; no such layer in 1..2"),
+                         ([replace(laws[0], layer=0)], "names layer 0; no such layer in 1..2"),
+                         ([laws[1], laws[1]], "layer 2: a second control entry for the layer")):
         with pytest.raises(ValueError, match=match):
             simulate_hierarchy(h, given, x0, (0.0, 1.0), 0.01)
+
+
+def test_the_library_refuses_the_laws_load_controls_refuses():
+    # before: the law on layer 2, which has no B, was dropped silently, and
+    # the (3, 3) K and (2,) ubar raised NumPy's matmul mismatch
+    for h, law, message in (
+        (lc_hierarchy(), ControlLaw(2, [[5.0, 5.0]], [3.0], "combined"),
+         "layer 2: the layer has no B, so it takes no K or ubar"),
+        (recruitment_hierarchy(), ControlLaw(2, np.ones((3, 3)), None, "feedback-only"),
+         "layer 2: K must have shape (1, 3), got (3, 3)"),
+        (recruitment_hierarchy(), ControlLaw(3, None, [0.5, 0.5], "feedforward-only"),
+         "layer 3: ubar must have shape (1,), got (2,)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_hierarchy(h, [law], t_span=(0.0, 1.0))
+    for K, ubar, name in (([[np.nan, 0.0, 0.0]], None, "K"), (None, [np.inf], "ubar")):
+        with pytest.raises(ValueError, match=f"^layer 2: {name} must be finite$"):
+            ControlLaw(2, K, ubar, "combined")
+
+
+def test_an_empty_law_logs_zeros_for_each_input():
+    # before: the log of a law with neither K nor ubar had no columns
+    net = LTNetwork(np.zeros((1, 1)), np.array([1.0]), np.array([np.inf]), B=np.ones((1, 2)))
+    h = Hierarchy((net,), (), ())
+    controlled, free = (simulate_hierarchy(h, laws, t_span=(0.0, 10.0))
+                        for laws in ([ControlLaw(1, None, None, "feedback-only")], None))
+    assert controlled[0].input_log.shape == (501, 2) and not np.any(controlled[0].input_log)
+    assert controlled[0].samples.tobytes() == free[0].samples.tobytes()
+    assert free[0].input_log is None
+
+
+def test_coupling_refuses_a_layer_outside_the_hierarchy():
+    h = recruitment_hierarchy()
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"^layer must be 1..3, got {i}$"):
+            h.coupling(i)
 
 
 def test_reference_trajectory_bottom_layer():

@@ -1,11 +1,13 @@
 """Simulation layer: clipping, vector field, integrator accuracy, invariants."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from ltnet import LTNetwork, Trajectory, clip_box, rhs, simulate
+from ltnet import io as ltio
 from ltnet.network import AffinePiece, _as_readonly, rk4_integrate
 
 from helpers import clip01m, fixed_point, random_contractive, reference_rk4, rk4_calls
@@ -318,3 +320,16 @@ def test_a_read_only_copy_is_c_ordered_and_kept_by_a_second_call():
     np.testing.assert_array_equal(once, a)
     assert _as_readonly(once) is once
     assert LTNetwork(a[:3], np.zeros(3), np.ones(3)).W.flags.c_contiguous
+
+
+def test_tau_is_a_real_number_held_as_a_python_float(tmp_path):
+    # before: an np.float32 tau built a network that dump_network could not
+    # write, True built one whose file load_network refused, and "1" raised
+    # TypeError from the range check
+    net = LTNetwork(np.zeros((1, 1)), [0.0], [1.0], tau=np.float32(0.5))
+    assert type(net.tau) is float and net.tau == 0.5
+    ltio.dump_network(net, tmp_path / "net.json")
+    assert ltio.load_network(tmp_path / "net.json").tau == 0.5
+    for tau in (True, "1"):
+        with pytest.raises(ValueError, match=f"^tau must be a number, got {re.escape(repr(tau))}$"):
+            LTNetwork(np.zeros((1, 1)), [0.0], [1.0], tau=tau)

@@ -55,12 +55,16 @@ def test_cli_only_parses_and_dispatches():
 
 
 def test_one_copy_of_each_rule():
-    # network holds the one integer rule, every drive term answers the
-    # core's one hint, piece(x) -> (key, build), and the trials CSV is
-    # read in io
+    # network holds the one integer rule and the one real-number rule,
+    # every drive term answers the core's one hint, piece(x) -> (key,
+    # build), number text is read in io, and hierarchy checks control laws
     src = {p.name: p.read_text() for p in Path(network.__file__).parent.glob("*.py")}
-    rule = re.compile(r"def _integer\b|numbers\.Integral|\.is_integer\(")
-    assert {name for name, text in src.items() if rule.search(text)} == {"network.py"}
+    for rule in (r"def _integer\b|numbers\.Integral|\.is_integer\(",
+                 r"def _real\b|_REALS|numbers\.Real|np\.floating"):
+        assert {name for name, text in src.items() if re.search(rule, text)} == {"network.py"}
+    assert not re.search(r"\bfloat\(|\bopen\(", src["cli.py"])
+    assert "".join(src.values()).count("no such layer") == 1
+    assert "_finite_array" not in "".join(src.values())
     assert not re.search(r"def (pattern|_signs)\b", "".join(src.values()))
     for term in (control.OnlineFeedforward, hierarchy._SlavedLayer):
         assert callable(term.piece) and not hasattr(term, "pattern"), term

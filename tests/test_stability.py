@@ -238,6 +238,15 @@ def test_empirical_decay_scalar():
     assert report.worst_margin <= 1.0 + 1e-6
 
 
+def test_empirical_decay_skips_a_start_at_the_equilibrium():
+    # every start lies in [0, 1e-14], within 1e-12 of x* = 0, so no trial
+    # is scored and the worst margin stays 0 (a scored one starts at 1)
+    net = LTNetwork(np.zeros((1, 1)), np.zeros(1), np.array([1e-14]))
+    cert = ges_certificate(net.W, tau=net.tau)
+    report = empirical_decay_check(net, cert, trials=3, horizon=1.0)
+    assert report.passed and report.n_trials == 3 and report.worst_margin == 0.0
+
+
 def test_empirical_decay_recruited_pair():
     net = LTNetwork(np.array([[0.0, 1.0], [0.2, 0.0]]), np.array([3.5, 2.5]),
                     np.full(2, np.inf), tau=1.65)

@@ -4,6 +4,7 @@ import hashlib
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -520,6 +521,19 @@ def test_problem_refuses_a_non_integer_structure_row_or_col(row, col, message):
         SysIdProblem([2], [WeightEntry("W11", row, col)], [], ["a"], [0, 1])
     problem = SysIdProblem([2], [WeightEntry("W11", np.int64(0), np.int32(1))], [], ["a"], [0, 1])
     assert problem.param_names()[0] == "W11[0,1]"
+
+
+def test_problem_refuses_a_fraction():
+    # before: numbers.Real let a Fraction through as the grid step
+    with pytest.raises(ValueError, match=re.escape("T must be finite and > 0, got Fraction(1, 10)")):
+        SysIdProblem([2], [], [], ["a"], [0, 1], T=Fraction(1, 10))
+
+
+def test_autocorr_timescale_refuses_non_finite_trials():
+    trials = np.ones((4, 5))
+    trials[2, 3] = np.nan
+    with pytest.raises(ValueError, match="^trial_rates must be finite$"):
+        autocorr_timescale(trials, 0.2, range(1, 3))
 
 
 def test_fit_takes_numpy_integers_and_zero_iterations():
