@@ -265,13 +265,14 @@ def _attach_negative_lists(argv):
 
     argparse reads a value that starts with '-' and is not a plain
     negative number (`-1,-1`, `-inf`) as the next flag, so a token after
-    a list flag is attached to it whenever ltio.read_numbers reads it.  A
-    flag such as `--out` does not read as numbers, so argparse refuses
-    `--at --out x`.
+    a list flag that starts with '-' is attached to it whenever
+    ltio.read_numbers reads it; any other token is left to argparse, so
+    a number file is read once, by its handler.  A flag such as `--out`
+    does not read as numbers, so argparse refuses `--at --out x`.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _LIST_FLAGS:
+        if out and out[-1] in _LIST_FLAGS and tok.startswith("-"):
             with contextlib.suppress(ValidationError):
                 ltio.read_numbers(tok)
                 out[-1] += "=" + tok

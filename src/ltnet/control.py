@@ -109,6 +109,8 @@ class ControlLaw:
             parts.append(self.ubar.many(x_above))
         elif self.ubar is not None:
             parts.append(np.broadcast_to(self.ubar, (len(times), self.ubar.size)))
+        if not parts:  # each row is input_at's zeros(0)
+            return np.zeros((len(times), 0))
         return sum(parts)
 
 

@@ -18,24 +18,29 @@ S_l and S_s the indicator diagonals of the Linear and Saturated regimes
 ceilings never produce inf * 0).  The region of validity is the polyhedron
 {d : G d + g >= 0} obtained by writing the semantic regime conditions on
 z = W (F d + f) + d; these conditions, not any rearranged closed form, are
-what the implementation evaluates.  Patterns are built in stacks of up to
-_PATTERN_CHUNK: one stacked slogdet, two stacked solves and masked
-region rows per stack, so the temporaries are O(chunk * n^2), and every
-piece has the bits it would have if built alone.  The map holds the
-stacks, read-only; its AffinePieces view them, built only when read.
+what the implementation evaluates.  F and the pattern's linear system
+I - S_l W depend only on its Linear set, as Zero and Saturated give the
+same system, so a builder first solves each Linear set once, in stacks
+of up to _PATTERN_CHUNK sets (see _solve_table), and every pattern
+gathers its F from that table.  Then the patterns are built in stacks
+of up to _PATTERN_CHUNK: one stacked solve for f and masked region rows
+per stack, so the temporaries are O(chunk * n^2), and every piece has
+the bits it would have if built alone.  The map holds the stacks,
+read-only; its AffinePieces view them, built only when read.
 
 Saturated is excluded for nodes with unbounded ceilings.  Patterns whose
 linear system is singular (condition number above _SINGULAR_RCOND) are
 skipped: the map simply has no such piece.  A Frobenius-norm bound from
-the solve settles nearly every pattern, and only the few it leaves open
-take an SVD (see _pattern_pieces).
+the solve settles nearly every Linear set, and only the few it leaves
+open take an SVD (see _solve_table).
 For the base map every remaining pattern has a nonempty region: choosing
 target pre-activations z strictly inside each regime interval and setting
 d = z - W x(z), with x(z) the state pinned by the pattern, produces an
 interior witness.  Composed maps (see compose_maps) gain extra region
 rows from the inner map, so there emptiness is real.  Their candidates,
 the (inner piece, outer pattern) pairs, are built in stacks of up to
-_PATTERN_CHUNK pairs, each pair with its own effective weights.  A
+_PATTERN_CHUNK pairs, each pair with its inner piece's effective
+weights, and F is solved once per (inner piece, outer Linear set).  A
 candidate is first dropped without an LP when one inner row is negative
 over the whole box its outer pattern allows the outer state (see
 _box_empty).  Of the rest, a candidate is kept without an LP when a
@@ -122,48 +127,89 @@ def _chunks(items):
         yield chunk
 
 
-def _pattern_pieces(W, m, sigmas, off):
+def _solve_keys(sigmas, owner):
+    """Solve-table key of each pattern sigmas (P, n) of owner (P,): owner 2^n
+    plus the pattern's Linear nodes as bits, node 0 the highest."""
+    n = sigmas.shape[1]
+    return (owner << n) + (sigmas == LINEAR) @ (1 << np.arange(n - 1, -1, -1))
+
+
+def _linear_nodes(keys, n):
+    """The Linear set (K, n) of each solve-table key: _solve_keys' inverse."""
+    return (keys[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+
+
+def _solve_table(W, keys):
+    """The solve table of the keys (K,), increasing (see _solve_keys), for
+    the weights W (L, n, n) of each owner: (row, F), row (L 2^n,) the index
+    of each key's F in F (ok keys, n, n), -1 where the key's linear system
+    is singular or the key is not among keys.
+
+    A = I - S_l W[owner] and F = A^-1 S_l depend only on a pattern's
+    owner and Linear set (Zero and Saturated give the same A), so every
+    pattern of a key gets its F, and is kept or skipped, by this one
+    solve.  Keys go in stacks of up to _PATTERN_CHUNK, so the temporaries
+    are O(chunk * n^2); a table holds an F for an ok key only, and a
+    builder drops it before joining its parts.
+
+    A key is ok when cond_2(A) <= _SINGULAR_RCOND.  The SVD behind that
+    test is screened: a zero LU pivot (slogdet's sign 0) drops a key, as
+    a stacked solve fails on the same getrf, and since A^-1 = I + F W,
+    cond_2(A) <= |A|_F |I + F W|_F keeps one whose bound is at most 1e-2
+    _SINGULAR_RCOND.  Only the keys the bound leaves open (a NaN bound
+    included) take np.linalg.cond.
+    """
+    n = W.shape[-1]
+    eye = np.eye(n)
+    ok, stacks = np.zeros(len(W) << n, dtype=bool), []
+    for lo in range(0, len(keys), _PATTERN_CHUNK):
+        chunk = keys[lo : lo + _PATTERN_CHUNK]
+        lin = _linear_nodes(chunk, n)
+        Wk = W[chunk >> n]
+        A = eye - lin[:, :, None] * Wk  # I - S_l W
+        idx = np.flatnonzero(np.linalg.slogdet(A)[0])
+        A, lin, Wk = A[idx], lin[idx], Wk[idx]
+        F = np.linalg.solve(A, eye * lin[:, None, :])
+        bound = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(eye + F @ Wk, axis=(1, 2))
+        good = bound <= 1e-2 * _SINGULAR_RCOND
+        if not good.all():  # a NaN bound is open too
+            open_ = ~good
+            cond = np.linalg.cond(A[open_])
+            good[open_] = np.isfinite(cond) & (cond <= _SINGULAR_RCOND)
+        stacks.append(F[good])
+        ok[chunk[idx[good]]] = True
+    return np.where(ok, np.cumsum(ok) - 1, -1), np.concatenate(stacks or [np.zeros((0, n, n))])
+
+
+def _pattern_pieces(W, m, sigmas, off, owner, table):
     """Stacked pieces of the patterns sigmas (P, n) for x = [W x + off + d]_0^m.
 
-    W is (n, n) and off (n,), shared by every pattern, or W (P, n, n) and
-    off (P, n), one per pattern (compose_maps' candidates); shared ones
-    are broadcast to the stack, which gives every product the same bits.
-    Returns (ok, F, f, G, g, keep): ok (P,) marks the patterns whose linear
-    system is nonsingular, and the rest hold their K = ok.sum() pieces:
-    F (K, n, n), f (K, n), and candidate region rows G (K, R, n), g (K, R)
-    of which the rows where keep (K, R) is true form G d + g >= 0, in node
-    order (see _regime_rows).  Base maps pass off = -0.0, the bitwise
-    additive identity (+0.0 would turn signed zeros in f and g into +0.0).
-    Each stacked product, solve and condition number has the bits of the
-    same call on one pattern; f @ W.T and einsum forms do not.  A product
-    keeps its bits only at the same per-pattern shape: a (1, k) @ (k, 1)
-    product is a dot, an (R >= 2, k) @ (k, 1) one a gemv, and their last
-    bits can differ, so stacks never pad rows into a product.
-
-    A pattern is kept when cond_2(A) <= _SINGULAR_RCOND for A = I - S_l W.
-    The SVD behind that test is screened: a zero LU pivot (slogdet's sign
-    0) drops a pattern, as a stacked solve fails on the same getrf, and
-    since A^-1 = I + F W, cond_2(A) <= |A|_F |I + F W|_F keeps one whose
-    bound is at most 1e-2 _SINGULAR_RCOND.  Only the patterns the bound
-    leaves open (a NaN bound included) take np.linalg.cond.
+    W (L, n, n) and off (L, n) hold one set of weights and offsets per
+    owner, and owner (P,) names each pattern's: zeros for a base map, the
+    inner piece for compose_maps' candidates.  table is the _solve_table
+    of the owners' W and every (owner, Linear set) key the patterns have.
+    Returns (ok, F, f, G, g, keep): ok (P,) marks the patterns whose
+    linear system is nonsingular, and the rest hold their K = ok.sum()
+    pieces: F (K, n, n), gathered from the table, f (K, n), and candidate
+    region rows G (K, R, n), g (K, R) of which the rows where keep (K, R)
+    is true form G d + g >= 0, in node order (see _regime_rows).  Base
+    maps pass off = -0.0, the bitwise additive identity (+0.0 would turn
+    signed zeros in f and g into +0.0).  Each stacked product, solve and
+    condition number has the bits of the same call on one pattern; f @ W.T
+    and einsum forms do not.  A product keeps its bits only at the same
+    per-pattern shape: a (1, k) @ (k, 1) product is a dot, an (R >= 2, k)
+    @ (k, 1) one a gemv, and their last bits can differ, so stacks never
+    pad rows into a product.
     """
-    P, n = sigmas.shape
-    W, off = np.broadcast_to(W, (P, n, n)), np.broadcast_to(off, (P, n))
-    eye = np.eye(n)
+    rows, Fs = table
+    row = rows[_solve_keys(sigmas, owner)]
+    ok = row >= 0
+    sigmas, owner = sigmas[ok], owner[ok]
+    W, off = W[owner], off[owner]
+    eye = np.eye(sigmas.shape[1])
     lin, sat = sigmas == LINEAR, sigmas == SATURATED
     A = eye - lin[:, :, None] * W  # I - S_l W
-    idx = np.flatnonzero(np.linalg.slogdet(A)[0])
-    F = np.linalg.solve(A[idx], eye * lin[idx, None, :])
-    FW = F @ W[idx]
-    bound = np.linalg.norm(A[idx], axis=(1, 2)) * np.linalg.norm(eye + FW, axis=(1, 2))
-    open_ = ~(bound <= 1e-2 * _SINGULAR_RCOND)
-    good = np.ones(len(idx), dtype=bool)
-    if open_.any():
-        cond = np.linalg.cond(A[idx[open_]])
-        good[open_] = np.isfinite(cond) & (cond <= _SINGULAR_RCOND)
-    ok = np.zeros(len(A), dtype=bool)
-    ok[idx[good]] = True
-    A, sigmas, lin, sat, F, W, off = A[ok], sigmas[ok], lin[ok], sat[ok], F[good], W[ok], off[ok]
+    F = Fs[row[ok]]
     # S_s m is 0 on rows without saturation, so m_i = inf never meets a 0
     f = np.linalg.solve(A, (np.where(sat, m, 0.0) + lin * off)[..., None])[..., 0]
     # regime conditions on z = W(F d + f) + off + d
@@ -186,7 +232,10 @@ def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
     if np.any((np.array(sigma) == SATURATED) & np.isinf(m)):
         warnings.warn(f"pattern {sigma} saturates an unbounded node; skipped")
         return None
-    ok, F, f, G, g, keep = _pattern_pieces(W, m, np.array([sigma]), np.full(n, -0.0))
+    sigmas, owner = np.array([sigma]), np.zeros(1, dtype=np.intp)
+    table = _solve_table(W[None], _solve_keys(sigmas, owner))
+    ok, F, f, G, g, keep = _pattern_pieces(W[None], m, sigmas, np.full((1, n), -0.0), owner,
+                                           table)
     if not ok[0]:
         warnings.warn(f"pattern {sigma} has a singular linear system; skipped")
         return None
@@ -429,7 +478,10 @@ class _Locator:
     c's rows hold d, and a piece j whose rows hold d and whose regime
     differs from c's at some node would need |z_j - Z| > 2 K^2 tau there,
     while |z_j - z*| + |z* - z_c| <= 2 K^2 tau.  So c is the only piece
-    whose rows hold d.
+    whose rows hold d.  The pieces of one Linear set share I - S_l W and
+    hold one F, bit for bit, so the F residual and the |F| row sums are
+    read once per set, at its piece with every other node Zero; the f
+    residual is read at every piece.
 
     The allowance.  Each float quantity here is a sum of at most n + 2
     rounded terms, so its error is at most gamma = 2 (n + 2) u (u = 2^-53)
@@ -457,15 +509,17 @@ class _Locator:
         # v's own residual: |W| v = v - 1 - r, so T contracts by 1 - (1 - |r|) / max v
         r = np.abs((eye - np.abs(W)) @ v - 1.0).max() + gamma * ((1 + norm_W) * v.max() + 1)
         K = v.max() / ((1 - r) * min(1.0, v.min())) if r < 1 else np.inf
-        res = norm_F = norm_f = 0.0
+        # A and F of each Linear set, at its piece with every other node Zero
+        lin = _linear_nodes(np.arange(1 << n), n)
+        A = eye - lin[:, :, None] * W
+        F = pa.F[lin @ self.place]
+        res = np.abs(A @ F - eye * lin[:, :, None]).sum(axis=2).max()
+        norm_F, norm_f = np.abs(F).sum(axis=2).max(), np.abs(pa.f).max()
         for lo in range(0, len(pa), _PATTERN_CHUNK):
-            F, f = pa.F[lo : lo + _PATTERN_CHUNK], pa.f[lo : lo + _PATTERN_CHUNK]
-            sigmas = np.arange(lo, lo + len(F))[:, None] // self.place % radix
-            lin, sat = sigmas == LINEAR, sigmas == SATURATED
-            A = eye - lin[:, :, None] * W
-            res = max(res, np.abs(A @ F - eye * lin[:, :, None]).sum(axis=2).max(),
-                      np.abs((A @ f[..., None])[..., 0] - np.where(sat, m, 0.0)).max())
-            norm_F, norm_f = max(norm_F, np.abs(F).sum(axis=2).max()), max(norm_f, np.abs(f).max())
+            f = pa.f[lo : lo + _PATTERN_CHUNK]
+            sigmas = np.arange(lo, lo + len(f))[:, None] // self.place % radix
+            Af = (A[_solve_keys(sigmas, 0)] @ f[..., None])[..., 0]
+            res = max(res, np.abs(Af - np.where(sigmas == SATURATED, m, 0.0)).max())
         res *= 1 + gamma  # the row sums' own rounding
         M = np.abs(m[finite]).max(initial=0.0)
         self.slope = res + gamma * ((1 + 6 * norm_W) * norm_F + 5)  # tau = slope delta + offset
@@ -511,11 +565,16 @@ def equilibrium_map(W, m) -> PiecewiseAffineMap:
         )
     parts = []
     n_singular = 0
+    W1, off = W[None], np.full((1, n), -0.0)
+    table = _solve_table(W1, np.arange(1 << n))
     # product order over increasing regime codes is label order
     for labels in _chunks(itertools.product(*regimes)):
-        ok, F, f, G, g, keep = _pattern_pieces(W, m, np.array(labels), np.full(n, -0.0))
+        sigmas = np.array(labels)
+        ok, F, f, G, g, keep = _pattern_pieces(W1, m, sigmas, off,
+                                               np.zeros(len(sigmas), dtype=np.intp), table)
         n_singular += len(ok) - int(ok.sum())
         parts.append((itertools.compress(labels, ok), F, f, G[keep], g[keep], keep.sum(axis=1)))
+    del table
     pa = PiecewiseAffineMap._of_stacks(parts, n)
     if n_singular:
         warnings.warn(f"equilibrium_map: skipped {n_singular} singular pattern(s)")
@@ -747,11 +806,13 @@ def compose_maps(
     and offset W2 (F_lam cbar + f_lam), so every pair (lam, outer pattern)
     yields a candidate piece.  Composite regions combine the outer regime
     conditions with the inner region mapped through x, and pieces whose
-    region is empty are dropped.  The pairs are taken inner-piece-major in
-    stacks of up to _PATTERN_CHUNK: one _pattern_pieces call on the pairs'
-    own (W_eff, offset) and one box test per stack, with each inner
-    piece's rows zero-padded to the longest and multiplied in groups of
-    one row count (see _pattern_pieces on which products keep their bits).
+    region is empty are dropped.  One _solve_table holds F for every
+    (inner piece, outer Linear set).  The pairs are taken inner-piece-major
+    in stacks of up to _PATTERN_CHUNK: one _pattern_pieces call, each pair
+    owned by its inner piece's (W_eff, offset), and one box test per
+    stack, with each inner piece's rows zero-padded to the longest and
+    multiplied in groups of one row count (see _pattern_pieces on which
+    products keep their bits).
     A candidate whose inner rows rule out the box that its outer pattern
     pins x to is dropped before any LP (see _box_empty).  Of the others,
     one whose rows hold with a margin at a point d that _witness builds
@@ -790,11 +851,12 @@ def compose_maps(
     lp_rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=np.intp))]
     n_singular = n_candidates = 0
     linear = _samples(m)
+    table = _solve_table(Weff, np.arange(len(inner) << n))
     # (inner piece, outer pattern) pairs, inner-piece-major, in stacks
     pairs = ((k, s) for k in range(len(inner)) for s in itertools.product(*_regimes(m)))
     for chunk in _chunks(pairs):
         lam, sigmas = (np.array(col) for col in zip(*chunk))
-        ok, F, f, G, g, keep = _pattern_pieces(Weff[lam], m, sigmas, off[lam])
+        ok, F, f, G, g, keep = _pattern_pieces(Weff, m, sigmas, off, lam, table)
         n_singular += len(ok) - int(ok.sum())
         lam = lam[ok]
         Gl, n_rows = Gi[lam], count[lam]
@@ -820,6 +882,7 @@ def compose_maps(
         rows = keep & to_lp[:, None]
         lp_rows.append((G[rows], g[rows], n_candidates + np.nonzero(rows)[0]))
         n_candidates += len(to_lp)
+    del table
     if n_singular:
         warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 

@@ -45,6 +45,7 @@ block results agree with plain stepping to about 1e-13.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -110,6 +111,16 @@ def _real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
+@contextlib.contextmanager
+def _float_field(name):
+    """Re-raise the OverflowError of an integer beyond float range, met while
+    reading field name as floats, as a ValueError that names the field."""
+    try:
+        yield
+    except OverflowError as e:
+        raise ValueError(f"{name} must be finite: {e}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class AffinePiece:
     """One affine piece y -> F y + f valid on {y : G y + g >= 0}.
@@ -164,21 +175,27 @@ class LTNetwork:
     r: int = 0
 
     def __post_init__(self):
-        W = _as_readonly(self.W)
+        with _float_field("W"):
+            W = _as_readonly(self.W)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"W must be square, got shape {W.shape}")
         n = W.shape[0]
-        c = _as_readonly(np.broadcast_to(np.asarray(self.c, dtype=float), (n,)))
-        m = _as_readonly(np.broadcast_to(np.asarray(self.m, dtype=float), (n,)))
+        with _float_field("c"):
+            c = _as_readonly(np.broadcast_to(np.asarray(self.c, dtype=float), (n,)))
+        with _float_field("m"):
+            m = _as_readonly(np.broadcast_to(np.asarray(self.m, dtype=float), (n,)))
         if not np.all(m > 0):
             raise ValueError("ceiling entries must be positive (or np.inf)")
         if not _real(self.tau):
             raise ValueError(f"tau must be a number, got {self.tau!r}")
-        if not 0 < self.tau < np.inf:
+        with _float_field("tau"):
+            tau = float(self.tau)
+        if not 0 < tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         B = self.B
         if B is not None:
-            B = _as_readonly(B)
+            with _float_field("B"):
+                B = _as_readonly(B)
             if B.ndim != 2 or B.shape[0] != n:
                 raise ValueError(f"B must be (n, p), got shape {B.shape}")
         for name, a in (("W", W), ("c", c), ("B", B)):
@@ -191,7 +208,7 @@ class LTNetwork:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "r", int(self.r))  # JSON writes no NumPy integer
 
@@ -269,10 +286,14 @@ def _regime_rows(A, a, regime, m):
     at Linear under a finite m.
     """
     zero, lin, sat = (regime == r for r in (ZERO, LINEAR, SATURATED))
-    G = np.stack([A, -A], axis=-2)
-    g = np.stack([np.where(sat, a - m, a), m - a], axis=-1)
-    G[zero, 0], g[zero, 0] = G[zero, 1], -a[zero]
-    keep = np.stack([np.ones_like(lin), lin & np.isfinite(m)], axis=-1)
+    G = np.empty(A.shape[:-1] + (2,) + A.shape[-1:])  # (..., n, 2, k), written in place
+    G[..., 1, :] = -A
+    G[..., 0, :] = np.where(zero[..., None], G[..., 1, :], A)
+    g = np.empty(a.shape + (2,))
+    g[..., 0] = np.where(zero, -a, np.where(sat, a - m, a))
+    g[..., 1] = m - a
+    keep = np.ones(a.shape + (2,), dtype=bool)
+    keep[..., 1] = lin & np.isfinite(m)
     rows = a.shape[:-1] + (2 * a.shape[-1],)
     return G.reshape(rows + A.shape[-1:]), g.reshape(rows), keep.reshape(rows)
 

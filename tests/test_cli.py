@@ -1115,6 +1115,24 @@ def test_cli_number_files_take_commas_or_whitespace(tmp_path, capsys):
             f"error: {path}: could not convert string to float: 'abc'\n")
 
 
+def test_cli_reads_a_number_file_once(tmp_path, monkeypatch):
+    # before: the list-flag attacher read the file too, so it was opened twice
+    net_path, out, x0_path = tmp_path / "net.json", tmp_path / "traj.csv", tmp_path / "x0.txt"
+    ltio.dump_network(demo_network(), net_path)
+    x0_path.write_text("0.5,1.5\n")
+    opened, real_open = [], open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    assert main(["simulate", "--net", str(net_path), "--x0", str(x0_path),
+                 "--tspan", "0,1", "--out", str(out)]) == 0
+    assert opened.count(str(x0_path)) == 1
+    np.testing.assert_array_equal(ltio.rates_from_csv(out)[2][0], [0.5, 1.5])
+
+
 def test_number_text_refuses_digit_separators(tmp_path, capsys):
     # before: float() read 1_5 as 15 in a rate CSV, a trials CSV and a
     # number file, and --tspan 0,1_0 ran to t = 10

@@ -49,6 +49,16 @@ def test_control_law_modes_and_eval():
     assert empty.input_at(0.0, np.zeros(2)).size == 0
 
 
+def test_a_law_without_gain_or_feedforward_logs_empty_rows():
+    # before: input_log returned the integer 0
+    empty = ControlLaw(layer=1, K=None, ubar=None, mode="feedback-only")
+    times, x = np.arange(3.0), np.zeros((3, 2))
+    log = empty.input_log(times, x)
+    assert isinstance(log, np.ndarray) and log.shape == (3, 0) and log.dtype == float
+    for t, row, state in zip(times, log, x):
+        np.testing.assert_array_equal(row, empty.input_at(t, state))
+
+
 def test_feedback_gain_single_channel():
     K = feedback_gain_bilayer(recruited_layer())
     np.testing.assert_allclose(K, [[0.0, 0.9, 1.2]], atol=1e-14)

@@ -1362,9 +1362,9 @@ def test_compose_maps_builds_its_candidates_in_stacks(chunk, monkeypatch):
     inner, W1, W2, W3, cbar, m_out = _ragged_composite_args()
     build, sizes = equilibria._pattern_pieces, []
 
-    def counted(W, m, sigmas, off):
+    def counted(W, m, sigmas, off, owner, table):
         sizes.append(len(sigmas))
-        return build(W, m, sigmas, off)
+        return build(W, m, sigmas, off, owner, table)
 
     monkeypatch.setattr(equilibria, "_PATTERN_CHUNK", chunk)
     monkeypatch.setattr(equilibria, "_pattern_pieces", counted)
@@ -1372,6 +1372,87 @@ def test_compose_maps_builds_its_candidates_in_stacks(chunk, monkeypatch):
     # (inner piece, outer pattern) pairs, not one round per inner piece
     candidates = len(inner) * 36
     assert len(sizes) == -(-candidates // chunk) and sum(sizes) == candidates
+
+
+def _linear_set_groups(pa, k=0):
+    """pa's piece indices grouped by (inner label, Linear set of the outer
+    pattern), the outer pattern starting at label position k."""
+    groups = {}
+    for i, label in enumerate(pa.labels):
+        key = (label[:k], tuple(r == LINEAR for r in label[k:]))
+        groups.setdefault(key, []).append(i)
+    return groups.values()
+
+
+def test_patterns_of_one_linear_set_hold_one_f():
+    # Zero and Saturated give the same I - S_l W, so every pattern of a
+    # Linear set gets its F from one solve, bit for bit
+    base = _memory_guard_map()
+    inner, W1, W2, W3, cbar, m_out = _ragged_composite_args()
+    comp = compose_maps(inner, W1, W2, W3, cbar, m_out, certificate=SimpleNamespace(passed=True))
+    for pa, k in ((base, 0), (_oracle_maps()[1], 2), (_composite(), 3), (comp, 1)):
+        shared = 0
+        for group in _linear_set_groups(pa, k):
+            assert len({pa.F[i].tobytes() for i in group}) == 1
+            shared += len(group) > 1
+        assert shared > 0
+
+
+def _solve_spy(monkeypatch):
+    """Lists of the matrices handed to the stacked F solves (right-hand
+    sides of n columns, n > 1) and to the f solves (one column)."""
+    seen, solve = {"F": [], "f": []}, np.linalg.solve
+
+    def spy(a, b):
+        if a.ndim == 3:
+            seen["F" if b.shape[-1] > 1 else "f"].extend(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return seen
+
+
+def test_one_F_solve_per_owner_and_linear_set(monkeypatch):
+    seen = _solve_spy(monkeypatch)
+    pa = _memory_guard_map()  # n = 8: 3^5 2^3 = 1 944 patterns, 2^8 Linear sets
+    assert len(pa) == 1944 and len(seen["F"]) == 256 and len(seen["f"]) == 1944
+    assert len({a.tobytes() for a in seen["F"]}) == 256
+    # a composite: one F solve per (inner piece, outer Linear set) pair
+    inner, W1, W2, W3, cbar, m_out = _ragged_composite_args()
+    seen["F"].clear(), seen["f"].clear()
+    compose_maps(inner, W1, W2, W3, cbar, m_out, certificate=SimpleNamespace(passed=True))
+    assert len(seen["F"]) == len(inner) * 2**4 and len(seen["f"]) == len(inner) * 36
+
+
+def _locator_reference(pa):
+    """(slope, offset, scale) of pa's _Locator, its residuals and row sums
+    read one piece at a time."""
+    W, m = pa._net
+    n, gamma = len(m), (len(m) + 2) * np.finfo(float).eps
+    eye, norm_W = np.eye(n), np.abs(W).sum(axis=1).max()
+    v = equilibria._contraction_weights(np.abs(W))
+    r = np.abs((eye - np.abs(W)) @ v - 1.0).max() + gamma * ((1 + norm_W) * v.max() + 1)
+    K = v.max() / ((1 - r) * min(1.0, v.min()))
+    res = norm_F = norm_f = 0.0
+    for F, f, label in zip(pa.F, pa.f, pa.labels):
+        lin, sat = np.array(label) == LINEAR, np.array(label) == SATURATED
+        A = eye - lin[:, None] * W
+        res = max(res, np.abs(A @ F - eye * lin[:, None]).sum(axis=1).max(),
+                  np.abs((A @ f[:, None])[:, 0] - np.where(sat, m, 0.0)).max())
+        norm_F, norm_f = max(norm_F, np.abs(F).sum(axis=1).max()), max(norm_f, np.abs(f).max())
+    res *= 1 + gamma
+    M = np.abs(m[np.isfinite(m)]).max(initial=0.0)
+    return (res + gamma * ((1 + 6 * norm_W) * norm_F + 5),
+            equilibria._REGION_TOL + res + gamma * ((1 + 6 * norm_W) * norm_f + 4 * M),
+            (1 + 2 * K * K) * (1 + gamma))
+
+
+def test_locator_constants_equal_the_per_piece_reference():
+    for pa in _locator_maps():
+        got = pa._locator
+        want = _locator_reference(pa)
+        assert [float(x).hex() for x in (got.slope, got.offset, got.scale)] == \
+            [float(x).hex() for x in want]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -1448,7 +1529,9 @@ def test_singularity_screen_decides_as_the_svd_rule(seed, n, plant, base):
         return svd_cond(A)
 
     with mock.patch.object(np.linalg, "cond", cond):
-        got = equilibria._pattern_pieces(W, m, sigmas, off)
+        got = equilibria._pattern_pieces(W[None], m, sigmas, off[None],
+                                         np.zeros(len(sigmas), dtype=np.intp),
+                                         equilibria._solve_table(W[None], np.arange(1 << n)))
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     # np.linalg.cond sees exactly the patterns whose LU has no zero pivot

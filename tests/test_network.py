@@ -333,3 +333,13 @@ def test_tau_is_a_real_number_held_as_a_python_float(tmp_path):
     for tau in (True, "1"):
         with pytest.raises(ValueError, match=f"^tau must be a number, got {re.escape(repr(tau))}$"):
             LTNetwork(np.zeros((1, 1)), [0.0], [1.0], tau=tau)
+
+
+@pytest.mark.parametrize("field", ["W", "c", "m", "B", "tau"])
+def test_an_integer_beyond_float_range_is_refused_by_name(field):
+    # before: OverflowError from the float conversion, which a caller
+    # catching ValueError missed
+    args = dict(W=np.zeros((1, 1)), c=[0.0], m=[1.0], tau=1.0, B=None)
+    args[field] = {"W": [[10**400]], "B": [[10**400]], "tau": 10**400}.get(field, [10**400])
+    with pytest.raises(ValueError, match=f"^{field} must be finite: int too large"):
+        LTNetwork(**args)
