@@ -18,15 +18,17 @@ S_l and S_s the indicator diagonals of the Linear and Saturated regimes
 ceilings never produce inf * 0).  The region of validity is the polyhedron
 {d : G d + g >= 0} obtained by writing the semantic regime conditions on
 z = W (F d + f) + d; these conditions, not any rearranged closed form, are
-what the implementation evaluates.  F and the pattern's linear system
-I - S_l W depend only on its Linear set, as Zero and Saturated give the
-same system, so a builder first solves each Linear set once, in stacks
-of up to _PATTERN_CHUNK sets (see _solve_table), and every pattern
-gathers its F from that table.  Then the patterns are built in stacks
-of up to _PATTERN_CHUNK: one stacked solve for f and masked region rows
-per stack, so the temporaries are O(chunk * n^2), and every piece has
-the bits it would have if built alone.  The map holds the stacks,
-read-only; its AffinePieces view them, built only when read.
+what the implementation evaluates.  Patterns have one order, their rank
+(see _radix), and both map builders read one stream, _candidates, of
+every (owner, pattern) pair, owner-major and in rank order: a base map
+has one owner, a composite one per inner piece.  F and I - S_l W depend
+only on a pattern's owner and Linear set, as Zero and Saturated give
+the same system, so each (owner, Linear set) is solved once (see
+_solve_table).  The pairs are built in stacks of up to _PATTERN_CHUNK:
+one stacked solve for f and masked region rows per stack, so the
+temporaries are O(chunk * n^2), and every piece has the bits it would
+have if built alone.  The map holds the stacks, read-only; its
+AffinePieces view them, built only when read.
 
 Saturated is excluded for nodes with unbounded ceilings.  Patterns whose
 linear system is singular (condition number above _SINGULAR_RCOND) are
@@ -37,22 +39,20 @@ For the base map every remaining pattern has a nonempty region: choosing
 target pre-activations z strictly inside each regime interval and setting
 d = z - W x(z), with x(z) the state pinned by the pattern, produces an
 interior witness.  Composed maps (see compose_maps) gain extra region
-rows from the inner map, so there emptiness is real.  Their candidates,
-the (inner piece, outer pattern) pairs, are built in stacks of up to
-_PATTERN_CHUNK pairs, each pair with its inner piece's effective
-weights, and F is solved once per (inner piece, outer Linear set).  A
-candidate is first dropped without an LP when one inner row is negative
-over the whole box its outer pattern allows the outer state (see
-_box_empty).  Of the rest, a candidate is kept without an LP when a
-point of its region is exhibited, as for the base map: the first of a
-fixed table of outer states in that box at which every inner row is
-positive gives the d whose equilibrium it is, and the candidate's own
-rows must hold at d with a margin (see _witness and _witnessed).  The
-others are decided by max-margin LPs, _LP_CHUNK candidates stacked into
-one block-diagonal LP, assembled from one stack of every undecided
-candidate's rows with an owner index.  Every LP in
-ltnet goes through linprog here, HiGHS through scipy.optimize.milp;
-SciPy is imported by the first LP, not by this module.
+rows from the inner map, so there emptiness is real.  Their candidates
+are the stream's (inner piece, outer pattern) pairs.  A candidate is
+first dropped without an LP when one inner row is negative over the
+whole box its outer pattern allows the outer state (see _box_empty).
+Of the rest, a candidate is kept without an LP when a point of its
+region is exhibited, as for the base map: the first of a fixed table of
+outer states in that box at which every inner row is positive gives the
+d whose equilibrium it is, and the candidate's own rows must hold at d
+with a margin (see _witness and _witnessed).  The others are decided by
+max-margin LPs, _LP_CHUNK candidates stacked into one block-diagonal
+LP, assembled from one stack of every undecided candidate's rows with an
+owner index.  Every LP in ltnet goes through linprog here, HiGHS through
+scipy.optimize.milp; SciPy is imported by the first LP, not by this
+module.
 
 A map locates a point by the first piece in label order whose region
 holds it.  A map that equilibrium_map built with every pattern kept for
@@ -80,7 +80,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .network import (_REGION_TOL, LINEAR, SATURATED, ZERO, AffinePiece, _as_readonly,
-                      _regime_rows, clip_box)
+                      _clip_regime, _regime_rows, clip_box)
 
 __all__ = [
     "PiecewiseAffineMap",
@@ -116,15 +116,13 @@ class UniquenessNotCertified(NotCertified):
     """Composition requested without a certificate for the composite equation."""
 
 
-def _regimes(m):
-    """Per-node regime alphabet: no Saturated regime under an unbounded ceiling."""
-    return [(ZERO, LINEAR) if np.isinf(mi) else (ZERO, LINEAR, SATURATED) for mi in m]
-
-
-def _chunks(items):
-    """The items of an iterator, in order, as lists of up to _PATTERN_CHUNK."""
-    while chunk := list(itertools.islice(items, _PATTERN_CHUNK)):
-        yield chunk
+def _radix(m):
+    """ltnet's one pattern order: the regimes per node, 3 under a finite
+    ceiling and 2 (no Saturated) under m_i = inf, and each node's place
+    value, node 0 the most significant.  The pattern of rank k is
+    k // place % radix, so rank order is label order."""
+    radix = np.where(np.isinf(m), 2, 3)
+    return radix, np.array([math.prod(radix[i + 1 :]) for i in range(len(m))], dtype=np.intp)
 
 
 def _solve_keys(sigmas, owner):
@@ -184,10 +182,8 @@ def _solve_table(W, keys):
 def _pattern_pieces(W, m, sigmas, off, owner, table):
     """Stacked pieces of the patterns sigmas (P, n) for x = [W x + off + d]_0^m.
 
-    W (L, n, n) and off (L, n) hold one set of weights and offsets per
-    owner, and owner (P,) names each pattern's: zeros for a base map, the
-    inner piece for compose_maps' candidates.  table is the _solve_table
-    of the owners' W and every (owner, Linear set) key the patterns have.
+    W (L, n, n) and off (L, n) hold one set per owner, owner (P,) names
+    each pattern's, and table is the owners' _solve_table (see _candidates).
     Returns (ok, F, f, G, g, keep): ok (P,) marks the patterns whose
     linear system is nonsingular, and the rest hold their K = ok.sum()
     pieces: F (K, n, n), gathered from the table, f (K, n), and candidate
@@ -215,6 +211,26 @@ def _pattern_pieces(W, m, sigmas, off, owner, table):
     # regime conditions on z = W(F d + f) + off + d
     Wf = (W @ f[..., None])[..., 0] + off
     return ok, F, f, *_regime_rows(W @ F + eye, Wf, sigmas, m)
+
+
+def _candidates(W, m, off, who):
+    """Stacks (owner, sigmas, F, f, G, g, keep) of up to _PATTERN_CHUNK
+    nonsingular (owner, pattern) pairs of x = [W x + off + d]_0^m, W (L, n,
+    n) and off (L, n) one per owner, owner-major and in rank order.  One
+    _solve_table serves the stream; its end drops it and warns "<who>:
+    skipped N singular pattern(s)" when a pair was skipped."""
+    radix, place = _radix(m)
+    count, n_singular = int(radix.prod()), 0
+    table = _solve_table(W, np.arange(len(W) << W.shape[-1]))
+    for lo in range(0, len(W) * count, _PATTERN_CHUNK):
+        pair = np.arange(lo, min(lo + _PATTERN_CHUNK, len(W) * count))
+        owner, sigmas = pair // count, (pair % count)[:, None] // place % radix
+        ok, *piece = _pattern_pieces(W, m, sigmas, off, owner, table)
+        n_singular += len(ok) - int(ok.sum())
+        yield owner[ok], sigmas[ok], *piece
+    del table
+    if n_singular:
+        warnings.warn(f"{who}: skipped {n_singular} singular pattern(s)")
 
 
 def piece_for_pattern(W, m, sigma) -> Optional[AffinePiece]:
@@ -454,8 +470,7 @@ class PiecewiseAffineMap:
 
 class _Locator:
     """Certified point location on an equilibrium_map of (W, m) with every
-    pattern kept and rho(|W|) < 1: piece k is the pattern whose regime
-    codes are k's digits in the mixed radix of _regimes(m).
+    pattern kept and rho(|W|) < 1, whose piece k is the pattern of rank k.
 
     A candidate comes from pattern iteration: sigma = regime(d), then
     c = rank(sigma), x = F_c d + f_c, Z = W x + d, sigma = regime(Z), for at
@@ -499,11 +514,8 @@ class _Locator:
 
     def __init__(self, pa, W, m, v):
         n = len(m)
-        finite = np.isfinite(m)
-        radix = np.where(finite, 3, 2)
+        radix, self.place = _radix(m)
         self.F, self.f, self.W, self.m = pa.F, pa.f, W, m
-        self.place = np.array([math.prod(radix[i + 1 :]) for i in range(n)], dtype=np.intp)
-        self.top = np.where(finite, m, np.nan)  # no Saturated regime under m_i = inf
         gamma = (n + 2) * np.finfo(float).eps  # 2 (n + 2) u
         eye, norm_W = np.eye(n), np.abs(W).sum(axis=1).max(initial=0.0)
         # v's own residual: |W| v = v - 1 - r, so T contracts by 1 - (1 - |r|) / max v
@@ -521,14 +533,14 @@ class _Locator:
             Af = (A[_solve_keys(sigmas, 0)] @ f[..., None])[..., 0]
             res = max(res, np.abs(Af - np.where(sigmas == SATURATED, m, 0.0)).max())
         res *= 1 + gamma  # the row sums' own rounding
-        M = np.abs(m[finite]).max(initial=0.0)
+        M = np.abs(m[np.isfinite(m)]).max(initial=0.0)
         self.slope = res + gamma * ((1 + 6 * norm_W) * norm_F + 5)  # tau = slope delta + offset
         self.offset = _REGION_TOL + res + gamma * ((1 + 6 * norm_W) * norm_f + 4 * M)
         self.scale = (1 + 2 * K * K) * (1 + gamma)
 
     def _rank(self, Z):
         """Index of the piece whose pattern is the regimes of each row of Z."""
-        return ((Z > 0).astype(np.intp) + (Z >= self.top)) @ self.place
+        return _clip_regime(Z, self.m) @ self.place
 
     def __call__(self, D):
         """The certified piece of each row of D, -1 where the test fails."""
@@ -556,29 +568,15 @@ def equilibrium_map(W, m) -> PiecewiseAffineMap:
     W = np.asarray(W, dtype=float)
     m = np.broadcast_to(np.asarray(m, dtype=float), (W.shape[0],))
     n = W.shape[0]
-    regimes = _regimes(m)
-    if (count := math.prod(map(len, regimes))) * n * n > _STACK_LIMIT:
-        raise ValueError(
-            f"n={n} has {count} switching patterns, whose stacks (patterns x n^2) exceed "
-            f"the enumeration limit {_STACK_LIMIT}; use solve_equilibrium_iterative for "
-            "pointwise equilibria"
-        )
-    parts = []
-    n_singular = 0
-    W1, off = W[None], np.full((1, n), -0.0)
-    table = _solve_table(W1, np.arange(1 << n))
-    # product order over increasing regime codes is label order
-    for labels in _chunks(itertools.product(*regimes)):
-        sigmas = np.array(labels)
-        ok, F, f, G, g, keep = _pattern_pieces(W1, m, sigmas, off,
-                                               np.zeros(len(sigmas), dtype=np.intp), table)
-        n_singular += len(ok) - int(ok.sum())
-        parts.append((itertools.compress(labels, ok), F, f, G[keep], g[keep], keep.sum(axis=1)))
-    del table
+    if (count := int(_radix(m)[0].prod())) * n * n > _STACK_LIMIT:
+        raise ValueError(f"n={n} has {count} switching patterns, whose stacks (patterns x "
+                         f"n^2) exceed the enumeration limit {_STACK_LIMIT}; use "
+                         "solve_equilibrium_iterative for pointwise equilibria")
+    parts = [(map(tuple, sigmas.tolist()), F, f, G[keep], g[keep], keep.sum(axis=1))
+             for _, sigmas, F, f, G, g, keep
+             in _candidates(W[None], m, np.full((1, n), -0.0), "equilibrium_map")]
     pa = PiecewiseAffineMap._of_stacks(parts, n)
-    if n_singular:
-        warnings.warn(f"equilibrium_map: skipped {n_singular} singular pattern(s)")
-    else:  # piece k is the pattern of rank k, which the locator reads
+    if len(pa) == count:  # piece k is the pattern of rank k, which the locator reads
         vars(pa)["_net"] = (_as_readonly(W), _as_readonly(m))
     return pa
 
@@ -603,11 +601,15 @@ def solve_equilibrium_iterative(W, m, d, tol: float = 1e-10):
     solve is singular, alpha is not positive or max(alpha) >= 1e9.  The
     iteration contracts by r = 1 - 1 / max(alpha) in the alpha-weighted
     l1 norm, which bounds the max norm as alpha >= 1; it stops once that
-    error bound drops below tol.
-    """
+    error bound drops below tol.  A d that is not n finite numbers, or an
+    m entry that is NaN or -inf, raises ValueError before any sweep."""
     W = np.asarray(W, dtype=float)
     m = np.broadcast_to(np.asarray(m, dtype=float), (W.shape[0],))
     d = np.asarray(d, dtype=float)
+    if d.shape != m.shape:
+        raise ValueError(f"d must have length n = {len(m)}; got an array of shape {d.shape}")
+    if not (np.isfinite(d).all() and np.all(m > -np.inf)):
+        raise ValueError("d must be finite, and m numbers or +inf")
     alpha = _contraction_weights(np.abs(W).T)
     if alpha is None:
         raise NotCertified("rho(|W|) >= 1: no alpha > 0 solves (I - |W|^T) alpha = 1")
@@ -806,11 +808,10 @@ def compose_maps(
     and offset W2 (F_lam cbar + f_lam), so every pair (lam, outer pattern)
     yields a candidate piece.  Composite regions combine the outer regime
     conditions with the inner region mapped through x, and pieces whose
-    region is empty are dropped.  One _solve_table holds F for every
-    (inner piece, outer Linear set).  The pairs are taken inner-piece-major
-    in stacks of up to _PATTERN_CHUNK: one _pattern_pieces call, each pair
-    owned by its inner piece's (W_eff, offset), and one box test per
-    stack, with each inner piece's rows zero-padded to the longest and
+    region is empty are dropped.  The pairs come from _candidates, each
+    owned by its inner piece's (W_eff, offset), inner-piece-major in
+    stacks of up to _PATTERN_CHUNK, and each stack takes one box test,
+    with each inner piece's rows zero-padded to the longest and
     multiplied in groups of one row count (see _pattern_pieces on which
     products keep their bits).
     A candidate whose inner rows rule out the box that its outer pattern
@@ -849,16 +850,9 @@ def compose_maps(
     stacks, undecided = [], [np.zeros(0, dtype=bool)]
     # (G, g, owner) of the rows left for the LPs, owner a candidate's index
     lp_rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=np.intp))]
-    n_singular = n_candidates = 0
+    n_candidates = 0
     linear = _samples(m)
-    table = _solve_table(Weff, np.arange(len(inner) << n))
-    # (inner piece, outer pattern) pairs, inner-piece-major, in stacks
-    pairs = ((k, s) for k in range(len(inner)) for s in itertools.product(*_regimes(m)))
-    for chunk in _chunks(pairs):
-        lam, sigmas = (np.array(col) for col in zip(*chunk))
-        ok, F, f, G, g, keep = _pattern_pieces(Weff, m, sigmas, off, lam, table)
-        n_singular += len(ok) - int(ok.sum())
-        lam = lam[ok]
+    for lam, sigmas, F, f, G, g, keep in _candidates(Weff, m, off, "compose_maps"):
         Gl, n_rows = Gi[lam], count[lam]
         GlF, Glf = np.zeros_like(Gl), np.zeros(Gl.shape[:2])
         for r in np.unique(n_rows):  # one row count per product: see _pattern_pieces
@@ -870,9 +864,8 @@ def compose_maps(
         b = Gc[lam] + gl[lam]
         real = np.arange(Gi.shape[1]) < n_rows[:, None]
         keep = np.concatenate([keep, real], axis=1)
-        labels = [inner.labels[k] + s for k, s in itertools.compress(chunk, ok)]
+        labels = [inner.labels[k] + s for k, s in zip(lam.tolist(), map(tuple, sigmas.tolist()))]
         stacks.append((labels, F, f, G, g, keep))
-        sigmas = sigmas[ok]
         undecided.append(~_box_empty(Gl, b, sigmas, m))
         to_lp = undecided[-1].copy()  # the box mask stays as it is
         idx = np.flatnonzero(to_lp)
@@ -882,9 +875,6 @@ def compose_maps(
         rows = keep & to_lp[:, None]
         lp_rows.append((G[rows], g[rows], n_candidates + np.nonzero(rows)[0]))
         n_candidates += len(to_lp)
-    del table
-    if n_singular:
-        warnings.warn(f"compose_maps: skipped {n_singular} singular pattern(s)")
 
     # a candidate the box test settled has no rows here, which reads nonempty
     G, g, owner = (np.concatenate(col) for col in zip(*lp_rows))

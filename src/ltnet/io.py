@@ -67,14 +67,17 @@ def _known_keys(where, entry, known):
 
 def _number_array(value, what):
     """value as a float array.  Each leaf must be a number: np.array reads
-    true as 1.0 and "0.5" as 0.5, so a bool, a string, null or a ragged
-    nesting raises ValidationError naming what."""
+    true as 1.0 and "0.5" as 0.5, so a bool, a string, null, a ragged
+    nesting or an int beyond float range raises ValidationError naming what."""
     try:
         leaves = np.array(value, dtype=object)
     except ValueError:  # a nesting too ragged even for an object array
         leaves = np.array(None)
-    if all(map(_real, leaves.flat)):
-        return leaves.astype(float)
+    try:
+        if all(map(_real, leaves.flat)):
+            return leaves.astype(float)
+    except OverflowError as e:
+        raise ValidationError(f"{what} must be finite: {e}") from None
     raise ValidationError(f"{what} must be a rectangular array of numbers")
 
 
@@ -84,7 +87,7 @@ def _ceiling_in(v):
     if _real(v):
         if v <= 0:
             raise ValidationError(f"ceiling entries must be positive, got {v}")
-        return float(v)
+        return float(_number_array(v, "network field malformed: m"))
     raise ValidationError(f"ceiling entries must be numbers or 'inf', got {v!r}")
 
 

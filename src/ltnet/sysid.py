@@ -106,17 +106,19 @@ def fit_exponential_decay(rho_bar, lags):
     """Least-squares fit of A * exp(-k / tau) to rho_bar over the lags.
 
     The fit is linear in log space and uses only lags with positive
-    averaged correlation.  Returns (A, tau) in lag units.
+    averaged correlation.  Each lag must be an integer in
+    0..len(rho_bar) - 1.  Returns (A, tau) in lag units.
     """
-    rho_bar = np.asarray(rho_bar, dtype=float)
-    lags = np.asarray(list(lags), dtype=float)
-    vals = rho_bar[lags.astype(int)]
+    rho_bar, lags = np.asarray(rho_bar, dtype=float), list(lags)
+    if not all(_integer(k) and 0 <= k < len(rho_bar) for k in lags):
+        raise ValueError(f"lags must be integers in 0..{len(rho_bar) - 1}, got {lags}")
+    vals = rho_bar[lags]
     keep = vals > 0
     if keep.sum() < 2:
         raise NonPositiveCorrelations(
             "need at least two positive averaged correlations to fit a decay"
         )
-    k = lags[keep]
+    k = np.array(lags, dtype=float)[keep]
     y = np.log(vals[keep])
     slope, intercept = np.polyfit(k, y, 1)
     if slope >= 0:
@@ -177,6 +179,8 @@ def randomization_test(a, b, n_perm: int = 1999, seed: int = 0) -> float:
         raise ValueError("both samples must be nonempty")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("both samples must be finite")
+    if not _integer(n_perm):
+        raise ValueError(f"n_perm must be an integer, got {n_perm!r}")
     if n_perm < 1:
         raise ValueError(f"n_perm must be at least 1, got {n_perm}")
     observed = abs(a.mean() - b.mean())
@@ -459,9 +463,10 @@ class SysIdProblem:
                     f"got {data[c].shape}"
                 )
         self.data = data
-        # a strided (C, nm, K) view: _objective_state_grad's sums depend on
-        # this layout, and fit's results on their last bits
-        self._ref = np.moveaxis(np.stack([data[c] for c in self.conditions]), 2, 1)
+        # a (C, nm, K) view of one C-ordered (K, C nm) array, whose sums run
+        # in sample order: fit's results hang on their last bits
+        ref = np.stack([data[c] for c in self.conditions], axis=1).reshape(self.K, -1)
+        self._ref = ref.T.reshape(len(self.conditions), -1, self.K)
         if self._x0_max is None:
             peak = max(float(np.max(v)) for v in data.values())
             self._x0_max = 2.0 * max(peak, 1.0)
@@ -696,10 +701,10 @@ def _objective_batch(Z, problem: SysIdProblem):
     traj, states, diverged = problem._simulate(Z)
     est = np.moveaxis(states[:, :, :, problem.manifest], 3, 2)
     P, K = est.shape[0], problem.K
-    # (C nm, K) pair rows with K the slowest axis: each reference series
-    # is summed in sample order, as in _objective_state_grad (a C-order
-    # copy sums pairwise, which moves the last bits of f)
-    ref = np.moveaxis(problem._ref, 2, 0).reshape(K, -1).T
+    # (C nm, K) pair rows, a view with K the slowest axis: each reference
+    # series is summed in sample order, as in _objective_state_grad (a
+    # C-order copy sums pairwise, which moves the last bits of f)
+    ref = problem._ref.reshape(-1, K)
     # C-order estimate rows, whatever P: the layout a batch of one has, so
     # each row is reduced in the same order as alone (with one condition or
     # one manifest node the reshape is a view, strided by P)

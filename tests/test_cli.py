@@ -339,6 +339,12 @@ def _layer(index, **fields):
     (_layer(1, n=1.7), "layer 2: n must be an integer, got 1.7"),
     (_layer(0, n=True), "n must be an integer, got True"),
     (_layer(0, tau=10**400), "int too large to convert to float"),
+    (_layer(1, W=[[10**400, 0.0], [0.76, 0.0]]),
+     "layer 2: network field malformed: W must be finite: int too large"),
+    (_layer(1, m=[10**400, 1.0]),
+     "layer 2: network field malformed: m must be finite: int too large"),
+    (lambda blob: blob["W_up"][0][0].__setitem__(0, 10**400),
+     "hierarchy field malformed: W_up[0] must be finite: int too large"),
     (_layer(2, r=1), "layer 3 has every node inhibited"),
     (_layer(1, r=2), "layer 2 has every node inhibited"),
     (lambda blob: blob["W_down"].__setitem__(1, [[0.04], [0.58, 0.0]]),
@@ -356,7 +362,7 @@ def _layer(index, **fields):
 ], ids=["layers-not-a-list", "W_down-null", "W_up-null", "nan-ceiling", "zero-ceiling",
         "no-W_up", "infinite-W", "nan-c", "infinite-B", "infinite-tau", "nan-W_up",
         "fractional-r", "boolean-r", "fractional-n", "fractional-n-in-layer-2", "boolean-n",
-        "tau-beyond-float",
+        "tau-beyond-float", "W-beyond-float", "m-beyond-float", "W_up-beyond-float",
         "bottom-layer-all-inhibited", "middle-layer-all-inhibited",
         "ragged-W_down", "non-numeric-W_up", "boolean-W_down", "boolean-ceilings",
         "string-tau", "boolean-c", "W-not-n-by-n", "c-not-of-length-n"])
@@ -1164,6 +1170,29 @@ def test_network_refuses_blocks_numpy_cannot_stack():
     obj["W"] = [np.zeros((2, 2)), np.zeros((2, 3))]
     with pytest.raises(ValidationError, match="W must be a rectangular array of numbers"):
         ltio.network_from_dict(obj)
+
+
+@pytest.mark.parametrize("field", ["W", "c", "m", "B"])
+def test_network_from_dict_refuses_an_integer_beyond_float_range_by_name(field):
+    # before: OverflowError from the float conversion, which a caller
+    # catching ValidationError missed
+    obj = {"n": 1, "W": [[0.0]], "c": [0.0], "m": [1.0], "tau": 1.0}
+    obj[field] = [[10**400]] if field in ("W", "B") else [10**400]
+    with pytest.raises(ValidationError, match=f"^network field malformed: {field} must be "
+                                              "finite: int too large to convert to float$"):
+        ltio.network_from_dict(obj)
+
+
+def test_controls_and_fit_z_refuse_an_integer_beyond_float_range(tmp_path):
+    path = tmp_path / "controls.json"
+    for entry, match in (({"K": [[10**400, 0.0, 0.0]], "ubar": None}, "layer 2: K malformed:"),
+                         ({"K": None, "ubar": [10**400]}, "layer 2: ubar malformed:")):
+        path.write_text(json.dumps([{"layer": 2, "mode": "feedback-only", **entry}]))
+        with pytest.raises(ValidationError, match=f"^{match} must be finite: int too large"):
+            ltio.load_controls(path, recruitment_hierarchy())
+    path.write_text(json.dumps({"z": [10**400]}))
+    with pytest.raises(ValidationError, match="z must be a list of 1 numbers"):
+        ltio.load_fit_z(path, 1)
 
 
 def test_cli_equilibrium_at_a_non_finite_point_exits_3(tmp_path, capsys):

@@ -210,6 +210,22 @@ def test_iterative_solver_refuses_a_singular_contraction_test():
         solve_equilibrium_iterative(np.array([[1.0]]), np.array([np.inf]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("m, d, match", [
+    (np.inf, [np.nan], "d must be finite"),
+    (np.inf, [np.inf], "d must be finite"),
+    (np.nan, [1.0], "m numbers or \\+inf"),
+    (-np.inf, [1.0], "m numbers or \\+inf"),
+    (np.inf, [1.0, 2.0], r"d must have length n = 1; got an array of shape \(2,\)"),
+    (np.inf, 1.0, r"d must have length n = 1; got an array of shape \(\)"),
+])
+def test_iterative_solver_refuses_bad_input_before_iterating(m, d, match):
+    # before: a NaN d ran 10^6 sweeps and raised NotCertified, and a d of
+    # the wrong length raised NumPy's matmul message
+    with mock.patch.object(equilibria, "clip_box", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=match):
+            solve_equilibrium_iterative(np.array([[0.5]]), np.array([m]), np.array(d))
+
+
 def test_compose_requires_certificate():
     inner = equilibrium_map(np.array([[0.5]]), np.array([2.0]))
     args = (inner, np.array([[0.2]]), np.array([[0.3]]), np.array([[0.4]]),
@@ -1472,6 +1488,31 @@ def test_stacked_box_test_equals_one_inner_piece_at_a_time(seed, n, pieces, rows
     got = _box_empty(Gi[lam], b[lam], np.tile(sigmas, (pieces, 1)), m)
     want = [_box_empty(Gi[k, : count[k]], b[k, : count[k]], sigmas, m) for k in range(pieces)]
     np.testing.assert_array_equal(got, np.concatenate(want))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_labels_follow_the_one_rank_order(seed):
+    # piece k of a map that skips no pattern (rho(|W|) < 1) is the pattern
+    # of rank k, and a composite keeps its candidates inner-piece-major in
+    # that order
+    rng = np.random.default_rng(seed)
+    W, m = random_contractive(rng, n_max=4)
+    n, (radix, place) = len(m), equilibria._radix(m)
+    pa = equilibrium_map(W, m)
+    assert len(pa) == int(radix.prod()) and list(pa.labels) == list(_all_patterns(m))
+    assert all(label == tuple((k // place % radix).tolist()) for k, label in enumerate(pa.labels))
+    W1, m_out = random_contractive(rng, n_max=2)
+    n_out = len(m_out)
+    W2, W3 = rng.normal(scale=0.3, size=(n_out, n)), rng.normal(scale=0.3, size=(n, n_out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a singular effective W skips patterns
+        comp = compose_maps(pa, W1, W2, W3, rng.normal(size=n), m_out,
+                            certificate=SimpleNamespace(passed=True))
+    rank = {lam + s: k for k, (lam, s)
+            in enumerate(itertools.product(pa.labels, _all_patterns(m_out)))}
+    order = [rank[label] for label in comp.labels]
+    assert len(comp) > 0 and order == sorted(set(order))
 
 
 def test_map_and_composite_count_singular_skips():

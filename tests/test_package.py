@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -57,7 +58,8 @@ def test_cli_only_parses_and_dispatches():
 def test_one_copy_of_each_rule():
     # network holds the one integer rule and the one real-number rule,
     # every drive term answers the core's one hint, piece(x) -> (key,
-    # build), number text is read in io, and hierarchy checks control laws
+    # build), number text is read in io, hierarchy checks control laws,
+    # and equilibria._radix alone orders switching patterns
     src = {p.name: p.read_text() for p in Path(network.__file__).parent.glob("*.py")}
     for rule in (r"def _integer\b|numbers\.Integral|\.is_integer\(",
                  r"def _real\b|_REALS|numbers\.Real|np\.floating"):
@@ -69,6 +71,13 @@ def test_one_copy_of_each_rule():
     for term in (control.OnlineFeedforward, hierarchy._SlavedLayer):
         assert callable(term.piece) and not hasattr(term, "pattern"), term
     assert "loadtxt" not in src["cli.py"]
+    radix = inspect.getsource(equilibria._radix)
+    assert re.search(r"math\.prod\(", radix)
+    others = "".join(src.values()).replace(radix, "")
+    assert not re.search(r"math\.prod\(|cumprod|itertools\.product", others)
+    assert not re.search(r"def _(regimes|chunks)\b|\.top\b", src["equilibria.py"])
+    for name in ("_regimes", "_chunks"):
+        assert not hasattr(equilibria, name), name
 
 
 def test_readme_python_blocks_run():

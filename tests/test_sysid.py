@@ -45,6 +45,14 @@ def test_fit_exponential_decay_rejects_bad_input():
     growing = 0.1 * np.exp(np.arange(10) / 4.0)
     with pytest.raises(NonPositiveCorrelations, match="decay"):
         fit_exponential_decay(growing, range(1, 8))
+    # before: a lag of 1.5 read bin 1 and gave (A, tau) = (1.72, 1.12), and
+    # -1 read the last bin
+    halving = 0.5 ** np.arange(4)
+    A, tau = fit_exponential_decay(halving, [0, 1, 2, 3])
+    assert abs(A - 1.0) < 1e-12 and abs(tau - 1.0 / np.log(2.0)) < 1e-12
+    for lags in ([0, 1.5, 3], [-1, 0, 1], [0, 1, 4], [0, True, 2], [0.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match=r"^lags must be integers in 0\.\.3, got "):
+            fit_exponential_decay(halving, lags)
 
 
 def ar1_trials(rng, tau_bins, n_trials=500, n_bins=40):
@@ -94,6 +102,14 @@ def test_randomization_symmetric_and_validates():
     assert randomization_test(a, b, seed=5) == randomization_test(b, a, seed=5)
     with pytest.raises(ValueError, match="nonempty"):
         randomization_test(np.zeros(0), np.ones(3))
+    # before: 2.5 raised TypeError from range, and True ran one permutation
+    for n_perm in (2.5, True, 10.0, "9"):
+        with pytest.raises(ValueError, match=f"^n_perm must be an integer, got {n_perm!r}$"):
+            randomization_test(a, b, n_perm=n_perm)
+    for n_perm in (0, -3):
+        with pytest.raises(ValueError, match=f"^n_perm must be at least 1, got {n_perm}$"):
+            randomization_test(a, b, n_perm=n_perm)
+    assert randomization_test(a, b, n_perm=np.int64(9)) == randomization_test(a, b, n_perm=9)
 
 
 def test_input_signal_values():
@@ -750,6 +766,18 @@ def test_values_and_grads_bytes_are_pinned(P):
     F, G = sysid._values_and_grads(pinned_batch(problem)[:P], problem)
     assert np.all(F != sysid._PENALTY)
     assert hashlib.sha256(F.tobytes() + G.tobytes()).hexdigest() == _GRADIENT_SHA256[P]
+
+
+def test_the_reference_is_stored_once():
+    # one C-ordered array, K its slowest axis; _ref (C, nm, K) and the
+    # objective's (C nm, K) rows are views of it
+    problem = two_channel_problem(60)
+    ref, K = problem._ref, problem.K
+    owner = ref.base
+    assert owner.flags.c_contiguous and owner.size == ref.size and owner.shape[0] == K
+    assert ref.reshape(-1, K).base is owner
+    for c, cond in enumerate(problem.conditions):
+        np.testing.assert_array_equal(ref[c], problem.data[cond].T)
 
 
 @pytest.mark.parametrize("P", [1, 3])
